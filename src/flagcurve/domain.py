@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .ball import BallTable
-from .curve import CurveModel, count_crossings
+from .curve import CurveModel, crossing_counts
 from .errors import BaseNotInterior, OnL0
 from .projective import Flag, ProjLine, ProjPoint
 from .reps import RepSpec
@@ -159,22 +159,16 @@ def fiber_profile(target, model_l: CurveModel, model_lstar: CurveModel,
     ``in_m_set`` marks targets crossing exactly once.
     """
     if isinstance(target, ProjLine):
-        arr, sigma_src = model_l.points, model_l
-        rep = target.rep
+        arr = model_l.points
     elif isinstance(target, ProjPoint):
-        arr, sigma_src = model_lstar.lines, model_lstar
-        rep = target.rep
+        arr = model_lstar.lines
     else:
         raise TypeError("target must be a ProjPoint or a ProjLine")
-    if isinstance(target, ProjLine):
-        sigma = sigma_src.segment_signs()
-    else:
-        nxt = np.roll(arr, -1, axis=0)
-        sigma = np.sign(np.einsum("ij,ij->i", arr, nxt))
-    c, tang, allzero = count_crossings(arr @ rep, sigma, ztol)
-    nontrans = allzero or tang > 0
+    cross, tang, allzero = crossing_counts(arr, target.rep[None], ztol)
+    c = int(cross[0])
+    nontrans = bool(allzero[0] or tang[0] > 0)
     return FiberProfile(
-        crossings=0 if allzero else c,
+        crossings=c,
         in_m_set=(not nontrans) and c == 1,
         nontransversal=nontrans,
     )

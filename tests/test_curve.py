@@ -90,6 +90,25 @@ def test_incidence_all_ones(model4):
     assert rep.passed
     assert set(rep.histogram) == {1}
     assert rep.nontransversal == 0
+    assert (rep.worst_count, rep.worst_word) == (1, "")
+
+
+def test_incidence_names_nontransversal_witness(model4):
+    # every checked line is the zero covector: no transversal line at all
+    doctored = CurveModel(
+        params=model4.params,
+        points=model4.points,
+        lines=np.zeros_like(model4.lines),
+        words=model4.words,
+        tlens=model4.tlens,
+        variant="doctored",
+        dedup_res=model4.dedup_res,
+    )
+    rep = check_incidence(doctored, max_lines=100)
+    assert not rep.passed
+    assert rep.histogram == {}
+    assert rep.nontransversal == 100
+    assert (rep.worst_count, rep.worst_word) == (0, model4.words[0])
 
 
 def test_incidence_flags_doctored_model(model4):
