@@ -24,7 +24,6 @@ from .projective import (
     meet,
     pairing,
     perp,
-    perp_line,
     pi_minus,
     pi_plus,
 )
@@ -34,11 +33,11 @@ from .surface import (
     Presentation,
     Word,
     ball_count,
-    enumerate_ball,
     eval_u,
     standard_fuchsian,
     translation_length,
 )
+from .ball import enumerate_ball
 from .reps import (
     RepSpec,
     coboundary_radial,

@@ -1,66 +1,33 @@
 """Vectorized enumeration of group balls.
 
 The ball of freely reduced words is materialized level by level as flat
-numpy arrays, partitioned by first letter.  Partitions are independent, so
-they can be built in parallel worker processes; the merged arrays are the
-concatenation of the per-partition arrays in letter order, which equals
-shortlex order within each length.  Results are identical for any worker
-count.
+numpy arrays.  Level 1 holds the 4g letters in order, and level L appends
+every letter in order to each word of level L-1 (``surface.next_level``).
+Since level L-1 is in shortlex order, so is level L.  Each level stores
+its words' last letters, first letters, parent indices, SL(2,R) images and
+exponent sums once.
 """
 
 from __future__ import annotations
 
-import math
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
+from types import SimpleNamespace
+from typing import Iterator
 
 import numpy as np
 
-from .surface import FuchsianSeed, Word
+from .surface import FuchsianSeed, Word, letter_name, next_level
 
 
-@dataclass
-class _Partition:
-    """All words with a fixed first letter, one entry per level (length-1 index)."""
+@dataclass(frozen=True)
+class _Level:
+    """All words of one length, in shortlex order."""
 
-    first: int
-    letters: list  # per level: (n,) int8, last letter of each word
-    parents: list  # per level: (n,) int64 index into the previous level
-    mats: list  # per level: (n, 2, 2) SL(2,R) images
-    expsums: list  # per level: (n, 2g) int32 exponent sums
-
-    def word_letters(self, level: int, i: int) -> tuple:
-        out = []
-        for lv in range(level, 0, -1):
-            out.append(int(self.letters[lv - 1][i]))
-            i = int(self.parents[lv - 1][i])
-        return tuple(reversed(out))
-
-
-def _build_partition(args) -> _Partition:
-    letter_mats, genus, radius, first = args
-    n_letters = 4 * genus
-    letters = [np.array([first], dtype=np.int8)]
-    parents = [np.array([-1], dtype=np.int64)]
-    mats = [letter_mats[first][None, :, :].copy()]
-    exps = np.zeros((1, 2 * genus), dtype=np.int32)
-    exps[0, first // 2] = -1 if first % 2 else 1
-    expsums = [exps]
-    for _ in range(2, radius + 1):
-        pl, pm, pe = letters[-1], mats[-1], expsums[-1]
-        n = len(pl)
-        parent = np.repeat(np.arange(n, dtype=np.int64), n_letters)
-        letts = np.tile(np.arange(n_letters, dtype=np.int8), n)
-        keep = letts != (pl[parent] ^ 1)
-        parent, letts = parent[keep], letts[keep]
-        m = np.einsum("nij,njk->nik", pm[parent], letter_mats[letts])
-        e = pe[parent].copy()
-        np.add.at(e, (np.arange(len(letts)), letts // 2), np.where(letts % 2, -1, 1))
-        letters.append(letts)
-        parents.append(parent)
-        mats.append(m)
-        expsums.append(e)
-    return _Partition(first, letters, parents, mats, expsums)
+    letters: np.ndarray  # (n,) int8, last letter of each word
+    firsts: np.ndarray  # (n,) int8, first letter of each word
+    parents: np.ndarray  # (n,) int64 index into the previous level, -1 at level 1
+    mats: np.ndarray  # (n, 2, 2) SL(2,R) images
+    expsums: np.ndarray  # (n, 2g) int32 exponent sums
 
 
 @dataclass
@@ -72,136 +39,99 @@ class BallTable:
 
     seed: FuchsianSeed
     radius: int
-    partitions: list = field(default_factory=list)
-    _levels: dict = field(default_factory=dict)
+    levels: list = field(default_factory=list)  # level L at index L-1
+    _strings: dict = field(default_factory=dict)
 
     @staticmethod
-    def build(seed: FuchsianSeed, radius: int, workers: int = 1) -> "BallTable":
+    def build(seed: FuchsianSeed, radius: int) -> "BallTable":
         if radius < 0:
             raise ValueError("radius must be >= 0")
-        letter_mats = seed.letter_matrices()
-        jobs = [(letter_mats, seed.genus, radius, first)
-                for first in range(4 * seed.genus)]
+        table = BallTable(seed, radius)
         if radius == 0:
-            parts = []
-        elif workers > 1:
-            with ProcessPoolExecutor(max_workers=workers) as pool:
-                parts = list(pool.map(_build_partition, jobs))
-        else:
-            parts = [_build_partition(j) for j in jobs]
-        return BallTable(seed, radius, parts)
+            return table
+        letter_mats = seed.letter_matrices()
+        letts = np.arange(len(letter_mats), dtype=np.int8)
+        signs = np.where(letts % 2, -1, 1)
+        exps = np.zeros((len(letts), 2 * seed.genus), dtype=np.int32)
+        exps[letts, letts // 2] = signs
+        lv = _Level(letts, letts, np.full(len(letts), -1, dtype=np.int64),
+                    letter_mats, exps)
+        table.levels.append(lv)
+        for _ in range(2, radius + 1):
+            parent, letts = next_level(lv.letters, len(letter_mats))
+            exps = lv.expsums[parent]
+            exps[np.arange(len(letts)), letts // 2] += signs[letts]
+            lv = _Level(
+                letts,
+                lv.firsts[parent],
+                parent,
+                np.einsum("nij,njk->nik", lv.mats[parent], letter_mats[letts]),
+                exps,
+            )
+            table.levels.append(lv)
+        return table
 
     @property
     def genus(self) -> int:
         return self.seed.genus
 
-    def level_sizes(self) -> list:
-        return [ball_level_size(self.genus, L) for L in range(1, self.radius + 1)]
-
-    def _merged(self, key: str, level: int) -> np.ndarray:
-        cache_key = (key, level)
-        if cache_key not in self._levels:
-            arrs = [getattr(p, key)[level - 1] for p in self.partitions]
-            self._levels[cache_key] = np.concatenate(arrs, axis=0)
-        return self._levels[cache_key]
+    @property
+    def partitions(self):  # read by perfbench/tracer.py to count ball words
+        return (SimpleNamespace(letters=[lv.letters for lv in self.levels]),)
 
     def letters(self, level: int) -> np.ndarray:
-        return self._merged("letters", level)
+        return self.levels[level - 1].letters
 
     def mats2(self, level: int) -> np.ndarray:
-        return self._merged("mats", level)
+        return self.levels[level - 1].mats
 
     def expsums(self, level: int) -> np.ndarray:
-        return self._merged("expsums", level)
-
-    def first_letters(self, level: int) -> np.ndarray:
-        sizes = [len(p.letters[level - 1]) for p in self.partitions]
-        return np.repeat(
-            np.array([p.first for p in self.partitions], dtype=np.int8), sizes
-        )
+        return self.levels[level - 1].expsums
 
     def cyclically_reduced(self, level: int) -> np.ndarray:
+        lv = self.levels[level - 1]
         if level == 1:
-            return np.ones(len(self.letters(1)), dtype=bool)
-        return self.first_letters(level) != (self.letters(level) ^ 1)
-
-    def word(self, level: int, index: int) -> Word:
-        for p in self.partitions:
-            n = len(p.letters[level - 1])
-            if index < n:
-                return Word(p.word_letters(level, index), self.genus)
-            index -= n
-        raise IndexError("word index out of range")
+            return np.ones(len(lv.letters), dtype=bool)
+        return lv.firsts != (lv.letters ^ 1)
 
     def word_strings(self, level: int) -> list:
-        """Dot-separated display strings of a merged level, shortlex order."""
-        from .surface import letter_name
-
-        key = ("words", level)
-        if key not in self._levels:
+        """Dot-separated display strings of a level, shortlex order."""
+        if level not in self._strings:
             names = [letter_name(l) for l in range(4 * self.genus)]
-            letts = self.letters(level)
+            lv = self.levels[level - 1]
             if level == 1:
-                strs = [names[l] for l in letts]
+                strs = [names[l] for l in lv.letters.tolist()]
             else:
                 prev = self.word_strings(level - 1)
-                _, parents = self._global_parents(level)
-                strs = [prev[p] + "." + names[l] for p, l in zip(parents, letts)]
-            self._levels[key] = strs
-        return self._levels[key]
+                strs = [prev[p] + "." + names[l]
+                        for p, l in zip(lv.parents.tolist(), lv.letters.tolist())]
+            self._strings[level] = strs
+        return self._strings[level]
 
     def images3(self, letter_images: np.ndarray) -> list:
         """Per-level (n, 3, 3) images under a representation given by its
         (4g, 3, 3) letter matrices.  Renormalizes determinant drift at each
         level."""
         out = []
-        for level in range(1, self.radius + 1):
-            letts = self.letters(level)
-            if level == 1:
-                imgs = letter_images[letts].copy()
+        for lv in self.levels:
+            if not out:
+                imgs = letter_images[lv.letters]
             else:
-                prev = out[-1]
-                offs, parents = self._global_parents(level)
-                imgs = np.einsum("nij,njk->nik", prev[parents], letter_images[letts])
+                imgs = np.einsum("nij,njk->nik", out[-1][lv.parents],
+                                 letter_images[lv.letters])
             det = np.linalg.det(imgs)
             imgs /= np.cbrt(det)[:, None, None]
             out.append(imgs)
         return out
 
-    def _global_parents(self, level: int):
-        """Parent indices of a merged level into the merged previous level."""
-        offsets = np.cumsum(
-            [0] + [len(p.letters[level - 2]) for p in self.partitions[:-1]]
-        )
-        parts = [
-            p.parents[level - 1] + off
-            for p, off in zip(self.partitions, offsets)
-        ]
-        return offsets, np.concatenate(parts)
 
-
-def ball_level_size(genus: int, level: int) -> int:
-    k = 4 * genus
-    return k * (k - 1) ** (level - 1) if level >= 1 else 1
-
-
-def batch_translation_lengths(mats: np.ndarray):
-    """(hyperbolic mask, translation lengths) for a (n,2,2) stack."""
-    tr = np.abs(np.trace(mats, axis1=1, axis2=2))
-    hyp = tr > 2.0 + 1e-10
-    t = np.zeros(len(mats))
-    t[hyp] = 2.0 * np.arccosh(tr[hyp] / 2.0)
-    return hyp, t
-
-
-def batch_attractive_directions(mats: np.ndarray) -> np.ndarray:
-    """Angles in [0, pi) of attracting eigendirections of hyperbolic matrices."""
-    tr = np.trace(mats, axis1=1, axis2=2)
-    lam = np.sign(tr) * (np.abs(tr) / 2.0 + np.sqrt(tr * tr / 4.0 - 1.0))
-    a, b = mats[:, 0, 0], mats[:, 0, 1]
-    c, d = mats[:, 1, 0], mats[:, 1, 1]
-    v1 = np.stack([b, lam - a], axis=1)
-    v2 = np.stack([lam - d, c], axis=1)
-    use1 = (v1 * v1).sum(axis=1) >= (v2 * v2).sum(axis=1)
-    v = np.where(use1[:, None], v1, v2)
-    return np.arctan2(v[:, 1], v[:, 0]) % math.pi
+def enumerate_ball(seed: FuchsianSeed, radius: int) -> Iterator[tuple]:
+    """Yield every freely reduced word of length <= radius with its SL(2,R)
+    image, in shortlex order."""
+    table = BallTable.build(seed, radius)
+    yield Word((), seed.genus), np.eye(2)
+    words = [()]  # level 1 parents are -1, which also indexes the empty word
+    for lv in table.levels:
+        words = [words[p] + (l,) for p, l in zip(lv.parents.tolist(), lv.letters.tolist())]
+        for w, m in zip(words, lv.mats):
+            yield Word(w, seed.genus), m

@@ -17,11 +17,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .ball import BallTable, batch_translation_lengths
+from .ball import BallTable
 from .errors import FlagCurveError, NonLoxodromicEncountered, UnsupportedSpec
 from .reps import RepSpec
 from .spectral import GAP_TOL, batch_eigvals3, batch_modulus_gaps
-from .surface import CohomologyClass, FuchsianSeed
+from .surface import CohomologyClass, FuchsianSeed, batch_translation_lengths
 
 DEFAULT_MARGIN = 0.02
 
@@ -38,7 +38,6 @@ def stable_norm(
     u: CohomologyClass,
     seed: FuchsianSeed,
     radius: int,
-    workers: int = 1,
     table: BallTable | None = None,
 ) -> StableNormEstimate:
     """Max of |u(w)| / t(w) over cyclically reduced hyperbolic ball words.
@@ -48,7 +47,7 @@ def stable_norm(
     if radius < 2:
         raise ValueError("radius must be >= 2")
     if table is None:
-        table = BallTable.build(seed, radius, workers)
+        table = BallTable.build(seed, radius)
     uvec = u.as_vector()
     best, best_word = 0.0, ""
     history = []
@@ -120,7 +119,6 @@ def certify_anosov(
     spec: RepSpec,
     radius: int,
     margin: float = DEFAULT_MARGIN,
-    workers: int = 1,
     table: BallTable | None = None,
 ) -> CertifyResult:
     """Three-way verdict on the Anosov criterion at ball scale.
@@ -136,7 +134,7 @@ def certify_anosov(
     if spec.variant not in ("canonical", "linear_u", "radial"):
         raise UnsupportedSpec(spec.variant)
     if table is None:
-        table = BallTable.build(spec.seed, radius, workers)
+        table = BallTable.build(spec.seed, radius)
     best, best_word = 0.0, ""
     refut_word = None
     agree = True
@@ -190,7 +188,6 @@ def anosov_rates(
     spec: RepSpec,
     radius: int,
     min_length: float = 0.5,
-    workers: int = 1,
     table: BallTable | None = None,
 ) -> RatesResult:
     """Per-element eigenvalue-gap rates over the seed translation length.
@@ -208,7 +205,7 @@ def anosov_rates(
     if spec.variant == "explicit":
         raise UnsupportedSpec("rates require a seed-aligned spec; use probe_explicit")
     if table is None:
-        table = BallTable.build(spec.seed, radius, workers)
+        table = BallTable.build(spec.seed, radius)
     words, tl, top, bot = [], [], [], []
     for level, idx, t, uvals, _imgs in _scored_levels(spec, table, with_images=False):
         keep = t >= min_length
@@ -250,11 +247,10 @@ def probe_explicit(
     spec: RepSpec,
     radius: int,
     min_length: float = 0.5,
-    workers: int = 1,
 ) -> ProbeResult:
     """Verdict-free spectral probe for explicit specs: loxodromy rate and
     eigenvalue-gap infima over the scored ball."""
-    table = BallTable.build(spec.seed, radius, workers)
+    table = BallTable.build(spec.seed, radius)
     img_levels = table.images3(spec.letter_images())
     n_scored = 0
     n_lox = 0

@@ -4,7 +4,7 @@ One JSON config file drives everything; flags only select the command,
 the config path, and the output directory.  All file outputs are
 byte-deterministic for a fixed config (collections are sorted before
 emission, floats use repr round-tripping, wall-clock timing goes to
-stderr only), for any worker count.
+stderr only).
 
 Exit codes: 0 success (certify: certified-at-scale), 2 config error,
 3 insufficient samples, 4 certify refuted, 5 certify inconclusive or
@@ -48,49 +48,69 @@ DEFAULT_TOLERANCES = {
 }
 
 
+def _number(cast, value, name: str):
+    """``cast(value)``, or a ConfigError naming the field."""
+    try:
+        return cast(value)
+    except (TypeError, ValueError, OverflowError) as e:
+        raise ConfigError(f"field {name!r} must be a number: {e}") from e
+
+
+def _object(raw: dict, name: str) -> dict:
+    """The optional JSON-object field ``name`` of the config, or {}."""
+    value = raw.get(name, {})
+    if not isinstance(value, dict):
+        raise ConfigError(f"field {name!r} must be a JSON object")
+    return value
+
+
 class RunConfig:
     """Validated run configuration."""
 
-    def __init__(self, raw: dict, source_bytes: bytes, out_dir: Path, workers: int):
+    def __init__(self, raw: dict, source_bytes: bytes, out_dir: Path):
         if not isinstance(raw, dict):
             raise ConfigError("config root must be a JSON object")
         if "rep_spec" not in raw:
             raise ConfigError("missing field 'rep_spec'")
         try:
             self.spec: RepSpec = spec_from_json_dict(raw["rep_spec"])
-        except (KeyError, ValueError, TypeError) as e:
+        except (KeyError, ValueError, TypeError, FlagCurveError) as e:
             raise ConfigError(f"bad field 'rep_spec': {e}") from e
-        self.ball_radius = int(raw.get("ball_radius", 6))
+        self.ball_radius = _number(int, raw.get("ball_radius", 6), "ball_radius")
         if not 2 <= self.ball_radius <= 12:
             raise ConfigError("field 'ball_radius' must be in [2, 12]")
-        self.min_translation_length = float(raw.get("min_translation_length", 0.5))
+        self.min_translation_length = _number(
+            float, raw.get("min_translation_length", 0.5), "min_translation_length")
         if self.min_translation_length < 0:
             raise ConfigError("field 'min_translation_length' must be >= 0")
         self.tolerances = dict(DEFAULT_TOLERANCES)
-        for k, v in raw.get("tolerances", {}).items():
+        for k, v in _object(raw, "tolerances").items():
+            if k not in DEFAULT_TOLERANCES:
+                raise ConfigError(f"unknown tolerance {k!r}")
             if not isinstance(v, (int, float)) or v <= 0:
                 raise ConfigError(f"tolerance {k!r} must be positive")
             self.tolerances[k] = float(v)
-        render = raw.get("render", {})
+        render = _object(raw, "render")
         self.render_chart = render.get("chart", "both")
         if self.render_chart not in ("affine", "dual", "both"):
             raise ConfigError("field 'render.chart' must be affine|dual|both")
-        self.render_width = int(render.get("width_px", 640))
-        self.render_stroke = float(render.get("stroke", 1.2))
-        self.render_window = float(render.get("window", 3.0))
+        self.render_width = _number(int, render.get("width_px", 640), "render.width_px")
+        self.render_stroke = _number(float, render.get("stroke", 1.2), "render.stroke")
+        self.render_window = _number(float, render.get("window", 3.0), "render.window")
         self.incidence_max_lines = raw.get("incidence_max_lines", 4096)
         if self.incidence_max_lines is not None:
-            self.incidence_max_lines = int(self.incidence_max_lines)
+            self.incidence_max_lines = _number(
+                int, self.incidence_max_lines, "incidence_max_lines")
             if self.incidence_max_lines < 1:
                 raise ConfigError("field 'incidence_max_lines' must be >= 1 or null")
-        self.orbit = raw.get("orbit", {})
-        self.workers = workers if workers else int(raw.get("workers", 1))
+        self.orbit = _object(raw, "orbit")
         self.out_dir = out_dir
         self.raw = raw
         self.input_sha256 = hashlib.sha256(source_bytes).hexdigest()
 
     @staticmethod
-    def load(path: str, out_dir: str | None, workers: int | None) -> "RunConfig":
+    def load(path: str, out_dir: str | None, _ignored=None) -> "RunConfig":
+        # _ignored: perfbench/run.py's set-up probe passes a third argument.
         p = Path(path)
         if not p.is_file():
             raise ConfigError(f"config file not found: {path}")
@@ -100,7 +120,7 @@ class RunConfig:
         except json.JSONDecodeError as e:
             raise ConfigError(f"config is not valid JSON: {e}") from e
         out = Path(out_dir) if out_dir else Path(raw.get("output_dir", "out"))
-        return RunConfig(raw, data, out, workers or 0)
+        return RunConfig(raw, data, out)
 
 
 def _report(config: RunConfig, command: str, payload: dict) -> dict:
@@ -137,7 +157,6 @@ def cmd_limit_curve(config: RunConfig) -> int:
         config.ball_radius,
         min_length=config.min_translation_length,
         dedup_res=config.tolerances["dedup"],
-        workers=config.workers,
     )
     out = config.out_dir
     out.mkdir(parents=True, exist_ok=True)
@@ -188,7 +207,7 @@ def cmd_certify(config: RunConfig) -> int:
     if config.spec.variant == "explicit":
         probe = probe_explicit(
             config.spec, config.ball_radius,
-            min_length=config.min_translation_length, workers=config.workers,
+            min_length=config.min_translation_length,
         )
         payload = {
             "verdict": "probe-only",
@@ -201,7 +220,7 @@ def cmd_certify(config: RunConfig) -> int:
         }
         _write_json(out / "certify.json", _report(config, "certify", payload))
         return 5
-    table = BallTable.build(config.spec.seed, config.ball_radius, config.workers)
+    table = BallTable.build(config.spec.seed, config.ball_radius)
     res = certify_anosov(
         config.spec,
         config.ball_radius,
@@ -239,7 +258,6 @@ def cmd_delta(config: RunConfig) -> int:
         config.ball_radius,
         min_length=config.min_translation_length,
         dedup_res=config.tolerances["dedup"],
-        workers=config.workers,
     )
     fit = fit_delta(config.spec, model)
     push = pushforward_deviation(model, fit)
@@ -278,12 +296,10 @@ def cmd_orbit(config: RunConfig) -> int:
     out = config.out_dir
     out.mkdir(parents=True, exist_ok=True)
     base = _base_flag(config)
-    nbhd = float(config.orbit.get("neighborhood", 0.05))
+    nbhd = _number(float, config.orbit.get("neighborhood", 0.05), "orbit.neighborhood")
     if nbhd <= 0:
         raise ConfigError("field 'orbit.neighborhood' must be positive")
-    rep = recurrence_experiment(
-        config.spec, base, nbhd, config.ball_radius, workers=config.workers,
-    )
+    rep = recurrence_experiment(config.spec, base, nbhd, config.ball_radius)
     payload = {
         "neighborhood": rep.neighborhood,
         "returning_words": sorted(rep.returning_words, key=lambda w: (len(w), w)),
@@ -306,7 +322,6 @@ def cmd_regularity(config: RunConfig) -> int:
         config.ball_radius,
         min_length=config.min_translation_length,
         dedup_res=config.tolerances["dedup"],
-        workers=config.workers,
     )
     reg = regularity_diagnostics(model)
     payload = {
@@ -338,12 +353,10 @@ def main(argv=None) -> int:
     parser.add_argument("command", choices=COMMANDS)
     parser.add_argument("--config", required=True, help="path to the JSON run config")
     parser.add_argument("--out", default=None, help="output directory")
-    parser.add_argument("--workers", type=int, default=None,
-                        help="worker processes for ball enumeration")
     args = parser.parse_args(argv)
     t0 = time.monotonic()
     try:
-        config = RunConfig.load(args.config, args.out, args.workers)
+        config = RunConfig.load(args.config, args.out)
         code = _DISPATCH[args.command](config)
     except ConfigError as e:
         print(f"config error: {e}", file=sys.stderr)

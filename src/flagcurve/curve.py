@@ -25,11 +25,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .ball import (
-    BallTable,
-    batch_attractive_directions,
-    batch_translation_lengths,
-)
+from .ball import BallTable
 from .errors import InsufficientSamples
 from .projective import CONSTRUCTED_TOL, Flag, ProjLine, ProjPoint
 from .reps import RepSpec
@@ -40,7 +36,7 @@ from .spectral import (
     batch_modulus_gaps,
     canonicalize_rows,
 )
-from .surface import Word
+from .surface import batch_attractive_directions, batch_translation_lengths
 
 E2 = np.array([0.0, 1.0, 0.0])
 
@@ -113,7 +109,6 @@ def sample_limit_curve(
     radius: int,
     min_length: float = 0.5,
     dedup_res: float = 1e-7,
-    workers: int = 1,
     table: BallTable | None = None,
 ) -> CurveModel:
     """One sample per cyclically reduced loxodromic ball word with
@@ -121,7 +116,7 @@ def sample_limit_curve(
     if radius < 2:
         raise ValueError("radius must be >= 2")
     if table is None:
-        table = BallTable.build(spec.seed, radius, workers)
+        table = BallTable.build(spec.seed, radius)
     img_levels = table.images3(spec.letter_images())
     params, points, lines, tlens, words, ranks = [], [], [], [], [], []
     rank_base = 0
@@ -523,7 +518,3 @@ def regularity_diagnostics(model: CurveModel) -> RegularityReport:
     else:
         hint = "sub-lipschitz-signature-at-this-scale"
     return RegularityReport(slope, secant, int(len(gaps)), hint)
-
-
-def word_of(model: CurveModel, i: int, genus: int) -> Word:
-    return Word.parse(model.words[i], genus)

@@ -92,7 +92,6 @@ def recurrence_experiment(
     radius: int,
     model_l: CurveModel | None = None,
     model_lstar: CurveModel | None = None,
-    workers: int = 1,
     table: BallTable | None = None,
 ) -> RecurrenceReport:
     """List the ball words that move the base flag by at most 2*nbhd.
@@ -103,7 +102,7 @@ def recurrence_experiment(
     if model_l is None or model_lstar is None:
         from .curve import sample_limit_curve
 
-        m = sample_limit_curve(spec, min(radius, 5), workers=workers)
+        m = sample_limit_curve(spec, min(radius, 5))
         model_l = model_l or m
         model_lstar = model_lstar or m
     q = in_omega(base, model_l, model_lstar)
@@ -113,7 +112,7 @@ def recurrence_experiment(
             f" need > {2.0 * nbhd:.4f}"
         )
     if table is None:
-        table = BallTable.build(spec.seed, radius, workers)
+        table = BallTable.build(spec.seed, radius)
     img_levels = table.images3(spec.letter_images())
     bp, bl = base.point.rep, base.line.rep
     returning = [""]

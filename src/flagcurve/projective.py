@@ -52,11 +52,6 @@ def canonicalize(v: np.ndarray) -> np.ndarray:
     return out
 
 
-def proj_angle(u: np.ndarray, v: np.ndarray) -> float:
-    """Angular distance between projective classes of unit vectors, in [0, pi/2]."""
-    return float(np.arccos(min(1.0, abs(float(u @ v)))))
-
-
 def proj_dist(u: np.ndarray, v: np.ndarray) -> float:
     """Chordal distance min(|u-v|, |u+v|) of unit representatives.
 
@@ -85,9 +80,6 @@ class ProjPoint:
     def same_as(self, other: "ProjPoint", tol: float = ANGULAR_TOL) -> bool:
         return proj_equal(self.rep, other.rep, tol)
 
-    def angle_to(self, other: "ProjPoint") -> float:
-        return proj_angle(self.rep, other.rep)
-
 
 @dataclass(frozen=True, eq=False)
 class ProjLine:
@@ -101,9 +93,6 @@ class ProjLine:
 
     def same_as(self, other: "ProjLine", tol: float = ANGULAR_TOL) -> bool:
         return proj_equal(self.rep, other.rep, tol)
-
-    def angle_to(self, other: "ProjLine") -> float:
-        return proj_angle(self.rep, other.rep)
 
 
 def pairing(p: ProjPoint, l: ProjLine) -> float:
@@ -202,11 +191,6 @@ class Pencil:
 def perp(p: ProjPoint) -> Pencil:
     """Pencil of lines through p, i.e. the line p^perp of the dual plane."""
     return Pencil(base=p.rep, dual=False)
-
-
-def perp_line(l: ProjLine) -> Pencil:
-    """Pencil of points on l (the dual construction)."""
-    return Pencil(base=l.rep, dual=True)
 
 
 def pi_plus(f: Frame) -> Flag:

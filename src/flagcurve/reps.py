@@ -23,7 +23,7 @@ import numpy as np
 
 from .errors import NotUnimodular, UnsupportedSpec
 from .projective import GroupElement
-from .surface import CohomologyClass, FuchsianSeed, Word, eval_u, standard_relator
+from .surface import CohomologyClass, FuchsianSeed, Word, standard_relator
 
 VARIANTS = ("canonical", "linear_u", "radial", "explicit")
 
@@ -285,9 +285,3 @@ def phi_conjugate(spec: RepSpec, t: float) -> RepSpec:
         mu=tuple(f * x for x in spec.mu),
         nu=tuple(f * x for x in spec.nu),
     )
-
-
-def word_u(spec: RepSpec, w: Word) -> float:
-    if spec.u is None:
-        return 0.0
-    return eval_u(spec.u, w)

@@ -87,11 +87,6 @@ class EigenTriple:
     vectors: tuple  # ProjPoint triple
     near_degenerate: bool
 
-    def modulus_gaps(self):
-        a1, a2, a3 = (abs(v) for v in self.values)
-        return a1 / a2 - 1.0, a2 / a3 - 1.0
-
-
 def eigen3(g: GroupElement) -> EigenTriple:
     """Full real eigendecomposition; raises ComplexSpectrum otherwise."""
     m = g.mat

@@ -18,7 +18,6 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass
-from typing import Iterator
 
 import numpy as np
 
@@ -148,25 +147,57 @@ def eval_u(u: CohomologyClass, w: Word) -> float:
     return float(w.exponent_sums() @ u.as_vector())
 
 
-def translation_length(m: np.ndarray) -> float:
-    """Hyperbolic translation length 2*log(spectral radius) of a 2x2 matrix."""
+def batch_translation_lengths(mats: np.ndarray):
+    """(hyperbolic mask, translation lengths) for a (n,2,2) stack."""
+    tr = np.abs(np.trace(mats, axis1=1, axis2=2))
+    hyp = tr > 2.0 + 1e-10
+    t = np.zeros(len(mats))
+    t[hyp] = 2.0 * np.arccosh(tr[hyp] / 2.0)
+    return hyp, t
+
+
+def batch_attractive_directions(mats: np.ndarray) -> np.ndarray:
+    """Angles in [0, pi) of attracting eigendirections of hyperbolic matrices."""
+    tr = np.trace(mats, axis1=1, axis2=2)
+    lam = np.sign(tr) * (np.abs(tr) / 2.0 + np.sqrt(tr * tr / 4.0 - 1.0))
+    a, b = mats[:, 0, 0], mats[:, 0, 1]
+    c, d = mats[:, 1, 0], mats[:, 1, 1]
+    v1 = np.stack([b, lam - a], axis=1)
+    v2 = np.stack([lam - d, c], axis=1)
+    use1 = (v1 * v1).sum(axis=1) >= (v2 * v2).sum(axis=1)
+    v = np.where(use1[:, None], v1, v2)
+    return np.arctan2(v[:, 1], v[:, 0]) % math.pi
+
+
+def _hyperbolic_stack(m: np.ndarray) -> np.ndarray:
+    """A 2x2 matrix as a (1,2,2) stack; NotHyperbolic unless |trace| > 2."""
     tr = abs(float(np.trace(m)))
     if tr <= 2.0 + 1e-10:
         raise NotHyperbolic(f"|trace| = {tr} <= 2")
-    return 2.0 * math.acosh(tr / 2.0)
+    return np.asarray(m, dtype=float)[None]
+
+
+def translation_length(m: np.ndarray) -> float:
+    """Hyperbolic translation length 2*log(spectral radius) of a 2x2 matrix."""
+    return float(batch_translation_lengths(_hyperbolic_stack(m))[1][0])
 
 
 def attractive_direction(m: np.ndarray) -> float:
     """Angle in [0, pi) of the attracting eigendirection of a hyperbolic 2x2 matrix."""
-    tr = float(np.trace(m))
-    if abs(tr) <= 2.0 + 1e-10:
-        raise NotHyperbolic(f"|trace| = {abs(tr)} <= 2")
-    lam = math.copysign(abs(tr) / 2.0 + math.sqrt(tr * tr / 4.0 - 1.0), tr)
-    a, b, c, d = m[0, 0], m[0, 1], m[1, 0], m[1, 1]
-    v1 = (b, lam - a)
-    v2 = (lam - d, c)
-    v = v1 if v1[0] ** 2 + v1[1] ** 2 >= v2[0] ** 2 + v2[1] ** 2 else v2
-    return math.atan2(v[1], v[0]) % math.pi
+    return float(batch_attractive_directions(_hyperbolic_stack(m))[0])
+
+
+def next_level(last: np.ndarray, n_letters: int) -> tuple:
+    """(parent index, appended letter) of every freely reduced one-letter
+    extension of a level of words ending in ``last``.
+
+    Letters are appended in order to each parent in turn, so the result is
+    in shortlex order whenever the parent level is.
+    """
+    parent = np.repeat(np.arange(len(last), dtype=np.int64), n_letters)
+    letts = np.tile(np.arange(n_letters, dtype=np.int8), len(last))
+    keep = letts != (last[parent] ^ 1)
+    return parent[keep], letts[keep]
 
 
 # ---------------------------------------------------------------------------
@@ -236,22 +267,14 @@ class FuchsianSeed:
     def short_word_min_trace(self, max_length: int = 4) -> float:
         """Min |trace| over nonempty freely reduced words up to max_length."""
         letters = self.letter_matrices()
-        k = len(letters)
-        level_letters = np.arange(k, dtype=np.int8)
-        level_mats = letters.copy()
+        last, mats = np.arange(len(letters), dtype=np.int8), letters
         best = math.inf
         for length in range(1, max_length + 1):
-            best = min(best, float(np.abs(
-                np.trace(level_mats, axis1=1, axis2=2)).min()))
+            best = min(best, float(np.abs(np.trace(mats, axis1=1, axis2=2)).min()))
             if length == max_length:
                 break
-            n = len(level_letters)
-            parent = np.repeat(np.arange(n), k)
-            letts = np.tile(np.arange(k, dtype=np.int8), n)
-            keep = letts != (level_letters[parent] ^ 1)
-            parent, letts = parent[keep], letts[keep]
-            level_mats = np.einsum("nij,njk->nik", level_mats[parent], letters[letts])
-            level_letters = letts
+            parent, last = next_level(last, len(letters))
+            mats = np.einsum("nij,njk->nik", mats[parent], letters[last])
         return best
 
     def relator_residual(self) -> float:
@@ -337,41 +360,9 @@ def standard_fuchsian(genus: int) -> FuchsianSeed:
     return FuchsianSeed(genus, tuple(gens))
 
 
-def enumerate_ball(seed: FuchsianSeed, radius: int) -> Iterator[tuple]:
-    """Yield every freely reduced word of length <= radius with its SL(2,R)
-    image, in shortlex order."""
-    if radius < 0:
-        raise ValueError("radius must be >= 0")
-    genus = seed.genus
-    letters = seed.letter_matrices()
-    yield Word((), genus), np.eye(2)
-    level = [((), np.eye(2))]
-    for _ in range(radius):
-        nxt = []
-        for w, m in level:
-            for l in range(4 * genus):
-                if w and l == w[-1] ^ 1:
-                    continue
-                nxt.append((w + (l,), m @ letters[l]))
-        for w, m in nxt:
-            yield Word(w, genus), m
-        level = nxt
-
-
 def ball_count(genus: int, radius: int) -> int:
     """Closed-form number of freely reduced words of length <= radius."""
     k = 4 * genus
     if radius == 0:
         return 1
     return 1 + k * ((k - 1) ** radius - 1) // (k - 2)
-
-
-def matrix_fingerprint(m: np.ndarray, resolution: float = 1e-7) -> tuple:
-    """Quantized key of a 2x2 matrix up to sign, for optional element dedup."""
-    flat = np.asarray(m).ravel()
-    for x in flat:
-        if x != 0.0:
-            if x < 0.0:
-                flat = -flat
-            break
-    return tuple(int(round(x / resolution)) for x in flat)

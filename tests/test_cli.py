@@ -42,3 +42,20 @@ def test_limit_curve(tmp_path, report_schema, max_lines):
     assert incidence["histogram"] == {"1": SAMPLES}
     assert (incidence["worst_count"], incidence["worst_word"]) == (1, "")
     assert incidence["nontransversal"] == 0
+
+
+@pytest.mark.parametrize("fields", [
+    {"ball_radius": "x"},
+    {"render": {"width_px": "big"}},
+    {"orbit": {"neighborhood": "wide"}},
+    {"rep_spec": {**RADIAL_G2, "seed": {"genus": 1}}},
+    {"tolerances": {"dedupe": 1e-7}},
+    {"render": "wide"},
+], ids=["ball_radius", "width_px", "neighborhood", "genus", "tolerance_key", "render"])
+def test_malformed_config_exits_2(tmp_path, capsys, fields):
+    config = {"rep_spec": RADIAL_G2, "ball_radius": 3, **fields}
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(config), encoding="utf-8")
+    code = cli.main(["orbit", "--config", str(path), "--out", str(tmp_path / "out")])
+    assert code == 2
+    assert capsys.readouterr().err.startswith("config error:")

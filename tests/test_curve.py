@@ -253,7 +253,7 @@ def test_rates_match_generic_eigensolver(seed2):
     rates = anosov_rates(spec, radius, table=table)
     # cross-check the closed-form rates against cubic eigenvalues of the
     # accumulated matrix products (accurate only up to e^t determinant drift)
-    from flagcurve.ball import batch_translation_lengths
+    from flagcurve.surface import batch_translation_lengths
     from flagcurve.spectral import batch_eigvals3
 
     imgs = table.images3(spec.letter_images())

@@ -1,5 +1,6 @@
 import json
 import math
+from itertools import product
 
 import numpy as np
 import pytest
@@ -17,7 +18,7 @@ from flagcurve import (
 )
 from flagcurve.ball import BallTable
 from flagcurve.errors import NotHyperbolic, UnsupportedGenus
-from flagcurve.surface import attractive_direction, matrix_fingerprint, standard_relator
+from flagcurve.surface import attractive_direction, standard_relator
 
 
 def test_standard_seed_relator(seed2):
@@ -160,33 +161,26 @@ def test_seed_rejects_bad_relator():
         FuchsianSeed(2, gens)
 
 
-def test_fingerprint_sign_invariance(rng):
-    m = rng.normal(size=(2, 2))
-    assert matrix_fingerprint(m) == matrix_fingerprint(-m)
-
-
 def test_ball_table_matches_enumeration(seed2):
-    table = BallTable.build(seed2, 3)
-    flat_words, flat_mats = [], []
-    for w, m in enumerate_ball(seed2, 3):
-        if len(w.letters):
-            flat_words.append(str(w))
-            flat_mats.append(m)
-    got_words, got_mats = [], []
-    for level in (1, 2, 3):
-        got_words.extend(table.word_strings(level))
-        got_mats.append(table.mats2(level))
-    assert got_words == flat_words
-    assert np.allclose(np.concatenate(got_mats), np.array(flat_mats), atol=1e-12)
-
-
-def test_ball_table_workers_identical(seed2):
-    t1 = BallTable.build(seed2, 3, workers=1)
-    t2 = BallTable.build(seed2, 3, workers=2)
-    for level in (1, 2, 3):
-        assert np.array_equal(t1.mats2(level), t2.mats2(level))
-        assert np.array_equal(t1.expsums(level), t2.expsums(level))
-        assert t1.word_strings(level) == t2.word_strings(level)
+    # Brute force: every letter tuple, filtered by free reduction, sorted.
+    for seed, radius in ((seed2, 3), (standard_fuchsian(3), 2)):
+        table = BallTable.build(seed, radius)
+        for level in range(1, radius + 1):
+            words = [
+                Word(ls, seed.genus)
+                for ls in sorted(product(range(4 * seed.genus), repeat=level))
+                if all(b != a ^ 1 for a, b in zip(ls, ls[1:]))
+            ]
+            assert table.word_strings(level) == [str(w) for w in words]
+            assert np.allclose(
+                table.mats2(level), [seed.image(w) for w in words], atol=1e-12
+            )
+            assert np.array_equal(
+                table.expsums(level), [w.exponent_sums() for w in words]
+            )
+            assert table.cyclically_reduced(level).tolist() == [
+                w.is_cyclically_reduced() for w in words
+            ]
 
 
 def test_ball_table_expsums(seed2):
