@@ -6,6 +6,12 @@ every letter in order to each word of level L-1 (``surface.next_level``).
 Since level L-1 is in shortlex order, so is level L.  Each level stores
 its words' last letters, first letters, parent indices, SL(2,R) images and
 exponent sums once.
+
+``BallTable.scored`` is the one word selection of every spectral pipeline:
+the cyclically reduced words above a translation-length floor.  Every
+spectral quantity is a conjugacy invariant, so the other words add work
+but no information.  It is also the only place that decides whether seed
+images are hyperbolic.
 """
 
 from __future__ import annotations
@@ -16,7 +22,9 @@ from typing import Iterator
 
 import numpy as np
 
-from .surface import FuchsianSeed, Word, letter_name, next_level
+from .errors import NotHyperbolic
+from .surface import (FuchsianSeed, Word, batch_translation_lengths, letter_name,
+                      next_level)
 
 
 @dataclass(frozen=True)
@@ -93,6 +101,36 @@ class BallTable:
         if level == 1:
             return np.ones(len(lv.letters), dtype=bool)
         return lv.firsts != (lv.letters ^ 1)
+
+    def scored(self, min_length: float = 0.0) -> Iterator[tuple]:
+        """For each level holding cyclically reduced words of seed
+        translation length t >= min_length, yield (level, idx, t): their
+        indices in shortlex order and their translation lengths.
+
+        Raises NotHyperbolic naming the first cyclically reduced word whose
+        seed image is not hyperbolic (a word trivial in the surface group,
+        such as the relator).
+        """
+        for level in range(1, self.radius + 1):
+            hyp, t = batch_translation_lengths(self.mats2(level))
+            reduced = self.cyclically_reduced(level)
+            bad = reduced & ~hyp
+            if bad.any():
+                w = self.word(level, int(np.argmax(bad)))
+                raise NotHyperbolic(f"seed image of {w!r} is not hyperbolic")
+            idx = np.nonzero(reduced & (t >= min_length))[0]
+            if len(idx):
+                yield level, idx, t[idx]
+
+    def word(self, level: int, i: int) -> str:
+        """Dot-separated display string of word i of a level, read off its
+        parents; unlike ``word_strings`` it builds no strings for the rest
+        of the level."""
+        names = []
+        for lv in reversed(self.levels[:level]):
+            names.append(letter_name(int(lv.letters[i])))
+            i = int(lv.parents[i])
+        return ".".join(reversed(names))
 
     def word_strings(self, level: int) -> list:
         """Dot-separated display strings of a level, shortlex order."""

@@ -64,6 +64,12 @@ def _object(raw: dict, name: str) -> dict:
     return value
 
 
+def _reject_constant(name: str):
+    """``json.loads`` hook: the report echoes the config, and JSON has no
+    NaN or Infinity."""
+    raise ConfigError(f"config holds {name}, which is not a JSON number")
+
+
 class RunConfig:
     """Validated run configuration."""
 
@@ -116,7 +122,7 @@ class RunConfig:
             raise ConfigError(f"config file not found: {path}")
         data = p.read_bytes()
         try:
-            raw = json.loads(data)
+            raw = json.loads(data, parse_constant=_reject_constant)
         except json.JSONDecodeError as e:
             raise ConfigError(f"config is not valid JSON: {e}") from e
         out = Path(out_dir) if out_dir else Path(raw.get("output_dir", "out"))
@@ -149,15 +155,19 @@ def _estimate_dict(est) -> dict:
     }
 
 
-def cmd_limit_curve(config: RunConfig) -> int:
-    from .svg import render_model
-
-    model = sample_limit_curve(
+def _model(config: RunConfig):
+    return sample_limit_curve(
         config.spec,
         config.ball_radius,
         min_length=config.min_translation_length,
         dedup_res=config.tolerances["dedup"],
     )
+
+
+def cmd_limit_curve(config: RunConfig) -> int:
+    from .svg import render_model
+
+    model = _model(config)
     out = config.out_dir
     out.mkdir(parents=True, exist_ok=True)
     lines = ["param,point_x,point_y,point_z,line_a,line_b,line_c,word,translation_length"]
@@ -244,7 +254,7 @@ def cmd_certify(config: RunConfig) -> int:
         payload["rates"] = {
             "inf_top_gap": rates.inf_top_gap,
             "inf_bottom_gap": rates.inf_bottom_gap,
-            "n_elements": len(rates.words),
+            "n_elements": rates.n_elements,
         }
     _write_json(out / "certify.json", _report(config, "certify", payload))
     return {"certified-at-scale": 0, "refuted": 4, "inconclusive": 5}[res.verdict]
@@ -253,12 +263,7 @@ def cmd_certify(config: RunConfig) -> int:
 def cmd_delta(config: RunConfig) -> int:
     out = config.out_dir
     out.mkdir(parents=True, exist_ok=True)
-    model = sample_limit_curve(
-        config.spec,
-        config.ball_radius,
-        min_length=config.min_translation_length,
-        dedup_res=config.tolerances["dedup"],
-    )
+    model = _model(config)
     fit = fit_delta(config.spec, model)
     push = pushforward_deviation(model, fit)
     grid = fit.model.grid
@@ -285,8 +290,8 @@ def _base_flag(config: RunConfig) -> Flag:
             p = ProjPoint.of(np.array(orbit["base_point"], dtype=float))
             l = ProjLine.of(np.array(orbit["base_line"], dtype=float))
             return Flag.of(p, l, tol=1e-8)
-        except (KeyError, ValueError) as e:
-            raise ConfigError(f"bad field 'orbit.base_point'/'orbit.base_line': {e}")
+        except (KeyError, ValueError, TypeError) as e:
+            raise ConfigError(f"bad field 'orbit.base_point'/'orbit.base_line': {e}") from e
     # Documented default: inside the canonical domain with wide margins.
     s = 1.0 / math.sqrt(2.0)
     return Flag.of((s, s, 0.0), (s, -s, 0.0))
@@ -317,12 +322,7 @@ def cmd_regularity(config: RunConfig) -> int:
 
     out = config.out_dir
     out.mkdir(parents=True, exist_ok=True)
-    model = sample_limit_curve(
-        config.spec,
-        config.ball_radius,
-        min_length=config.min_translation_length,
-        dedup_res=config.tolerances["dedup"],
-    )
+    model = _model(config)
     reg = regularity_diagnostics(model)
     payload = {
         "samples": len(model),

@@ -29,14 +29,8 @@ from .ball import BallTable
 from .errors import InsufficientSamples
 from .projective import CONSTRUCTED_TOL, Flag, ProjLine, ProjPoint
 from .reps import RepSpec
-from .spectral import (
-    GAP_TOL,
-    batch_eigvals3,
-    batch_eigvec,
-    batch_modulus_gaps,
-    canonicalize_rows,
-)
-from .surface import batch_attractive_directions, batch_translation_lengths
+from .spectral import batch_eigvec, batch_loxodromic, canonicalize_rows
+from .surface import batch_attractive_directions
 
 E2 = np.array([0.0, 1.0, 0.0])
 
@@ -109,55 +103,36 @@ def sample_limit_curve(
     radius: int,
     min_length: float = 0.5,
     dedup_res: float = 1e-7,
-    table: BallTable | None = None,
 ) -> CurveModel:
     """One sample per cyclically reduced loxodromic ball word with
     translation length >= min_length, deduplicated by param and sorted."""
     if radius < 2:
         raise ValueError("radius must be >= 2")
-    if table is None:
-        table = BallTable.build(spec.seed, radius)
+    table = BallTable.build(spec.seed, radius)
     img_levels = table.images3(spec.letter_images())
-    params, points, lines, tlens, words, ranks = [], [], [], [], [], []
-    rank_base = 0
-    for level in range(1, radius + 1):
-        mats2 = table.mats2(level)
-        n = len(mats2)
-        hyp, t = batch_translation_lengths(mats2)
-        sel = table.cyclically_reduced(level) & hyp & (t >= min_length)
-        idx = np.nonzero(sel)[0]
-        if len(idx):
-            imgs = img_levels[level - 1][idx]
-            vals, real = batch_eigvals3(imgs)
-            g12, g23 = batch_modulus_gaps(vals)
-            with np.errstate(invalid="ignore"):
-                lox = real & (g12 > GAP_TOL) & (g23 > GAP_TOL)
-            idx = idx[lox]
-            if len(idx):
-                imgs, vals = imgs[lox], vals[lox]
-                v1 = batch_eigvec(imgs, vals[:, 0])
-                v2 = batch_eigvec(imgs, vals[:, 1])
-                ln = np.cross(v1, v2)
-                points.append(canonicalize_rows(v1))
-                lines.append(canonicalize_rows(ln))
-                params.append(batch_attractive_directions(mats2[idx]))
-                tlens.append(t[idx])
-                strs = table.word_strings(level)
-                words.extend(strs[i] for i in idx)
-                ranks.append(rank_base + idx)
-        rank_base += n
+    params, points, lines, tlens, words = [], [], [], [], []
+    for level, idx, t in table.scored(min_length):
+        imgs = img_levels[level - 1][idx]
+        lox, vals = batch_loxodromic(imgs)
+        if not lox.any():
+            continue
+        idx, imgs, vals = idx[lox], imgs[lox], vals[lox]
+        v1 = batch_eigvec(imgs, vals[:, 0])
+        v2 = batch_eigvec(imgs, vals[:, 1])
+        points.append(canonicalize_rows(v1))
+        lines.append(canonicalize_rows(np.cross(v1, v2)))
+        params.append(batch_attractive_directions(table.mats2(level)[idx]))
+        tlens.append(t[lox])
+        strs = table.word_strings(level)
+        words.extend(strs[i] for i in idx)
     if not params:
         raise InsufficientSamples("no loxodromic samples in the ball")
-    params = np.concatenate(params)
-    points = np.concatenate(points)
-    lines = np.concatenate(lines)
-    tlens = np.concatenate(tlens)
-    ranks = np.concatenate(ranks)
-    words = np.array(words, dtype=object)
-
-    order = np.lexsort((ranks, params))
+    params, points, lines, tlens = map(np.concatenate, (params, points, lines, tlens))
+    # Samples were appended in shortlex order, so a stable sort breaks
+    # param ties by it.
+    order = np.argsort(params, kind="stable")
     params, points, lines = params[order], points[order], lines[order]
-    tlens, words = tlens[order], words[order]
+    tlens, words = tlens[order], np.array(words, dtype=object)[order]
     keep = np.ones(len(params), dtype=bool)
     last = -math.inf
     for i in range(len(params)):

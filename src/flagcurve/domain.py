@@ -92,7 +92,6 @@ def recurrence_experiment(
     radius: int,
     model_l: CurveModel | None = None,
     model_lstar: CurveModel | None = None,
-    table: BallTable | None = None,
 ) -> RecurrenceReport:
     """List the ball words that move the base flag by at most 2*nbhd.
 
@@ -111,8 +110,7 @@ def recurrence_experiment(
             f"verdict {q.verdict}, margins ({q.margin_point:.4f}, {q.margin_line:.4f})"
             f" need > {2.0 * nbhd:.4f}"
         )
-    if table is None:
-        table = BallTable.build(spec.seed, radius)
+    table = BallTable.build(spec.seed, radius)
     img_levels = table.images3(spec.letter_images())
     bp, bl = base.point.rep, base.line.rep
     returning = [""]
@@ -128,8 +126,7 @@ def recurrence_experiment(
         disp = flag_displacement(pts, lns, bp, bl)
         min_disp = min(min_disp, float(disp.min()))
         hits = np.nonzero(disp <= 2.0 * nbhd)[0]
-        strs = table.word_strings(level)
-        returning.extend(strs[i] for i in hits)
+        returning.extend(table.word(level, int(i)) for i in hits)
         history.append((level, len(returning)))
     stabilized = len(history) >= 3 and history[-1][1] == history[-2][1] == history[-3][1]
     return RecurrenceReport(

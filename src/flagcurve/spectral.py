@@ -1,11 +1,15 @@
 """Eigenstructure of 3x3 unimodular matrices.
 
-Eigenvalues come from the characteristic cubic solved in trigonometric
-form with a Newton polish; eigenvectors from cross products of rows of
-g - lambda*I (the rank-2 null-space formula), with an SVD null-vector
-fallback for (near-)repeated eigenvalues.  The Cartan/singular-value
-decomposition uses one-sided Jacobi rotations.  Everything is
-3x3-specialized, deterministic, and free of iteration-order ambiguity.
+Eigenvalues come from one batched kernel, ``batch_eigvals3``: the
+characteristic cubic solved in trigonometric form with a Newton polish.
+``batch_loxodromic`` and ``batch_saddle_at_e2`` classify stacks from those
+eigenvalues, and the scalar ``eigen3``, ``is_loxodromic`` and
+``saddle_at_e2`` call them with n=1.  Eigenvectors come from cross
+products of rows of g - lambda*I (the rank-2 null-space formula), with an
+SVD null-vector fallback for (near-)repeated eigenvalues.  The
+Cartan/singular-value decomposition uses one-sided Jacobi rotations.
+Everything is 3x3-specialized, deterministic, and free of iteration-order
+ambiguity.
 """
 
 from __future__ import annotations
@@ -20,45 +24,6 @@ from .projective import Flag, GroupElement, ProjPoint, canonicalize, join
 
 # Relative modulus gap below which eigenvalue ordering is unreliable.
 GAP_TOL = 1e-8
-
-
-def char_coeffs(m: np.ndarray):
-    """Coefficients (c2, c1, c0) of det(x*I - m) = x^3 - c2 x^2 + c1 x - c0."""
-    c2 = float(np.trace(m))
-    c1 = 0.5 * (c2 * c2 - float(np.trace(m @ m)))
-    c0 = float(np.linalg.det(m))
-    return c2, c1, c0
-
-
-def _cubic_roots_real(c2: float, c1: float, c0: float):
-    """All-real roots of x^3 - c2 x^2 + c1 x - c0, or None on a complex pair."""
-    p = c1 - c2 * c2 / 3.0
-    q = -2.0 * c2 ** 3 / 27.0 + c2 * c1 / 3.0 - c0
-    scale = max(1.0, abs(c2), math.sqrt(abs(c1)), abs(c0) ** (1.0 / 3.0))
-    if p > 1e-12 * scale * scale:
-        return None  # strictly increasing cubic: one real root only
-    u = math.sqrt(max(0.0, -p) / 3.0)
-    if u ** 3 < 1e-300:
-        roots = [c2 / 3.0] * 3  # triple root
-    else:
-        r = -q / (2.0 * u ** 3)
-        if abs(r) > 1.0 + 1e-9:
-            return None
-        phi = math.acos(min(1.0, max(-1.0, r))) / 3.0
-        roots = [
-            2.0 * u * math.cos(phi - 2.0 * math.pi * k / 3.0) + c2 / 3.0
-            for k in range(3)
-        ]
-    # Newton polish on the original cubic.
-    out = []
-    for x in roots:
-        for _ in range(2):
-            f = ((x - c2) * x + c1) * x - c0
-            fp = (3.0 * x - 2.0 * c2) * x + c1
-            if fp != 0.0:
-                x -= f / fp
-        out.append(x)
-    return sorted(out, key=abs, reverse=True)
 
 
 def _null_vector(m: np.ndarray) -> np.ndarray:
@@ -90,10 +55,10 @@ class EigenTriple:
 def eigen3(g: GroupElement) -> EigenTriple:
     """Full real eigendecomposition; raises ComplexSpectrum otherwise."""
     m = g.mat
-    c2, c1, c0 = char_coeffs(m)
-    roots = _cubic_roots_real(c2, c1, c0)
-    if roots is None:
+    lox, vals = batch_loxodromic(m[None])
+    if np.isnan(vals[0]).any():
         raise ComplexSpectrum("matrix has a complex eigenvalue pair")
+    roots = vals[0].tolist()
     vecs = []
     for lam in roots:
         v = _null_vector(m - lam * np.eye(3))
@@ -109,18 +74,12 @@ def eigen3(g: GroupElement) -> EigenTriple:
             except np.linalg.LinAlgError:
                 pass
         vecs.append(ProjPoint.of(v))
-    a = [abs(r) for r in roots]
-    near = a[0] / a[1] < 1.0 + GAP_TOL or a[1] / a[2] < 1.0 + GAP_TOL
-    return EigenTriple(tuple(roots), tuple(vecs), near)
+    return EigenTriple(tuple(roots), tuple(vecs), not lox[0])
 
 
 def is_loxodromic(g: GroupElement) -> bool:
     """Three real eigenvalues of pairwise distinct modulus."""
-    try:
-        t = eigen3(g)
-    except ComplexSpectrum:
-        return False
-    return not t.near_degenerate
+    return bool(batch_loxodromic(g.mat[None])[0][0])
 
 
 def attractive_flag(g: GroupElement) -> Flag:
@@ -193,16 +152,7 @@ def saddle_at_e2(g: GroupElement, fix_tol: float = 1e-8) -> bool:
     n = float(np.linalg.norm(col))
     if math.acos(min(1.0, abs(float(col[1])) / n)) > fix_tol:
         raise NotFixed("[e2] is not fixed")
-    mid = float(col[1])
-    try:
-        t = eigen3(g)
-    except ComplexSpectrum:
-        return False  # complex pair has equal moduli; no strict middle
-    a = [abs(x) for x in t.values]
-    i = int(np.argmin([abs(x - mid) for x in t.values]))
-    if i != 1:
-        return False
-    return a[0] / a[1] > 1.0 + GAP_TOL and a[1] / a[2] > 1.0 + GAP_TOL
+    return bool(batch_saddle_at_e2(g.mat[None])[0])
 
 
 # ---------------------------------------------------------------------------
@@ -264,11 +214,27 @@ def batch_eigvec(mats: np.ndarray, lams: np.ndarray) -> np.ndarray:
     return v / nv[:, None]
 
 
-def batch_modulus_gaps(vals: np.ndarray):
-    """Relative modulus gaps (top/mid - 1, mid/bot - 1) per row."""
+def batch_loxodromic(mats: np.ndarray):
+    """(mask, vals) for a (n,3,3) stack: whether each matrix has three real
+    eigenvalues whose relative modulus gaps both exceed GAP_TOL, and the
+    eigenvalues of ``batch_eigvals3``."""
+    vals, real = batch_eigvals3(mats)
     a = np.abs(vals)
     with np.errstate(divide="ignore", invalid="ignore"):
-        return a[:, 0] / a[:, 1] - 1.0, a[:, 1] / a[:, 2] - 1.0
+        gaps = (a[:, 0] / a[:, 1] - 1.0 > GAP_TOL) & (a[:, 1] / a[:, 2] - 1.0 > GAP_TOL)
+    return real & gaps, vals
+
+
+def batch_saddle_at_e2(mats: np.ndarray) -> np.ndarray:
+    """Middle-modulus test for the eigenvalue at [e2] on a (n,3,3) stack:
+    loxodromic, with the eigenvalue closest to the (1,1) entry in the middle.
+
+    Assumes the stack fixes [e2] (middle column proportional to e2), which
+    holds for canonical, linear_u, and radial images.
+    """
+    lox, vals = batch_loxodromic(mats)
+    closest = np.argmin(np.abs(vals - mats[:, 1, 1, None]), axis=1)
+    return lox & (closest == 1)
 
 
 def canonicalize_rows(arr: np.ndarray) -> np.ndarray:

@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -22,7 +23,7 @@ from flagcurve import (
 )
 from flagcurve.ball import BallTable
 from flagcurve.curve import CurveModel, equivariance_report
-from flagcurve.errors import InsufficientSamples, UnsupportedSpec
+from flagcurve.errors import InsufficientSamples, NotHyperbolic, UnsupportedSpec
 from flagcurve.projective import proj_dist
 from flagcurve.spectral import attractive_flag
 from flagcurve.surface import attractive_direction
@@ -181,6 +182,22 @@ def test_stable_norm_monotone_in_radius(seed2):
     assert e4.value >= e3.value - 1e-15
 
 
+def test_non_hyperbolic_seed_image_is_named(seed2, u_a1):
+    table = BallTable.build(seed2, 3)
+    k = int(np.nonzero(table.cyclically_reduced(3))[0][100])
+    c, s = math.cos(0.3), math.sin(0.3)
+    table.mats2(3)[k] = [[c, -s], [s, c]]
+    named = re.escape(repr(table.word_strings(3)[k]))
+    spec = RepSpec("linear_u", seed2, u=u_a1)
+    for run in (
+        lambda: list(table.scored()),
+        lambda: stable_norm(u_a1, seed2, 3, table),
+        lambda: certify_anosov(spec, 3, table=table),
+    ):
+        with pytest.raises(NotHyperbolic, match=named):
+            run()
+
+
 def test_certify_canonical(canonical2):
     res = certify_anosov(canonical2, 4)
     assert res.verdict == "certified-at-scale"
@@ -253,27 +270,22 @@ def test_rates_match_generic_eigensolver(seed2):
     rates = anosov_rates(spec, radius, table=table)
     # cross-check the closed-form rates against cubic eigenvalues of the
     # accumulated matrix products (accurate only up to e^t determinant drift)
-    from flagcurve.surface import batch_translation_lengths
     from flagcurve.spectral import batch_eigvals3
 
     imgs = table.images3(spec.letter_images())
     pos = 0
-    for level in range(1, radius + 1):
-        hyp, t = batch_translation_lengths(table.mats2(level))
-        sel = table.cyclically_reduced(level) & hyp & (t >= 0.5)
-        idx = np.nonzero(sel)[0]
-        if not len(idx):
-            continue
+    for level, idx, t in table.scored(0.5):
         vals, real = batch_eigvals3(imgs[level - 1][idx])
         assert real.all()
         a = np.abs(vals)
-        got_top = np.log(a[:, 0] / a[:, 1]) / t[idx]
+        got_top = np.log(a[:, 0] / a[:, 1]) / t
         n = len(idx)
         ref = rates.top_rates[pos:pos + n]
         # signed closed form equals the generic sorted-modulus gap only
         # while the [e2] eigenvalue is the middle one (true here)
         assert np.abs(got_top - ref).max() <= 1e-8
         pos += n
+    assert pos == rates.n_elements
 
 
 def test_rates_negative_iff_refuted(seed2):

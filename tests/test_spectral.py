@@ -23,8 +23,9 @@ from flagcurve import (
 )
 from flagcurve.errors import ComplexSpectrum, NotFixed, NotLoxodromic
 from flagcurve.projective import proj_dist
-from flagcurve.spectral import batch_eigvals3, batch_eigvec
-from flagcurve.surface import eval_u
+from flagcurve.ball import BallTable
+from flagcurve.spectral import batch_eigvals3, batch_eigvec, batch_saddle_at_e2
+from flagcurve.surface import batch_translation_lengths, eval_u
 
 from conftest import random_unimodular, random_unimodular_batch
 
@@ -106,16 +107,17 @@ def test_eigenvalue_product_one(rng):
     assert np.abs(prod - 1.0).max() <= 1e-9
 
 
-def test_batch_matches_scalar(rng):
+def test_batch_eigvals_match_lapack(rng):
     mats = random_unimodular_batch(rng, 300)
     vals, real = batch_eigvals3(mats)
-    for i, m in enumerate(mats):
-        try:
-            t = eigen3(GroupElement.of(m / np.cbrt(np.linalg.det(m))))
-            assert real[i]
-            assert np.abs(vals[i] - np.array(t.values)).max() <= 1e-9
-        except ComplexSpectrum:
-            assert not real[i]
+    for m, v, is_real in zip(mats, vals, real):
+        ref = np.linalg.eigvals(m)
+        assert is_real == bool(np.all(np.abs(ref.imag) <= 1e-9 * np.abs(ref).max()))
+        if is_real:
+            ref = ref.real[np.argsort(-np.abs(ref.real), kind="stable")]
+            assert np.abs(v - ref).max() <= 1e-9 * np.abs(ref).max()
+        else:
+            assert np.isnan(v).all()
 
 
 def test_batch_eigvec_residual(rng):
@@ -242,3 +244,19 @@ def test_canonical_ball_loxodromic(seed2, canonical2):
         if not w.is_cyclically_reduced():
             continue
         assert is_loxodromic(evaluate(canonical2, w))
+
+
+def test_batch_saddle_matches_ratio_on_ball(seed2):
+    # Every word of the ball, conjugates included; the class refutes some.
+    u = CohomologyClass.from_dict({"a1": 1.6, "b2": -0.9}, 2)
+    spec = RepSpec("linear_u", seed2, u=u)
+    table = BallTable.build(seed2, 3)
+    imgs = table.images3(spec.letter_images())
+    refuted = 0
+    for level in range(1, table.radius + 1):
+        hyp, t = batch_translation_lengths(table.mats2(level))
+        assert hyp.all()
+        ratio_ok = np.abs(table.expsums(level) @ u.as_vector()) < t / 2.0
+        assert np.array_equal(batch_saddle_at_e2(imgs[level - 1]), ratio_ok)
+        refuted += int((~ratio_ok).sum())
+    assert refuted > 0

@@ -165,6 +165,7 @@ def test_ball_table_matches_enumeration(seed2):
     # Brute force: every letter tuple, filtered by free reduction, sorted.
     for seed, radius in ((seed2, 3), (standard_fuchsian(3), 2)):
         table = BallTable.build(seed, radius)
+        scored = {m: [] for m in (0.0, 5.0, 7.0)}
         for level in range(1, radius + 1):
             words = [
                 Word(ls, seed.genus)
@@ -172,6 +173,15 @@ def test_ball_table_matches_enumeration(seed2):
                 if all(b != a ^ 1 for a, b in zip(ls, ls[1:]))
             ]
             assert table.word_strings(level) == [str(w) for w in words]
+            assert [table.word(level, i) for i in range(len(words))] == [
+                str(w) for w in words
+            ]
+            lengths = [translation_length(seed.image(w)) for w in words]
+            for m, expected in scored.items():
+                idx = [i for i, w in enumerate(words)
+                       if w.is_cyclically_reduced() and lengths[i] >= m]
+                if idx:
+                    expected.append((level, idx, [lengths[i] for i in idx]))
             assert np.allclose(
                 table.mats2(level), [seed.image(w) for w in words], atol=1e-12
             )
@@ -181,6 +191,13 @@ def test_ball_table_matches_enumeration(seed2):
             assert table.cyclically_reduced(level).tolist() == [
                 w.is_cyclically_reduced() for w in words
             ]
+        for m, expected in scored.items():
+            got = list(table.scored(m))
+            assert [(lv, idx.tolist()) for lv, idx, _ in got] == [
+                (lv, idx) for lv, idx, _ in expected
+            ]
+            for (_, _, t), (_, _, ref) in zip(got, expected):
+                assert np.allclose(t, ref, rtol=1e-12)
 
 
 def test_ball_table_expsums(seed2):
