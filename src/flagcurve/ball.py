@@ -11,7 +11,8 @@ exponent sums once.
 the cyclically reduced words above a translation-length floor.  Every
 spectral quantity is a conjugacy invariant, so the other words add work
 but no information.  It is also the only place that decides whether seed
-images are hyperbolic.
+images are hyperbolic, and it drops the words that are trivial in the
+surface group (the relator and its rotations, from length 4g on).
 """
 
 from __future__ import annotations
@@ -25,6 +26,18 @@ import numpy as np
 from .errors import NotHyperbolic
 from .surface import (FuchsianSeed, Word, batch_translation_lengths, letter_name,
                       next_level)
+
+# A word whose seed image is within this of +-I (entrywise) is taken to be
+# trivial in the group.  Every nontrivial element of a Fuchsian group is
+# hyperbolic and so stays far from +-I, while the relator images of a valid
+# seed sit within its 1e-8 residual, times conjugation.
+TRIVIAL_TOL = 1e-6
+
+
+def _near_identity(mats: np.ndarray) -> np.ndarray:
+    """Mask of the (n, 2, 2) stack within TRIVIAL_TOL of +-I."""
+    sign = np.where(mats[:, 0, 0] < 0, -1.0, 1.0)[:, None, None]
+    return (np.abs(mats - sign * np.eye(2)) <= TRIVIAL_TOL).all(axis=(1, 2))
 
 
 @dataclass(frozen=True)
@@ -107,13 +120,17 @@ class BallTable:
         translation length t >= min_length, yield (level, idx, t): their
         indices in shortlex order and their translation lengths.
 
-        Raises NotHyperbolic naming the first cyclically reduced word whose
-        seed image is not hyperbolic (a word trivial in the surface group,
-        such as the relator).
+        Words whose seed image is +-I are trivial in the group and skipped.
+        Raises NotHyperbolic naming the first other cyclically reduced word
+        whose seed image is not hyperbolic (the seed is then not Fuchsian).
         """
         for level in range(1, self.radius + 1):
-            hyp, t = batch_translation_lengths(self.mats2(level))
+            mats = self.mats2(level)
+            hyp, t = batch_translation_lengths(mats)
             reduced = self.cyclically_reduced(level)
+            # An image within TRIVIAL_TOL of +-I has t < 0.01.
+            near = np.nonzero(reduced & (t < 0.01))[0]
+            reduced[near[_near_identity(mats[near])]] = False
             bad = reduced & ~hyp
             if bad.any():
                 w = self.word(level, int(np.argmax(bad)))

@@ -8,7 +8,8 @@ eigenvalue moduli (``spectral.batch_saddle_at_e2``); both tests must agree
 element by element.
 
 Every function here scores the words of ``BallTable.scored``: the
-cyclically reduced ball words, whose seed images must be hyperbolic.
+cyclically reduced ball words that are nontrivial in the group, whose seed
+images must be hyperbolic.
 Witnesses are named through ``BallTable.word``.
 """
 
@@ -54,6 +55,8 @@ def stable_norm(
     best, best_word = 0.0, ""
     history = []
     for level, idx, t in table.scored():
+        if level > radius:
+            break
         vals = np.abs(table.expsums(level)[idx] @ uvec) / t
         j = int(np.argmax(vals))
         if vals[j] > best * (1.0 + 1e-12) + 1e-300:

@@ -25,10 +25,10 @@ import numpy as np
 
 from . import __version__
 from .ball import BallTable
-from .certify import anosov_rates, certify_anosov, probe_explicit, stable_norm
+from .certify import anosov_rates, certify_anosov, probe_explicit
 from .curve import check_incidence, injectivity_report, sample_limit_curve
 from .delta import fit_delta, pushforward_deviation
-from .domain import in_omega, recurrence_experiment
+from .domain import recurrence_experiment
 from .errors import (
     BaseNotInterior,
     ConfigError,
@@ -70,6 +70,14 @@ def _reject_constant(name: str):
     raise ConfigError(f"config holds {name}, which is not a JSON number")
 
 
+def _finite_float(text: str) -> float:
+    """``json.loads`` hook: a number such as 1e999 would parse to inf."""
+    value = float(text)
+    if not math.isfinite(value):
+        raise ConfigError(f"config number {text} overflows a float")
+    return value
+
+
 class RunConfig:
     """Validated run configuration."""
 
@@ -95,7 +103,7 @@ class RunConfig:
                 raise ConfigError(f"unknown tolerance {k!r}")
             if not isinstance(v, (int, float)) or v <= 0:
                 raise ConfigError(f"tolerance {k!r} must be positive")
-            self.tolerances[k] = float(v)
+            self.tolerances[k] = _number(float, v, f"tolerances.{k}")
         render = _object(raw, "render")
         self.render_chart = render.get("chart", "both")
         if self.render_chart not in ("affine", "dual", "both"):
@@ -122,7 +130,8 @@ class RunConfig:
             raise ConfigError(f"config file not found: {path}")
         data = p.read_bytes()
         try:
-            raw = json.loads(data, parse_constant=_reject_constant)
+            raw = json.loads(data, parse_constant=_reject_constant,
+                             parse_float=_finite_float)
         except json.JSONDecodeError as e:
             raise ConfigError(f"config is not valid JSON: {e}") from e
         out = Path(out_dir) if out_dir else Path(raw.get("output_dir", "out"))

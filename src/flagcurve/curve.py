@@ -27,7 +27,7 @@ import numpy as np
 
 from .ball import BallTable
 from .errors import InsufficientSamples
-from .projective import CONSTRUCTED_TOL, Flag, ProjLine, ProjPoint
+from .projective import Flag, ProjLine, ProjPoint
 from .reps import RepSpec
 from .spectral import batch_eigvec, batch_loxodromic, canonicalize_rows
 from .surface import batch_attractive_directions

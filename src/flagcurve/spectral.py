@@ -20,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ComplexSpectrum, NotFixed, NotLoxodromic
-from .projective import Flag, GroupElement, ProjPoint, canonicalize, join
+from .projective import Flag, GroupElement, ProjPoint, join
 
 # Relative modulus gap below which eigenvalue ordering is unreliable.
 GAP_TOL = 1e-8

@@ -30,9 +30,14 @@ def report_schema():
     return json.loads(files("flagcurve").joinpath("schemas/report.schema.json").read_text())
 
 
-def _run(tmp_path, command: str, config: dict) -> int:
+def _run(tmp_path, command: str, config: dict, raw_member: str = "") -> int:
+    """Run a command on the config, with an optional member given as raw
+    JSON text (for numbers json.dumps cannot write)."""
+    text = json.dumps(config)
+    if raw_member:
+        text = text[:-1] + ", " + raw_member + "}"
     path = tmp_path / "config.json"
-    path.write_text(json.dumps(config), encoding="utf-8")
+    path.write_text(text, encoding="utf-8")
     return cli.main([command, "--config", str(path), "--out", str(tmp_path / "out")])
 
 
@@ -104,9 +109,14 @@ def test_limit_curve(tmp_path, report_schema, max_lines):
     {"note": float("nan")},
     {"tolerances": {"dedup": float("inf")}},
     {"orbit": {"base_point": {"x": 1}, "base_line": [0, 1, 0]}},
+    '"note": 1e999',
+    '"tolerances": {"dedup": -1e999}',
+    '"tolerances": {"dedup": 1' + "0" * 400 + "}",
 ], ids=["ball_radius", "width_px", "neighborhood", "genus", "tolerance_key", "render",
-        "nan", "infinity", "base_point_object"])
+        "nan", "infinity", "base_point_object", "overflow", "tolerance_overflow",
+        "tolerance_huge_int"])
 def test_malformed_config_exits_2(tmp_path, capsys, fields):
-    config = {"rep_spec": RADIAL_G2, "ball_radius": 3, **fields}
-    assert _run(tmp_path, "orbit", config) == 2
+    raw = fields if isinstance(fields, str) else ""
+    config = {"rep_spec": RADIAL_G2, "ball_radius": 3, **({} if raw else fields)}
+    assert _run(tmp_path, "orbit", config, raw) == 2
     assert capsys.readouterr().err.startswith("config error:")

@@ -198,6 +198,38 @@ def test_non_hyperbolic_seed_image_is_named(seed2, u_a1):
             run()
 
 
+@pytest.mark.parametrize("sign", [1.0, -1.0])
+def test_trivial_seed_image_is_skipped(monkeypatch, seed2, u_a1, canonical2, sign):
+    # From radius 4g on the ball holds the relator and its rotations, whose
+    # seed images are +-I: they are the identity in the group, so scoring
+    # drops them instead of raising.
+    ref_model = sample_limit_curve(canonical2, 3)
+    dropped = next(w for w in ref_model.words if w.count(".") == 2)
+    plain = BallTable.build(seed2, 3)
+    table = BallTable.build(seed2, 3)
+    k = plain.word_strings(3).index(dropped)
+    table.mats2(3)[k] = sign * np.eye(2)
+    want = {level: idx for level, idx, _t in plain.scored()}
+    want[3] = want[3][want[3] != k]
+    got = {level: idx for level, idx, _t in table.scored()}
+    assert got.keys() == want.keys()
+    for level in want:
+        assert np.array_equal(got[level], want[level])
+    assert stable_norm(u_a1, seed2, 3, table) == stable_norm(u_a1, seed2, 3, plain)
+    spec = RepSpec("linear_u", seed2, u=u_a1)
+    res, ref = certify_anosov(spec, 3, table=table), certify_anosov(spec, 3, table=plain)
+    assert (res.verdict, res.tests_agree) == (ref.verdict, ref.tests_agree)
+    assert res.n_scored == ref.n_scored - 1
+    monkeypatch.setattr(BallTable, "build", staticmethod(lambda seed, radius: table))
+    model = sample_limit_curve(canonical2, 3)
+    assert model.words == tuple(w for w in ref_model.words if w != dropped)
+
+
+def test_stable_norm_stops_at_radius(seed2, u_a1):
+    larger = BallTable.build(seed2, 4)
+    assert stable_norm(u_a1, seed2, 3, larger) == stable_norm(u_a1, seed2, 3)
+
+
 def test_certify_canonical(canonical2):
     res = certify_anosov(canonical2, 4)
     assert res.verdict == "certified-at-scale"
