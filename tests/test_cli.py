@@ -1,12 +1,14 @@
 """End-to-end runs of the CLI commands through ``cli.main``."""
 
+import hashlib
 import json
 from importlib.resources import files
 
 import jsonschema
+import numpy as np
 import pytest
 
-from flagcurve import RepSpec, cli, standard_fuchsian
+from flagcurve import RepSpec, cli, spec_from_json_dict, standard_fuchsian
 
 RADIAL_G2 = {
     "variant": "radial",
@@ -46,6 +48,20 @@ def _explicit_g2() -> dict:
     seed = standard_fuchsian(2)
     mats = tuple(RepSpec("canonical", seed).generator_images())
     return RepSpec("explicit", seed, matrices=mats).to_json_dict()
+
+
+# An integer SL(3) matrix and its inverse: conjugating by it moves [e2]
+# off the coordinate axes, so the conjugated spec runs the generic
+# eigenvector path.
+CONJ = np.array([[1, 1, 0], [1, 2, 1], [0, 1, 2]], dtype=float)
+CONJ_INV = np.array([[3, -2, 1], [-2, 2, -1], [1, -1, 1]], dtype=float)
+
+
+def _conjugated_radial_g2() -> dict:
+    """RADIAL_G2 conjugated by CONJ, as an explicit spec."""
+    spec = spec_from_json_dict(RADIAL_G2)
+    mats = tuple(CONJ @ g @ CONJ_INV for g in spec.generator_images())
+    return RepSpec("explicit", spec.seed, matrices=mats).to_json_dict()
 
 
 @pytest.mark.parametrize("command, rep_spec, fields, code, expect", [
@@ -120,3 +136,60 @@ def test_malformed_config_exits_2(tmp_path, capsys, fields):
     config = {"rep_spec": RADIAL_G2, "ball_radius": 3, **({} if raw else fields)}
     assert _run(tmp_path, "orbit", config, raw) == 2
     assert capsys.readouterr().err.startswith("config error:")
+
+
+# SHA-256 of every file each command writes, pinned so that a refactor
+# which claims byte-identical outputs is checked by the tests.
+PINNED = {
+    "limit_curve": ("limit-curve", RADIAL_G2, {"ball_radius": 4}, {
+        "curve.csv":
+            "0e2ece373aeffea506341f0f616994d3f06c278c97fe46e7819b942b72011071",
+        "curve.svg":
+            "1ebfd31c13a1d9adfeb25688af5ce381cb33112caadf417c86799c7508ae66d6",
+        "limit_curve.json":
+            "76f6406ddd24e07e926afaecab8fb0d1fdf95ab83ed798e1ed5b7643f651ee75",
+    }),
+    "certify": ("certify", RADIAL_G2, {"ball_radius": 4}, {
+        "certify.json":
+            "3933acc876f094f4b01084d017b184e0940a5315886ea7a6647a4aca782e0e8c",
+    }),
+    "delta": ("delta", RADIAL_G2, {"ball_radius": 4}, {
+        "delta.json":
+            "672ce6d48f18871e6f9f0207658536f0537687c5c0299271569cc3987bdc194c",
+        "delta_profile.csv":
+            "f4b98bfa3164f3f603769181caab32349288812730e12e6defb5d8afd1005f37",
+    }),
+    "orbit": ("orbit", RADIAL_G2, {"ball_radius": 4}, {
+        "orbit.json":
+            "b09ee02c5f84143deebb64cbcd56e56b469c84d27616666d4320f04bb7a1857d",
+    }),
+    "regularity": ("regularity", RADIAL_G2, {"ball_radius": 4}, {
+        "regularity.json":
+            "caf146f8efdb45439d3b3ad473dba1adfe8521840e935b57af87e44bdb47eb2e",
+    }),
+    "explicit_limit_curve": ("limit-curve", "conjugated",
+                             {"ball_radius": 4, "incidence_max_lines": None}, {
+        "curve.csv":
+            "0dbad7743d0038d6486532e328a9817742399403eac29aedaced099cfcf39cf5",
+        "curve.svg":
+            "91dc1f7195f274b88b358ed8b6a99196cf4fb49120e065151f66930e276009e2",
+        "limit_curve.json":
+            "9d1d7de533d18da4f238be536c3708792fbd30566142dff2a4bccb9ef0809a2c",
+    }),
+    "explicit_certify": ("certify", "conjugated", {"ball_radius": 4}, {
+        "certify.json":
+            "9a8593af69039c2cc3c038d619ab1bfb96bb964ce56a1ed40aa5670e1a84c3bf",
+    }),
+}
+
+
+@pytest.mark.parametrize("case", sorted(PINNED))
+def test_output_digests(tmp_path, case):
+    command, rep_spec, fields, digests = PINNED[case]
+    if rep_spec == "conjugated":
+        rep_spec = _conjugated_radial_g2()
+    code = 5 if command == "certify" and rep_spec["variant"] == "explicit" else 0
+    assert _run(tmp_path, command, {"rep_spec": rep_spec, **fields}) == code
+    out = tmp_path / "out"
+    written = {p.name: hashlib.sha256(p.read_bytes()).hexdigest() for p in out.iterdir()}
+    assert written == digests
