@@ -14,7 +14,6 @@ from .projective import (
     ProjPoint,
     act,
     act_dual,
-    act_flag,
     act_frame,
     canonicalize,
     dual,

@@ -26,7 +26,12 @@ import numpy as np
 from . import __version__
 from .ball import BallTable
 from .certify import anosov_rates, certify_anosov, probe_explicit
-from .curve import check_incidence, injectivity_report, sample_limit_curve
+from .curve import (
+    check_incidence,
+    injectivity_report,
+    regularity_diagnostics,
+    sample_limit_curve,
+)
 from .delta import fit_delta, pushforward_deviation
 from .domain import recurrence_experiment
 from .errors import (
@@ -48,12 +53,26 @@ DEFAULT_TOLERANCES = {
 }
 
 
-def _number(cast, value, name: str):
-    """``cast(value)``, or a ConfigError naming the field."""
+def _number(kind: type, value, name: str):
+    """``value`` as ``kind``: int takes only a JSON integer, float any JSON
+    number; a boolean, a string or anything else is a ConfigError naming
+    the field."""
+    allowed = (int,) if kind is int else (int, float)
+    if isinstance(value, bool) or not isinstance(value, allowed):
+        expected = "an integer" if kind is int else "a number"
+        raise ConfigError(f"field {name!r} must be {expected}, not {value!r}")
     try:
-        return cast(value)
-    except (TypeError, ValueError, OverflowError) as e:
+        return kind(value)
+    except OverflowError as e:
         raise ConfigError(f"field {name!r} must be a number: {e}") from e
+
+
+def _positive(kind: type, value, name: str):
+    """``_number`` restricted to values > 0."""
+    value = _number(kind, value, name)
+    if value <= 0:
+        raise ConfigError(f"field {name!r} must be positive")
+    return value
 
 
 def _object(raw: dict, name: str) -> dict:
@@ -101,16 +120,14 @@ class RunConfig:
         for k, v in _object(raw, "tolerances").items():
             if k not in DEFAULT_TOLERANCES:
                 raise ConfigError(f"unknown tolerance {k!r}")
-            if not isinstance(v, (int, float)) or v <= 0:
-                raise ConfigError(f"tolerance {k!r} must be positive")
-            self.tolerances[k] = _number(float, v, f"tolerances.{k}")
+            self.tolerances[k] = _positive(float, v, f"tolerances.{k}")
         render = _object(raw, "render")
         self.render_chart = render.get("chart", "both")
         if self.render_chart not in ("affine", "dual", "both"):
             raise ConfigError("field 'render.chart' must be affine|dual|both")
-        self.render_width = _number(int, render.get("width_px", 640), "render.width_px")
-        self.render_stroke = _number(float, render.get("stroke", 1.2), "render.stroke")
-        self.render_window = _number(float, render.get("window", 3.0), "render.window")
+        self.render_width = _positive(int, render.get("width_px", 640), "render.width_px")
+        self.render_stroke = _positive(float, render.get("stroke", 1.2), "render.stroke")
+        self.render_window = _positive(float, render.get("window", 3.0), "render.window")
         self.incidence_max_lines = raw.get("incidence_max_lines", 4096)
         if self.incidence_max_lines is not None:
             self.incidence_max_lines = _number(
@@ -310,9 +327,7 @@ def cmd_orbit(config: RunConfig) -> int:
     out = config.out_dir
     out.mkdir(parents=True, exist_ok=True)
     base = _base_flag(config)
-    nbhd = _number(float, config.orbit.get("neighborhood", 0.05), "orbit.neighborhood")
-    if nbhd <= 0:
-        raise ConfigError("field 'orbit.neighborhood' must be positive")
+    nbhd = _positive(float, config.orbit.get("neighborhood", 0.05), "orbit.neighborhood")
     rep = recurrence_experiment(config.spec, base, nbhd, config.ball_radius)
     payload = {
         "neighborhood": rep.neighborhood,
@@ -327,8 +342,6 @@ def cmd_orbit(config: RunConfig) -> int:
 
 
 def cmd_regularity(config: RunConfig) -> int:
-    from .curve import regularity_diagnostics
-
     out = config.out_dir
     out.mkdir(parents=True, exist_ok=True)
     model = _model(config)

@@ -29,7 +29,7 @@ from .ball import BallTable
 from .errors import InsufficientSamples
 from .projective import Flag, ProjLine, ProjPoint
 from .reps import RepSpec
-from .spectral import batch_eigvec, batch_loxodromic, canonicalize_rows
+from .spectral import batch_attracting_flags, canonicalize_rows
 from .surface import batch_attractive_directions
 
 E2 = np.array([0.0, 1.0, 0.0])
@@ -112,15 +112,12 @@ def sample_limit_curve(
     img_levels = table.images3(spec.letter_images())
     params, points, lines, tlens, words = [], [], [], [], []
     for level, idx, t in table.scored(min_length):
-        imgs = img_levels[level - 1][idx]
-        lox, vals = batch_loxodromic(imgs)
+        lox, pts, lns = batch_attracting_flags(img_levels[level - 1][idx])
         if not lox.any():
             continue
-        idx, imgs, vals = idx[lox], imgs[lox], vals[lox]
-        v1 = batch_eigvec(imgs, vals[:, 0])
-        v2 = batch_eigvec(imgs, vals[:, 1])
-        points.append(canonicalize_rows(v1))
-        lines.append(canonicalize_rows(np.cross(v1, v2)))
+        idx = idx[lox]
+        points.append(pts)
+        lines.append(lns)
         params.append(batch_attractive_directions(table.mats2(level)[idx]))
         tlens.append(t[lox])
         strs = table.word_strings(level)

@@ -23,7 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .curve import CurveModel
-from .errors import NotRadial, PolarDegenerate
+from .errors import InsufficientSamples, NotRadial, PolarDegenerate
 from .reps import RepSpec
 
 GRID_SIZE = 4096
@@ -116,8 +116,6 @@ def fit_delta(spec: RepSpec, model: CurveModel,
     if spec.variant not in ("radial", "linear_u"):
         raise NotRadial(f"variant {spec.variant!r} has no shear profile")
     if len(model) < 64:
-        from .errors import InsufficientSamples
-
         raise InsufficientSamples(f"{len(model)} samples < 64")
     pts = model.points
     x, z, y = pts[:, 0], pts[:, 1], pts[:, 2]

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .ball import BallTable
-from .curve import CurveModel, crossing_counts
+from .curve import CurveModel, crossing_counts, sample_limit_curve
 from .errors import BaseNotInterior, OnL0
 from .projective import Flag, ProjLine, ProjPoint
 from .reps import RepSpec
@@ -99,8 +99,6 @@ def recurrence_experiment(
     Freeness proxy: no nonempty word fixes the base within 1e-8.
     """
     if model_l is None or model_lstar is None:
-        from .curve import sample_limit_curve
-
         m = sample_limit_curve(spec, min(radius, 5))
         model_l = model_l or m
         model_lstar = model_lstar or m

@@ -18,9 +18,8 @@ import numpy as np
 from .errors import DegenerateJoin, NotInY, SingularMatrix
 
 # Incidence tolerance for flags constructed by the library (near machine
-# precision) versus flags built from user-supplied data.
+# precision).
 CONSTRUCTED_TOL = 1e-10
-USER_TOL = 1e-8
 
 # Angular tolerance for projective equality tests: 1 - |<u,v>| <= ANGULAR_TOL.
 ANGULAR_TOL = 1e-9
@@ -238,11 +237,6 @@ def act(g: GroupElement, p: ProjPoint) -> ProjPoint:
 
 def act_dual(g: GroupElement, l: ProjLine) -> ProjLine:
     return ProjLine.of(dual(g).mat @ l.rep)
-
-
-def act_flag(g: GroupElement, f: Flag) -> Flag:
-    gd = dual(g)
-    return Flag.of(g.mat @ f.point.rep, gd.mat @ f.line.rep, tol=USER_TOL)
 
 
 def act_frame(g: GroupElement, f: Frame) -> Frame:

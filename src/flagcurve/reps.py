@@ -23,7 +23,14 @@ import numpy as np
 
 from .errors import NotUnimodular, UnsupportedSpec
 from .projective import GroupElement
-from .surface import CohomologyClass, FuchsianSeed, Word, standard_relator
+from .surface import (
+    CohomologyClass,
+    FuchsianSeed,
+    Word,
+    gen_name,
+    standard_fuchsian,
+    standard_relator,
+)
 
 VARIANTS = ("canonical", "linear_u", "radial", "explicit")
 
@@ -155,11 +162,7 @@ class RepSpec:
         return float(np.linalg.norm(m - np.eye(3)))
 
     def to_json_dict(self) -> dict:
-        names = [None] * (2 * self.genus)
-        from .surface import gen_name
-
-        for k in range(2 * self.genus):
-            names[k] = gen_name(k)
+        names = [gen_name(k) for k in range(2 * self.genus)]
         d = {"variant": self.variant, "seed": self.seed.to_json_dict()}
         if self.u is not None:
             d["u"] = {names[k]: self.u.values[k] for k in range(2 * self.genus)}
@@ -181,8 +184,6 @@ def spec_from_json_dict(d: dict) -> RepSpec:
     {"genus": g} alone, which selects the standard 4g-gon seed.  A radial
     spec may give {"coboundary": {"m1":..., "m2":...}} instead of mu/nu.
     """
-    from .surface import CohomologyClass, standard_fuchsian
-
     variant = d.get("variant")
     if variant not in VARIANTS:
         raise ValueError(f"variant must be one of {VARIANTS}, got {variant!r}")
@@ -218,8 +219,6 @@ def spec_from_json_dict(d: dict) -> RepSpec:
     mats_d = d.get("matrices")
     if mats_d is None:
         raise ValueError("explicit spec requires 'matrices'")
-    from .surface import gen_name
-
     mats = []
     for k in range(2 * genus):
         name = gen_name(k)

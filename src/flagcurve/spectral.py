@@ -1,15 +1,19 @@
 """Eigenstructure of 3x3 unimodular matrices.
 
-Eigenvalues come from one batched kernel, ``batch_eigvals3``: the
-characteristic cubic solved in trigonometric form with a Newton polish.
-``batch_loxodromic`` and ``batch_saddle_at_e2`` classify stacks from those
-eigenvalues, and the scalar ``eigen3``, ``is_loxodromic`` and
-``saddle_at_e2`` call them with n=1.  Eigenvectors come from cross
-products of rows of g - lambda*I (the rank-2 null-space formula), with an
-SVD null-vector fallback for (near-)repeated eigenvalues.  The
-Cartan/singular-value decomposition uses one-sided Jacobi rotations.
-Everything is 3x3-specialized, deterministic, and free of iteration-order
-ambiguity.
+Each eigen task has one batched kernel, and the scalar functions call it
+with n=1.  Eigenvalues come from ``batch_eigvals3``: the
+characteristic cubic solved in trigonometric form with a Newton polish
+that skips the divergent steps near a double root.  ``batch_loxodromic``
+and ``batch_saddle_at_e2`` classify stacks from those eigenvalues.
+Eigenvectors come from ``batch_eigvec``: the longest cross product of two
+rows of g - lambda*I (the rank-2 null-space formula), or, where
+g - lambda*I has rank <= 1, its smallest right singular vector; there is
+no inverse iteration.  Attracting flags come from
+``batch_attracting_flags`` (top eigenline, and the plane of the top two
+eigenlines); ``attractive_flag`` is its n=1 wrapper and ``repulsive_flag``
+the attracting flag of the inverse.  The Cartan/singular-value
+decomposition uses one-sided Jacobi rotations.  Everything is
+3x3-specialized, deterministic, and free of iteration-order ambiguity.
 """
 
 from __future__ import annotations
@@ -20,28 +24,18 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ComplexSpectrum, NotFixed, NotLoxodromic
-from .projective import Flag, GroupElement, ProjPoint, join
+from .projective import Flag, GroupElement, ProjLine, ProjPoint
 
 # Relative modulus gap below which eigenvalue ordering is unreliable.
 GAP_TOL = 1e-8
 
+# Largest Newton polish step of batch_eigvals3, relative to the scale of
+# the characteristic coefficients; larger steps are skipped.
+NEWTON_MAX_STEP = 1e-6
 
-def _null_vector(m: np.ndarray) -> np.ndarray:
-    """Unit kernel vector of a (near-)rank-2 matrix."""
-    crosses = np.stack(
-        [
-            np.cross(m[0], m[1]),
-            np.cross(m[0], m[2]),
-            np.cross(m[1], m[2]),
-        ]
-    )
-    norms = np.linalg.norm(crosses, axis=1)
-    best = int(np.argmax(norms))
-    if norms[best] > 1e-12 * max(1.0, float(np.abs(m).max()) ** 2):
-        return crosses[best] / norms[best]
-    # Repeated eigenvalue: fall back to the smallest right singular vector.
-    _, _, vt = np.linalg.svd(m)
-    return vt[-1]
+# Null-vector rule of batch_eigvec: a longest row cross product of g - lam*I
+# at or below NULL_TOL * max(1, max|g - lam*I|)^2 means rank <= 1.
+NULL_TOL = 1e-12
 
 
 @dataclass(frozen=True)
@@ -52,29 +46,15 @@ class EigenTriple:
     vectors: tuple  # ProjPoint triple
     near_degenerate: bool
 
+
 def eigen3(g: GroupElement) -> EigenTriple:
     """Full real eigendecomposition; raises ComplexSpectrum otherwise."""
-    m = g.mat
-    lox, vals = batch_loxodromic(m[None])
+    lox, vals = batch_loxodromic(g.mat[None])
     if np.isnan(vals[0]).any():
         raise ComplexSpectrum("matrix has a complex eigenvalue pair")
-    roots = vals[0].tolist()
-    vecs = []
-    for lam in roots:
-        v = _null_vector(m - lam * np.eye(3))
-        res = np.linalg.norm(m @ v - lam * v)
-        if res > 1e-10:
-            # One inverse-iteration step with a slightly shifted solve.
-            shift = lam * (1.0 + 1e-13) + math.copysign(1e-300, lam)
-            try:
-                w = np.linalg.solve(m - shift * np.eye(3), v)
-                w /= np.linalg.norm(w)
-                if np.linalg.norm(m @ w - lam * w) < res:
-                    v = w
-            except np.linalg.LinAlgError:
-                pass
-        vecs.append(ProjPoint.of(v))
-    return EigenTriple(tuple(roots), tuple(vecs), not lox[0])
+    vecs = batch_eigvec(np.broadcast_to(g.mat, (3, 3, 3)), vals[0])
+    return EigenTriple(tuple(vals[0].tolist()), tuple(ProjPoint.of(v) for v in vecs),
+                       not lox[0])
 
 
 def is_loxodromic(g: GroupElement) -> bool:
@@ -85,23 +65,16 @@ def is_loxodromic(g: GroupElement) -> bool:
 def attractive_flag(g: GroupElement) -> Flag:
     """Attracting fixed flag of a loxodromic matrix: top eigenline together
     with the plane spanned by the top two eigenlines."""
-    try:
-        t = eigen3(g)
-    except ComplexSpectrum as e:
-        raise NotLoxodromic(str(e)) from e
-    if t.near_degenerate:
-        raise NotLoxodromic("eigenvalue moduli not separated")
-    return Flag(t.vectors[0], join(t.vectors[0], t.vectors[1]))
+    lox, points, lines = batch_attracting_flags(g.mat[None])
+    if not lox[0]:
+        raise NotLoxodromic("not three real eigenvalues of distinct modulus")
+    return Flag(ProjPoint.of(points[0]), ProjLine.of(lines[0]))
 
 
 def repulsive_flag(g: GroupElement) -> Flag:
-    try:
-        t = eigen3(g)
-    except ComplexSpectrum as e:
-        raise NotLoxodromic(str(e)) from e
-    if t.near_degenerate:
-        raise NotLoxodromic("eigenvalue moduli not separated")
-    return Flag(t.vectors[2], join(t.vectors[2], t.vectors[1]))
+    """Repelling fixed flag: the attracting flag of g^-1, i.e. the bottom
+    eigenline together with the plane of the bottom two eigenlines."""
+    return attractive_flag(GroupElement(np.linalg.inv(g.mat)))
 
 
 @dataclass(frozen=True)
@@ -189,7 +162,9 @@ def batch_eigvals3(mats: np.ndarray):
         f = ((vals - c2[:, None]) * vals + c1[:, None]) * vals - c0[:, None]
         fp = (3.0 * vals - 2.0 * c2[:, None]) * vals + c1[:, None]
         step = np.where(fp != 0.0, f / np.where(fp != 0.0, fp, 1.0), 0.0)
-        vals -= step
+        # Near a double root f' ~ 0 and the step diverges; on simple
+        # roots of ball images the largest step measured is ~1e-12 * scale.
+        vals -= np.where(np.abs(step) <= NEWTON_MAX_STEP * scale[:, None], step, 0.0)
     order = np.argsort(-np.abs(vals), axis=1, kind="stable")
     vals = np.take_along_axis(vals, order, axis=1)
     vals[~real] = np.nan
@@ -197,7 +172,9 @@ def batch_eigvals3(mats: np.ndarray):
 
 
 def batch_eigvec(mats: np.ndarray, lams: np.ndarray) -> np.ndarray:
-    """Unit eigenvectors for one eigenvalue per matrix, via row cross products."""
+    """Unit eigenvectors for one eigenvalue per matrix: the longest cross
+    product of two rows of g - lam*I, or, where g - lam*I has rank <= 1
+    (a repeated eigenvalue), its smallest right singular vector."""
     shifted = mats - lams[:, None, None] * np.eye(3)
     c01 = np.cross(shifted[:, 0], shifted[:, 1])
     c02 = np.cross(shifted[:, 0], shifted[:, 2])
@@ -207,11 +184,23 @@ def batch_eigvec(mats: np.ndarray, lams: np.ndarray) -> np.ndarray:
     best = np.argmax(norms, axis=1)
     v = stack[np.arange(len(mats)), best]
     nv = np.linalg.norm(v, axis=1)
-    bad = nv < 1e-300
-    if np.any(bad):
-        v[bad] = np.array([1.0, 0.0, 0.0])
-        nv[bad] = 1.0
+    big = np.maximum(1.0, np.abs(shifted).max(axis=(1, 2)))
+    flat = nv <= NULL_TOL * big * big
+    if np.any(flat):
+        v[flat] = np.linalg.svd(shifted[flat])[2][:, -1]
+        nv[flat] = 1.0
     return v / nv[:, None]
+
+
+def batch_attracting_flags(mats: np.ndarray):
+    """(lox, points, lines) for a (n,3,3) stack: the ``batch_loxodromic``
+    mask, and for the loxodromic rows in stack order the canonical top
+    eigenline and the covector of the plane of the top two eigenlines."""
+    lox, vals = batch_loxodromic(mats)
+    mats, vals = mats[lox], vals[lox]
+    v1 = batch_eigvec(mats, vals[:, 0])
+    v2 = batch_eigvec(mats, vals[:, 1])
+    return lox, canonicalize_rows(v1), canonicalize_rows(np.cross(v1, v2))
 
 
 def batch_loxodromic(mats: np.ndarray):

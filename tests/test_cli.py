@@ -128,9 +128,21 @@ def test_limit_curve(tmp_path, report_schema, max_lines):
     '"note": 1e999',
     '"tolerances": {"dedup": -1e999}',
     '"tolerances": {"dedup": 1' + "0" * 400 + "}",
+    {"render": {"window": 0}},
+    {"render": {"width_px": 0}},
+    {"render": {"width_px": -5}},
+    {"render": {"stroke": -1.2}},
+    {"render": {"window": -3.0}},
+    {"ball_radius": 3.9},
+    {"ball_radius": "3"},
+    {"incidence_max_lines": 64.5},
+    {"tolerances": {"dedup": True}},
+    {"orbit": {"neighborhood": True}},
 ], ids=["ball_radius", "width_px", "neighborhood", "genus", "tolerance_key", "render",
         "nan", "infinity", "base_point_object", "overflow", "tolerance_overflow",
-        "tolerance_huge_int"])
+        "tolerance_huge_int", "window_zero", "width_px_zero", "width_px_negative",
+        "stroke_negative", "window_negative", "ball_radius_float", "ball_radius_string",
+        "max_lines_float", "dedup_bool", "neighborhood_bool"])
 def test_malformed_config_exits_2(tmp_path, capsys, fields):
     raw = fields if isinstance(fields, str) else ""
     config = {"rep_spec": RADIAL_G2, "ball_radius": 3, **({} if raw else fields)}

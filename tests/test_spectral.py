@@ -17,6 +17,7 @@ from flagcurve import (
     enumerate_ball,
     evaluate,
     is_loxodromic,
+    join,
     repulsive_flag,
     saddle_at_e2,
     translation_length,
@@ -130,6 +131,38 @@ def test_batch_eigvec_residual(rng):
         assert np.linalg.norm(res, axis=1).max() <= 1e-7
 
 
+def _double_root_conjugates(rng, a, count):
+    """SL(3) conjugates of diag(a, a, a^-2), which has a double root."""
+    d = np.diag([a, a, a ** -2])
+    out = []
+    for _ in range(count):
+        h = random_unimodular(rng)
+        out.append(h @ d @ np.linalg.inv(h))
+    return np.array(out)
+
+
+@pytest.mark.parametrize("a", [0.5, 1.3, 2.0, 3.05])
+def test_batch_eigvals_double_root(rng, a):
+    # Newton's step diverges where f' ~ 0; the polish must skip it.
+    vals, real = batch_eigvals3(_double_root_conjugates(rng, a, 500))
+    assert real.all()
+    expected = sorted([a, a, a ** -2], key=abs, reverse=True)
+    assert np.abs(vals - expected).max() <= 1e-4
+
+
+def test_eigvec_double_root(rng):
+    # g - 2I has rank 1: every row cross product vanishes, and the null
+    # vector comes from the singular-vector fallback.
+    mats = _double_root_conjugates(rng, 2.0, 500)
+    v = batch_eigvec(mats, np.full(len(mats), 2.0))
+    res = np.einsum("nij,nj->ni", mats, v) - 2.0 * v
+    assert np.linalg.norm(res, axis=1).max() <= 1e-10
+    for m in mats:
+        t = eigen3(GroupElement(m))
+        for lam, vec in zip(t.values, t.vectors):
+            assert np.linalg.norm(m @ vec.rep - lam * vec.rep) <= 1e-4
+
+
 def test_attractive_flag_diagonal():
     g = GroupElement.of(np.diag([4.0, 1.0, 0.25]))
     f = attractive_flag(g)
@@ -140,18 +173,17 @@ def test_attractive_flag_diagonal():
 
 
 def test_attractive_of_inverse_is_repulsive(rng):
+    # repulsive_flag is attractive_flag of g^-1; check it against eigen3(g):
+    # the bottom eigenline and the plane of the bottom two eigenlines.
     done = 0
     while done < 100:
-        m = random_unimodular(rng)
-        g = GroupElement.of(m)
+        g = GroupElement.of(random_unimodular(rng))
         if not is_loxodromic(g):
             continue
-        gi = np.linalg.inv(m)
-        gi = GroupElement.of(gi / np.cbrt(np.linalg.det(gi)))
-        fa = attractive_flag(gi)
+        t = eigen3(g)
         fr = repulsive_flag(g)
-        assert proj_dist(fa.point.rep, fr.point.rep) <= 1e-7
-        assert proj_dist(fa.line.rep, fr.line.rep) <= 1e-7
+        assert proj_dist(fr.point.rep, t.vectors[2].rep) <= 1e-7
+        assert proj_dist(fr.line.rep, join(t.vectors[2], t.vectors[1]).rep) <= 1e-7
         done += 1
 
 
