@@ -176,15 +176,12 @@ def batch_eigvec(mats: np.ndarray, lams: np.ndarray) -> np.ndarray:
     product of two rows of g - lam*I, or, where g - lam*I has rank <= 1
     (a repeated eigenvalue), its smallest right singular vector."""
     shifted = mats - lams[:, None, None] * np.eye(3)
-    c01 = np.cross(shifted[:, 0], shifted[:, 1])
-    c02 = np.cross(shifted[:, 0], shifted[:, 2])
-    c12 = np.cross(shifted[:, 1], shifted[:, 2])
-    stack = np.stack([c01, c02, c12], axis=1)
-    norms = np.linalg.norm(stack, axis=2)
-    best = np.argmax(norms, axis=1)
+    stack = np.stack([np.cross(shifted[:, i], shifted[:, j])
+                      for i, j in ((0, 1), (0, 2), (1, 2))], axis=1)
+    best = np.argmax(np.linalg.norm(stack, axis=2), axis=1)
     v = stack[np.arange(len(mats)), best]
     nv = np.linalg.norm(v, axis=1)
-    big = np.maximum(1.0, np.abs(shifted).max(axis=(1, 2)))
+    big = np.maximum(1.0, np.maximum(shifted.max(axis=(1, 2)), -shifted.min(axis=(1, 2))))
     flat = nv <= NULL_TOL * big * big
     if np.any(flat):
         v[flat] = np.linalg.svd(shifted[flat])[2][:, -1]
