@@ -181,9 +181,13 @@ def batch_eigvec(mats: np.ndarray, lams: np.ndarray) -> np.ndarray:
     best = np.argmax(np.linalg.norm(stack, axis=2), axis=1)
     v = stack[np.arange(len(mats)), best]
     nv = np.linalg.norm(v, axis=1)
-    big = np.maximum(1.0, np.maximum(shifted.max(axis=(1, 2)), -shifted.min(axis=(1, 2))))
-    flat = nv <= NULL_TOL * big * big
-    if np.any(flat):
+    # The largest entry of the whole stack bounds every row's, so it
+    # shortlists the rows that can meet the rank <= 1 test.
+    top = max(shifted.max(initial=1.0), -shifted.min(initial=-1.0))
+    flat = np.flatnonzero(nv <= NULL_TOL * top * top)
+    if len(flat):
+        big = np.maximum(1.0, np.abs(shifted[flat]).max(axis=(1, 2)))
+        flat = flat[nv[flat] <= NULL_TOL * big * big]
         v[flat] = np.linalg.svd(shifted[flat])[2][:, -1]
         nv[flat] = 1.0
     return v / nv[:, None]
