@@ -131,9 +131,9 @@ def test_batch_eigvec_residual(rng):
         assert np.linalg.norm(res, axis=1).max() <= 1e-7
 
 
-def _double_root_conjugates(rng, a, count):
-    """SL(3) conjugates of diag(a, a, a^-2), which has a double root."""
-    d = np.diag([a, a, a ** -2])
+def _conjugates(rng, diagonal, count):
+    """Random SL(3) conjugates of diag(diagonal)."""
+    d = np.diag(diagonal)
     out = []
     for _ in range(count):
         h = random_unimodular(rng)
@@ -141,10 +141,25 @@ def _double_root_conjugates(rng, a, count):
     return np.array(out)
 
 
+def test_batch_eigvec_is_rowwise(rng):
+    # The rank test is per row: a stack mixing repeated roots, nearly
+    # repeated ones and a large matrix gives each row the vector of its
+    # n=1 call.
+    mats = np.concatenate([random_unimodular_batch(rng, 50),
+                           _conjugates(rng, [2.0, 2.0, 0.25], 50),
+                           _conjugates(rng, [2.0, 2.00002, 1 / 4.00004], 50),
+                           np.diag([1e4, 1.0, 1e-4])[None]])
+    lams = np.concatenate([batch_eigvals3(mats[:50])[0][:, 0], np.full(100, 2.0), [1.0]])
+    keep = ~np.isnan(lams)
+    mats, lams = mats[keep], lams[keep]
+    rows = np.concatenate([batch_eigvec(m[None], lam[None]) for m, lam in zip(mats, lams)])
+    assert np.array_equal(batch_eigvec(mats, lams), rows)
+
+
 @pytest.mark.parametrize("a", [0.5, 1.3, 2.0, 3.05])
 def test_batch_eigvals_double_root(rng, a):
     # Newton's step diverges where f' ~ 0; the polish must skip it.
-    vals, real = batch_eigvals3(_double_root_conjugates(rng, a, 500))
+    vals, real = batch_eigvals3(_conjugates(rng, [a, a, a ** -2], 500))
     assert real.all()
     expected = sorted([a, a, a ** -2], key=abs, reverse=True)
     assert np.abs(vals - expected).max() <= 1e-4
@@ -153,7 +168,7 @@ def test_batch_eigvals_double_root(rng, a):
 def test_eigvec_double_root(rng):
     # g - 2I has rank 1: every row cross product vanishes, and the null
     # vector comes from the singular-vector fallback.
-    mats = _double_root_conjugates(rng, 2.0, 500)
+    mats = _conjugates(rng, [2.0, 2.0, 0.25], 500)
     v = batch_eigvec(mats, np.full(len(mats), 2.0))
     res = np.einsum("nij,nj->ni", mats, v) - 2.0 * v
     assert np.linalg.norm(res, axis=1).max() <= 1e-10
