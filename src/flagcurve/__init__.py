@@ -29,7 +29,6 @@ from .projective import (
 from .surface import (
     CohomologyClass,
     FuchsianSeed,
-    Presentation,
     Word,
     ball_count,
     eval_u,
@@ -42,16 +41,12 @@ from .reps import (
     coboundary_radial,
     evaluate,
     phi,
-    phi_conjugate,
     rho0,
-    sl2_flows,
     spec_from_json_dict,
 )
 from .spectral import (
-    CartanTriple,
     EigenTriple,
     attractive_flag,
-    cartan,
     eigen3,
     is_loxodromic,
     repulsive_flag,
@@ -62,7 +57,6 @@ from .curve import (
     CurveSample,
     check_incidence,
     injectivity_report,
-    product_structure_report,
     regularity_diagnostics,
     sample_limit_curve,
 )
@@ -81,6 +75,5 @@ from .domain import (
     RecurrenceReport,
     fiber_profile,
     in_omega,
-    omega0_chart,
     recurrence_experiment,
 )

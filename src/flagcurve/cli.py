@@ -43,6 +43,7 @@ from .errors import (
 )
 from .projective import Flag, ProjLine, ProjPoint
 from .reps import RepSpec, spec_from_json_dict
+from .surface import json_number, json_object
 
 COMMANDS = ("limit-curve", "certify", "delta", "orbit", "regularity")
 
@@ -51,35 +52,25 @@ DEFAULT_TOLERANCES = {
     "dedup": 1e-7,
     "incidence_zero": 1e-9,
 }
-
-
-def _number(kind: type, value, name: str):
-    """``value`` as ``kind``: int takes only a JSON integer, float any JSON
-    number; a boolean, a string or anything else is a ConfigError naming
-    the field."""
-    allowed = (int,) if kind is int else (int, float)
-    if isinstance(value, bool) or not isinstance(value, allowed):
-        expected = "an integer" if kind is int else "a number"
-        raise ConfigError(f"field {name!r} must be {expected}, not {value!r}")
-    try:
-        return kind(value)
-    except OverflowError as e:
-        raise ConfigError(f"field {name!r} must be a number: {e}") from e
+RENDER_KEYS = ("chart", "width_px", "stroke", "window")
+ORBIT_KEYS = ("base_point", "base_line", "neighborhood")
 
 
 def _positive(kind: type, value, name: str):
-    """``_number`` restricted to values > 0."""
-    value = _number(kind, value, name)
+    """``json_number`` restricted to values > 0."""
+    value = json_number(kind, value, name)
     if value <= 0:
         raise ConfigError(f"field {name!r} must be positive")
     return value
 
 
-def _object(raw: dict, name: str) -> dict:
-    """The optional JSON-object field ``name`` of the config, or {}."""
-    value = raw.get(name, {})
-    if not isinstance(value, dict):
-        raise ConfigError(f"field {name!r} must be a JSON object")
+def _object(raw: dict, name: str, keys) -> dict:
+    """The optional JSON-object field ``name`` of the config, or {}; a key
+    outside ``keys`` is a ConfigError."""
+    value = json_object(raw.get(name, {}), name)
+    for k in value:
+        if k not in keys:
+            raise ConfigError(f"unknown field '{name}.{k}'")
     return value
 
 
@@ -109,19 +100,17 @@ class RunConfig:
             self.spec: RepSpec = spec_from_json_dict(raw["rep_spec"])
         except (KeyError, ValueError, TypeError, FlagCurveError) as e:
             raise ConfigError(f"bad field 'rep_spec': {e}") from e
-        self.ball_radius = _number(int, raw.get("ball_radius", 6), "ball_radius")
+        self.ball_radius = json_number(int, raw.get("ball_radius", 6), "ball_radius")
         if not 2 <= self.ball_radius <= 12:
             raise ConfigError("field 'ball_radius' must be in [2, 12]")
-        self.min_translation_length = _number(
+        self.min_translation_length = json_number(
             float, raw.get("min_translation_length", 0.5), "min_translation_length")
         if self.min_translation_length < 0:
             raise ConfigError("field 'min_translation_length' must be >= 0")
         self.tolerances = dict(DEFAULT_TOLERANCES)
-        for k, v in _object(raw, "tolerances").items():
-            if k not in DEFAULT_TOLERANCES:
-                raise ConfigError(f"unknown tolerance {k!r}")
+        for k, v in _object(raw, "tolerances", DEFAULT_TOLERANCES).items():
             self.tolerances[k] = _positive(float, v, f"tolerances.{k}")
-        render = _object(raw, "render")
+        render = _object(raw, "render", RENDER_KEYS)
         self.render_chart = render.get("chart", "both")
         if self.render_chart not in ("affine", "dual", "both"):
             raise ConfigError("field 'render.chart' must be affine|dual|both")
@@ -130,11 +119,11 @@ class RunConfig:
         self.render_window = _positive(float, render.get("window", 3.0), "render.window")
         self.incidence_max_lines = raw.get("incidence_max_lines", 4096)
         if self.incidence_max_lines is not None:
-            self.incidence_max_lines = _number(
+            self.incidence_max_lines = json_number(
                 int, self.incidence_max_lines, "incidence_max_lines")
             if self.incidence_max_lines < 1:
                 raise ConfigError("field 'incidence_max_lines' must be >= 1 or null")
-        self.orbit = _object(raw, "orbit")
+        self.orbit = _object(raw, "orbit", ORBIT_KEYS)
         self.out_dir = out_dir
         self.raw = raw
         self.input_sha256 = hashlib.sha256(source_bytes).hexdigest()

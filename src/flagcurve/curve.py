@@ -333,8 +333,13 @@ def check_incidence(model: CurveModel, ztol: float = 1e-9, chunk: int = 1024,
 
 
 # ---------------------------------------------------------------------------
-# Model property reports (used by the validation suite)
+# Model property reports
 # ---------------------------------------------------------------------------
+
+# Chordal separation at or below which two samples of distinct params
+# count as an injectivity violation.
+INJECTIVITY_FLOOR = 1e-9
+
 
 @dataclass(frozen=True)
 class InjectivityReport:
@@ -343,7 +348,7 @@ class InjectivityReport:
     violations: int
 
 
-def injectivity_report(model: CurveModel, floor: float = 1e-9) -> InjectivityReport:
+def injectivity_report(model: CurveModel) -> InjectivityReport:
     """Angular separation of samples with distinct params.
 
     Checks param-adjacent pairs plus lexicographically adjacent point
@@ -363,7 +368,7 @@ def injectivity_report(model: CurveModel, floor: float = 1e-9) -> InjectivityRep
         d2 = chordal(srt[:-1], srt[1:])
         pgap = np.abs(model.params[order][:-1] - model.params[order][1:])
         mask = pgap > model.dedup_res
-        viol = int(np.count_nonzero(d2[mask] <= floor))
+        viol = int(np.count_nonzero(d2[mask] <= INJECTIVITY_FLOOR))
         if mask.any():
             best = min(best, float(d2[mask].min()))
         return best, viol
@@ -371,44 +376,6 @@ def injectivity_report(model: CurveModel, floor: float = 1e-9) -> InjectivityRep
     p_sep, p_viol = min_sep(model.points)
     l_sep, l_viol = min_sep(model.lines)
     return InjectivityReport(p_sep, l_sep, p_viol + l_viol)
-
-
-@dataclass(frozen=True)
-class ProductStructureReport:
-    checked_pairs: int
-    near_misses: int
-    worst_pairing: float
-    same_param_incidence: float
-
-
-def product_structure_report(
-    model: CurveModel,
-    far_gap: float = 1e-3,
-    pair_tol: float = 1e-10,
-    chunk: int = 256,
-) -> ProductStructureReport:
-    """Cross-pairings of points and lines at distinct params must not vanish;
-    same-param pairs must be incident.  Near misses are pairs farther than
-    far_gap in param whose pairing is below pair_tol."""
-    worst = math.inf
-    misses = 0
-    checked = 0
-    n = len(model)
-    for start in range(0, n, chunk):
-        block = model.lines[start:start + chunk]
-        pair = np.abs(model.points @ block.T)
-        pgap = np.abs(model.params[:, None] - model.params[None, start:start + chunk])
-        pgap = np.minimum(pgap, math.pi - pgap)
-        far = pgap > far_gap
-        checked += int(far.sum())
-        vals = pair[far]
-        if len(vals):
-            worst = min(worst, float(vals.min()))
-            misses += int(np.count_nonzero(vals <= pair_tol))
-    same = float(
-        np.abs(np.einsum("ij,ij->i", model.points, model.lines)).max()
-    )
-    return ProductStructureReport(checked, misses, worst, same)
 
 
 def equivariance_report(model: CurveModel, spec: RepSpec) -> dict:

@@ -60,8 +60,7 @@ class DeltaFit:
     taus: tuple  # per generator (tau1, tau2)
 
 
-def _lagrange_fill(support_angles: np.ndarray, support_values: np.ndarray,
-                   grid_size: int) -> np.ndarray:
+def _lagrange_fill(support_angles: np.ndarray, support_values: np.ndarray) -> np.ndarray:
     """Fill grid nodes by cubic Lagrange through the 4 nearest support nodes.
 
     Support is cyclic over [0, 2*pi); clusters are thinned first so node
@@ -80,7 +79,7 @@ def _lagrange_fill(support_angles: np.ndarray, support_values: np.ndarray,
     m = len(ang)
     if m < 8:
         raise PolarDegenerate("too few distinct directions to fit a profile")
-    nodes = np.arange(grid_size) * (2.0 * math.pi / grid_size)
+    nodes = np.arange(GRID_SIZE) * (2.0 * math.pi / GRID_SIZE)
     pos = np.searchsorted(ang, nodes)
     # indices of the 4 cyclic neighbors: two below, two above
     idx = (pos[:, None] + np.array([-2, -1, 0, 1])) % m
@@ -88,9 +87,9 @@ def _lagrange_fill(support_angles: np.ndarray, support_values: np.ndarray,
     # unwrap the neighborhood around each node
     theta += 2.0 * math.pi * np.round((nodes[:, None] - theta) / (2.0 * math.pi))
     fv = val[idx]
-    out = np.zeros(grid_size)
+    out = np.zeros(GRID_SIZE)
     for j in range(4):
-        w = np.ones(grid_size)
+        w = np.ones(GRID_SIZE)
         for k in range(4):
             if k == j:
                 continue
@@ -99,8 +98,7 @@ def _lagrange_fill(support_angles: np.ndarray, support_values: np.ndarray,
     return out
 
 
-def fit_delta(spec: RepSpec, model: CurveModel,
-              grid_size: int = GRID_SIZE) -> DeltaFit:
+def fit_delta(spec: RepSpec, model: CurveModel) -> DeltaFit:
     """Fit the profile from curve samples and verify the shear cocycle.
 
     A linear_u spec is accepted as the zero-shear radial case.  The
@@ -127,7 +125,7 @@ def fit_delta(spec: RepSpec, model: CurveModel,
     ang = np.arctan2(ys, xs) % (2.0 * math.pi)
     support_ang = np.concatenate([ang, (ang + math.pi) % (2.0 * math.pi)])
     support_val = np.concatenate([vals, -vals])
-    grid = _lagrange_fill(support_ang, support_val, grid_size)
+    grid = _lagrange_fill(support_ang, support_val)
     dm = DeltaModel(grid)
 
     genus = spec.genus

@@ -1,5 +1,5 @@
-"""The invariant domain of flags, membership tests, recurrence experiments,
-tautological-fiber crossing counts, and the affine chart at [e2].
+"""The invariant domain of flags, membership tests, recurrence experiments
+and tautological-fiber crossing counts.
 
 A flag is inside the domain when its point avoids the sampled point curve
 and its line avoids the sampled line curve.  Where a curve is exactly
@@ -19,7 +19,7 @@ import numpy as np
 
 from .ball import BallTable
 from .curve import CurveModel, crossing_counts, sample_limit_curve
-from .errors import BaseNotInterior, OnL0
+from .errors import BaseNotInterior
 from .projective import Flag, ProjLine, ProjPoint
 from .reps import RepSpec
 
@@ -167,11 +167,3 @@ def fiber_profile(target, model_l: CurveModel, model_lstar: CurveModel,
         nontransversal=nontrans,
     )
 
-
-def omega0_chart(flag: Flag) -> tuple:
-    """Affine coordinates (u, v) of the flag's point normalized to unit
-    second coordinate; the diagonal flow acts by scalar multiplication."""
-    p = flag.point.rep
-    if abs(float(p[1])) < 1e-10:
-        raise OnL0("point has no second-coordinate chart representative")
-    return float(p[0] / p[1]), float(p[2] / p[1])

@@ -73,9 +73,5 @@ class BaseNotInterior(FlagCurveError):
     """Recurrence base flag is not inside the invariant domain with margin."""
 
 
-class OnL0(FlagCurveError):
-    """Point lies on the canonical invariant line; affine chart undefined."""
-
-
 class ConfigError(FlagCurveError):
     """Malformed or invalid run configuration."""

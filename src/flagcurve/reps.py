@@ -1,4 +1,4 @@
-"""Representation constructors and the SL(2,R) flow algebra.
+"""Representation constructors and their JSON form.
 
 Four families, all sharing a Fuchsian seed:
 
@@ -28,6 +28,8 @@ from .surface import (
     FuchsianSeed,
     Word,
     gen_name,
+    json_number,
+    json_object,
     standard_fuchsian,
     standard_relator,
 )
@@ -58,18 +60,6 @@ def phi(t: float) -> GroupElement:
     out = np.diag([a, b, a])
     out.flags.writeable = False
     return GroupElement(out)
-
-
-def sl2_flows(t: float, s: float):
-    """The diagonal flow a^t and the two unipotent flows h^s at parameter s.
-
-    Returns (a_t, h_plus, h_minus) as 2x2 arrays, satisfying
-    h_plus(s) a(t) = a(t) h_plus(exp(-2t) s) and the mirror identity.
-    """
-    a_t = np.array([[math.exp(t), 0.0], [0.0, math.exp(-t)]])
-    h_plus = np.array([[1.0, s], [0.0, 1.0]])
-    h_minus = np.array([[1.0, 0.0], [s, 1.0]])
-    return a_t, h_plus, h_minus
 
 
 def radial_generator(m2: np.ndarray, u_val: float, mu: float, nu: float) -> np.ndarray:
@@ -177,6 +167,14 @@ class RepSpec:
         return d
 
 
+def _cohomology(d: dict, key: str, genus: int) -> CohomologyClass:
+    """The class whose generator values are the JSON object ``d[key]``;
+    zero when the key is absent."""
+    values = json_object(d.get(key, {}), key)
+    return CohomologyClass.from_dict(
+        {k: json_number(float, v, f"{key}.{k}") for k, v in values.items()}, genus)
+
+
 def spec_from_json_dict(d: dict) -> RepSpec:
     """Build a RepSpec from its JSON form.
 
@@ -184,21 +182,18 @@ def spec_from_json_dict(d: dict) -> RepSpec:
     {"genus": g} alone, which selects the standard 4g-gon seed.  A radial
     spec may give {"coboundary": {"m1":..., "m2":...}} instead of mu/nu.
     """
-    variant = d.get("variant")
+    variant = json_object(d, "rep_spec").get("variant")
     if variant not in VARIANTS:
         raise ValueError(f"variant must be one of {VARIANTS}, got {variant!r}")
-    seed_d = d.get("seed")
-    if seed_d is None:
+    if "seed" not in d:
         raise ValueError("missing field 'seed'")
+    seed_d = json_object(d["seed"], "seed")
     if "generators" in seed_d:
         seed = FuchsianSeed.from_json_dict(seed_d)
     else:
-        seed = standard_fuchsian(int(seed_d["genus"]))
+        seed = standard_fuchsian(json_number(int, seed_d["genus"], "seed.genus"))
     genus = seed.genus
-    u = CohomologyClass.from_dict(d.get("u", {}), genus) if d.get("u") or variant in (
-        "linear_u",
-        "radial",
-    ) else None
+    u = _cohomology(d, "u", genus)
     if variant == "canonical":
         return RepSpec("canonical", seed)
     if variant == "linear_u":
@@ -207,24 +202,25 @@ def spec_from_json_dict(d: dict) -> RepSpec:
         if "coboundary" in d:
             if "mu" in d or "nu" in d:
                 raise ValueError("give either 'coboundary' or 'mu'/'nu', not both")
-            cb = d["coboundary"]
+            cb = json_object(d["coboundary"], "coboundary")
             base = RepSpec("linear_u", seed, u=u)
-            return coboundary_radial(base, float(cb["m1"]), float(cb["m2"]))
-        mu_d, nu_d = d.get("mu"), d.get("nu")
-        if mu_d is None or nu_d is None:
+            return coboundary_radial(base, json_number(float, cb["m1"], "coboundary.m1"),
+                                     json_number(float, cb["m2"], "coboundary.m2"))
+        if d.get("mu") is None or d.get("nu") is None:
             raise ValueError("radial spec requires 'mu' and 'nu' (or 'coboundary')")
-        mu = CohomologyClass.from_dict(mu_d, genus).values
-        nu = CohomologyClass.from_dict(nu_d, genus).values
+        mu = _cohomology(d, "mu", genus).values
+        nu = _cohomology(d, "nu", genus).values
         return RepSpec("radial", seed, u=u, mu=mu, nu=nu)
-    mats_d = d.get("matrices")
-    if mats_d is None:
+    if "matrices" not in d:
         raise ValueError("explicit spec requires 'matrices'")
+    mats_d = json_object(d["matrices"], "matrices")
     mats = []
     for k in range(2 * genus):
         name = gen_name(k)
         if name not in mats_d:
             raise ValueError(f"missing matrix for generator {name}")
-        m = np.array(mats_d[name], dtype=float).reshape(3, 3)
+        m = np.array([json_number(float, x, f"matrices.{name}") for x in mats_d[name]])
+        m = m.reshape(3, 3)
         m = m / np.cbrt(np.linalg.det(m))
         m.flags.writeable = False
         mats.append(m)
@@ -266,21 +262,3 @@ def coboundary_radial(spec: RepSpec, m1: float, m2: float) -> RepSpec:
         nu.append(float(img[1, 2]))
     return RepSpec("radial", spec.seed, u=spec.u, mu=tuple(mu), nu=tuple(nu))
 
-
-def phi_conjugate(spec: RepSpec, t: float) -> RepSpec:
-    """Conjugate a radial spec by the diagonal flow at time t.
-
-    Conjugation scales the shear data (mu, nu) by e^{-t} and leaves u and
-    the seed unchanged; evaluation of the result equals
-    phi(t) . evaluate(spec, .) . phi(-t).
-    """
-    if spec.variant != "radial":
-        raise UnsupportedSpec("phi conjugation is defined for radial specs")
-    f = math.exp(-t)
-    return RepSpec(
-        "radial",
-        spec.seed,
-        u=spec.u,
-        mu=tuple(f * x for x in spec.mu),
-        nu=tuple(f * x for x in spec.nu),
-    )

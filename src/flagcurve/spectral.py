@@ -11,9 +11,8 @@ g - lambda*I has rank <= 1, its smallest right singular vector; there is
 no inverse iteration.  Attracting flags come from
 ``batch_attracting_flags`` (top eigenline, and the plane of the top two
 eigenlines); ``attractive_flag`` is its n=1 wrapper and ``repulsive_flag``
-the attracting flag of the inverse.  The Cartan/singular-value
-decomposition uses one-sided Jacobi rotations.  Everything is
-3x3-specialized, deterministic, and free of iteration-order ambiguity.
+the attracting flag of the inverse.  Everything is 3x3-specialized,
+deterministic, and free of iteration-order ambiguity.
 """
 
 from __future__ import annotations
@@ -36,6 +35,9 @@ NEWTON_MAX_STEP = 1e-6
 # Null-vector rule of batch_eigvec: a longest row cross product of g - lam*I
 # at or below NULL_TOL * max(1, max|g - lam*I|)^2 means rank <= 1.
 NULL_TOL = 1e-12
+
+# Angle of g e2 from [e2] above which saddle_at_e2 reports [e2] not fixed.
+FIX_TOL = 1e-8
 
 
 @dataclass(frozen=True)
@@ -77,53 +79,11 @@ def repulsive_flag(g: GroupElement) -> Flag:
     return attractive_flag(GroupElement(np.linalg.inv(g.mat)))
 
 
-@dataclass(frozen=True)
-class CartanTriple:
-    """g = k diag(a1, a2, a3) l^-1 with k, l orthogonal, a1 >= a2 >= a3 > 0."""
-
-    k: np.ndarray
-    diag: tuple
-    l: np.ndarray
-
-    def reconstruct(self) -> np.ndarray:
-        return self.k @ np.diag(self.diag) @ self.l.T
-
-
-def cartan(g: GroupElement) -> CartanTriple:
-    """Singular value decomposition by one-sided Jacobi rotations."""
-    m = np.array(g.mat, dtype=float)
-    v = np.eye(3)
-    for _ in range(60):
-        off = 0.0
-        for i, j in ((0, 1), (0, 2), (1, 2)):
-            alpha = float(m[:, i] @ m[:, i])
-            beta = float(m[:, j] @ m[:, j])
-            gamma = float(m[:, i] @ m[:, j])
-            off = max(off, abs(gamma) / math.sqrt(alpha * beta))
-            if gamma == 0.0:
-                continue
-            theta = 0.5 * math.atan2(2.0 * gamma, alpha - beta)
-            c, s = math.cos(theta), math.sin(theta)
-            mi, mj = m[:, i].copy(), m[:, j].copy()
-            m[:, i], m[:, j] = c * mi + s * mj, -s * mi + c * mj
-            vi, vj = v[:, i].copy(), v[:, j].copy()
-            v[:, i], v[:, j] = c * vi + s * vj, -s * vi + c * vj
-        if off < 1e-15:
-            break
-    sigma = np.linalg.norm(m, axis=0)
-    k = m / sigma
-    order = np.argsort(-sigma, kind="stable")
-    sigma, k, v = sigma[order], k[:, order], v[:, order]
-    k.flags.writeable = False
-    v.flags.writeable = False
-    return CartanTriple(k, tuple(float(s) for s in sigma), v)
-
-
-def saddle_at_e2(g: GroupElement, fix_tol: float = 1e-8) -> bool:
+def saddle_at_e2(g: GroupElement) -> bool:
     """Whether the eigenvalue at [e2] is strictly the middle one in modulus."""
     col = g.mat[:, 1]
     n = float(np.linalg.norm(col))
-    if math.acos(min(1.0, abs(float(col[1])) / n)) > fix_tol:
+    if math.acos(min(1.0, abs(float(col[1])) / n)) > FIX_TOL:
         raise NotFixed("[e2] is not fixed")
     return bool(batch_saddle_at_e2(g.mat[None])[0])
 

@@ -11,17 +11,40 @@ angle 2*pi/(4g), all vertices identified to a single point.  Side-pairing
 translations are built in the disk model and conjugated to SL(2,R); the
 pairing scheme is chosen so the product of commutators [a1,b1]...[ag,bg]
 is the identity matrix (verified at build time).
+
+``json_number`` and ``json_object`` are the type rules for JSON input: the
+seed parsed here, and the rep_spec and run config parsed above it.
 """
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import NotHyperbolic, NotUnimodular, UnsupportedGenus
+from .errors import ConfigError, NotHyperbolic, NotUnimodular, UnsupportedGenus
+
+
+def json_number(kind: type, value, name: str):
+    """``value`` as ``kind``: int takes only a JSON integer, float any JSON
+    number; a boolean, a string or anything else is a ConfigError naming
+    the field."""
+    allowed = (int,) if kind is int else (int, float)
+    if isinstance(value, bool) or not isinstance(value, allowed):
+        expected = "an integer" if kind is int else "a number"
+        raise ConfigError(f"field {name!r} must be {expected}, not {value!r}")
+    try:
+        return kind(value)
+    except OverflowError as e:
+        raise ConfigError(f"field {name!r} must be a number: {e}") from e
+
+
+def json_object(value, name: str) -> dict:
+    """``value`` if it is a JSON object, else a ConfigError naming the field."""
+    if not isinstance(value, dict):
+        raise ConfigError(f"field {name!r} must be a JSON object")
+    return value
 
 
 def gen_name(k: int) -> str:
@@ -98,23 +121,6 @@ def standard_relator(genus: int) -> Word:
         a, b = 2 * (2 * j), 2 * (2 * j + 1)
         letters += [a, b, a ^ 1, b ^ 1]
     return Word(tuple(letters), genus)
-
-
-@dataclass(frozen=True)
-class Presentation:
-    genus: int
-
-    def __post_init__(self):
-        if self.genus < 2:
-            raise UnsupportedGenus(f"genus {self.genus} < 2")
-
-    @property
-    def generator_names(self):
-        return tuple(gen_name(k) for k in range(2 * self.genus))
-
-    @property
-    def relator(self) -> Word:
-        return standard_relator(self.genus)
 
 
 @dataclass(frozen=True)
@@ -309,23 +315,14 @@ class FuchsianSeed:
 
     @staticmethod
     def from_json_dict(d: dict) -> "FuchsianSeed":
-        genus = int(d["genus"])
+        genus = json_number(int, d["genus"], "seed.genus")
         gens = []
         for row in d["generators"]:
-            m = np.array(row, dtype=float).reshape(2, 2)
+            m = np.array([json_number(float, x, "seed.generators") for x in row])
+            m = m.reshape(2, 2)
             m.flags.writeable = False
             gens.append(m)
         return FuchsianSeed(genus, tuple(gens))
-
-    def save(self, path):
-        with open(path, "w", encoding="utf-8") as f:
-            json.dump(self.to_json_dict(), f, indent=2, sort_keys=True)
-            f.write("\n")
-
-    @staticmethod
-    def load(path) -> "FuchsianSeed":
-        with open(path, encoding="utf-8") as f:
-            return FuchsianSeed.from_json_dict(json.load(f))
 
 
 def standard_fuchsian(genus: int) -> FuchsianSeed:

@@ -17,6 +17,9 @@ import numpy as np
 
 from .curve import CurveModel
 
+# Samples drawn per panel at most; longer models are strided down to it.
+MAX_MARKS = 2000
+
 _HEADER = (
     '<?xml version="1.0" encoding="UTF-8"?>\n'
     '<svg xmlns="http://www.w3.org/2000/svg" version="1.1" '
@@ -86,12 +89,11 @@ def render_model(
     width_px: int = 640,
     stroke: float = 1.2,
     window: float = 3.0,
-    max_marks: int = 2000,
 ) -> str:
     """Render the point curve and/or the dual line curve of a model."""
     if chart not in ("affine", "dual", "both"):
         raise ValueError("chart must be affine, dual, or both")
-    stride = max(1, len(model) // max_marks)
+    stride = max(1, len(model) // MAX_MARKS)
     pts = model.points[::stride]
     lns = model.lines[::stride]
     panels = []

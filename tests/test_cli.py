@@ -50,6 +50,16 @@ def _explicit_g2() -> dict:
     return RepSpec("explicit", seed, matrices=mats).to_json_dict()
 
 
+def _explicit_g2_as_string(field: str) -> dict:
+    """``_explicit_g2`` with one number written as a JSON string: the first
+    entry of the first seed generator (``field`` "seed") or of the a1
+    matrix (``field`` "matrices")."""
+    spec = _explicit_g2()
+    row = spec["seed"]["generators"][0] if field == "seed" else spec["matrices"]["a1"]
+    row[0] = str(float(row[0]))
+    return spec
+
+
 # An integer SL(3) matrix and its inverse: conjugating by it moves [e2]
 # off the coordinate axes, so the conjugated spec runs the generic
 # eigenvector path.
@@ -138,11 +148,27 @@ def test_limit_curve(tmp_path, report_schema, max_lines):
     {"incidence_max_lines": 64.5},
     {"tolerances": {"dedup": True}},
     {"orbit": {"neighborhood": True}},
+    {"rep_spec": {**RADIAL_G2, "seed": {"genus": 2.9}}},
+    {"rep_spec": {**RADIAL_G2, "seed": {"genus": "2"}}},
+    {"rep_spec": {**RADIAL_G2, "coboundary": {"m1": "0.4", "m2": False}}},
+    {"rep_spec": {**RADIAL_G2, "u": {"a1": "0.3"}}},
+    {"rep_spec": {**RADIAL_G2, "u": {"a1": True}}},
+    {"rep_spec": _explicit_g2_as_string("seed")},
+    {"rep_spec": _explicit_g2_as_string("matrices")},
+    {"rep_spec": [1]},
+    {"rep_spec": {**RADIAL_G2, "u": [0.3]}},
+    {"rep_spec": {**RADIAL_G2, "u": "a1"}},
+    {"rep_spec": {"variant": "radial", "seed": {"genus": 2}, "mu": [0.1], "nu": {}}},
+    {"render": {"widht_px": 800}},
+    {"orbit": {"neighbourhood": 0.5}},
 ], ids=["ball_radius", "width_px", "neighborhood", "genus", "tolerance_key", "render",
         "nan", "infinity", "base_point_object", "overflow", "tolerance_overflow",
         "tolerance_huge_int", "window_zero", "width_px_zero", "width_px_negative",
         "stroke_negative", "window_negative", "ball_radius_float", "ball_radius_string",
-        "max_lines_float", "dedup_bool", "neighborhood_bool"])
+        "max_lines_float", "dedup_bool", "neighborhood_bool", "genus_float",
+        "genus_string", "coboundary_types", "u_string", "u_bool", "generator_string",
+        "matrix_string", "rep_spec_list", "u_list", "u_string_object", "mu_list",
+        "render_key", "orbit_key"])
 def test_malformed_config_exits_2(tmp_path, capsys, fields):
     raw = fields if isinstance(fields, str) else ""
     config = {"rep_spec": RADIAL_G2, "ball_radius": 3, **({} if raw else fields)}

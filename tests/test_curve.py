@@ -15,7 +15,6 @@ from flagcurve import (
     evaluate,
     injectivity_report,
     probe_explicit,
-    product_structure_report,
     regularity_diagnostics,
     sample_limit_curve,
     stable_norm,
@@ -134,10 +133,14 @@ def test_incidence_flags_doctored_model(model4):
 
 
 def test_product_structure(model4):
-    rep = product_structure_report(model4)
-    assert rep.near_misses == 0
-    assert rep.same_param_incidence <= 1e-10
-    assert rep.worst_pairing > 1e-10
+    # Transversality: each sampled line crosses the point curve exactly
+    # once, transversally (at its own sample), so it misses the rest of
+    # the curve; and each sample's point lies on its own line.
+    rep = check_incidence(model4, ztol=1e-10, max_lines=None)
+    assert rep.passed
+    assert rep.histogram == {1: len(model4)}
+    same = np.abs(np.einsum("ij,ij->i", model4.points, model4.lines))
+    assert same.max() <= 1e-10
 
 
 def test_equivariance_canonical(model4, canonical2):

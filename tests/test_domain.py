@@ -14,14 +14,11 @@ from flagcurve import (
     evaluate,
     fiber_profile,
     in_omega,
-    omega0_chart,
-    phi,
     recurrence_experiment,
-    rho0,
     sample_limit_curve,
 )
 from flagcurve.domain import flag_displacement
-from flagcurve.errors import BaseNotInterior, OnL0
+from flagcurve.errors import BaseNotInterior
 
 E1, E2, E3 = np.eye(3)
 S = 1.0 / math.sqrt(2.0)
@@ -111,48 +108,6 @@ def test_fiber_profile_equivariance(model4, canonical2, seed2):
     gl = ProjLine.of(gd @ l.rep)
     after = fiber_profile(gl, moved, moved).crossings
     assert before == after == 1
-
-
-def test_omega0_chart_examples():
-    f = Flag.of((1.0, 1.0, 0.0), (1.0, -1.0, 0.0))
-    assert omega0_chart(f) == pytest.approx((1.0, 0.0))
-    moved = Flag.of(phi(1.0).mat @ np.array([1.0, 1.0, 0.0]),
-                    np.linalg.inv(phi(1.0).mat).T @ np.array([1.0, -1.0, 0.0]))
-    u, v = omega0_chart(moved)
-    assert u == pytest.approx(math.e, abs=1e-10)
-    assert v == pytest.approx(0.0, abs=1e-10)
-
-
-def test_omega0_chart_scaling_grid():
-    f = Flag.of((0.7, 1.0, -0.4), (0.4, 0.0, 0.7))
-    u0, v0 = omega0_chart(f)
-    for t in np.linspace(-2.0, 2.0, 9):
-        ph = phi(float(t))
-        moved = Flag.of(ph.mat @ f.point.rep,
-                        np.linalg.inv(ph.mat).T @ f.line.rep)
-        u, v = omega0_chart(moved)
-        assert abs(u - math.exp(t) * u0) <= 1e-9 * max(1.0, abs(u))
-        assert abs(v - math.exp(t) * v0) <= 1e-9 * max(1.0, abs(v))
-
-
-def test_omega0_chart_holonomy_coordinates(seed2):
-    h = seed2.generators[0]
-    g = rho0(h)
-    moved = Flag.of(g.mat @ np.array([1.0, 1.0, 0.0]),
-                    np.linalg.inv(g.mat).T @ np.array([1.0, -1.0, 0.0]))
-    u, v = omega0_chart(moved)
-    assert u == pytest.approx(h[0, 0], abs=1e-10)
-    assert v == pytest.approx(h[1, 0], abs=1e-10)
-    # the invariant-curve shadow of the same group element points the same way
-    col = g.mat @ np.array([1.0, 0.0, 0.0])
-    assert math.atan2(col[2], col[0]) == pytest.approx(
-        math.atan2(v, u), abs=1e-12
-    )
-
-
-def test_omega0_chart_rejects_invariant_line():
-    with pytest.raises(OnL0):
-        omega0_chart(Flag.of(E1, E3))
 
 
 def test_recurrence_canonical(canonical2, model4):

@@ -11,9 +11,7 @@ from flagcurve import (
     enumerate_ball,
     evaluate,
     phi,
-    phi_conjugate,
     rho0,
-    sl2_flows,
     spec_from_json_dict,
 )
 from flagcurve.errors import NotUnimodular, UnsupportedSpec
@@ -73,27 +71,6 @@ def test_phi_commutes_with_rho0(rng):
         lhs = phi(t).mat @ rho0(m).mat
         rhs = rho0(m).mat @ phi(t).mat
         assert np.abs(lhs - rhs).max() <= 1e-12
-
-
-def test_sl2_flow_matrices():
-    a1, hp, hm = sl2_flows(1.0, 0.7)
-    assert np.allclose(a1, np.diag([math.e, 1.0 / math.e]))
-    assert np.allclose(hp, [[1.0, 0.7], [0.0, 1.0]])
-    assert np.allclose(hm, [[1.0, 0.0], [0.7, 1.0]])
-    a0, hp0, hm0 = sl2_flows(0.0, 0.0)
-    assert np.allclose(hp0, np.eye(2)) and np.allclose(hm0, np.eye(2))
-
-
-def test_flow_commutation_identity(rng):
-    for _ in range(500):
-        t = float(rng.uniform(-2, 2))
-        s = float(rng.uniform(-3, 3))
-        a_t, hp, _ = sl2_flows(t, s)
-        _, hp_scaled, _ = sl2_flows(t, math.exp(-2.0 * t) * s)
-        assert np.abs(hp @ a_t - a_t @ hp_scaled).max() <= 1e-12
-        _, _, hm = sl2_flows(t, s)
-        _, _, hm_scaled = sl2_flows(t, math.exp(2.0 * t) * s)
-        assert np.abs(hm @ a_t - a_t @ hm_scaled).max() <= 1e-12
 
 
 def test_evaluate_canonical(seed2, canonical2):
@@ -191,26 +168,6 @@ def test_coboundary_preserves_spectra(seed2, u_a1):
         assert np.abs(ea - eb).max() <= 1e-10
 
 
-def test_phi_conjugate(seed2, u_a1):
-    rad = coboundary_radial(RepSpec("linear_u", seed2, u=u_a1), 0.2, -0.1)
-    same = phi_conjugate(rad, 0.0)
-    assert same.mu == rad.mu and same.nu == rad.nu
-    t = 0.8
-    conj = phi_conjugate(rad, t)
-    # shear data scales by e^{-t} under conjugation by the diagonal flow
-    assert np.allclose(conj.mu, np.array(rad.mu) * math.exp(-t), atol=1e-14)
-    ph = phi(t).mat
-    phinv = phi(-t).mat
-    for w, _ in list(enumerate_ball(seed2, 2)):
-        lhs = evaluate(conj, w).mat
-        rhs = ph @ evaluate(rad, w).mat @ phinv
-        assert np.abs(lhs - rhs).max() <= 1e-10 * max(1.0, np.abs(lhs).max())
-    for a, b in zip(rad.generator_images(), conj.generator_images()):
-        ea = np.sort(np.abs(np.linalg.eigvals(a)))
-        eb = np.sort(np.abs(np.linalg.eigvals(b)))
-        assert np.abs(ea - eb).max() <= 1e-10
-
-
 def test_spec_json_round_trips(seed2, u_a1):
     lin = RepSpec("linear_u", seed2, u=u_a1)
     rad = coboundary_radial(lin, 0.2, -0.1)
@@ -256,7 +213,5 @@ def test_explicit_requires_projective_relator(seed2, rng):
 
 
 def test_phi_conjugate_rejects_non_radial(seed2):
-    with pytest.raises(UnsupportedSpec):
-        phi_conjugate(RepSpec("canonical", seed2), 1.0)
     with pytest.raises(UnsupportedSpec):
         coboundary_radial(RepSpec("canonical", seed2), 0.1, 0.1)

@@ -6,12 +6,9 @@ import pytest
 from flagcurve import (
     CohomologyClass,
     GroupElement,
-    ProjLine,
-    ProjPoint,
     RepSpec,
     Word,
     attractive_flag,
-    cartan,
     dual,
     eigen3,
     enumerate_ball,
@@ -236,35 +233,6 @@ def test_attractive_flag_fixed_and_attracting(rng, seed2, canonical2):
         gv /= np.linalg.norm(gv)
         after = proj_dist(gv, f.point.rep)
         assert after < before
-
-
-def test_cartan_diagonal():
-    g = GroupElement.of(np.diag([4.0, 1.0, 0.25]))
-    c = cartan(g)
-    assert c.diag == pytest.approx((4.0, 1.0, 0.25), abs=1e-12)
-    assert np.abs(np.abs(c.k) - np.eye(3)).max() <= 1e-12
-
-
-def test_cartan_reconstruction(rng):
-    mats = random_unimodular_batch(rng, 2000)
-    for m in mats:
-        g = GroupElement.of(m / np.cbrt(np.linalg.det(m)))
-        c = cartan(g)
-        assert np.abs(c.reconstruct() - g.mat).max() <= 1e-9
-        assert np.abs(c.k.T @ c.k - np.eye(3)).max() <= 1e-10
-        assert np.abs(c.l.T @ c.l - np.eye(3)).max() <= 1e-10
-        assert c.diag[0] >= c.diag[1] >= c.diag[2] > 0
-        assert abs(c.diag[0] * c.diag[1] * c.diag[2] - 1.0) <= 1e-9
-        assert np.linalg.det(c.k) == pytest.approx(np.linalg.det(c.l), abs=1e-9)
-
-
-def test_cartan_dual_singular_values(rng):
-    for _ in range(200):
-        g = GroupElement.of(random_unimodular(rng))
-        c = cartan(g)
-        cd = cartan(dual(g))
-        expected = (1.0 / c.diag[2], 1.0 / c.diag[1], 1.0 / c.diag[0])
-        assert np.allclose(cd.diag, expected, rtol=1e-9)
 
 
 def test_saddle_examples():

@@ -8,7 +8,6 @@ import pytest
 from flagcurve import (
     CohomologyClass,
     FuchsianSeed,
-    Presentation,
     Word,
     ball_count,
     enumerate_ball,
@@ -18,7 +17,7 @@ from flagcurve import (
 )
 from flagcurve.ball import BallTable
 from flagcurve.errors import NotHyperbolic, UnsupportedGenus
-from flagcurve.surface import attractive_direction, standard_relator
+from flagcurve.surface import attractive_direction, gen_name, standard_relator
 
 
 def test_standard_seed_relator(seed2):
@@ -49,13 +48,12 @@ def test_rejects_low_genus():
     with pytest.raises(UnsupportedGenus):
         standard_fuchsian(1)
     with pytest.raises(UnsupportedGenus):
-        Presentation(0)
+        FuchsianSeed(0, ())
 
 
 def test_presentation_relator():
-    p = Presentation(2)
-    assert p.generator_names == ("a1", "b1", "a2", "b2")
-    assert str(p.relator) == "a1.b1.A1.B1.a2.b2.A2.B2"
+    assert tuple(gen_name(k) for k in range(4)) == ("a1", "b1", "a2", "b2")
+    assert str(standard_relator(2)) == "a1.b1.A1.B1.a2.b2.A2.B2"
 
 
 def test_ball_counts(seed2):
@@ -142,13 +140,11 @@ def test_attractive_direction_fixed(seed2):
     assert min(np.linalg.norm(mv - v), np.linalg.norm(mv + v)) < 1e-10
 
 
-def test_seed_json_round_trip(seed2, tmp_path):
-    path = tmp_path / "seed.json"
-    seed2.save(path)
-    loaded = FuchsianSeed.load(path)
+def test_seed_json_round_trip(seed2):
+    d = json.loads(json.dumps(seed2.to_json_dict()))
+    loaded = FuchsianSeed.from_json_dict(d)
     for a, b in zip(seed2.generators, loaded.generators):
         assert np.array_equal(np.asarray(a), np.asarray(b))
-    d = json.loads(path.read_text())
     assert d["genus"] == 2
     assert len(d["generators"]) == 4
     assert len(d["generators"][0]) == 4
