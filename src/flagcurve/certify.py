@@ -9,7 +9,11 @@ element by element.
 
 Every function here scores the words of ``BallTable.scored``: the
 cyclically reduced ball words that are nontrivial in the group, whose seed
-images must be hyperbolic.
+images must be hyperbolic.  ``certify_anosov`` builds the ball once and
+reads the signed ratio r = u(w)/t(w) of every scored word in one pass
+(``_scan``), which yields the stable-norm estimate, the saddle
+cross-check, the refuting witness and the gap rates; ``stable_norm`` and
+``anosov_rates`` run the same pass on a ball of their own.
 Witnesses are named through ``BallTable.word``.
 """
 
@@ -21,7 +25,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .ball import BallTable
-from .errors import FlagCurveError, NonLoxodromicEncountered, UnsupportedSpec
+from .errors import (FlagCurveError, InsufficientSamples, NonLoxodromicEncountered,
+                     UnsupportedSpec)
 from .reps import RepSpec
 from .spectral import GAP_TOL, batch_loxodromic, batch_saddle_at_e2
 from .surface import CohomologyClass, FuchsianSeed
@@ -37,33 +42,13 @@ class StableNormEstimate:
     history: tuple  # (radius, running max) pairs
 
 
-def stable_norm(
-    u: CohomologyClass,
-    seed: FuchsianSeed,
-    radius: int,
-    table: BallTable | None = None,
-) -> StableNormEstimate:
-    """Max of |u(w)| / t(w) over the scored (cyclically reduced) ball words.
-
-    A lower bound for the dual stable norm of u, nondecreasing in radius.
-    """
-    if radius < 2:
-        raise ValueError("radius must be >= 2")
-    if table is None:
-        table = BallTable.build(seed, radius)
-    uvec = u.as_vector()
-    best, best_word = 0.0, ""
-    history = []
-    for level, idx, t in table.scored():
-        if level > radius:
-            break
-        vals = np.abs(table.expsums(level)[idx] @ uvec) / t
-        j = int(np.argmax(vals))
-        if vals[j] > best * (1.0 + 1e-12) + 1e-300:
-            best = float(vals[j])
-            best_word = table.word(level, int(idx[j]))
-        history.append((level, best))
-    return StableNormEstimate(best, best_word, radius, tuple(history))
+@dataclass(frozen=True)
+class RatesResult:
+    inf_top_gap: float  # inf over elements of log(|l_top| / |l_fixed|) / t
+    inf_bottom_gap: float  # inf of log(|l_fixed| / |l_bot|) / t
+    n_elements: int
+    top_rates: np.ndarray
+    bottom_rates: np.ndarray
 
 
 @dataclass(frozen=True)
@@ -75,47 +60,94 @@ class CertifyResult:
     refuting_witness: str | None
     tests_agree: bool
     n_scored: int
-    radius: int
+    rates: RatesResult | None  # None when refuted
 
 
 def _u_class(spec: RepSpec) -> CohomologyClass:
     return spec.u if spec.u is not None else CohomologyClass.zero(spec.genus)
 
 
+def _scan(table: BallTable, u: CohomologyClass, radius: int, min_length: float,
+          img_levels: list | None = None) -> tuple:
+    """One pass over ``table.scored()`` with the signed ratio r = u(w)/t(w).
+
+    Returns the stable-norm estimate, the first refuting word (or None),
+    whether the ratio and saddle tests agree (checked only when the 3x3
+    ``img_levels`` are given), the scored count, and the (level, idx, r)
+    of the words with t >= min_length, level by level.
+    """
+    uvec = u.as_vector()
+    best, best_word, history, kept = 0.0, "", [], []
+    refut_word, agree, scored = None, True, 0
+    for level, idx, t in table.scored():
+        # The saddle test runs before the ratios exist: its temporaries set the peak memory.
+        saddle_pass = (None if img_levels is None
+                       else batch_saddle_at_e2(img_levels[level - 1][idx]))
+        r = (table.expsums(level)[idx] @ uvec) / t
+        vals = np.abs(r)
+        j = int(np.argmax(vals))
+        if vals[j] > best * (1.0 + 1e-12) + 1e-300:
+            best, best_word = float(vals[j]), table.word(level, int(idx[j]))
+        history.append((level, best))
+        ratio_pass = vals < 0.5
+        if refut_word is None and not ratio_pass.all():
+            refut_word = table.word(level, int(idx[np.argmin(ratio_pass)]))
+        if saddle_pass is not None:
+            agree &= bool(np.array_equal(ratio_pass, saddle_pass))
+        scored += len(idx)
+        keep = t >= min_length
+        kept.append((level, idx[keep], r[keep]))
+    estimate = StableNormEstimate(best, best_word, radius, tuple(history))
+    return estimate, refut_word, agree, scored, kept
+
+
+def _rates(table: BallTable, kept: list) -> RatesResult:
+    """Gap rates 0.5 +- r from the (level, idx, r) parts of ``_scan``."""
+    for level, idx, r in kept:
+        degenerate = np.abs(np.abs(r) - 0.5) <= GAP_TOL
+        if degenerate.any():
+            raise NonLoxodromicEncountered(table.word(level, int(idx[np.argmax(degenerate)])))
+    r = np.concatenate([np.empty(0)] + [r for _, _, r in kept])
+    if not len(r):
+        raise FlagCurveError("no elements pass the length filter")
+    top, bot = 0.5 + r, 0.5 - r
+    return RatesResult(float(top.min()), float(bot.min()), len(r), top, bot)
+
+
+def stable_norm(u: CohomologyClass, seed: FuchsianSeed, radius: int) -> StableNormEstimate:
+    """Max of |u(w)| / t(w) over the scored (cyclically reduced) ball words.
+
+    A lower bound for the dual stable norm of u, nondecreasing in radius.
+    """
+    if radius < 2:
+        raise ValueError("radius must be >= 2")
+    return _scan(BallTable.build(seed, radius), u, radius, 0.0)[0]
+
+
 def certify_anosov(
     spec: RepSpec,
     radius: int,
     margin: float = DEFAULT_MARGIN,
-    table: BallTable | None = None,
+    min_length: float = 0.5,
 ) -> CertifyResult:
     """Three-way verdict on the Anosov criterion at ball scale.
 
     Refuted when some scored element has |u(w)| >= t(w)/2 (with the
     element as witness); certified-at-scale when every element passes with
     margin and the stable-norm estimate is at most 1/2 - margin;
-    inconclusive otherwise.  Explicit specs are not certifiable this way;
-    see probe_explicit.
+    inconclusive otherwise.  Unless refuted, the result carries the gap
+    rates of ``anosov_rates`` over t >= min_length.  Explicit specs are not
+    certifiable this way; see probe_explicit.
     """
     if spec.variant == "explicit":
         raise UnsupportedSpec("explicit specs are probe-only; use probe_explicit")
     if spec.variant not in ("canonical", "linear_u", "radial"):
         raise UnsupportedSpec(spec.variant)
-    if table is None:
-        table = BallTable.build(spec.seed, radius)
-    u = _u_class(spec)
-    estimate = stable_norm(u, spec.seed, radius, table)
-    uvec = u.as_vector()
-    img_levels = table.images3(spec.letter_images())
-    refut_word = None
-    agree = True
-    scored = 0
-    for level, idx, t in table.scored():
-        ratio_pass = np.abs(table.expsums(level)[idx] @ uvec) / t < 0.5
-        saddle_pass = batch_saddle_at_e2(img_levels[level - 1][idx])
-        agree &= bool(np.array_equal(ratio_pass, saddle_pass))
-        scored += len(idx)
-        if refut_word is None and not ratio_pass.all():
-            refut_word = table.word(level, int(idx[np.argmin(ratio_pass)]))
+    if radius < 2:
+        raise ValueError("radius must be >= 2")
+    table = BallTable.build(spec.seed, radius)
+    estimate, refut_word, agree, scored, kept = _scan(
+        table, _u_class(spec), radius, min_length, table.images3(spec.letter_images()))
     if refut_word is not None:
         verdict = "refuted"
     elif estimate.value <= 0.5 - margin:
@@ -130,25 +162,11 @@ def certify_anosov(
         refuting_witness=refut_word,
         tests_agree=agree,
         n_scored=scored,
-        radius=radius,
+        rates=None if refut_word is not None else _rates(table, kept),
     )
 
 
-@dataclass(frozen=True)
-class RatesResult:
-    inf_top_gap: float  # inf over elements of log(|l_top| / |l_fixed|) / t
-    inf_bottom_gap: float  # inf of log(|l_fixed| / |l_bot|) / t
-    n_elements: int
-    top_rates: np.ndarray
-    bottom_rates: np.ndarray
-
-
-def anosov_rates(
-    spec: RepSpec,
-    radius: int,
-    min_length: float = 0.5,
-    table: BallTable | None = None,
-) -> RatesResult:
+def anosov_rates(spec: RepSpec, radius: int, min_length: float = 0.5) -> RatesResult:
     """Per-element eigenvalue-gap rates over the seed translation length.
 
     Structured images have log eigenvalue moduli u/3 + t/2, -2u/3, and
@@ -163,28 +181,8 @@ def anosov_rates(
     """
     if spec.variant == "explicit":
         raise UnsupportedSpec("rates require a seed-aligned spec; use probe_explicit")
-    if table is None:
-        table = BallTable.build(spec.seed, radius)
-    uvec = _u_class(spec).as_vector()
-    top, bot = [], []
-    for level, idx, t in table.scored(min_length):
-        uvals = table.expsums(level)[idx] @ uvec
-        degenerate = np.abs(np.abs(uvals) / t - 0.5) <= GAP_TOL
-        if degenerate.any():
-            raise NonLoxodromicEncountered(table.word(level, int(idx[np.argmax(degenerate)])))
-        top.append(0.5 + uvals / t)
-        bot.append(0.5 - uvals / t)
-    if not top:
-        raise FlagCurveError("no elements pass the length filter")
-    top = np.concatenate(top)
-    bot = np.concatenate(bot)
-    return RatesResult(
-        inf_top_gap=float(top.min()),
-        inf_bottom_gap=float(bot.min()),
-        n_elements=len(top),
-        top_rates=top,
-        bottom_rates=bot,
-    )
+    table = BallTable.build(spec.seed, radius)
+    return _rates(table, _scan(table, _u_class(spec), radius, min_length)[4])
 
 
 @dataclass(frozen=True)
@@ -201,7 +199,8 @@ def probe_explicit(
     min_length: float = 0.5,
 ) -> ProbeResult:
     """Verdict-free spectral probe for explicit specs: loxodromy rate and
-    eigenvalue-gap infima over the scored ball."""
+    eigenvalue-gap infima over the scored ball.  Raises InsufficientSamples
+    when no scored word is loxodromic, since the infima are then empty."""
     table = BallTable.build(spec.seed, radius)
     img_levels = table.images3(spec.letter_images())
     n_scored = 0
@@ -215,5 +214,6 @@ def probe_explicit(
             a = np.abs(vals[lox])
             inf_top = min(inf_top, float((np.log(a[:, 0] / a[:, 1]) / t[lox]).min()))
             inf_bot = min(inf_bot, float((np.log(a[:, 1] / a[:, 2]) / t[lox]).min()))
-    rate = n_lox / n_scored if n_scored else 0.0
-    return ProbeResult(rate, inf_top, inf_bot, n_scored)
+    if not n_lox:
+        raise InsufficientSamples(f"no loxodromic element among {n_scored} scored words")
+    return ProbeResult(n_lox / n_scored, inf_top, inf_bot, n_scored)

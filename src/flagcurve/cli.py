@@ -1,10 +1,13 @@
 """Command-line surface.
 
 One JSON config file drives everything; flags only select the command,
-the config path, and the output directory.  All file outputs are
-byte-deterministic for a fixed config (collections are sorted before
-emission, floats use repr round-tripping, wall-clock timing goes to
-stderr only).
+the config path, and the output directory.  ``RunConfig`` validates the
+whole config before any output exists.  Each ``cmd_*`` returns its exit
+code and report payload; ``main`` creates the output directory and writes
+``<command>.json`` with the common header, while a command writes only
+its other files (CSV, SVG).  All file outputs are byte-deterministic for
+a fixed config (collections are sorted before emission, floats use repr
+round-tripping, wall-clock timing goes to stderr only).
 
 Exit codes: 0 success (certify: certified-at-scale), 2 config error,
 3 insufficient samples, 4 certify refuted, 5 certify inconclusive or
@@ -14,6 +17,7 @@ probe-only spec, 6 other module errors.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import hashlib
 import json
 import math
@@ -24,8 +28,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .ball import BallTable
-from .certify import anosov_rates, certify_anosov, probe_explicit
+from .certify import certify_anosov, probe_explicit
 from .curve import (
     check_incidence,
     injectivity_report,
@@ -34,18 +37,10 @@ from .curve import (
 )
 from .delta import fit_delta, pushforward_deviation
 from .domain import recurrence_experiment
-from .errors import (
-    BaseNotInterior,
-    ConfigError,
-    FlagCurveError,
-    InsufficientSamples,
-    UnsupportedSpec,
-)
+from .errors import ConfigError, FlagCurveError, InsufficientSamples
 from .projective import Flag, ProjLine, ProjPoint
 from .reps import RepSpec, spec_from_json_dict
 from .surface import json_number, json_object
-
-COMMANDS = ("limit-curve", "certify", "delta", "orbit", "regularity")
 
 DEFAULT_TOLERANCES = {
     "certify_margin": 0.02,
@@ -88,6 +83,20 @@ def _finite_float(text: str) -> float:
     return value
 
 
+def _base_flag(orbit: dict) -> Flag:
+    """The base flag of the ``orbit`` config block."""
+    if "base_point" in orbit or "base_line" in orbit:
+        try:
+            p = ProjPoint.of(np.array(orbit["base_point"], dtype=float))
+            l = ProjLine.of(np.array(orbit["base_line"], dtype=float))
+            return Flag.of(p, l, tol=1e-8)
+        except (KeyError, ValueError, TypeError) as e:
+            raise ConfigError(f"bad field 'orbit.base_point'/'orbit.base_line': {e}") from e
+    # Documented default: inside the canonical domain with wide margins.
+    s = 1.0 / math.sqrt(2.0)
+    return Flag.of((s, s, 0.0), (s, -s, 0.0))
+
+
 class RunConfig:
     """Validated run configuration."""
 
@@ -123,7 +132,10 @@ class RunConfig:
                 int, self.incidence_max_lines, "incidence_max_lines")
             if self.incidence_max_lines < 1:
                 raise ConfigError("field 'incidence_max_lines' must be >= 1 or null")
-        self.orbit = _object(raw, "orbit", ORBIT_KEYS)
+        orbit = _object(raw, "orbit", ORBIT_KEYS)
+        self.orbit_base = _base_flag(orbit)
+        self.orbit_neighborhood = _positive(
+            float, orbit.get("neighborhood", 0.05), "orbit.neighborhood")
         self.out_dir = out_dir
         self.raw = raw
         self.input_sha256 = hashlib.sha256(source_bytes).hexdigest()
@@ -144,32 +156,6 @@ class RunConfig:
         return RunConfig(raw, data, out)
 
 
-def _report(config: RunConfig, command: str, payload: dict) -> dict:
-    return {
-        "command": command,
-        "tool_version": __version__,
-        "input_sha256": config.input_sha256,
-        "config": config.raw,
-        **payload,
-    }
-
-
-def _write_json(path: Path, obj: dict):
-    path.write_text(
-        json.dumps(obj, indent=2, sort_keys=True, allow_nan=False) + "\n",
-        encoding="utf-8",
-    )
-
-
-def _estimate_dict(est) -> dict:
-    return {
-        "value": est.value,
-        "witness": est.witness,
-        "ball_radius": est.ball_radius,
-        "history": [[r, v] for r, v in est.history],
-    }
-
-
 def _model(config: RunConfig):
     return sample_limit_curve(
         config.spec,
@@ -179,12 +165,11 @@ def _model(config: RunConfig):
     )
 
 
-def cmd_limit_curve(config: RunConfig) -> int:
+def cmd_limit_curve(config: RunConfig) -> tuple:
     from .svg import render_model
 
     model = _model(config)
     out = config.out_dir
-    out.mkdir(parents=True, exist_ok=True)
     lines = ["param,point_x,point_y,point_z,line_a,line_b,line_c,word,translation_length"]
     for row in model.csv_rows():
         param, px, py, pz, la, lb, lc, word, tl = row
@@ -192,7 +177,6 @@ def cmd_limit_curve(config: RunConfig) -> int:
         f"{param!r},{px!r},{py!r},{pz!r},{la!r},{lb!r},{lc!r},{word},{tl!r}"
         )
     (out / "curve.csv").write_text("\n".join(lines) + "\n", encoding="utf-8")
-    inj = injectivity_report(model)
     inc = check_incidence(
         model,
         ztol=config.tolerances["incidence_zero"],
@@ -200,11 +184,7 @@ def cmd_limit_curve(config: RunConfig) -> int:
     )
     payload = {
         "samples": len(model),
-        "injectivity": {
-            "min_point_separation": inj.min_point_separation,
-            "min_line_separation": inj.min_line_separation,
-            "violations": inj.violations,
-        },
+        "injectivity": dataclasses.asdict(injectivity_report(model)),
         "incidence": {
             "lines_checked": sum(inc.histogram.values()) + inc.nontransversal,
             "histogram": {str(k): v for k, v in inc.histogram.items()},
@@ -214,7 +194,6 @@ def cmd_limit_curve(config: RunConfig) -> int:
             "passed": inc.passed,
         },
     }
-    _write_json(out / "limit_curve.json", _report(config, "limit-curve", payload))
     svg = render_model(
         model,
         chart=config.render_chart,
@@ -223,61 +202,41 @@ def cmd_limit_curve(config: RunConfig) -> int:
         window=config.render_window,
     )
     (out / "curve.svg").write_text(svg, encoding="utf-8")
-    return 0
+    return 0, payload
 
 
-def cmd_certify(config: RunConfig) -> int:
-    out = config.out_dir
-    out.mkdir(parents=True, exist_ok=True)
+def cmd_certify(config: RunConfig) -> tuple:
     if config.spec.variant == "explicit":
         probe = probe_explicit(
             config.spec, config.ball_radius,
             min_length=config.min_translation_length,
         )
-        payload = {
-            "verdict": "probe-only",
-            "probe": {
-                "loxodromy_rate": probe.loxodromy_rate,
-                "inf_top_gap": probe.inf_top_gap,
-                "inf_bottom_gap": probe.inf_bottom_gap,
-                "n_scored": probe.n_scored,
-            },
-        }
-        _write_json(out / "certify.json", _report(config, "certify", payload))
-        return 5
-    table = BallTable.build(config.spec.seed, config.ball_radius)
+        return 5, {"verdict": "probe-only", "probe": dataclasses.asdict(probe)}
     res = certify_anosov(
         config.spec,
         config.ball_radius,
         margin=config.tolerances["certify_margin"],
-        table=table,
+        min_length=config.min_translation_length,
     )
     payload = {
         "verdict": res.verdict,
-        "stable_norm_estimate": _estimate_dict(res.estimate),
+        "stable_norm_estimate": dataclasses.asdict(res.estimate),
         "margin_required": res.margin,
         "margin_found": res.margin_found,
         "refuting_witness": res.refuting_witness,
         "saddle_ratio_tests_agree": res.tests_agree,
         "n_scored": res.n_scored,
     }
-    if res.verdict != "refuted":
-        rates = anosov_rates(
-            config.spec, config.ball_radius,
-            min_length=config.min_translation_length, table=table,
-        )
+    if res.rates is not None:
         payload["rates"] = {
-            "inf_top_gap": rates.inf_top_gap,
-            "inf_bottom_gap": rates.inf_bottom_gap,
-            "n_elements": rates.n_elements,
+            "inf_top_gap": res.rates.inf_top_gap,
+            "inf_bottom_gap": res.rates.inf_bottom_gap,
+            "n_elements": res.rates.n_elements,
         }
-    _write_json(out / "certify.json", _report(config, "certify", payload))
-    return {"certified-at-scale": 0, "refuted": 4, "inconclusive": 5}[res.verdict]
+    return {"certified-at-scale": 0, "refuted": 4, "inconclusive": 5}[res.verdict], payload
 
 
-def cmd_delta(config: RunConfig) -> int:
-    out = config.out_dir
-    out.mkdir(parents=True, exist_ok=True)
+def cmd_delta(config: RunConfig) -> tuple:
     model = _model(config)
     fit = fit_delta(config.spec, model)
     push = pushforward_deviation(model, fit)
@@ -286,39 +245,21 @@ def cmd_delta(config: RunConfig) -> int:
     step = 2.0 * math.pi / len(grid)
     for k in range(len(grid)):
         rows.append(f"{k * step!r},{float(grid[k])!r}")
-    (out / "delta_profile.csv").write_text("\n".join(rows) + "\n", encoding="utf-8")
-    payload = {
+    (config.out_dir / "delta_profile.csv").write_text("\n".join(rows) + "\n",
+                                                      encoding="utf-8")
+    return 0, {
         "samples": len(model),
         "grid_size": len(grid),
         "cocycle_residual": fit.cocycle_residual,
         "pushforward_to_canonical_line": push,
         "taus": [[t1, t2] for t1, t2 in fit.taus],
     }
-    _write_json(out / "delta.json", _report(config, "delta", payload))
-    return 0
 
 
-def _base_flag(config: RunConfig) -> Flag:
-    orbit = config.orbit
-    if "base_point" in orbit or "base_line" in orbit:
-        try:
-            p = ProjPoint.of(np.array(orbit["base_point"], dtype=float))
-            l = ProjLine.of(np.array(orbit["base_line"], dtype=float))
-            return Flag.of(p, l, tol=1e-8)
-        except (KeyError, ValueError, TypeError) as e:
-            raise ConfigError(f"bad field 'orbit.base_point'/'orbit.base_line': {e}") from e
-    # Documented default: inside the canonical domain with wide margins.
-    s = 1.0 / math.sqrt(2.0)
-    return Flag.of((s, s, 0.0), (s, -s, 0.0))
-
-
-def cmd_orbit(config: RunConfig) -> int:
-    out = config.out_dir
-    out.mkdir(parents=True, exist_ok=True)
-    base = _base_flag(config)
-    nbhd = _positive(float, config.orbit.get("neighborhood", 0.05), "orbit.neighborhood")
-    rep = recurrence_experiment(config.spec, base, nbhd, config.ball_radius)
-    payload = {
+def cmd_orbit(config: RunConfig) -> tuple:
+    rep = recurrence_experiment(config.spec, config.orbit_base, config.orbit_neighborhood,
+                                config.ball_radius)
+    return 0, {
         "neighborhood": rep.neighborhood,
         "returning_words": sorted(rep.returning_words, key=lambda w: (len(w), w)),
         "count_history": [[r, c] for r, c in rep.count_history],
@@ -326,24 +267,11 @@ def cmd_orbit(config: RunConfig) -> int:
         "min_nonempty_displacement": rep.min_nonempty_displacement,
         "free_at_scale": rep.free_at_scale,
     }
-    _write_json(out / "orbit.json", _report(config, "orbit", payload))
-    return 0
 
 
-def cmd_regularity(config: RunConfig) -> int:
-    out = config.out_dir
-    out.mkdir(parents=True, exist_ok=True)
+def cmd_regularity(config: RunConfig) -> tuple:
     model = _model(config)
-    reg = regularity_diagnostics(model)
-    payload = {
-        "samples": len(model),
-        "holder_exponent_estimate": reg.holder_exponent_estimate,
-        "secant_slope_max": reg.secant_slope_max,
-        "pairs_used": reg.pairs_used,
-        "verdict_hint": reg.verdict_hint,
-    }
-    _write_json(out / "regularity.json", _report(config, "regularity", payload))
-    return 0
+    return 0, {"samples": len(model), **dataclasses.asdict(regularity_diagnostics(model))}
 
 
 _DISPATCH = {
@@ -361,23 +289,35 @@ def main(argv=None) -> int:
         description="Flag representations of surface groups: limit curves, "
         "certificates, invariant-domain experiments.",
     )
-    parser.add_argument("command", choices=COMMANDS)
+    parser.add_argument("command", choices=_DISPATCH)
     parser.add_argument("--config", required=True, help="path to the JSON run config")
     parser.add_argument("--out", default=None, help="output directory")
     args = parser.parse_args(argv)
     t0 = time.monotonic()
     try:
         config = RunConfig.load(args.config, args.out)
-        code = _DISPATCH[args.command](config)
+        config.out_dir.mkdir(parents=True, exist_ok=True)
+        code, payload = _DISPATCH[args.command](config)
     except ConfigError as e:
         print(f"config error: {e}", file=sys.stderr)
         return 2
     except InsufficientSamples as e:
         print(f"insufficient samples: {e}", file=sys.stderr)
         return 3
-    except (UnsupportedSpec, BaseNotInterior, FlagCurveError) as e:
+    except FlagCurveError as e:
         print(f"{type(e).__name__}: {e}", file=sys.stderr)
         return 6
+    report = {
+        "command": args.command,
+        "tool_version": __version__,
+        "input_sha256": config.input_sha256,
+        "config": config.raw,
+        **payload,
+    }
+    (config.out_dir / f"{args.command.replace('-', '_')}.json").write_text(
+        json.dumps(report, indent=2, sort_keys=True, allow_nan=False) + "\n",
+        encoding="utf-8",
+    )
     print(f"elapsed {time.monotonic() - t0:.2f}s", file=sys.stderr)
     return code
 

@@ -100,7 +100,7 @@ class RepSpec:
             if self.matrices is None or len(self.matrices) != 2 * self.seed.genus:
                 raise ValueError("explicit spec requires one 3x3 matrix per generator")
         res = self.relator_residual()
-        if res > 1e-8:
+        if not res <= 1e-8:  # a NaN residual fails too
             raise ValueError(f"3x3 relator residual {res:.3e} > 1e-8")
 
     @property
@@ -221,7 +221,10 @@ def spec_from_json_dict(d: dict) -> RepSpec:
             raise ValueError(f"missing matrix for generator {name}")
         m = np.array([json_number(float, x, f"matrices.{name}") for x in mats_d[name]])
         m = m.reshape(3, 3)
-        m = m / np.cbrt(np.linalg.det(m))
+        det = np.linalg.det(m)
+        if det == 0.0:
+            raise ValueError(f"matrix for generator {name} is singular")
+        m = m / np.cbrt(det)
         m.flags.writeable = False
         mats.append(m)
     return RepSpec("explicit", seed, matrices=tuple(mats))

@@ -18,6 +18,7 @@ RADIAL_G2 = {
 }
 CANONICAL_G2 = {"variant": "canonical", "seed": {"genus": 2}}
 SAMPLES = 2736  # at ball radius 4, below the default incidence_max_lines
+ABSENT = "<absent from the report>"
 REPORTS = {
     "limit-curve": "limit_curve.json",
     "certify": "certify.json",
@@ -50,6 +51,13 @@ def _explicit_g2() -> dict:
     return RepSpec("explicit", seed, matrices=mats).to_json_dict()
 
 
+def _explicit_g2_with(matrix: np.ndarray) -> dict:
+    """``_explicit_g2`` with every generator mapped to ``matrix``."""
+    spec = _explicit_g2()
+    spec["matrices"] = {name: [float(x) for x in matrix.ravel()] for name in spec["matrices"]}
+    return spec
+
+
 def _explicit_g2_as_string(field: str) -> dict:
     """``_explicit_g2`` with one number written as a JSON string: the first
     entry of the first seed generator (``field`` "seed") or of the a1
@@ -78,18 +86,21 @@ def _conjugated_radial_g2() -> dict:
     ("certify", RADIAL_G2, {}, 0,
      {"verdict": "certified-at-scale", "n_scored": 408, "rates/n_elements": 408}),
     ("certify", {"variant": "linear_u", "seed": {"genus": 2}, "u": {"a1": 5}}, {}, 4,
-     {"verdict": "refuted", "refuting_witness": "a1"}),
+     {"verdict": "refuted", "refuting_witness": "a1", "rates": ABSENT}),
     ("certify", "explicit", {}, 5, {"verdict": "probe-only", "probe/loxodromy_rate": 1.0}),
+    ("certify", "identity", {}, 3, None),
     ("limit-curve", RADIAL_G2, {"min_translation_length": 50}, 3, None),
     ("delta", CANONICAL_G2, {}, 6, None),
     ("orbit", RADIAL_G2, {}, 0, {"free_at_scale": True}),
     ("regularity", RADIAL_G2, {}, 0, {}),
-], ids=["certify_certified", "certify_refuted", "certify_explicit", "limit_curve_insufficient",
-        "delta_not_radial", "orbit", "regularity"])
+], ids=["certify_certified", "certify_refuted", "certify_explicit", "certify_not_loxodromic",
+        "limit_curve_insufficient", "delta_not_radial", "orbit", "regularity"])
 def test_exit_code_and_report(tmp_path, report_schema, command, rep_spec, fields, code,
                               expect):
     if rep_spec == "explicit":
         rep_spec = _explicit_g2()
+    elif rep_spec == "identity":  # no scored word is loxodromic
+        rep_spec = _explicit_g2_with(np.eye(3))
     config = {"rep_spec": rep_spec, "ball_radius": 3, **fields}
     assert _run(tmp_path, command, config) == code
     path = tmp_path / "out" / REPORTS[command]
@@ -101,7 +112,7 @@ def test_exit_code_and_report(tmp_path, report_schema, command, rep_spec, fields
     for key, value in expect.items():
         leaf = report
         for part in key.split("/"):
-            leaf = leaf[part]
+            leaf = leaf.get(part, ABSENT)
         assert leaf == value, key
 
 
@@ -161,6 +172,7 @@ def test_limit_curve(tmp_path, report_schema, max_lines):
     {"rep_spec": {"variant": "radial", "seed": {"genus": 2}, "mu": [0.1], "nu": {}}},
     {"render": {"widht_px": 800}},
     {"orbit": {"neighbourhood": 0.5}},
+    {"rep_spec": _explicit_g2_with(np.zeros((3, 3)))},
 ], ids=["ball_radius", "width_px", "neighborhood", "genus", "tolerance_key", "render",
         "nan", "infinity", "base_point_object", "overflow", "tolerance_overflow",
         "tolerance_huge_int", "window_zero", "width_px_zero", "width_px_negative",
@@ -168,12 +180,26 @@ def test_limit_curve(tmp_path, report_schema, max_lines):
         "max_lines_float", "dedup_bool", "neighborhood_bool", "genus_float",
         "genus_string", "coboundary_types", "u_string", "u_bool", "generator_string",
         "matrix_string", "rep_spec_list", "u_list", "u_string_object", "mu_list",
-        "render_key", "orbit_key"])
+        "render_key", "orbit_key", "singular_matrices"])
 def test_malformed_config_exits_2(tmp_path, capsys, fields):
     raw = fields if isinstance(fields, str) else ""
     config = {"rep_spec": RADIAL_G2, "ball_radius": 3, **({} if raw else fields)}
     assert _run(tmp_path, "orbit", config, raw) == 2
     assert capsys.readouterr().err.startswith("config error:")
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("command", sorted(REPORTS))
+@pytest.mark.parametrize("orbit", [
+    {"neighborhood": 0},
+    {"base_point": [1, 0, 0]},
+    {"base_point": [1, 0, 0], "base_line": [1, 0, 0]},
+], ids=["neighborhood_zero", "base_line_missing", "not_incident"])
+def test_malformed_orbit_block_exits_2_before_output(tmp_path, capsys, command, orbit):
+    config = {"rep_spec": RADIAL_G2, "ball_radius": 3, "orbit": orbit}
+    assert _run(tmp_path, command, config) == 2
+    assert capsys.readouterr().err.startswith("config error:")
+    assert not (tmp_path / "out").exists()
 
 
 # SHA-256 of every file each command writes, pinned so that a refactor

@@ -185,17 +185,18 @@ def test_stable_norm_monotone_in_radius(seed2):
     assert e4.value >= e3.value - 1e-15
 
 
-def test_non_hyperbolic_seed_image_is_named(seed2, u_a1):
+def test_non_hyperbolic_seed_image_is_named(monkeypatch, seed2, u_a1):
     table = BallTable.build(seed2, 3)
     k = int(np.nonzero(table.cyclically_reduced(3))[0][100])
     c, s = math.cos(0.3), math.sin(0.3)
     table.mats2(3)[k] = [[c, -s], [s, c]]
     named = re.escape(repr(table.word_strings(3)[k]))
     spec = RepSpec("linear_u", seed2, u=u_a1)
+    monkeypatch.setattr(BallTable, "build", staticmethod(lambda seed, radius: table))
     for run in (
         lambda: list(table.scored()),
-        lambda: stable_norm(u_a1, seed2, 3, table),
-        lambda: certify_anosov(spec, 3, table=table),
+        lambda: stable_norm(u_a1, seed2, 3),
+        lambda: certify_anosov(spec, 3),
     ):
         with pytest.raises(NotHyperbolic, match=named):
             run()
@@ -218,19 +219,43 @@ def test_trivial_seed_image_is_skipped(monkeypatch, seed2, u_a1, canonical2, sig
     assert got.keys() == want.keys()
     for level in want:
         assert np.array_equal(got[level], want[level])
-    assert stable_norm(u_a1, seed2, 3, table) == stable_norm(u_a1, seed2, 3, plain)
     spec = RepSpec("linear_u", seed2, u=u_a1)
-    res, ref = certify_anosov(spec, 3, table=table), certify_anosov(spec, 3, table=plain)
+    ref_norm, ref = stable_norm(u_a1, seed2, 3), certify_anosov(spec, 3)
+    monkeypatch.setattr(BallTable, "build", staticmethod(lambda seed, radius: table))
+    assert stable_norm(u_a1, seed2, 3) == ref_norm
+    res = certify_anosov(spec, 3)
     assert (res.verdict, res.tests_agree) == (ref.verdict, ref.tests_agree)
     assert res.n_scored == ref.n_scored - 1
-    monkeypatch.setattr(BallTable, "build", staticmethod(lambda seed, radius: table))
     model = sample_limit_curve(canonical2, 3)
     assert model.words == tuple(w for w in ref_model.words if w != dropped)
 
 
-def test_stable_norm_stops_at_radius(seed2, u_a1):
-    larger = BallTable.build(seed2, 4)
-    assert stable_norm(u_a1, seed2, 3, larger) == stable_norm(u_a1, seed2, 3)
+@pytest.mark.parametrize("variant", ["linear_u", "radial"])
+def test_certify_is_one_pass(monkeypatch, seed2, u_a1, variant):
+    # certify_anosov derives the stable norm, the saddle check, the witness
+    # and the rates from one scored pass of one ball; each agrees with the
+    # function that computes it alone.
+    spec = RepSpec("linear_u", seed2, u=u_a1)
+    if variant == "radial":
+        spec = coboundary_radial(spec, 0.2, -0.1)
+    rates, norm = anosov_rates(spec, 4), stable_norm(spec.u, seed2, 4)
+    calls = []
+
+    def counted(name, fn):
+        def wrapper(*args):
+            calls.append(name)
+            return fn(*args)
+        return wrapper
+
+    monkeypatch.setattr(BallTable, "build", staticmethod(counted("build", BallTable.build)))
+    monkeypatch.setattr(BallTable, "scored", counted("scored", BallTable.scored))
+    res = certify_anosov(spec, 4)
+    assert calls == ["build", "scored"]
+    assert res.estimate == norm
+    assert (res.rates.inf_top_gap, res.rates.inf_bottom_gap, res.rates.n_elements) == (
+        rates.inf_top_gap, rates.inf_bottom_gap, rates.n_elements)
+    assert np.array_equal(res.rates.top_rates, rates.top_rates)
+    assert np.array_equal(res.rates.bottom_rates, rates.bottom_rates)
 
 
 def test_certify_canonical(canonical2):
@@ -250,6 +275,7 @@ def test_certify_three_regimes(seed2):
         assert res.tests_agree
         if verdict == "refuted":
             assert res.refuting_witness == "a1"
+            assert res.rates is None
         else:
             assert res.estimate.value == pytest.approx(r, abs=1e-12)
 
@@ -297,12 +323,13 @@ def test_rates_linear_u(seed2):
     assert rates.inf_bottom_gap >= 0.5 - est.value - 1e-6
 
 
-def test_rates_match_generic_eigensolver(seed2):
+def test_rates_match_generic_eigensolver(monkeypatch, seed2):
     u = CohomologyClass.from_dict({"a1": 0.4}, 2)
     spec = RepSpec("linear_u", seed2, u=u)
     radius = 3
     table = BallTable.build(seed2, radius)
-    rates = anosov_rates(spec, radius, table=table)
+    monkeypatch.setattr(BallTable, "build", staticmethod(lambda seed, radius: table))
+    rates = anosov_rates(spec, radius)
     # cross-check the closed-form rates against cubic eigenvalues of the
     # accumulated matrix products (accurate only up to e^t determinant drift)
     from flagcurve.spectral import batch_eigvals3

@@ -203,6 +203,9 @@ def test_spec_json_errors(seed2):
         spec_from_json_dict({"variant": "radial", "seed": {"genus": 2}})
     with pytest.raises(ValueError):
         spec_from_json_dict({"variant": "explicit", "seed": {"genus": 2}})
+    zeros = {name: [0.0] * 9 for name in ("a1", "b1", "a2", "b2")}
+    with pytest.raises(ValueError, match="generator a1 is singular"):
+        spec_from_json_dict({"variant": "explicit", "seed": {"genus": 2}, "matrices": zeros})
 
 
 def test_explicit_requires_projective_relator(seed2, rng):
@@ -210,6 +213,11 @@ def test_explicit_requires_projective_relator(seed2, rng):
     mats[0] = random_unimodular(rng)
     with pytest.raises(ValueError):
         RepSpec("explicit", seed2, matrices=tuple(mats))
+
+
+def test_nan_relator_residual_is_rejected(seed2):
+    with np.errstate(invalid="ignore"), pytest.raises(ValueError, match="residual nan"):
+        RepSpec("explicit", seed2, matrices=(np.full((3, 3), np.nan),) * 4)
 
 
 def test_phi_conjugate_rejects_non_radial(seed2):
