@@ -7,12 +7,20 @@ Since level L-1 is in shortlex order, so is level L.  Each level stores
 its words' last letters, first letters, parent indices, SL(2,R) images and
 exponent sums once.
 
+Images under a representation are never stored for the whole ball.
+``BallTable.blocks`` streams every level in blocks of at most BLOCK_ROWS
+words, built by ``BallTable.images3`` from the image stack of the level
+below.  A level's stack is kept whole only while the next level is read;
+the last level, which holds (4g-2)/(4g-1) of the ball, exists one block at
+a time, so its images and every consumer's temporaries are O(block).
+
 ``BallTable.scored`` is the one word selection of every spectral pipeline:
-the cyclically reduced words above a translation-length floor.  Every
-spectral quantity is a conjugacy invariant, so the other words add work
-but no information.  It is also the only place that decides whether seed
-images are hyperbolic, and it drops the words that are trivial in the
-surface group (the relator and its rotations, from length 4g on).
+the cyclically reduced words above a translation-length floor, block by
+block, with their images.  Every spectral quantity is a conjugacy
+invariant, so the other words add work but no information.  It is also the
+only place that decides whether seed images are hyperbolic, and it drops
+the words that are trivial in the surface group (the relator and its
+rotations, from length 4g on).
 """
 
 from __future__ import annotations
@@ -32,6 +40,20 @@ from .surface import (FuchsianSeed, Word, batch_translation_lengths, letter_name
 # hyperbolic and so stays far from +-I, while the relator images of a valid
 # seed sit within its 1e-8 residual, times conjugation.
 TRIVIAL_TOL = 1e-6
+
+# Words per block of ``BallTable.blocks``: bounds the last level's image
+# stack and the temporaries of every kernel applied to it.
+BLOCK_ROWS = 1 << 14
+
+
+def rowwise_dot(rows: np.ndarray, vec: np.ndarray) -> np.ndarray:
+    """``rows @ vec``, with each row rounded the same way whatever the
+    number of rows: numpy evaluates a one-row product as a dot product,
+    whose rounding differs from the matrix-vector product it uses for two
+    rows or more, so a single row is evaluated as a two-row stack."""
+    if len(rows) == 1:
+        return (np.concatenate([rows, rows]) @ vec)[:1]
+    return rows @ vec
 
 
 def _near_identity(mats: np.ndarray) -> np.ndarray:
@@ -109,35 +131,63 @@ class BallTable:
     def expsums(self, level: int) -> np.ndarray:
         return self.levels[level - 1].expsums
 
-    def cyclically_reduced(self, level: int) -> np.ndarray:
+    def cyclically_reduced(self, level: int, rows: slice = slice(None)) -> np.ndarray:
         lv = self.levels[level - 1]
         if level == 1:
-            return np.ones(len(lv.letters), dtype=bool)
-        return lv.firsts != (lv.letters ^ 1)
+            return np.ones(len(lv.letters[rows]), dtype=bool)
+        return lv.firsts[rows] != (lv.letters[rows] ^ 1)
 
-    def scored(self, min_length: float = 0.0) -> Iterator[tuple]:
-        """For each level holding cyclically reduced words of seed
-        translation length t >= min_length, yield (level, idx, t): their
-        indices in shortlex order and their translation lengths.
+    def blocks(self, letter_images: np.ndarray | None = None) -> Iterator[tuple]:
+        """Yield (level, rows, imgs) for the blocks of at most BLOCK_ROWS
+        words of every level in shortlex order: ``rows`` is a slice of the
+        level, and ``imgs`` the (n, 3, 3) images of its words under the
+        representation given by its (4g, 3, 3) letter matrices (None
+        without them).
+
+        Each level's image stack is kept whole until the next level is
+        built from it; the last level's is held one block at a time.
+        """
+        prev = None
+        for level in range(1, self.radius + 1):
+            n = len(self.letters(level))
+            whole = (None if letter_images is None or level == self.radius
+                     else np.empty((n, 3, 3)))
+            for start in range(0, n, BLOCK_ROWS):
+                rows = slice(start, min(n, start + BLOCK_ROWS))
+                imgs = None
+                if letter_images is not None:
+                    imgs = self.images3(letter_images, level, rows, prev)
+                    if whole is not None:
+                        whole[rows] = imgs
+                yield level, rows, imgs
+            prev = whole
+
+    def scored(self, min_length: float = 0.0,
+               letter_images: np.ndarray | None = None) -> Iterator[tuple]:
+        """For each block of ``blocks`` holding cyclically reduced words of
+        seed translation length t >= min_length, yield (level, idx, t, imgs):
+        their indices in the level in shortlex order, their translation
+        lengths, and their (n, 3, 3) images (None without letter_images).
 
         Words whose seed image is +-I are trivial in the group and skipped.
         Raises NotHyperbolic naming the first other cyclically reduced word
         whose seed image is not hyperbolic (the seed is then not Fuchsian).
         """
-        for level in range(1, self.radius + 1):
-            mats = self.mats2(level)
+        for level, rows, imgs in self.blocks(letter_images):
+            mats = self.mats2(level)[rows]
             hyp, t = batch_translation_lengths(mats)
-            reduced = self.cyclically_reduced(level)
+            reduced = self.cyclically_reduced(level, rows)
             # An image within TRIVIAL_TOL of +-I has t < 0.01.
             near = np.nonzero(reduced & (t < 0.01))[0]
             reduced[near[_near_identity(mats[near])]] = False
             bad = reduced & ~hyp
             if bad.any():
-                w = self.word(level, int(np.argmax(bad)))
+                w = self.word(level, rows.start + int(np.argmax(bad)))
                 raise NotHyperbolic(f"seed image of {w!r} is not hyperbolic")
-            idx = np.nonzero(reduced & (t >= min_length))[0]
-            if len(idx):
-                yield level, idx, t[idx]
+            sel = np.nonzero(reduced & (t >= min_length))[0]
+            if len(sel):
+                yield (level, rows.start + sel, t[sel],
+                       None if imgs is None else imgs[sel])
 
     def word(self, level: int, i: int) -> str:
         """Dot-separated display string of word i of a level, read off its
@@ -163,21 +213,20 @@ class BallTable:
             self._strings[level] = strs
         return self._strings[level]
 
-    def images3(self, letter_images: np.ndarray) -> list:
-        """Per-level (n, 3, 3) images under a representation given by its
-        (4g, 3, 3) letter matrices.  Renormalizes determinant drift at each
-        level."""
-        out = []
-        for lv in self.levels:
-            if not out:
-                imgs = letter_images[lv.letters]
-            else:
-                imgs = np.einsum("nij,njk->nik", out[-1][lv.parents],
-                                 letter_images[lv.letters])
-            det = np.linalg.det(imgs)
-            imgs /= np.cbrt(det)[:, None, None]
-            out.append(imgs)
-        return out
+    def images3(self, letter_images: np.ndarray, level: int, rows: slice,
+                prev: np.ndarray | None) -> np.ndarray:
+        """(n, 3, 3) images of the words ``rows`` of a level under a
+        representation given by its (4g, 3, 3) letter matrices, from
+        ``prev``, the image stack of the whole level below (None at level
+        1).  Renormalizes determinant drift; every step is row by row, so
+        a block's images do not depend on the block."""
+        lv = self.levels[level - 1]
+        imgs = letter_images[lv.letters[rows]]
+        if prev is not None:
+            imgs = np.einsum("nij,njk->nik", prev[lv.parents[rows]], imgs)
+        det = np.linalg.det(imgs)
+        imgs /= np.cbrt(det)[:, None, None]
+        return imgs
 
 
 def enumerate_ball(seed: FuchsianSeed, radius: int) -> Iterator[tuple]:

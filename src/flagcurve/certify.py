@@ -15,6 +15,13 @@ reads the signed ratio r = u(w)/t(w) of every scored word in one pass
 cross-check, the refuting witness and the gap rates; ``stable_norm`` and
 ``anosov_rates`` run the same pass on a ball of their own.
 Witnesses are named through ``BallTable.word``.
+
+The pass reads the ball as ``BallTable.scored`` streams it: the 3x3 images
+of the level below the one being read are stored whole, and those of the
+last level exist one block at a time, as do the eigenvalue temporaries of
+the saddle test and of ``probe_explicit``.  Only the per-level maximum of
+|r| crosses blocks: it is the first maximum over all blocks of the level,
+so the running estimate moves as it would on the whole level.
 """
 
 from __future__ import annotations
@@ -24,7 +31,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .ball import BallTable
+from .ball import BallTable, rowwise_dot
 from .errors import (FlagCurveError, InsufficientSamples, NonLoxodromicEncountered,
                      UnsupportedSpec)
 from .reps import RepSpec
@@ -68,27 +75,24 @@ def _u_class(spec: RepSpec) -> CohomologyClass:
 
 
 def _scan(table: BallTable, u: CohomologyClass, radius: int, min_length: float,
-          img_levels: list | None = None) -> tuple:
+          letter_images: np.ndarray | None = None) -> tuple:
     """One pass over ``table.scored()`` with the signed ratio r = u(w)/t(w).
 
     Returns the stable-norm estimate, the first refuting word (or None),
-    whether the ratio and saddle tests agree (checked only when the 3x3
-    ``img_levels`` are given), the scored count, and the (level, idx, r)
-    of the words with t >= min_length, level by level.
+    whether the ratio and saddle tests agree (checked only when the
+    ``letter_images`` are given), the scored count, and the (level, idx, r)
+    of the words with t >= min_length, block by block.
     """
     uvec = u.as_vector()
-    best, best_word, history, kept = 0.0, "", [], []
+    tops, kept = {}, []  # tops: level -> (max |r|, first word index at it)
     refut_word, agree, scored = None, True, 0
-    for level, idx, t in table.scored():
-        # The saddle test runs before the ratios exist: its temporaries set the peak memory.
-        saddle_pass = (None if img_levels is None
-                       else batch_saddle_at_e2(img_levels[level - 1][idx]))
-        r = (table.expsums(level)[idx] @ uvec) / t
+    for level, idx, t, imgs in table.scored(0.0, letter_images):
+        saddle_pass = None if imgs is None else batch_saddle_at_e2(imgs)
+        r = rowwise_dot(table.expsums(level)[idx], uvec) / t
         vals = np.abs(r)
         j = int(np.argmax(vals))
-        if vals[j] > best * (1.0 + 1e-12) + 1e-300:
-            best, best_word = float(vals[j]), table.word(level, int(idx[j]))
-        history.append((level, best))
+        if level not in tops or vals[j] > tops[level][0]:
+            tops[level] = (vals[j], int(idx[j]))
         ratio_pass = vals < 0.5
         if refut_word is None and not ratio_pass.all():
             refut_word = table.word(level, int(idx[np.argmin(ratio_pass)]))
@@ -97,12 +101,19 @@ def _scan(table: BallTable, u: CohomologyClass, radius: int, min_length: float,
         scored += len(idx)
         keep = t >= min_length
         kept.append((level, idx[keep], r[keep]))
+    # The running maximum moves only at a level whose own (first-occurrence)
+    # maximum beats it by a relative 1e-12.
+    best, best_word, history = 0.0, "", []
+    for level, (val, i) in tops.items():
+        if val > best * (1.0 + 1e-12) + 1e-300:
+            best, best_word = float(val), table.word(level, i)
+        history.append((level, best))
     estimate = StableNormEstimate(best, best_word, radius, tuple(history))
     return estimate, refut_word, agree, scored, kept
 
 
 def _rates(table: BallTable, kept: list) -> RatesResult:
-    """Gap rates 0.5 +- r from the (level, idx, r) parts of ``_scan``."""
+    """Gap rates 0.5 +- r from the (level, idx, r) blocks of ``_scan``."""
     for level, idx, r in kept:
         degenerate = np.abs(np.abs(r) - 0.5) <= GAP_TOL
         if degenerate.any():
@@ -147,7 +158,7 @@ def certify_anosov(
         raise ValueError("radius must be >= 2")
     table = BallTable.build(spec.seed, radius)
     estimate, refut_word, agree, scored, kept = _scan(
-        table, _u_class(spec), radius, min_length, table.images3(spec.letter_images()))
+        table, _u_class(spec), radius, min_length, spec.letter_images())
     if refut_word is not None:
         verdict = "refuted"
     elif estimate.value <= 0.5 - margin:
@@ -202,12 +213,11 @@ def probe_explicit(
     eigenvalue-gap infima over the scored ball.  Raises InsufficientSamples
     when no scored word is loxodromic, since the infima are then empty."""
     table = BallTable.build(spec.seed, radius)
-    img_levels = table.images3(spec.letter_images())
     n_scored = 0
     n_lox = 0
     inf_top, inf_bot = math.inf, math.inf
-    for level, idx, t in table.scored(min_length):
-        lox, vals = batch_loxodromic(img_levels[level - 1][idx])
+    for _level, idx, t, imgs in table.scored(min_length, spec.letter_images()):
+        lox, vals = batch_loxodromic(imgs)
         n_scored += len(idx)
         n_lox += int(lox.sum())
         if lox.any():

@@ -83,12 +83,21 @@ def _finite_float(text: str) -> float:
     return value
 
 
+def _orbit_vector(orbit: dict, key: str) -> np.ndarray:
+    """The array field ``key`` of the ``orbit`` block, every entry a JSON
+    number."""
+    value = orbit[key]
+    if not isinstance(value, list):
+        raise ConfigError(f"field 'orbit.{key}' must be a JSON array")
+    return np.array([json_number(float, v, f"orbit.{key}") for v in value])
+
+
 def _base_flag(orbit: dict) -> Flag:
     """The base flag of the ``orbit`` config block."""
     if "base_point" in orbit or "base_line" in orbit:
         try:
-            p = ProjPoint.of(np.array(orbit["base_point"], dtype=float))
-            l = ProjLine.of(np.array(orbit["base_line"], dtype=float))
+            p = ProjPoint.of(_orbit_vector(orbit, "base_point"))
+            l = ProjLine.of(_orbit_vector(orbit, "base_line"))
             return Flag.of(p, l, tol=1e-8)
         except (KeyError, ValueError, TypeError) as e:
             raise ConfigError(f"bad field 'orbit.base_point'/'orbit.base_line': {e}") from e
@@ -100,9 +109,12 @@ def _base_flag(orbit: dict) -> Flag:
 class RunConfig:
     """Validated run configuration."""
 
-    def __init__(self, raw: dict, source_bytes: bytes, out_dir: Path):
+    def __init__(self, raw: dict, source_bytes: bytes, out_dir: str | None):
         if not isinstance(raw, dict):
             raise ConfigError("config root must be a JSON object")
+        output_dir = raw.get("output_dir", "out")
+        if not isinstance(output_dir, str):
+            raise ConfigError("field 'output_dir' must be a string")
         if "rep_spec" not in raw:
             raise ConfigError("missing field 'rep_spec'")
         try:
@@ -136,7 +148,7 @@ class RunConfig:
         self.orbit_base = _base_flag(orbit)
         self.orbit_neighborhood = _positive(
             float, orbit.get("neighborhood", 0.05), "orbit.neighborhood")
-        self.out_dir = out_dir
+        self.out_dir = Path(out_dir) if out_dir else Path(output_dir)
         self.raw = raw
         self.input_sha256 = hashlib.sha256(source_bytes).hexdigest()
 
@@ -152,8 +164,7 @@ class RunConfig:
                              parse_float=_finite_float)
         except json.JSONDecodeError as e:
             raise ConfigError(f"config is not valid JSON: {e}") from e
-        out = Path(out_dir) if out_dir else Path(raw.get("output_dir", "out"))
-        return RunConfig(raw, data, out)
+        return RunConfig(raw, data, out_dir)
 
 
 def _model(config: RunConfig):

@@ -4,6 +4,10 @@ The invariant curve is sampled at the attracting fixed flags of the
 cyclically reduced ball elements; each sample is indexed by the attracting
 fixed direction of its 2x2 seed image on the circle of directions (an
 angle mod pi), which parametrizes the curve equivariantly and injectively.
+``sample_limit_curve`` takes the flags block by block from
+``BallTable.scored``, so of the 3x3 images only the level below the one
+being read is stored whole and the last level is streamed; the samples
+themselves, and the word strings of the levels that hold them, are kept.
 
 Crossing counts use sign changes of the pairing along the param-ordered
 point samples.  Representatives are sign-canonicalized, so consecutive
@@ -98,6 +102,39 @@ class CurveModel:
             )
 
 
+def greedy_thin(x: np.ndarray, spacing: float) -> np.ndarray:
+    """Indices kept by the greedy pass over ascending ``x`` that keeps x[0]
+    and then each x[i] with x[i] - x[last kept] >= spacing.
+
+    Float subtraction is monotone, so an entry at least ``spacing`` above
+    its predecessor is always kept: those entries cut ``x`` into runs that
+    each start with a kept entry.  Inside a run of smaller gaps the next
+    kept entry after x[k] is found by ``searchsorted`` at x[k] + spacing
+    and then moved to the first index meeting the exact predicate, which
+    is monotone in the index and constant on equal values.
+    """
+    if not len(x):
+        return np.empty(0, dtype=np.intp)
+    starts = np.concatenate(([0], np.flatnonzero(np.diff(x) >= spacing) + 1))
+    ends = np.append(starts[1:], len(x))
+    runs = ends - starts > 1
+    kept = [starts]
+    for a, b in zip(starts[runs].tolist(), ends[runs].tolist()):
+        k, inner = a, []
+        while True:
+            i = k + 1 + int(np.searchsorted(x[k + 1:b], x[k] + spacing))
+            while i > k + 1 and x[i - 1] - x[k] >= spacing:
+                i = int(np.searchsorted(x, x[i - 1]))
+            while i < b and x[i] - x[k] < spacing:
+                i = int(np.searchsorted(x, x[i], side="right"))
+            if i >= b:
+                break
+            inner.append(i)
+            k = i
+        kept.append(np.array(inner, dtype=np.intp))
+    return np.sort(np.concatenate(kept))
+
+
 def sample_limit_curve(
     spec: RepSpec,
     radius: int,
@@ -109,10 +146,9 @@ def sample_limit_curve(
     if radius < 2:
         raise ValueError("radius must be >= 2")
     table = BallTable.build(spec.seed, radius)
-    img_levels = table.images3(spec.letter_images())
     params, points, lines, tlens, words = [], [], [], [], []
-    for level, idx, t in table.scored(min_length):
-        lox, pts, lns = batch_attracting_flags(img_levels[level - 1][idx])
+    for level, idx, t, imgs in table.scored(min_length, spec.letter_images()):
+        lox, pts, lns = batch_attracting_flags(imgs)
         if not lox.any():
             continue
         idx = idx[lox]
@@ -130,13 +166,7 @@ def sample_limit_curve(
     order = np.argsort(params, kind="stable")
     params, points, lines = params[order], points[order], lines[order]
     tlens, words = tlens[order], np.array(words, dtype=object)[order]
-    keep = np.ones(len(params), dtype=bool)
-    last = -math.inf
-    for i in range(len(params)):
-        if params[i] - last < dedup_res:
-            keep[i] = False
-        else:
-            last = params[i]
+    keep = greedy_thin(params, dedup_res)
     params, points, lines = params[keep], points[keep], lines[keep]
     tlens, words = tlens[keep], words[keep]
     if len(params) < 16:

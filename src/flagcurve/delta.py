@@ -22,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .curve import CurveModel
+from .curve import CurveModel, greedy_thin
 from .errors import InsufficientSamples, NotRadial, PolarDegenerate
 from .reps import RepSpec
 
@@ -69,12 +69,9 @@ def _lagrange_fill(support_angles: np.ndarray, support_values: np.ndarray) -> np
     """
     order = np.argsort(support_angles)
     ang, val = support_angles[order], support_values[order]
-    keep = [0]
-    for i in range(1, len(ang)):
-        if ang[i] - ang[keep[-1]] >= _THIN_SPACING:
-            keep.append(i)
+    keep = greedy_thin(ang, _THIN_SPACING)
     if (2.0 * math.pi - ang[keep[-1]]) + ang[keep[0]] < _THIN_SPACING and len(keep) > 4:
-        keep.pop()
+        keep = keep[:-1]
     ang, val = ang[keep], val[keep]
     m = len(ang)
     if m < 8:

@@ -8,6 +8,11 @@ linear-algebra margin replaces the nearest-sample margin.  Boundary
 classification against sampled curves is honest about resolution: flags
 within the tolerance band of a sampled curve are "on-boundary", not
 "outside", unless an exact test puts them on the bad set.
+
+``recurrence_experiment`` maps the base flag by every ball word, block by
+block from ``BallTable.blocks``: the images of the level below the one
+being read are stored whole, while the last level's images, their
+inverses and the mapped flags exist one block at a time.
 """
 
 from __future__ import annotations
@@ -17,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .ball import BallTable
+from .ball import BallTable, rowwise_dot
 from .curve import CurveModel, crossing_counts, sample_limit_curve
 from .errors import BaseNotInterior
 from .projective import Flag, ProjLine, ProjPoint
@@ -80,8 +85,8 @@ def flag_displacement(points: np.ndarray, lines: np.ndarray,
                       base_point: np.ndarray, base_line: np.ndarray) -> np.ndarray:
     """Chordal displacement of mapped flags from the base: max of the two
     angular distances."""
-    dp = np.arccos(np.minimum(1.0, np.abs(points @ base_point)))
-    dl = np.arccos(np.minimum(1.0, np.abs(lines @ base_line)))
+    dp = np.arccos(np.minimum(1.0, np.abs(rowwise_dot(points, base_point))))
+    dl = np.arccos(np.minimum(1.0, np.abs(rowwise_dot(lines, base_line))))
     return np.maximum(dp, dl)
 
 
@@ -109,13 +114,11 @@ def recurrence_experiment(
             f" need > {2.0 * nbhd:.4f}"
         )
     table = BallTable.build(spec.seed, radius)
-    img_levels = table.images3(spec.letter_images())
     bp, bl = base.point.rep, base.line.rep
     returning = [""]
-    history = [(0, 1)]
+    counts = {0: 1}  # level -> cumulative count of returning words
     min_disp = math.inf
-    for level in range(1, radius + 1):
-        imgs = img_levels[level - 1]
+    for level, rows, imgs in table.blocks(spec.letter_images()):
         pts = np.einsum("nij,j->ni", imgs, bp)
         pts /= np.linalg.norm(pts, axis=1)[:, None]
         duals = np.linalg.inv(imgs).transpose(0, 2, 1)
@@ -124,8 +127,9 @@ def recurrence_experiment(
         disp = flag_displacement(pts, lns, bp, bl)
         min_disp = min(min_disp, float(disp.min()))
         hits = np.nonzero(disp <= 2.0 * nbhd)[0]
-        returning.extend(table.word(level, int(i)) for i in hits)
-        history.append((level, len(returning)))
+        returning.extend(table.word(level, rows.start + int(i)) for i in hits)
+        counts[level] = len(returning)
+    history = list(counts.items())
     stabilized = len(history) >= 3 and history[-1][1] == history[-2][1] == history[-3][1]
     return RecurrenceReport(
         ball_radius=radius,

@@ -1,0 +1,134 @@
+"""The ball streamed in row blocks: every result is bit for bit the same
+whatever the block size, and the spectral pipelines stay within a small
+multiple of the ball table's own memory."""
+
+import dataclasses
+import math
+import tracemalloc
+
+import numpy as np
+import pytest
+
+from flagcurve import (
+    CohomologyClass,
+    Flag,
+    RepSpec,
+    certify_anosov,
+    coboundary_radial,
+    probe_explicit,
+    recurrence_experiment,
+    sample_limit_curve,
+    translation_length,
+)
+from flagcurve import ball
+from flagcurve.ball import BallTable
+
+RADIUS = 4
+
+# An integer SL(3) matrix and its inverse: conjugating the radial spec by
+# it moves [e2] off the coordinate axes (the generic eigenvector path).
+CONJ = np.array([[1, 1, 0], [1, 2, 1], [0, 1, 2]], dtype=float)
+CONJ_INV = np.array([[3, -2, 1], [-2, 2, -1], [1, -1, 1]], dtype=float)
+
+
+# Classes with several nonzero values, so that u(w) is a sum whose
+# rounding depends on how it is evaluated.
+@pytest.fixture(scope="module")
+def radial(seed2):
+    u = CohomologyClass.from_dict({"a1": 0.3, "b2": -0.2}, 2)
+    return coboundary_radial(RepSpec("linear_u", seed2, u=u), 0.4, -0.2)
+
+
+@pytest.fixture(scope="module")
+def refuted(seed2):
+    t_b2 = translation_length(seed2.generators[3])
+    u = CohomologyClass.from_dict({"a1": 0.1, "b1": -0.15, "b2": 0.6 * t_b2}, 2)
+    return RepSpec("linear_u", seed2, u=u)
+
+
+@pytest.fixture(scope="module")
+def explicit(seed2, radial):
+    mats = tuple(CONJ @ g @ CONJ_INV for g in radial.generator_images())
+    return RepSpec("explicit", seed2, matrices=mats)
+
+
+def _same(a, b) -> bool:
+    """Bit-for-bit equality of nested dataclasses, sequences, arrays and
+    scalars."""
+    if type(a) is not type(b):
+        return False
+    if dataclasses.is_dataclass(a):
+        return all(_same(getattr(a, f.name), getattr(b, f.name))
+                   for f in dataclasses.fields(a))
+    if isinstance(a, np.ndarray):
+        return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+    if isinstance(a, (tuple, list)):
+        return len(a) == len(b) and all(map(_same, a, b))
+    if isinstance(a, float):
+        return np.float64(a).tobytes() == np.float64(b).tobytes()
+    return a == b
+
+
+def _runs(radial, refuted, explicit) -> dict:
+    s = 1.0 / math.sqrt(2.0)
+    base = Flag.of((s, s, 0.0), (s, -s, 0.0))
+    model = sample_limit_curve(radial, RADIUS)
+    return {
+        "certify_radial": certify_anosov(radial, RADIUS),
+        "certify_refuted": certify_anosov(refuted, RADIUS),
+        "probe": probe_explicit(explicit, RADIUS),
+        "curve": model,
+        "recurrence": recurrence_experiment(radial, base, 0.05, RADIUS, model, model),
+    }
+
+
+@pytest.fixture(scope="module")
+def default_runs(radial, refuted, explicit):
+    runs = _runs(radial, refuted, explicit)
+    assert runs["certify_refuted"].refuting_witness is not None
+    assert runs["certify_radial"].rates is not None
+    return runs
+
+
+@pytest.mark.parametrize("rows", [1, 5, 10 ** 6])
+def test_results_do_not_depend_on_block_size(monkeypatch, radial, refuted, explicit,
+                                             default_runs, rows):
+    want = default_runs
+    monkeypatch.setattr(ball, "BLOCK_ROWS", rows)
+    got = _runs(radial, refuted, explicit)
+    for key in want:
+        assert _same(got[key], want[key]), key
+
+
+def test_a_level_maximum_lies_past_its_first_block(monkeypatch, refuted):
+    # The per-level maximum of _scan must be the first maximum over every
+    # block of the level; at 5 rows a block, some level's lies in a later
+    # block than the first one it yields.
+    monkeypatch.setattr(ball, "BLOCK_ROWS", 5)
+    table = BallTable.build(refuted.seed, RADIUS)
+    maxima = {}
+    for level, idx, t, _imgs in table.scored():
+        r = np.abs(table.expsums(level)[idx] @ refuted.u.as_vector()) / t
+        maxima.setdefault(level, []).append(r.max())
+    assert any(np.argmax(m) > 0 for m in maxima.values())
+
+
+@pytest.mark.parametrize("command", ["probe", "certify"])
+def test_streamed_peak_memory(seed2, radial, explicit, command):
+    # The last level, the eigen temporaries and the image stacks are
+    # O(block): the traced peak of a whole run, its own ball included,
+    # stays within 2.5x the ball table's bytes at genus 2, R=6.
+    radius = 6
+    table = BallTable.build(seed2, radius)
+    table_bytes = sum(a.nbytes for lv in table.levels for a in vars(lv).values())
+    del table
+    tracemalloc.start()
+    try:
+        if command == "probe":
+            probe_explicit(explicit, radius)
+        else:
+            certify_anosov(radial, radius)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2.5 * table_bytes

@@ -33,15 +33,18 @@ def report_schema():
     return json.loads(files("flagcurve").joinpath("schemas/report.schema.json").read_text())
 
 
-def _run(tmp_path, command: str, config: dict, raw_member: str = "") -> int:
+def _run(tmp_path, command: str, config: dict, raw_member: str = "",
+         out: bool = True) -> int:
     """Run a command on the config, with an optional member given as raw
-    JSON text (for numbers json.dumps cannot write)."""
+    JSON text (for numbers json.dumps cannot write); without ``out`` the
+    output directory is left to the config."""
     text = json.dumps(config)
     if raw_member:
         text = text[:-1] + ", " + raw_member + "}"
     path = tmp_path / "config.json"
     path.write_text(text, encoding="utf-8")
-    return cli.main([command, "--config", str(path), "--out", str(tmp_path / "out")])
+    argv = [command, "--config", str(path)]
+    return cli.main(argv + ["--out", str(tmp_path / "out")] if out else argv)
 
 
 def _explicit_g2() -> dict:
@@ -173,6 +176,10 @@ def test_limit_curve(tmp_path, report_schema, max_lines):
     {"render": {"widht_px": 800}},
     {"orbit": {"neighbourhood": 0.5}},
     {"rep_spec": _explicit_g2_with(np.zeros((3, 3)))},
+    [1],
+    {"output_dir": 5},
+    {"orbit": {"base_point": ["0.7071067811865476", "0.7071067811865476", False],
+               "base_line": [0.7071067811865476, -0.7071067811865476, 0.0]}},
 ], ids=["ball_radius", "width_px", "neighborhood", "genus", "tolerance_key", "render",
         "nan", "infinity", "base_point_object", "overflow", "tolerance_overflow",
         "tolerance_huge_int", "window_zero", "width_px_zero", "width_px_negative",
@@ -180,13 +187,19 @@ def test_limit_curve(tmp_path, report_schema, max_lines):
         "max_lines_float", "dedup_bool", "neighborhood_bool", "genus_float",
         "genus_string", "coboundary_types", "u_string", "u_bool", "generator_string",
         "matrix_string", "rep_spec_list", "u_list", "u_string_object", "mu_list",
-        "render_key", "orbit_key", "singular_matrices"])
-def test_malformed_config_exits_2(tmp_path, capsys, fields):
+        "render_key", "orbit_key", "singular_matrices", "root_list", "output_dir_int",
+        "base_point_strings"])
+def test_malformed_config_exits_2(tmp_path, capsys, monkeypatch, fields):
     raw = fields if isinstance(fields, str) else ""
-    config = {"rep_spec": RADIAL_G2, "ball_radius": 3, **({} if raw else fields)}
-    assert _run(tmp_path, "orbit", config, raw) == 2
-    assert capsys.readouterr().err.startswith("config error:")
-    assert not (tmp_path / "out").exists()
+    if isinstance(fields, list):  # a config root that is not an object
+        config = fields
+    else:
+        config = {"rep_spec": RADIAL_G2, "ball_radius": 3, **({} if raw else fields)}
+    monkeypatch.chdir(tmp_path)  # the default output directory is ./out
+    for out in (True, False):
+        assert _run(tmp_path, "orbit", config, raw, out) == 2
+        assert capsys.readouterr().err.startswith("config error:")
+        assert not (tmp_path / "out").exists()
 
 
 @pytest.mark.parametrize("command", sorted(REPORTS))

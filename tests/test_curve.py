@@ -3,6 +3,8 @@ import re
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from flagcurve import (
     CohomologyClass,
@@ -21,7 +23,7 @@ from flagcurve import (
     translation_length,
 )
 from flagcurve.ball import BallTable
-from flagcurve.curve import CurveModel, equivariance_report
+from flagcurve.curve import CurveModel, equivariance_report, greedy_thin
 from flagcurve.errors import InsufficientSamples, NotHyperbolic, UnsupportedSpec
 from flagcurve.projective import proj_dist
 from flagcurve.spectral import attractive_flag
@@ -37,6 +39,40 @@ def test_canonical_model_on_invariant_line(model4):
     assert len(model4) >= 200
     assert np.abs(model4.points[:, 1]).max() <= 1e-9
     assert np.abs(model4.lines[:, 1]).max() <= 1e-9
+
+
+def _thin_loop(x, spacing):
+    """The per-element greedy loop that ``greedy_thin`` replaces."""
+    keep = [0]
+    for i in range(1, len(x)):
+        if x[i] - x[keep[-1]] >= spacing:
+            keep.append(i)
+    return keep
+
+
+@st.composite
+def _thin_inputs(draw):
+    """(spacing, ascending x): whole steps of the spacing put gaps at
+    exactly the spacing and repeat values, the other steps land near it
+    on either side, and a base far below the spacing makes differences
+    round."""
+    spacing = draw(st.sampled_from([2.0 ** -3, 0.1, 1e-3, 1e-7]))
+    base = draw(st.one_of(st.floats(-4.0, 4.0), st.floats(-1e-6, 1e-6)))
+    steps = draw(st.lists(st.one_of(st.integers(0, 3), st.floats(0.0, 3.0),
+                                    st.sampled_from([1.0 - 1e-16, 1.0 + 2e-16])),
+                          min_size=1, max_size=60))
+    return spacing, np.sort(base + np.array(steps, dtype=float) * spacing)
+
+
+@settings(max_examples=400, deadline=None)
+@given(case=_thin_inputs())
+@example(case=(0.125, np.array([0, 0, 1, 1, 1, 2, 2.5, 3, 3, 3]) * 0.125))
+# x[2] - x[0] rounds up to the spacing although x[2] < fl(x[0] + spacing).
+@example(case=(1e-7, np.array([-4.3357229086071404e-08, 0.0, 5.6642770913928584e-08,
+                               5.664277091392859e-08])))
+def test_greedy_thin_matches_loop(case):
+    spacing, x = case
+    assert greedy_thin(x, spacing).tolist() == _thin_loop(x, spacing)
 
 
 def test_model_sorted_and_deduped(model4):
@@ -213,9 +249,9 @@ def test_trivial_seed_image_is_skipped(monkeypatch, seed2, u_a1, canonical2, sig
     table = BallTable.build(seed2, 3)
     k = plain.word_strings(3).index(dropped)
     table.mats2(3)[k] = sign * np.eye(2)
-    want = {level: idx for level, idx, _t in plain.scored()}
+    want = {level: idx for level, idx, _t, _imgs in plain.scored()}
     want[3] = want[3][want[3] != k]
-    got = {level: idx for level, idx, _t in table.scored()}
+    got = {level: idx for level, idx, _t, _imgs in table.scored()}
     assert got.keys() == want.keys()
     for level in want:
         assert np.array_equal(got[level], want[level])
@@ -334,10 +370,9 @@ def test_rates_match_generic_eigensolver(monkeypatch, seed2):
     # accumulated matrix products (accurate only up to e^t determinant drift)
     from flagcurve.spectral import batch_eigvals3
 
-    imgs = table.images3(spec.letter_images())
     pos = 0
-    for level, idx, t in table.scored(0.5):
-        vals, real = batch_eigvals3(imgs[level - 1][idx])
+    for _level, idx, t, imgs in table.scored(0.5, spec.letter_images()):
+        vals, real = batch_eigvals3(imgs)
         assert real.all()
         a = np.abs(vals)
         got_top = np.log(a[:, 0] / a[:, 1]) / t
