@@ -14,6 +14,14 @@ below.  A level's stack is kept whole only while the next level is read;
 the last level, which holds (4g-2)/(4g-1) of the ball, exists one block at
 a time, so its images and every consumer's temporaries are O(block).
 
+Words are named only here.  ``BallTable.word`` walks one word's
+parents; ``BallTable.names`` names a batch of (level, index) ids, reading
+the levels below the top off their cached ``word_strings`` and building
+each top-level word from its parent's string, so the top level, most of
+the ball, never has all its strings built.  ``WordIds`` is a sequence of
+such ids that names words only when they are read, and
+``BallTable.naming`` is the letters-and-parents table it needs.
+
 ``BallTable.scored`` is the one word selection of every spectral pipeline:
 the cyclically reduced words above a translation-length floor, block by
 block, with their images.  Every spectral quantity is a conjugacy
@@ -64,7 +72,9 @@ def _near_identity(mats: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True)
 class _Level:
-    """All words of one length, in shortlex order."""
+    """All words of one length, in shortlex order.  A ``BallTable.naming``
+    table keeps only ``letters`` and ``parents``; its other fields are
+    None."""
 
     letters: np.ndarray  # (n,) int8, last letter of each word
     firsts: np.ndarray  # (n,) int8, first letter of each word
@@ -104,13 +114,11 @@ class BallTable:
             parent, letts = next_level(lv.letters, len(letter_mats))
             exps = lv.expsums[parent]
             exps[np.arange(len(letts)), letts // 2] += signs[letts]
-            lv = _Level(
-                letts,
-                lv.firsts[parent],
-                parent,
-                np.einsum("nij,njk->nik", lv.mats[parent], letter_mats[letts]),
-                exps,
-            )
+            # The 2x2 products as two broadcast terms: a sum of two
+            # products rounds the same whatever its order.
+            mats = lv.mats[parent, :, :1] * letter_mats[letts, :1]
+            mats += lv.mats[parent, :, 1:] * letter_mats[letts, 1:]
+            lv = _Level(letts, lv.firsts[parent], parent, mats, exps)
             table.levels.append(lv)
         return table
 
@@ -202,16 +210,42 @@ class BallTable:
     def word_strings(self, level: int) -> list:
         """Dot-separated display strings of a level, shortlex order."""
         if level not in self._strings:
-            names = [letter_name(l) for l in range(4 * self.genus)]
-            lv = self.levels[level - 1]
-            if level == 1:
-                strs = [names[l] for l in lv.letters.tolist()]
-            else:
-                prev = self.word_strings(level - 1)
-                strs = [prev[p] + "." + names[l]
-                        for p, l in zip(lv.parents.tolist(), lv.letters.tolist())]
-            self._strings[level] = strs
+            self._strings[level] = self._extend(level, slice(None))
         return self._strings[level]
+
+    def names(self, levels: np.ndarray, index: np.ndarray) -> list:
+        """Display strings of the words (levels[k], index[k]), in order.
+        A word below the top level is read off ``word_strings``; a word of
+        the top level, which holds most of the ball, is its parent's string
+        and its last letter, so the top level's strings are never all
+        built."""
+        out = np.empty(len(levels), dtype=object)
+        for level in np.unique(levels).tolist():
+            at = np.flatnonzero(levels == level)
+            if level < self.radius:
+                strs = self.word_strings(level)
+                out[at] = [strs[i] for i in index[at].tolist()]
+            else:
+                out[at] = self._extend(level, index[at])
+        return out.tolist()
+
+    def _extend(self, level: int, rows) -> list:
+        """Display strings of the words ``rows`` of a level: each is its
+        parent's string, a dot and its last letter."""
+        names = [letter_name(l) for l in range(4 * self.genus)]
+        lv = self.levels[level - 1]
+        letters = lv.letters[rows].tolist()
+        if level == 1:
+            return [names[l] for l in letters]
+        prev = self.word_strings(level - 1)
+        return [prev[p] + "." + names[l] for p, l in zip(lv.parents[rows].tolist(), letters)]
+
+    def naming(self) -> "BallTable":
+        """The same ball with only what naming its words needs: each
+        level's last letters and parent indices, 9 B a word."""
+        return BallTable(self.seed, self.radius,
+                         [_Level(lv.letters, None, lv.parents, None, None)
+                          for lv in self.levels])
 
     def images3(self, letter_images: np.ndarray, level: int, rows: slice,
                 prev: np.ndarray | None) -> np.ndarray:
@@ -227,6 +261,29 @@ class BallTable:
         det = np.linalg.det(imgs)
         imgs /= np.cbrt(det)[:, None, None]
         return imgs
+
+
+@dataclass(frozen=True, eq=False)
+class WordIds:
+    """A sequence of ball words held as (level, index) ids and named only
+    when read: ``ids[i]`` walks one word's parents (``BallTable.word``),
+    iteration names them all through ``BallTable.names``, and a slice or
+    an index array selects ids without naming any."""
+
+    table: BallTable  # a ``BallTable.naming`` table suffices
+    levels: np.ndarray  # (n,) int8
+    index: np.ndarray  # (n,) int64
+
+    def __len__(self) -> int:
+        return len(self.levels)
+
+    def __getitem__(self, key):
+        if isinstance(key, (int, np.integer)):
+            return self.table.word(int(self.levels[key]), int(self.index[key]))
+        return WordIds(self.table, self.levels[key], self.index[key])
+
+    def __iter__(self) -> Iterator[str]:
+        return iter(self.table.names(self.levels, self.index))
 
 
 def enumerate_ball(seed: FuchsianSeed, radius: int) -> Iterator[tuple]:

@@ -9,6 +9,12 @@ its other files (CSV, SVG).  All file outputs are byte-deterministic for
 a fixed config (collections are sorted before emission, floats use repr
 round-tripping, wall-clock timing goes to stderr only).
 
+``limit-curve`` checks incidence, which needs 64 samples, before it
+writes any file, and then streams ``curve.csv`` to the open file in
+chunks of CSV_ROWS rows, naming only each chunk's words; no command holds
+the whole CSV or the strings of every sampled word.  ``delta``,
+``regularity`` and ``orbit`` name no word of their curve models.
+
 Exit codes: 0 success (certify: certified-at-scale), 2 config error,
 3 insufficient samples, 4 certify refuted, 5 certify inconclusive or
 probe-only spec, 6 other module errors.
@@ -48,6 +54,9 @@ DEFAULT_TOLERANCES = {
     "incidence_zero": 1e-9,
 }
 RENDER_KEYS = ("chart", "width_px", "stroke", "window")
+CSV_HEADER = "param,point_x,point_y,point_z,line_a,line_b,line_c,word,translation_length"
+# Rows of curve.csv formatted, with their words named, per write.
+CSV_ROWS = 1 << 14
 ORBIT_KEYS = ("base_point", "base_line", "neighborhood")
 
 
@@ -180,19 +189,20 @@ def cmd_limit_curve(config: RunConfig) -> tuple:
     from .svg import render_model
 
     model = _model(config)
-    out = config.out_dir
-    lines = ["param,point_x,point_y,point_z,line_a,line_b,line_c,word,translation_length"]
-    for row in model.csv_rows():
-        param, px, py, pz, la, lb, lc, word, tl = row
-        lines.append(
-        f"{param!r},{px!r},{py!r},{pz!r},{la!r},{lb!r},{lc!r},{word},{tl!r}"
-        )
-    (out / "curve.csv").write_text("\n".join(lines) + "\n", encoding="utf-8")
+    # Raises InsufficientSamples below 64 samples, before any file exists.
     inc = check_incidence(
         model,
         ztol=config.tolerances["incidence_zero"],
         max_lines=config.incidence_max_lines,
     )
+    out = config.out_dir
+    with open(out / "curve.csv", "w", encoding="utf-8") as f:
+        f.write(CSV_HEADER + "\n")
+        for lo in range(0, len(model), CSV_ROWS):
+            f.write("".join(
+                f"{param!r},{px!r},{py!r},{pz!r},{la!r},{lb!r},{lc!r},{word},{tl!r}\n"
+                for param, px, py, pz, la, lb, lc, word, tl
+                in model.csv_rows(slice(lo, lo + CSV_ROWS))))
     payload = {
         "samples": len(model),
         "injectivity": dataclasses.asdict(injectivity_report(model)),

@@ -6,8 +6,13 @@ fixed direction of its 2x2 seed image on the circle of directions (an
 angle mod pi), which parametrizes the curve equivariantly and injectively.
 ``sample_limit_curve`` takes the flags block by block from
 ``BallTable.scored``, so of the 3x3 images only the level below the one
-being read is stored whole and the last level is streamed; the samples
-themselves, and the word strings of the levels that hold them, are kept.
+being read is stored whole and the last level is streamed.  A
+``CurveModel`` keeps its samples' params, flags and translation lengths,
+and each sample's word as a (level, index) id (``ball.WordIds``): one
+int8 and one int64 a sample, plus each ball level's last letters and
+parent indices (9 B a ball word).  No word string exists until one is
+read: ``model.words[i]`` names one word, and ``CurveModel.csv_rows``
+names only the rows asked for.
 
 Crossing counts use sign changes of the pairing along the param-ordered
 point samples.  Representatives are sign-canonicalized, so consecutive
@@ -26,10 +31,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import Sequence
 
 import numpy as np
 
-from .ball import BallTable
+from .ball import BallTable, WordIds
 from .errors import InsufficientSamples
 from .projective import Flag, ProjLine, ProjPoint
 from .reps import RepSpec
@@ -51,6 +57,9 @@ class CurveSample:
 class CurveModel:
     """Param-sorted samples of the limit curve and its two projections.
 
+    ``words`` is any sequence of the samples' word strings; the sampler's
+    is a ``WordIds``, which names a word only when it is read.
+
     ``exact_point_line`` (a covector) is set when the point curve is known
     to be exactly a projective line; ``exact_line_point`` (a point) when
     the line curve is exactly the pencil through that point.  Membership
@@ -60,7 +69,7 @@ class CurveModel:
     params: np.ndarray
     points: np.ndarray
     lines: np.ndarray
-    words: tuple
+    words: Sequence
     tlens: np.ndarray
     variant: str
     dedup_res: float
@@ -90,16 +99,13 @@ class CurveModel:
             return math.asin(min(1.0, abs(float(rep @ self.exact_line_point))))
         return float(np.arccos(np.minimum(1.0, np.abs(self.lines @ rep)).max()))
 
-    def csv_rows(self):
-        for i in range(len(self)):
-            p, l = self.points[i], self.lines[i]
-            yield (
-                float(self.params[i]),
-                float(p[0]), float(p[1]), float(p[2]),
-                float(l[0]), float(l[1]), float(l[2]),
-                self.words[i],
-                float(self.tlens[i]),
-            )
+    def csv_rows(self, rows: slice = slice(None)):
+        """The CSV fields of the samples ``rows``, one 9-tuple each: param,
+        point, line, word and translation length, the numbers as Python
+        floats.  Only these samples' words are named."""
+        return zip(self.params[rows].tolist(), *self.points[rows].T.tolist(),
+                   *self.lines[rows].T.tolist(), list(self.words[rows]),
+                   self.tlens[rows].tolist())
 
 
 def greedy_thin(x: np.ndarray, spacing: float) -> np.ndarray:
@@ -142,11 +148,13 @@ def sample_limit_curve(
     dedup_res: float = 1e-7,
 ) -> CurveModel:
     """One sample per cyclically reduced loxodromic ball word with
-    translation length >= min_length, deduplicated by param and sorted."""
+    translation length >= min_length, deduplicated by param and sorted.
+    Words are kept as (level, index) ids and named only when read."""
     if radius < 2:
         raise ValueError("radius must be >= 2")
     table = BallTable.build(spec.seed, radius)
-    params, points, lines, tlens, words = [], [], [], [], []
+    cols = [[] for _ in range(6)]
+    params, points, lines, tlens, levels, index = cols
     for level, idx, t, imgs in table.scored(min_length, spec.letter_images()):
         lox, pts, lns = batch_attracting_flags(imgs)
         if not lox.any():
@@ -156,21 +164,22 @@ def sample_limit_curve(
         lines.append(lns)
         params.append(batch_attractive_directions(table.mats2(level)[idx]))
         tlens.append(t[lox])
-        strs = table.word_strings(level)
-        words.extend(strs[i] for i in idx)
+        levels.append(np.full(len(idx), level, dtype=np.int8))
+        index.append(idx)
     if not params:
         raise InsufficientSamples("no loxodromic samples in the ball")
-    params, points, lines, tlens = map(np.concatenate, (params, points, lines, tlens))
+    whole = np.concatenate(params)
     # Samples were appended in shortlex order, so a stable sort breaks
     # param ties by it.
-    order = np.argsort(params, kind="stable")
-    params, points, lines = params[order], points[order], lines[order]
-    tlens, words = tlens[order], np.array(words, dtype=object)[order]
-    keep = greedy_thin(params, dedup_res)
-    params, points, lines = params[keep], points[keep], lines[keep]
-    tlens, words = tlens[keep], words[keep]
-    if len(params) < 16:
-        raise InsufficientSamples(f"only {len(params)} samples after dedup")
+    order = np.argsort(whole, kind="stable")
+    sel = order[greedy_thin(whole[order], dedup_res)]
+    del whole, order
+    if len(sel) < 16:
+        raise InsufficientSamples(f"only {len(sel)} samples after dedup")
+    for k, blocks in enumerate(cols):
+        cols[k] = np.concatenate(blocks)[sel]
+        blocks.clear()
+    params, points, lines, tlens, levels, index = cols
 
     exact_pl = E2.copy() if spec.variant == "canonical" else None
     exact_lp = E2.copy() if spec.variant in ("canonical", "radial") else None
@@ -178,7 +187,7 @@ def sample_limit_curve(
         params=params,
         points=points,
         lines=lines,
-        words=tuple(words),
+        words=WordIds(table.naming(), levels, index),
         tlens=tlens,
         variant=spec.variant,
         dedup_res=dedup_res,
@@ -195,6 +204,10 @@ def sample_limit_curve(
 # skip bound in units of max|p_i| * |l| (see crossing_counts).
 _BLOCK = 32
 _SLACK = 1e-9
+
+# Flagged (block, line) pairs evaluated at once by the exact pass of
+# crossing_counts: about 1.1 MB of block rows, values and masks.
+_PAIRS = 1024
 
 
 @dataclass(frozen=True)
@@ -231,12 +244,14 @@ def crossing_counts(points: np.ndarray, lines: np.ndarray, ztol: float,
 
     holds only nonzero values of one sign: no crossing, no snapped zero.
     Only the other (block, line) pairs are evaluated row by row, ``chunk``
-    lines at a time.  The skip is exact in float64: every computed dot
-    product is within 3.4e-16 M |l| of the true one, whatever the summation
-    order, and the computed D_b |l| has a relative error below
-    (_BLOCK + 12) 2^-53, under 3.2e-13 M |l| for steps of length <= 2M; so
-    _SLACK M |l| covers both with a margin of three orders, and a skipped
-    block reads as it would in any evaluation of its dot products.
+    lines and then _PAIRS pairs at a time, so the working set does not
+    grow with the number of flagged pairs.  The skip is exact in float64:
+    every computed dot product is within 3.4e-16 M |l| of the true one,
+    whatever the summation order, and the computed D_b |l| has a relative
+    error below (_BLOCK + 12) 2^-53, under 3.2e-13 M |l| for steps of
+    length <= 2M; so _SLACK M |l| covers both with a margin of three
+    orders, and a skipped block reads as it would in any evaluation of its
+    dot products.
     Flagged blocks and the two flanks of each zero run use dot products of
     their own, which may differ from another evaluation order only for
     values within rounding of +-ztol.
@@ -277,19 +292,25 @@ def _chunk_counts(lifted, blocks, reach, monodromy_neg, lines, ztol):
     bound += ztol
     cols, blks = np.nonzero(~(coarse > bound))  # by line, then block
 
-    # Exact pass over the flagged blocks' B + 1 rows.
-    vals = (blocks[blks] @ lines[cols, :, None])[..., 0]
-    neg = vals < 0
-    nz = np.abs(vals) > ztol
-    inner = ((neg[:, 1:] ^ neg[:, :-1]) & nz[:, 1:] & nz[:, :-1]).sum(axis=1)
+    # Exact pass over the flagged blocks' B + 1 rows, _PAIRS pairs at a
+    # time.  Snapped zeros are kept as (line, row), sorted; a block's last
+    # row is the next block's first, so each block contributes its first B.
+    inner = np.empty(len(cols), dtype=np.int64)
+    zcols, zrows = [cols[:0]], [blks[:0]]
+    for lo in range(0, len(cols), _PAIRS):
+        c, b = cols[lo:lo + _PAIRS], blks[lo:lo + _PAIRS]
+        vals = (blocks[b] @ lines[c, :, None])[..., 0]
+        neg = vals < 0
+        nz = np.abs(vals) > ztol
+        flips = (neg[:, 1:] ^ neg[:, :-1]) & nz[:, 1:] & nz[:, :-1]
+        inner[lo:lo + _PAIRS] = flips.sum(axis=1)
+        zk, zi = np.nonzero(~nz[:, :B])
+        zcols.append(c[zk])
+        zrows.append(b[zk] * B + zi)
     crossings = np.bincount(cols, weights=inner, minlength=k).astype(np.int64)
-
-    # Snapped zeros as (line, row), sorted; a block's last row is the next
-    # block's first, so each block contributes its first B rows.
-    zk, zi = np.nonzero(~nz[:, :B])
-    zrow = blks[zk] * B + zi
+    zcol, zrow = np.concatenate(zcols), np.concatenate(zrows)
     real = zrow < n
-    zcol, zrow = cols[zk][real], zrow[real]
+    zcol, zrow = zcol[real], zrow[real]
     all_zero = np.bincount(zcol, minlength=k) == n
 
     # Zero runs, the first and last run of a line merged across the seam.

@@ -99,8 +99,11 @@ def batch_eigvals3(mats: np.ndarray):
     """
     n = len(mats)
     c2 = np.trace(mats, axis1=1, axis2=2)
-    m2 = np.einsum("nij,njk->nik", mats, mats)
-    c1 = 0.5 * (c2 * c2 - np.trace(m2, axis1=1, axis2=2))
+    # trace(M^2) from its diagonal alone, summed in the order of the
+    # full product's entries and of np.trace.
+    diag = [mats[:, i, 0] * mats[:, 0, i] + mats[:, i, 1] * mats[:, 1, i]
+            + mats[:, i, 2] * mats[:, 2, i] for i in range(3)]
+    c1 = 0.5 * (c2 * c2 - (diag[0] + diag[1] + diag[2]))
     c0 = np.linalg.det(mats)
     p = c1 - c2 * c2 / 3.0
     q = -2.0 * c2 ** 3 / 27.0 + c2 * c1 / 3.0 - c0

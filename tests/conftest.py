@@ -4,6 +4,18 @@ import pytest
 from flagcurve import CohomologyClass, RepSpec, standard_fuchsian
 
 
+def pytest_report_header(config):
+    """The numpy and BLAS builds: the SHA-256 output pins of test_cli.py
+    hold for the float rounding of the build they were taken on."""
+    try:
+        blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+        build = blas.get("openblas configuration") or blas.get("version", "")
+        blas = f"{blas['name']} {build}".strip()
+    except (TypeError, KeyError):  # numpy < 1.25 prints its config only
+        blas = "unknown"
+    return f"numpy {np.__version__}, BLAS {blas}"
+
+
 @pytest.fixture(scope="session")
 def seed2():
     return standard_fuchsian(2)

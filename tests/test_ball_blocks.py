@@ -132,3 +132,21 @@ def test_streamed_peak_memory(seed2, radial, explicit, command):
     finally:
         tracemalloc.stop()
     assert peak < 2.5 * table_bytes
+
+
+def test_sampled_curve_peak_memory(seed2, radial):
+    # The sampler keeps one (level, index) id a sample and names no word:
+    # at genus 2, R=6 its traced peak, its own ball included, stays within
+    # 3.5x the ball table's bytes (word strings took it to 4.5x).
+    radius = 6
+    table = BallTable.build(seed2, radius)
+    table_bytes = sum(a.nbytes for lv in table.levels for a in vars(lv).values())
+    del table
+    tracemalloc.start()
+    try:
+        model = sample_limit_curve(radial, radius)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(model) > 10 ** 5
+    assert peak < 3.5 * table_bytes

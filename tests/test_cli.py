@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 
 from flagcurve import RepSpec, cli, spec_from_json_dict, standard_fuchsian
+from flagcurve.ball import BallTable
 
 RADIAL_G2 = {
     "variant": "radial",
@@ -137,6 +138,40 @@ def test_limit_curve(tmp_path, report_schema, max_lines):
     assert incidence["histogram"] == {"1": SAMPLES}
     assert (incidence["worst_count"], incidence["worst_word"]) == (1, "")
     assert incidence["nontransversal"] == 0
+
+
+def test_too_few_samples_leave_no_file(tmp_path):
+    # The radial genus-2 ball of radius 2 gives 56 samples, under the 64
+    # the incidence check needs: the run exits 3 before writing anything.
+    assert _run(tmp_path, "limit-curve", {"rep_spec": RADIAL_G2, "ball_radius": 2}) == 3
+    assert list((tmp_path / "out").iterdir()) == []
+
+
+@pytest.fixture(scope="module")
+def curve_csv(tmp_path_factory):
+    tmp = tmp_path_factory.mktemp("csv")
+    assert _run(tmp, "limit-curve", {"rep_spec": RADIAL_G2, "ball_radius": 3}) == 0
+    return (tmp / "out" / "curve.csv").read_bytes()
+
+
+@pytest.mark.parametrize("rows", [1, 5, 10 ** 6])
+def test_curve_csv_does_not_depend_on_chunk_size(tmp_path, monkeypatch, curve_csv, rows):
+    monkeypatch.setattr(cli, "CSV_ROWS", rows)
+    assert _run(tmp_path, "limit-curve", {"rep_spec": RADIAL_G2, "ball_radius": 3}) == 0
+    got = (tmp_path / "out" / "curve.csv").read_bytes()
+    assert got == curve_csv
+    # words of every level, the top one named from its parents
+    words = [row.split(",")[7] for row in got.decode().splitlines()[1:]]
+    assert {w.count(".") for w in words} == {0, 1, 2}
+
+
+@pytest.mark.parametrize("command", ["delta", "regularity", "orbit"])
+def test_model_commands_name_no_word(tmp_path, monkeypatch, command):
+    def refuse(self, level):
+        raise AssertionError(f"word strings of level {level} built")
+
+    monkeypatch.setattr(BallTable, "word_strings", refuse)
+    assert _run(tmp_path, command, {"rep_spec": RADIAL_G2, "ball_radius": 4}) == 0
 
 
 @pytest.mark.parametrize("fields", [

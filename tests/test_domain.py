@@ -101,7 +101,7 @@ def test_fiber_profile_equivariance(model4, canonical2, seed2):
 
     moved = CurveModel(
         params=new_params[order], points=mp[order], lines=ml[order],
-        words=tuple(np.array(model4.words, dtype=object)[order]),
+        words=model4.words[order],
         tlens=model4.tlens[order], variant="canonical",
         dedup_res=model4.dedup_res,
     )

@@ -79,13 +79,15 @@ def negative_monodromy(points):
     return np.count_nonzero(segment_signs(points) < 0) % 2 == 1
 
 
-def assert_matches_dense(points, lines, ztol, block):
+def assert_matches_dense(points, lines, ztol, block, pairs=None):
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(curve, "_BLOCK", block)
+        if pairs is not None:
+            mp.setattr(curve, "_PAIRS", pairs)
         got = crossing_counts(points, lines, ztol)
     want = crossings_from_pairings(points @ lines.T, segment_signs(points), ztol)
     for name, g, w in zip(("crossings", "tangencies", "all_zero"), got, want):
-        np.testing.assert_array_equal(g, w, err_msg=f"{name}, block {block}")
+        np.testing.assert_array_equal(g, w, err_msg=f"{name}, block {block}, pairs {pairs}")
     return got
 
 
@@ -200,3 +202,23 @@ def test_matches_dense_on_sampled_curves(models, block, rng):
         lines = np.vstack([model.lines, extra])
         cross, tang, all_zero = assert_matches_dense(model.points, lines, 1e-9, block)
         assert (cross[:len(model)] == 1).all()
+
+
+@pytest.mark.parametrize("pairs", [1, 7, 10 ** 6])
+def test_pair_slices_match_dense(models, pairs, rng):
+    # The exact pass evaluates the flagged (block, line) pairs ``pairs``
+    # at a time: at 1 and 7 the slice edges cut through zero runs, the
+    # seam and the lines of a sampled curve.
+    for block in (2, curve._BLOCK):
+        y = wave(240, freq=1, amp=0.25)
+        y[100:105] = 0.0
+        y[238:] = 0.0
+        y[:2] = 0.0
+        lines = np.array([[0.0, 1.0, 0.0], [0.0, -3.5, 0.0], [0.0, 0.0, 0.0],
+                          [0.0, 0.0, 1.0], [0.5, 2.0, -0.25]])
+        assert_matches_dense(half_circle(y), lines, 1e-9, block, pairs)
+    for model in models:
+        extra = rng.normal(size=(16, 3)) * rng.choice([1e-3, 1.0, 1e3], size=(16, 1))
+        lines = np.vstack([model.lines[::7], extra])
+        cross, _, _ = assert_matches_dense(model.points, lines, 1e-9, curve._BLOCK, pairs)
+        assert (cross[:-16] == 1).all()
