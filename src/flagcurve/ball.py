@@ -3,16 +3,21 @@
 The ball of freely reduced words is materialized level by level as flat
 numpy arrays.  Level 1 holds the 4g letters in order, and level L appends
 every letter in order to each word of level L-1 (``surface.next_level``).
-Since level L-1 is in shortlex order, so is level L.  Each level stores
-its words' last letters, first letters, parent indices, SL(2,R) images and
-exponent sums once.
+Since level L-1 is in shortlex order, so is level L.  Every level stores
+its words' last letters and parent indices.  The levels below the top also
+store their first letters, SL(2,R) images and exponent sums; the top
+level, which holds (4g-2)/(4g-1) of the ball, keeps only its 9 B a word
+of letters and parents, and ``BallTable.scored`` derives those fields one
+block at a time from the level below, by the same row-wise products that
+built the stored levels (``BallTable._images2``), so they are the same
+bits.
 
 Images under a representation are never stored for the whole ball.
 ``BallTable.blocks`` streams every level in blocks of at most BLOCK_ROWS
 words, built by ``BallTable.images3`` from the image stack of the level
 below.  A level's stack is kept whole only while the next level is read;
-the last level, which holds (4g-2)/(4g-1) of the ball, exists one block at
-a time, so its images and every consumer's temporaries are O(block).
+the last level's exists one block at a time, so its images and every
+consumer's temporaries are O(block).
 
 Words are named only here.  ``BallTable.word`` walks one word's
 parents; ``BallTable.names`` names a batch of (level, index) ids, reading
@@ -24,11 +29,11 @@ such ids that names words only when they are read, and
 
 ``BallTable.scored`` is the one word selection of every spectral pipeline:
 the cyclically reduced words above a translation-length floor, block by
-block, with their images.  Every spectral quantity is a conjugacy
-invariant, so the other words add work but no information.  It is also the
-only place that decides whether seed images are hyperbolic, and it drops
-the words that are trivial in the surface group (the relator and its
-rotations, from length 4g on).
+block, with their seed images, exponent sums and images.  Every spectral
+quantity is a conjugacy invariant, so the other words add work but no
+information.  It is also the only place that decides whether seed images
+are hyperbolic, and it drops the words that are trivial in the surface
+group (the relator and its rotations, from length 4g on).
 """
 
 from __future__ import annotations
@@ -50,8 +55,8 @@ from .surface import (FuchsianSeed, Word, batch_translation_lengths, letter_name
 TRIVIAL_TOL = 1e-6
 
 # Words per block of ``BallTable.blocks``: bounds the last level's image
-# stack and the temporaries of every kernel applied to it.
-BLOCK_ROWS = 1 << 14
+# stacks and the temporaries of every kernel applied to them.
+BLOCK_ROWS = 1 << 12
 
 
 def rowwise_dot(rows: np.ndarray, vec: np.ndarray) -> np.ndarray:
@@ -64,6 +69,18 @@ def rowwise_dot(rows: np.ndarray, vec: np.ndarray) -> np.ndarray:
     return rows @ vec
 
 
+def matmul3(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """The (n, 3, 3) products a[k] @ b[k] as three broadcast terms, added
+    in order: the same bits as ``np.einsum("nij,njk->nik", a, b)`` in
+    about half its time.  einsum adds the terms to a zeroed output, so a
+    zero sum is +0 there; the final +0.0 makes it +0 here too."""
+    out = a[:, :, :1] * b[:, :1]
+    out += a[:, :, 1:2] * b[:, 1:2]
+    out += a[:, :, 2:] * b[:, 2:]
+    out += 0.0
+    return out
+
+
 def _near_identity(mats: np.ndarray) -> np.ndarray:
     """Mask of the (n, 2, 2) stack within TRIVIAL_TOL of +-I."""
     sign = np.where(mats[:, 0, 0] < 0, -1.0, 1.0)[:, None, None]
@@ -72,15 +89,15 @@ def _near_identity(mats: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True)
 class _Level:
-    """All words of one length, in shortlex order.  A ``BallTable.naming``
-    table keeps only ``letters`` and ``parents``; its other fields are
-    None."""
+    """All words of one length, in shortlex order.  The top level of a
+    table, and every level of a ``BallTable.naming`` table, keeps only
+    ``letters`` and ``parents``; its other fields are None."""
 
     letters: np.ndarray  # (n,) int8, last letter of each word
-    firsts: np.ndarray  # (n,) int8, first letter of each word
     parents: np.ndarray  # (n,) int64 index into the previous level, -1 at level 1
-    mats: np.ndarray  # (n, 2, 2) SL(2,R) images
-    expsums: np.ndarray  # (n, 2g) int32 exponent sums
+    firsts: np.ndarray | None = None  # (n,) int8, first letter of each word
+    mats: np.ndarray | None = None  # (n, 2, 2) SL(2,R) images
+    expsums: np.ndarray | None = None  # (n, 2g) int32 exponent sums
 
 
 @dataclass
@@ -104,22 +121,18 @@ class BallTable:
             return table
         letter_mats = seed.letter_matrices()
         letts = np.arange(len(letter_mats), dtype=np.int8)
-        signs = np.where(letts % 2, -1, 1)
         exps = np.zeros((len(letts), 2 * seed.genus), dtype=np.int32)
-        exps[letts, letts // 2] = signs
-        lv = _Level(letts, letts, np.full(len(letts), -1, dtype=np.int64),
+        exps[letts, letts // 2] = np.where(letts % 2, -1, 1)
+        lv = _Level(letts, np.full(len(letts), -1, dtype=np.int64), letts,
                     letter_mats, exps)
         table.levels.append(lv)
-        for _ in range(2, radius + 1):
+        for level in range(2, radius + 1):
             parent, letts = next_level(lv.letters, len(letter_mats))
-            exps = lv.expsums[parent]
-            exps[np.arange(len(letts)), letts // 2] += signs[letts]
-            # The 2x2 products as two broadcast terms: a sum of two
-            # products rounds the same whatever its order.
-            mats = lv.mats[parent, :, :1] * letter_mats[letts, :1]
-            mats += lv.mats[parent, :, 1:] * letter_mats[letts, 1:]
-            lv = _Level(letts, lv.firsts[parent], parent, mats, exps)
+            lv = _Level(letts, parent)
             table.levels.append(lv)
+            if level < radius:
+                table.levels[-1] = lv = _Level(letts, parent, table._firsts(level),
+                                               *table._images2(level))
         return table
 
     @property
@@ -134,16 +147,47 @@ class BallTable:
         return self.levels[level - 1].letters
 
     def mats2(self, level: int) -> np.ndarray:
-        return self.levels[level - 1].mats
+        """(n, 2, 2) seed images of a level; the top level's are derived
+        whole on each call."""
+        return self._images2(level)[0]
 
     def expsums(self, level: int) -> np.ndarray:
-        return self.levels[level - 1].expsums
+        """(n, 2g) exponent sums of a level; the top level's are derived
+        whole on each call."""
+        return self._images2(level)[1]
 
     def cyclically_reduced(self, level: int, rows: slice = slice(None)) -> np.ndarray:
         lv = self.levels[level - 1]
         if level == 1:
             return np.ones(len(lv.letters[rows]), dtype=bool)
-        return lv.firsts[rows] != (lv.letters[rows] ^ 1)
+        return self._firsts(level, rows) != (lv.letters[rows] ^ 1)
+
+    def _firsts(self, level: int, rows: slice = slice(None)) -> np.ndarray:
+        """First letters of the words ``rows`` of a level."""
+        lv = self.levels[level - 1]
+        if lv.firsts is not None:
+            return lv.firsts[rows]
+        return self.levels[level - 2].firsts[lv.parents[rows]]
+
+    def _images2(self, level: int, rows: slice = slice(None)) -> tuple:
+        """(mats, expsums): the seed images and exponent sums of the words
+        ``rows`` of a level, read where the level stores them and otherwise
+        derived from the level below.  The derivation is row by row, so a
+        block's rows are the same bits as the whole level's, which is how
+        ``build`` stores a level."""
+        lv = self.levels[level - 1]
+        if lv.mats is not None:
+            return lv.mats[rows], lv.expsums[rows]
+        prev = self.levels[level - 2]
+        parents, letts = lv.parents[rows], lv.letters[rows]
+        exps = prev.expsums[parents]
+        exps[np.arange(len(letts)), letts // 2] += np.where(letts % 2, -1, 1)
+        # The 2x2 products as two broadcast terms: a sum of two products
+        # rounds the same whatever its order.
+        letter_mats = self.seed.letter_matrices()
+        mats = prev.mats[parents, :, :1] * letter_mats[letts, :1]
+        mats += prev.mats[parents, :, 1:] * letter_mats[letts, 1:]
+        return mats, exps
 
     def blocks(self, letter_images: np.ndarray | None = None) -> Iterator[tuple]:
         """Yield (level, rows, imgs) for the blocks of at most BLOCK_ROWS
@@ -173,16 +217,18 @@ class BallTable:
     def scored(self, min_length: float = 0.0,
                letter_images: np.ndarray | None = None) -> Iterator[tuple]:
         """For each block of ``blocks`` holding cyclically reduced words of
-        seed translation length t >= min_length, yield (level, idx, t, imgs):
-        their indices in the level in shortlex order, their translation
-        lengths, and their (n, 3, 3) images (None without letter_images).
+        seed translation length t >= min_length, yield
+        (level, idx, t, mats, exps, imgs): their indices in the level in
+        shortlex order, their translation lengths, (n, 2, 2) seed images and
+        (n, 2g) exponent sums, and their (n, 3, 3) images (None without
+        letter_images).
 
         Words whose seed image is +-I are trivial in the group and skipped.
         Raises NotHyperbolic naming the first other cyclically reduced word
         whose seed image is not hyperbolic (the seed is then not Fuchsian).
         """
         for level, rows, imgs in self.blocks(letter_images):
-            mats = self.mats2(level)[rows]
+            mats, exps = self._images2(level, rows)
             hyp, t = batch_translation_lengths(mats)
             reduced = self.cyclically_reduced(level, rows)
             # An image within TRIVIAL_TOL of +-I has t < 0.01.
@@ -194,7 +240,7 @@ class BallTable:
                 raise NotHyperbolic(f"seed image of {w!r} is not hyperbolic")
             sel = np.nonzero(reduced & (t >= min_length))[0]
             if len(sel):
-                yield (level, rows.start + sel, t[sel],
+                yield (level, rows.start + sel, t[sel], mats[sel], exps[sel],
                        None if imgs is None else imgs[sel])
 
     def word(self, level: int, i: int) -> str:
@@ -244,8 +290,7 @@ class BallTable:
         """The same ball with only what naming its words needs: each
         level's last letters and parent indices, 9 B a word."""
         return BallTable(self.seed, self.radius,
-                         [_Level(lv.letters, None, lv.parents, None, None)
-                          for lv in self.levels])
+                         [_Level(lv.letters, lv.parents) for lv in self.levels])
 
     def images3(self, letter_images: np.ndarray, level: int, rows: slice,
                 prev: np.ndarray | None) -> np.ndarray:
@@ -257,7 +302,7 @@ class BallTable:
         lv = self.levels[level - 1]
         imgs = letter_images[lv.letters[rows]]
         if prev is not None:
-            imgs = np.einsum("nij,njk->nik", prev[lv.parents[rows]], imgs)
+            imgs = matmul3(prev[lv.parents[rows]], imgs)
         det = np.linalg.det(imgs)
         imgs /= np.cbrt(det)[:, None, None]
         return imgs
@@ -292,7 +337,7 @@ def enumerate_ball(seed: FuchsianSeed, radius: int) -> Iterator[tuple]:
     table = BallTable.build(seed, radius)
     yield Word((), seed.genus), np.eye(2)
     words = [()]  # level 1 parents are -1, which also indexes the empty word
-    for lv in table.levels:
+    for level, lv in enumerate(table.levels, 1):
         words = [words[p] + (l,) for p, l in zip(lv.parents.tolist(), lv.letters.tolist())]
-        for w, m in zip(words, lv.mats):
+        for w, m in zip(words, table.mats2(level)):
             yield Word(w, seed.genus), m

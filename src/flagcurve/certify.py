@@ -86,9 +86,9 @@ def _scan(table: BallTable, u: CohomologyClass, radius: int, min_length: float,
     uvec = u.as_vector()
     tops, kept = {}, []  # tops: level -> (max |r|, first word index at it)
     refut_word, agree, scored = None, True, 0
-    for level, idx, t, imgs in table.scored(0.0, letter_images):
+    for level, idx, t, _mats, exps, imgs in table.scored(0.0, letter_images):
         saddle_pass = None if imgs is None else batch_saddle_at_e2(imgs)
-        r = rowwise_dot(table.expsums(level)[idx], uvec) / t
+        r = rowwise_dot(exps, uvec) / t
         vals = np.abs(r)
         j = int(np.argmax(vals))
         if level not in tops or vals[j] > tops[level][0]:
@@ -216,7 +216,8 @@ def probe_explicit(
     n_scored = 0
     n_lox = 0
     inf_top, inf_bot = math.inf, math.inf
-    for _level, idx, t, imgs in table.scored(min_length, spec.letter_images()):
+    for _level, idx, t, _mats, _exps, imgs in table.scored(min_length,
+                                                           spec.letter_images()):
         lox, vals = batch_loxodromic(imgs)
         n_scored += len(idx)
         n_lox += int(lox.sum())

@@ -11,8 +11,9 @@ round-tripping, wall-clock timing goes to stderr only).
 
 ``limit-curve`` checks incidence, which needs 64 samples, before it
 writes any file, and then streams ``curve.csv`` to the open file in
-chunks of CSV_ROWS rows, naming only each chunk's words; no command holds
-the whole CSV or the strings of every sampled word.  ``delta``,
+chunks of CSV_ROWS rows, about 1 MB of text and of the Python floats it
+is formatted from, naming only each chunk's words; no command holds the
+whole CSV or the strings of every sampled word.  ``delta``,
 ``regularity`` and ``orbit`` name no word of their curve models.
 
 Exit codes: 0 success (certify: certified-at-scale), 2 config error,
@@ -55,8 +56,9 @@ DEFAULT_TOLERANCES = {
 }
 RENDER_KEYS = ("chart", "width_px", "stroke", "window")
 CSV_HEADER = "param,point_x,point_y,point_z,line_a,line_b,line_c,word,translation_length"
-# Rows of curve.csv formatted, with their words named, per write.
-CSV_ROWS = 1 << 14
+# Rows of curve.csv formatted, with their words named, per write: about
+# 1 MB of text and of the Python objects it is formatted from.
+CSV_ROWS = 1 << 12
 ORBIT_KEYS = ("base_point", "base_line", "neighborhood")
 
 

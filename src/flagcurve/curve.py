@@ -155,14 +155,14 @@ def sample_limit_curve(
     table = BallTable.build(spec.seed, radius)
     cols = [[] for _ in range(6)]
     params, points, lines, tlens, levels, index = cols
-    for level, idx, t, imgs in table.scored(min_length, spec.letter_images()):
+    for level, idx, t, mats, _exps, imgs in table.scored(min_length, spec.letter_images()):
         lox, pts, lns = batch_attracting_flags(imgs)
         if not lox.any():
             continue
         idx = idx[lox]
         points.append(pts)
         lines.append(lns)
-        params.append(batch_attractive_directions(table.mats2(level)[idx]))
+        params.append(batch_attractive_directions(mats[lox]))
         tlens.append(t[lox])
         levels.append(np.full(len(idx), level, dtype=np.int8))
         index.append(idx)
@@ -209,6 +209,10 @@ _SLACK = 1e-9
 # crossing_counts: about 1.1 MB of block rows, values and masks.
 _PAIRS = 1024
 
+# Bytes of the coarse pass's ``coarse`` and ``bound`` arrays, 16 B per
+# (line, block), that size the line chunks of crossing_counts.
+_COARSE_BYTES = 1 << 20
+
 
 @dataclass(frozen=True)
 class IncidenceReport:
@@ -243,10 +247,13 @@ def crossing_counts(points: np.ndarray, lines: np.ndarray, ztol: float,
         |f(s)| > |l| (D_b + _SLACK M) + ztol,     M = max |p_i|,
 
     holds only nonzero values of one sign: no crossing, no snapped zero.
-    Only the other (block, line) pairs are evaluated row by row, ``chunk``
-    lines and then _PAIRS pairs at a time, so the working set does not
-    grow with the number of flagged pairs.  The skip is exact in float64:
-    every computed dot product is within 3.4e-16 M |l| of the true one,
+    Only the other (block, line) pairs are evaluated row by row, a chunk
+    of lines and then _PAIRS pairs at a time, so the working set does not
+    grow with the number of lines or of flagged pairs: a chunk holds as
+    many lines as fit the coarse pass's two float64 (lines, blocks) arrays
+    in _COARSE_BYTES, at least one and at most ``chunk``.  The line chunks
+    and pair slices change no result.  The skip is exact in float64: every
+    computed dot product is within 3.4e-16 M |l| of the true one,
     whatever the summation order, and the computed D_b |l| has a relative
     error below (_BLOCK + 12) 2^-53, under 3.2e-13 M |l| for steps of
     length <= 2M; so _SLACK M |l| covers both with a margin of three
@@ -273,11 +280,12 @@ def crossing_counts(points: np.ndarray, lines: np.ndarray, ztol: float,
     reach += _SLACK * float(np.linalg.norm(points, axis=1).max())
     out = (np.empty(len(lines), dtype=np.int64), np.empty(len(lines), dtype=np.int64),
            np.empty(len(lines), dtype=bool))
-    for lo in range(0, len(lines), chunk):
+    step = max(1, min(chunk, _COARSE_BYTES // (16 * nb)))
+    for lo in range(0, len(lines), step):
         part = _chunk_counts(lifted[:n], blocks, reach, bool(flip[n]),
-                             lines[lo:lo + chunk], ztol)
+                             lines[lo:lo + step], ztol)
         for o, r in zip(out, part):
-            o[lo:lo + chunk] = r
+            o[lo:lo + step] = r
     return out
 
 

@@ -60,15 +60,23 @@ class DeltaFit:
     taus: tuple  # per generator (tau1, tau2)
 
 
-def _lagrange_fill(support_angles: np.ndarray, support_values: np.ndarray) -> np.ndarray:
+def _lagrange_fill(ang: np.ndarray, vals: np.ndarray) -> np.ndarray:
     """Fill grid nodes by cubic Lagrange through the 4 nearest support nodes.
 
+    The support is the samples' directions ``ang`` in [0, 2*pi) with
+    ``vals``, and their antipodes with -vals, since the profile is odd.
     Support is cyclic over [0, 2*pi); clusters are thinned first so node
     spacing is bounded below and the Lagrange weights stay well
-    conditioned.  Thinning keeps exact values, it does not average.
+    conditioned.  Thinning keeps exact values, it does not average.  The
+    unsorted support and its sort order are freed before thinning.
     """
-    order = np.argsort(support_angles)
-    ang, val = support_angles[order], support_values[order]
+    support = np.concatenate([ang, (ang + math.pi) % (2.0 * math.pi)])
+    del ang
+    order = np.argsort(support)
+    ang = support[order]
+    del support
+    val = np.concatenate([vals, -vals])[order]
+    del order
     keep = greedy_thin(ang, _THIN_SPACING)
     if (2.0 * math.pi - ang[keep[-1]]) + ang[keep[0]] < _THIN_SPACING and len(keep) > 4:
         keep = keep[:-1]
@@ -118,12 +126,11 @@ def fit_delta(spec: RepSpec, model: CurveModel) -> DeltaFit:
     if plane.min() < 1e-8:
         raise PolarDegenerate("sample too close to the fixed point [e2]")
     xs, ys, zs = x / plane, y / plane, z / plane
+    del plane
     vals = -zs
-    ang = np.arctan2(ys, xs) % (2.0 * math.pi)
-    support_ang = np.concatenate([ang, (ang + math.pi) % (2.0 * math.pi)])
-    support_val = np.concatenate([vals, -vals])
-    grid = _lagrange_fill(support_ang, support_val)
-    dm = DeltaModel(grid)
+    # The angles are passed as a temporary, so _lagrange_fill holds the
+    # only reference and frees them before thinning.
+    dm = DeltaModel(_lagrange_fill(np.arctan2(ys, xs) % (2.0 * math.pi), vals))
 
     genus = spec.genus
     if spec.variant == "linear_u":

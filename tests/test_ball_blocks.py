@@ -1,6 +1,6 @@
 """The ball streamed in row blocks: every result is bit for bit the same
-whatever the block size, and the spectral pipelines stay within a small
-multiple of the ball table's own memory."""
+whatever the block size, and the spectral pipelines stay within a fixed
+number of bytes per ball word."""
 
 import dataclasses
 import math
@@ -13,11 +13,13 @@ from flagcurve import (
     CohomologyClass,
     Flag,
     RepSpec,
+    ball_count,
     certify_anosov,
     coboundary_radial,
     probe_explicit,
     recurrence_experiment,
     sample_limit_curve,
+    standard_fuchsian,
     translation_length,
 )
 from flagcurve import ball
@@ -107,21 +109,19 @@ def test_a_level_maximum_lies_past_its_first_block(monkeypatch, refuted):
     monkeypatch.setattr(ball, "BLOCK_ROWS", 5)
     table = BallTable.build(refuted.seed, RADIUS)
     maxima = {}
-    for level, idx, t, _imgs in table.scored():
-        r = np.abs(table.expsums(level)[idx] @ refuted.u.as_vector()) / t
+    for level, _idx, t, _mats, exps, _imgs in table.scored():
+        r = np.abs(exps @ refuted.u.as_vector()) / t
         maxima.setdefault(level, []).append(r.max())
     assert any(np.argmax(m) > 0 for m in maxima.values())
 
 
 @pytest.mark.parametrize("command", ["probe", "certify"])
-def test_streamed_peak_memory(seed2, radial, explicit, command):
-    # The last level, the eigen temporaries and the image stacks are
-    # O(block): the traced peak of a whole run, its own ball included,
-    # stays within 2.5x the ball table's bytes at genus 2, R=6.
+def test_streamed_peak_memory(radial, explicit, command):
+    # The last level's seed and 3x3 images, the eigen temporaries and the
+    # image stacks are O(block): the traced peak of a whole run, its own
+    # ball included, stays within 75 B a ball word at genus 2, R=6 (41
+    # and 54 B now; the whole last level kept took it to 113 and 122 B).
     radius = 6
-    table = BallTable.build(seed2, radius)
-    table_bytes = sum(a.nbytes for lv in table.levels for a in vars(lv).values())
-    del table
     tracemalloc.start()
     try:
         if command == "probe":
@@ -131,17 +131,16 @@ def test_streamed_peak_memory(seed2, radial, explicit, command):
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < 2.5 * table_bytes
+    assert peak < 75 * ball_count(2, radius)
 
 
-def test_sampled_curve_peak_memory(seed2, radial):
-    # The sampler keeps one (level, index) id a sample and names no word:
-    # at genus 2, R=6 its traced peak, its own ball included, stays within
-    # 3.5x the ball table's bytes (word strings took it to 4.5x).
+def test_sampled_curve_peak_memory(radial):
+    # The sampler keeps one (level, index) id a sample, names no word and
+    # reads the last level's seed images a block at a time: at genus 2,
+    # R=6 its traced peak, its own ball included, stays within 160 B a
+    # ball word (136 B now; the whole last level kept took it to 177 B,
+    # and word strings to 250 B).
     radius = 6
-    table = BallTable.build(seed2, radius)
-    table_bytes = sum(a.nbytes for lv in table.levels for a in vars(lv).values())
-    del table
     tracemalloc.start()
     try:
         model = sample_limit_curve(radial, radius)
@@ -149,4 +148,48 @@ def test_sampled_curve_peak_memory(seed2, radial):
     finally:
         tracemalloc.stop()
     assert len(model) > 10 ** 5
-    assert peak < 3.5 * table_bytes
+    assert peak < 160 * ball_count(2, radius)
+
+
+def test_matmul3_matches_einsum(rng):
+    # Normal stacks, and small-integer stacks with signed zeros, whose zero
+    # sums einsum returns as +0.
+    signs = rng.choice([-1.0, 1.0], size=(2, 20000, 3, 3))
+    ints = rng.integers(-1, 2, size=(2, 20000, 3, 3)) * signs
+    for a, b in (rng.normal(size=(2, 1000, 3, 3)), ints, ints[:, :1]):
+        want = np.einsum("nij,njk->nik", a, b)
+        assert ball.matmul3(a, b).tobytes() == want.tobytes()
+
+
+def test_images3_matches_einsum_on_a_genus3_level():
+    seed3 = standard_fuchsian(3)
+    u = CohomologyClass.from_dict({"a1": 0.3, "b3": -0.1}, 3)
+    spec = coboundary_radial(RepSpec("linear_u", seed3, u=u), 0.4, -0.2)
+    letter_images = spec.letter_images()
+    table = BallTable.build(seed3, 5)
+    stacks = {}
+    for level, rows, imgs in table.blocks(letter_images):
+        stacks.setdefault(level, []).append(imgs)
+    prev, got = np.concatenate(stacks[4]), np.concatenate(stacks[5])
+    lv = table.levels[4]
+    want = np.einsum("nij,njk->nik", prev[lv.parents], letter_images[lv.letters])
+    want /= np.cbrt(np.linalg.det(want))[:, None, None]
+    assert got.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("rows", [5, 10 ** 6])
+def test_top_level_is_derived_as_stored(monkeypatch, seed2, rows):
+    # The top level keeps only letters and parents; the seed images and
+    # exponent sums scored derives for it, block by block, are the bits a
+    # deeper build stores for the same level.
+    monkeypatch.setattr(ball, "BLOCK_ROWS", rows)
+    table = BallTable.build(seed2, RADIUS)
+    top = table.levels[-1]
+    assert (top.firsts, top.mats, top.expsums) == (None, None, None)
+    stored = BallTable(seed2, RADIUS, BallTable.build(seed2, RADIUS + 1).levels[:RADIUS])
+    for level in range(1, RADIUS + 1):
+        assert _same(table.mats2(level), stored.mats2(level))
+        assert _same(table.expsums(level), stored.expsums(level))
+        assert _same(table.cyclically_reduced(level), stored.cyclically_reduced(level))
+    got, want = list(table.scored(0.5)), list(stored.scored(0.5))
+    assert len(got) == len(want) and all(map(_same, got, want))

@@ -221,8 +221,16 @@ def test_stable_norm_monotone_in_radius(seed2):
     assert e4.value >= e3.value - 1e-15
 
 
+def _stored_top(seed, radius: int) -> BallTable:
+    """A radius-``radius`` table that stores its top level's seed images,
+    cut from a build one level deeper, so that a test can overwrite one:
+    a build's own top level derives them block by block."""
+    deeper = BallTable.build(seed, radius + 1)
+    return BallTable(seed, radius, deeper.levels[:radius])
+
+
 def test_non_hyperbolic_seed_image_is_named(monkeypatch, seed2, u_a1):
-    table = BallTable.build(seed2, 3)
+    table = _stored_top(seed2, 3)
     k = int(np.nonzero(table.cyclically_reduced(3))[0][100])
     c, s = math.cos(0.3), math.sin(0.3)
     table.mats2(3)[k] = [[c, -s], [s, c]]
@@ -246,12 +254,12 @@ def test_trivial_seed_image_is_skipped(monkeypatch, seed2, u_a1, canonical2, sig
     ref_model = sample_limit_curve(canonical2, 3)
     dropped = next(w for w in ref_model.words if w.count(".") == 2)
     plain = BallTable.build(seed2, 3)
-    table = BallTable.build(seed2, 3)
+    table = _stored_top(seed2, 3)
     k = plain.word_strings(3).index(dropped)
     table.mats2(3)[k] = sign * np.eye(2)
-    want = {level: idx for level, idx, _t, _imgs in plain.scored()}
+    want = {level: idx for level, idx, *_ in plain.scored()}
     want[3] = want[3][want[3] != k]
-    got = {level: idx for level, idx, _t, _imgs in table.scored()}
+    got = {level: idx for level, idx, *_ in table.scored()}
     assert got.keys() == want.keys()
     for level in want:
         assert np.array_equal(got[level], want[level])
@@ -371,7 +379,7 @@ def test_rates_match_generic_eigensolver(monkeypatch, seed2):
     from flagcurve.spectral import batch_eigvals3
 
     pos = 0
-    for _level, idx, t, imgs in table.scored(0.5, spec.letter_images()):
+    for _level, idx, t, _mats, _exps, imgs in table.scored(0.5, spec.letter_images()):
         vals, real = batch_eigvals3(imgs)
         assert real.all()
         a = np.abs(vals)

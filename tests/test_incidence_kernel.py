@@ -80,14 +80,19 @@ def negative_monodromy(points):
 
 
 def assert_matches_dense(points, lines, ztol, block, pairs=None):
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(curve, "_BLOCK", block)
-        if pairs is not None:
-            mp.setattr(curve, "_PAIRS", pairs)
-        got = crossing_counts(points, lines, ztol)
+    """Check the pruned kernel against the dense one, with its line chunks
+    sized by the default coarse byte budget and again at one line each."""
     want = crossings_from_pairings(points @ lines.T, segment_signs(points), ztol)
-    for name, g, w in zip(("crossings", "tangencies", "all_zero"), got, want):
-        np.testing.assert_array_equal(g, w, err_msg=f"{name}, block {block}, pairs {pairs}")
+    for coarse_bytes in (curve._COARSE_BYTES, 1):
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(curve, "_BLOCK", block)
+            mp.setattr(curve, "_COARSE_BYTES", coarse_bytes)
+            if pairs is not None:
+                mp.setattr(curve, "_PAIRS", pairs)
+            got = crossing_counts(points, lines, ztol)
+        for name, g, w in zip(("crossings", "tangencies", "all_zero"), got, want):
+            np.testing.assert_array_equal(
+                g, w, err_msg=f"{name}, block {block}, pairs {pairs}, bytes {coarse_bytes}")
     return got
 
 

@@ -189,10 +189,10 @@ def test_ball_table_matches_enumeration(seed2):
             ]
         for m, expected in scored.items():
             got = list(table.scored(m))
-            assert [(lv, idx.tolist()) for lv, idx, _, _ in got] == [
+            assert [(lv, idx.tolist()) for lv, idx, *_ in got] == [
                 (lv, idx) for lv, idx, _ in expected
             ]
-            for (_, _, t, _), (_, _, ref) in zip(got, expected):
+            for (_, _, t, *_), (_, _, ref) in zip(got, expected):
                 assert np.allclose(t, ref, rtol=1e-12)
 
 
