@@ -3,37 +3,34 @@
 The ball of freely reduced words is materialized level by level as flat
 numpy arrays.  Level 1 holds the 4g letters in order, and level L appends
 every letter in order to each word of level L-1 (``surface.next_level``).
-Since level L-1 is in shortlex order, so is level L.  Every level stores
-its words' last letters and parent indices.  The levels below the top also
-store their first letters, SL(2,R) images and exponent sums; the top
-level, which holds (4g-2)/(4g-1) of the ball, keeps only its 9 B a word
-of letters and parents, and ``BallTable.scored`` derives those fields one
-block at a time from the level below, by the same row-wise products that
-built the stored levels (``BallTable._images2``), so they are the same
-bits.
+Since level L-1 is in shortlex order, so is level L.  A ``BallTable``
+keeps only each level's last letters and parent indices, 9 B a word.
 
-Images under a representation are never stored for the whole ball.
+Everything else about a word is derived as the ball is read.
 ``BallTable.blocks`` streams every level in blocks of at most BLOCK_ROWS
-words, built by ``BallTable.images3`` from the image stack of the level
-below.  A level's stack is kept whole only while the next level is read;
-the last level's exists one block at a time, so its images and every
-consumer's temporaries are O(block).
+words, each with its words' first letters, SL(2,R) seed images and
+exponent sums (``BallTable.seed_data``) and, given a representation,
+their 3x3 images (``BallTable.images3``), all from the same data of the
+whole level below by row-wise products, so a block's rows are the same
+bits whatever the block size.  A level's data is kept whole only while
+the next level is read; the last level's, (4g-2)/(4g-1) of the ball,
+exists one block at a time, so its data and every consumer's temporaries
+are O(block).
 
 Words are named only here.  ``BallTable.word`` walks one word's
 parents; ``BallTable.names`` names a batch of (level, index) ids, reading
 the levels below the top off their cached ``word_strings`` and building
 each top-level word from its parent's string, so the top level, most of
 the ball, never has all its strings built.  ``WordIds`` is a sequence of
-such ids that names words only when they are read, and
-``BallTable.naming`` is the letters-and-parents table it needs.
+such ids that names words only when they are read.
 
 ``BallTable.scored`` is the one word selection of every spectral pipeline:
-the cyclically reduced words above a translation-length floor, block by
-block, with their seed images, exponent sums and images.  Every spectral
-quantity is a conjugacy invariant, so the other words add work but no
-information.  It is also the only place that decides whether seed images
-are hyperbolic, and it drops the words that are trivial in the surface
-group (the relator and its rotations, from length 4g on).
+the cyclically reduced words above a translation-length floor, filtered
+from the blocks of ``blocks``.  Every spectral quantity is a conjugacy
+invariant, so the other words add work but no information.  It is also
+the only place that decides whether seed images are hyperbolic, and it
+drops the words that are trivial in the surface group (the relator and
+its rotations, from length 4g on).
 """
 
 from __future__ import annotations
@@ -89,20 +86,15 @@ def _near_identity(mats: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True)
 class _Level:
-    """All words of one length, in shortlex order.  The top level of a
-    table, and every level of a ``BallTable.naming`` table, keeps only
-    ``letters`` and ``parents``; its other fields are None."""
+    """All words of one length, in shortlex order, 9 B a word."""
 
     letters: np.ndarray  # (n,) int8, last letter of each word
     parents: np.ndarray  # (n,) int64 index into the previous level, -1 at level 1
-    firsts: np.ndarray | None = None  # (n,) int8, first letter of each word
-    mats: np.ndarray | None = None  # (n, 2, 2) SL(2,R) images
-    expsums: np.ndarray | None = None  # (n, 2g) int32 exponent sums
 
 
 @dataclass
 class BallTable:
-    """Freely reduced words of length 1..radius with cached data, shortlex order.
+    """Freely reduced words of length 1..radius, shortlex order.
 
     The empty word is not stored; callers account for it where needed.
     """
@@ -117,22 +109,12 @@ class BallTable:
         if radius < 0:
             raise ValueError("radius must be >= 0")
         table = BallTable(seed, radius)
-        if radius == 0:
-            return table
-        letter_mats = seed.letter_matrices()
-        letts = np.arange(len(letter_mats), dtype=np.int8)
-        exps = np.zeros((len(letts), 2 * seed.genus), dtype=np.int32)
-        exps[letts, letts // 2] = np.where(letts % 2, -1, 1)
-        lv = _Level(letts, np.full(len(letts), -1, dtype=np.int64), letts,
-                    letter_mats, exps)
-        table.levels.append(lv)
-        for level in range(2, radius + 1):
-            parent, letts = next_level(lv.letters, len(letter_mats))
-            lv = _Level(letts, parent)
-            table.levels.append(lv)
-            if level < radius:
-                table.levels[-1] = lv = _Level(letts, parent, table._firsts(level),
-                                               *table._images2(level))
+        letts = np.arange(4 * seed.genus, dtype=np.int8)
+        parents = np.full(len(letts), -1, dtype=np.int64)
+        for level in range(1, radius + 1):
+            if level > 1:
+                parents, letts = next_level(letts, 4 * seed.genus)
+            table.levels.append(_Level(letts, parents))
         return table
 
     @property
@@ -146,72 +128,55 @@ class BallTable:
     def letters(self, level: int) -> np.ndarray:
         return self.levels[level - 1].letters
 
-    def mats2(self, level: int) -> np.ndarray:
-        """(n, 2, 2) seed images of a level; the top level's are derived
-        whole on each call."""
-        return self._images2(level)[0]
-
-    def expsums(self, level: int) -> np.ndarray:
-        """(n, 2g) exponent sums of a level; the top level's are derived
-        whole on each call."""
-        return self._images2(level)[1]
-
-    def cyclically_reduced(self, level: int, rows: slice = slice(None)) -> np.ndarray:
+    def seed_data(self, level: int, rows: slice, prev: list | None) -> tuple:
+        """(firsts, mats, exps): the first letters, (n, 2, 2) seed images
+        and (n, 2g) int32 exponent sums of the words ``rows`` of a level,
+        from ``prev``, the same of the whole level below (None at level
+        1).  Every step is row by row, so a block's rows do not depend on
+        the block."""
         lv = self.levels[level - 1]
-        if level == 1:
-            return np.ones(len(lv.letters[rows]), dtype=bool)
-        return self._firsts(level, rows) != (lv.letters[rows] ^ 1)
-
-    def _firsts(self, level: int, rows: slice = slice(None)) -> np.ndarray:
-        """First letters of the words ``rows`` of a level."""
-        lv = self.levels[level - 1]
-        if lv.firsts is not None:
-            return lv.firsts[rows]
-        return self.levels[level - 2].firsts[lv.parents[rows]]
-
-    def _images2(self, level: int, rows: slice = slice(None)) -> tuple:
-        """(mats, expsums): the seed images and exponent sums of the words
-        ``rows`` of a level, read where the level stores them and otherwise
-        derived from the level below.  The derivation is row by row, so a
-        block's rows are the same bits as the whole level's, which is how
-        ``build`` stores a level."""
-        lv = self.levels[level - 1]
-        if lv.mats is not None:
-            return lv.mats[rows], lv.expsums[rows]
-        prev = self.levels[level - 2]
-        parents, letts = lv.parents[rows], lv.letters[rows]
-        exps = prev.expsums[parents]
-        exps[np.arange(len(letts)), letts // 2] += np.where(letts % 2, -1, 1)
+        letts = lv.letters[rows]
+        mats = self.seed.letter_matrices()[letts]
+        # Letter 2k adds 1 to the k-th exponent sum, letter 2k+1 adds -1.
+        exps = np.kron(np.eye(2 * self.genus, dtype=np.int32), np.int32([[1], [-1]]))[letts]
+        if prev is None:
+            return letts, mats, exps
+        parents = lv.parents[rows]
         # The 2x2 products as two broadcast terms: a sum of two products
         # rounds the same whatever its order.
-        letter_mats = self.seed.letter_matrices()
-        mats = prev.mats[parents, :, :1] * letter_mats[letts, :1]
-        mats += prev.mats[parents, :, 1:] * letter_mats[letts, 1:]
-        return mats, exps
+        below = prev[1][parents]
+        prods = below[:, :, :1] * mats[:, :1]
+        prods += below[:, :, 1:] * mats[:, 1:]
+        return prev[0][parents], prods, prev[2][parents] + exps
 
     def blocks(self, letter_images: np.ndarray | None = None) -> Iterator[tuple]:
-        """Yield (level, rows, imgs) for the blocks of at most BLOCK_ROWS
-        words of every level in shortlex order: ``rows`` is a slice of the
-        level, and ``imgs`` the (n, 3, 3) images of its words under the
+        """Yield (level, rows, firsts, mats, exps, imgs) for the blocks of
+        at most BLOCK_ROWS words of every level in shortlex order: ``rows``
+        is a slice of the level, (firsts, mats, exps) its words'
+        ``seed_data``, and ``imgs`` their (n, 3, 3) images under the
         representation given by its (4g, 3, 3) letter matrices (None
         without them).
 
-        Each level's image stack is kept whole until the next level is
-        built from it; the last level's is held one block at a time.
+        Each level's data is kept whole until the next level is derived
+        from it; the last level's is held one block at a time.
         """
-        prev = None
+        prev = None  # the whole level below: [firsts, mats, exps, imgs]
         for level in range(1, self.radius + 1):
             n = len(self.letters(level))
-            whole = (None if letter_images is None or level == self.radius
-                     else np.empty((n, 3, 3)))
+            below = None if prev is None else prev[3]
+            whole = None if level == self.radius else [
+                np.empty(n, dtype=np.int8), np.empty((n, 2, 2)),
+                np.empty((n, 2 * self.genus), dtype=np.int32),
+                None if letter_images is None else np.empty((n, 3, 3))]
             for start in range(0, n, BLOCK_ROWS):
                 rows = slice(start, min(n, start + BLOCK_ROWS))
-                imgs = None
-                if letter_images is not None:
-                    imgs = self.images3(letter_images, level, rows, prev)
-                    if whole is not None:
-                        whole[rows] = imgs
-                yield level, rows, imgs
+                data = self.seed_data(level, rows, prev) + (
+                    None if letter_images is None else
+                    self.images3(letter_images, level, rows, below),)
+                for stack, block in zip(whole or (), data):
+                    if stack is not None:
+                        stack[rows] = block
+                yield (level, rows, *data)
             prev = whole
 
     def scored(self, min_length: float = 0.0,
@@ -227,10 +192,11 @@ class BallTable:
         Raises NotHyperbolic naming the first other cyclically reduced word
         whose seed image is not hyperbolic (the seed is then not Fuchsian).
         """
-        for level, rows, imgs in self.blocks(letter_images):
-            mats, exps = self._images2(level, rows)
+        for level, rows, firsts, mats, exps, imgs in self.blocks(letter_images):
             hyp, t = batch_translation_lengths(mats)
-            reduced = self.cyclically_reduced(level, rows)
+            # A word is cyclically reduced unless its first letter inverts
+            # its last; a one-letter word's first letter is its last.
+            reduced = firsts != (self.letters(level)[rows] ^ 1)
             # An image within TRIVIAL_TOL of +-I has t < 0.01.
             near = np.nonzero(reduced & (t < 0.01))[0]
             reduced[near[_near_identity(mats[near])]] = False
@@ -286,12 +252,6 @@ class BallTable:
         prev = self.word_strings(level - 1)
         return [prev[p] + "." + names[l] for p, l in zip(lv.parents[rows].tolist(), letters)]
 
-    def naming(self) -> "BallTable":
-        """The same ball with only what naming its words needs: each
-        level's last letters and parent indices, 9 B a word."""
-        return BallTable(self.seed, self.radius,
-                         [_Level(lv.letters, lv.parents) for lv in self.levels])
-
     def images3(self, letter_images: np.ndarray, level: int, rows: slice,
                 prev: np.ndarray | None) -> np.ndarray:
         """(n, 3, 3) images of the words ``rows`` of a level under a
@@ -315,7 +275,7 @@ class WordIds:
     iteration names them all through ``BallTable.names``, and a slice or
     an index array selects ids without naming any."""
 
-    table: BallTable  # a ``BallTable.naming`` table suffices
+    table: BallTable
     levels: np.ndarray  # (n,) int8
     index: np.ndarray  # (n,) int64
 
@@ -337,7 +297,10 @@ def enumerate_ball(seed: FuchsianSeed, radius: int) -> Iterator[tuple]:
     table = BallTable.build(seed, radius)
     yield Word((), seed.genus), np.eye(2)
     words = [()]  # level 1 parents are -1, which also indexes the empty word
-    for level, lv in enumerate(table.levels, 1):
-        words = [words[p] + (l,) for p, l in zip(lv.parents.tolist(), lv.letters.tolist())]
-        for w, m in zip(words, table.mats2(level)):
-            yield Word(w, seed.genus), m
+    for level, rows, _firsts, mats, _exps, _imgs in table.blocks():
+        if rows.start == 0:
+            prev, words = words, []
+        lv = table.levels[level - 1]
+        for p, l, m in zip(lv.parents[rows].tolist(), lv.letters[rows].tolist(), mats):
+            words.append(prev[p] + (l,))
+            yield Word(words[-1], seed.genus), m

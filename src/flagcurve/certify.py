@@ -16,10 +16,10 @@ cross-check, the refuting witness and the gap rates; ``stable_norm`` and
 ``anosov_rates`` run the same pass on a ball of their own.
 Witnesses are named through ``BallTable.word``.
 
-The pass reads the ball as ``BallTable.scored`` streams it: the 3x3 images
-of the level below the one being read are stored whole, and those of the
-last level exist one block at a time, as do the eigenvalue temporaries of
-the saddle test and of ``probe_explicit``.  Only the per-level maximum of
+The pass reads the ball as ``BallTable.scored`` streams it: the seed data
+and 3x3 images of the level below the one being read are held whole, and
+those of the last level exist one block at a time, as do the eigenvalue
+temporaries of the saddle test and of ``probe_explicit``.  Only the per-level maximum of
 |r| crosses blocks: it is the first maximum over all blocks of the level,
 so the running estimate moves as it would on the whole level.
 """

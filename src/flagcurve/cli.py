@@ -175,6 +175,8 @@ class RunConfig:
                              parse_float=_finite_float)
         except json.JSONDecodeError as e:
             raise ConfigError(f"config is not valid JSON: {e}") from e
+        except RecursionError as e:
+            raise ConfigError("config nests too deeply to parse") from e
         return RunConfig(raw, data, out_dir)
 
 
@@ -319,7 +321,10 @@ def main(argv=None) -> int:
     t0 = time.monotonic()
     try:
         config = RunConfig.load(args.config, args.out)
-        config.out_dir.mkdir(parents=True, exist_ok=True)
+        try:
+            config.out_dir.mkdir(parents=True, exist_ok=True)
+        except OSError as e:
+            raise ConfigError(f"cannot create output directory: {e}") from e
         code, payload = _DISPATCH[args.command](config)
     except ConfigError as e:
         print(f"config error: {e}", file=sys.stderr)

@@ -5,14 +5,14 @@ cyclically reduced ball elements; each sample is indexed by the attracting
 fixed direction of its 2x2 seed image on the circle of directions (an
 angle mod pi), which parametrizes the curve equivariantly and injectively.
 ``sample_limit_curve`` takes the flags block by block from
-``BallTable.scored``, so of the 3x3 images only the level below the one
-being read is stored whole and the last level is streamed.  A
+``BallTable.scored``, so of the seed and 3x3 images only the level below
+the one being read is held whole and the last level is streamed.  A
 ``CurveModel`` keeps its samples' params, flags and translation lengths,
 and each sample's word as a (level, index) id (``ball.WordIds``): one
-int8 and one int64 a sample, plus each ball level's last letters and
-parent indices (9 B a ball word).  No word string exists until one is
-read: ``model.words[i]`` names one word, and ``CurveModel.csv_rows``
-names only the rows asked for.
+int8 and one int64 a sample, plus the sampled ``BallTable`` itself, only
+each level's last letters and parent indices (9 B a ball word).  No word
+string exists until one is read: ``model.words[i]`` names one word, and
+``CurveModel.csv_rows`` names only the rows asked for.
 
 Crossing counts use sign changes of the pairing along the param-ordered
 point samples.  Representatives are sign-canonicalized, so consecutive
@@ -187,7 +187,7 @@ def sample_limit_curve(
         params=params,
         points=points,
         lines=lines,
-        words=WordIds(table.naming(), levels, index),
+        words=WordIds(table, levels, index),
         tlens=tlens,
         variant=spec.variant,
         dedup_res=dedup_res,
@@ -266,35 +266,33 @@ def crossing_counts(points: np.ndarray, lines: np.ndarray, ztol: float,
     Returns (crossings, tangencies, all_zero), one entry per line.
     """
     n, B = len(points), _BLOCK
-    turns = np.einsum("ij,ij->i", points, np.roll(points, -1, axis=0)) < 0
-    flip = np.zeros(n + 1, dtype=bool)
-    flip[1:] = np.cumsum(turns) % 2 == 1
     nb = -(-n // B)
     lifted = np.empty((nb * B + 1, 3))
     lifted[:n] = points
     lifted[n] = points[0]
+    turns = np.einsum("ij,ij->i", lifted[:n], lifted[1:n + 1]) < 0
+    flip = np.zeros(n + 1, dtype=bool)
+    flip[1:] = np.cumsum(turns) % 2 == 1
     lifted[:n + 1] *= np.where(flip, -1.0, 1.0)[:, None]
     lifted[n + 1:] = lifted[n]  # padding: zero steps, no flips
-    blocks = lifted[np.arange(nb)[:, None] * B + np.arange(B + 1)]
-    reach = np.linalg.norm(np.diff(blocks, axis=1), axis=2).sum(axis=1)
+    reach = np.linalg.norm(np.diff(lifted, axis=0), axis=1).reshape(nb, B).sum(axis=1)
     reach += _SLACK * float(np.linalg.norm(points, axis=1).max())
     out = (np.empty(len(lines), dtype=np.int64), np.empty(len(lines), dtype=np.int64),
            np.empty(len(lines), dtype=bool))
     step = max(1, min(chunk, _COARSE_BYTES // (16 * nb)))
     for lo in range(0, len(lines), step):
-        part = _chunk_counts(lifted[:n], blocks, reach, bool(flip[n]),
-                             lines[lo:lo + step], ztol)
+        part = _chunk_counts(lifted, n, reach, bool(flip[n]), lines[lo:lo + step], ztol)
         for o, r in zip(out, part):
             o[lo:lo + step] = r
     return out
 
 
-def _chunk_counts(lifted, blocks, reach, monodromy_neg, lines, ztol):
-    """``crossing_counts`` for one chunk of lines, given the lifted points,
-    their (n_blocks, B + 1, 3) block rows and the blocks' skip reach."""
-    n, k, B = len(lifted), len(lines), blocks.shape[1] - 1
+def _chunk_counts(lifted, n, reach, monodromy_neg, lines, ztol):
+    """``crossing_counts`` for one chunk of lines, given the n lifted
+    points padded to n_blocks * B + 1 rows and the blocks' skip reach."""
+    k, B = len(lines), _BLOCK
     # Coarse pass: the pairing at block starts decides which blocks to scan.
-    coarse = lines @ blocks[:, 0].T
+    coarse = lines @ lifted[:-1:B].T
     np.abs(coarse, out=coarse)
     bound = np.multiply.outer(np.linalg.norm(lines, axis=1), reach)
     bound += ztol
@@ -307,7 +305,7 @@ def _chunk_counts(lifted, blocks, reach, monodromy_neg, lines, ztol):
     zcols, zrows = [cols[:0]], [blks[:0]]
     for lo in range(0, len(cols), _PAIRS):
         c, b = cols[lo:lo + _PAIRS], blks[lo:lo + _PAIRS]
-        vals = (blocks[b] @ lines[c, :, None])[..., 0]
+        vals = (lifted[b[:, None] * B + np.arange(B + 1)] @ lines[c, :, None])[..., 0]
         neg = vals < 0
         nz = np.abs(vals) > ztol
         flips = (neg[:, 1:] ^ neg[:, :-1]) & nz[:, 1:] & nz[:, :-1]

@@ -11,8 +11,8 @@ within the tolerance band of a sampled curve are "on-boundary", not
 
 ``recurrence_experiment`` maps the base flag by every ball word, block by
 block from ``BallTable.blocks``: the images of the level below the one
-being read are stored whole, while the last level's images, their
-inverses and the mapped flags exist one block at a time.
+being read are held whole, while the last level's images, their inverses
+and the mapped flags exist one block at a time.
 """
 
 from __future__ import annotations
@@ -118,7 +118,7 @@ def recurrence_experiment(
     returning = [""]
     counts = {0: 1}  # level -> cumulative count of returning words
     min_disp = math.inf
-    for level, rows, imgs in table.blocks(spec.letter_images()):
+    for level, rows, *_, imgs in table.blocks(spec.letter_images()):
         pts = np.einsum("nij,j->ni", imgs, bp)
         pts /= np.linalg.norm(pts, axis=1)[:, None]
         duals = np.linalg.inv(imgs).transpose(0, 2, 1)

@@ -115,12 +115,26 @@ def test_a_level_maximum_lies_past_its_first_block(monkeypatch, refuted):
     assert any(np.argmax(m) > 0 for m in maxima.values())
 
 
+def test_built_table_holds_letters_and_parents(seed2):
+    # A built table keeps each level's last letters and parent indices,
+    # 9 B a word; seed data and images are derived as the ball is read.
+    radius = 6
+    tracemalloc.start()
+    try:
+        table = BallTable.build(seed2, radius)
+        held = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert table.radius == radius
+    assert held <= 9 * ball_count(2, radius) + 16384
+
+
 @pytest.mark.parametrize("command", ["probe", "certify"])
 def test_streamed_peak_memory(radial, explicit, command):
-    # The last level's seed and 3x3 images, the eigen temporaries and the
-    # image stacks are O(block): the traced peak of a whole run, its own
-    # ball included, stays within 75 B a ball word at genus 2, R=6 (41
-    # and 54 B now; the whole last level kept took it to 113 and 122 B).
+    # The last level's seed data and 3x3 images and the eigen temporaries
+    # are O(block): the traced peak of a whole run, its own ball included,
+    # stays within 75 B a ball word at genus 2, R=6 (44 and 55 B now; the
+    # whole last level kept took it to 113 and 122 B).
     radius = 6
     tracemalloc.start()
     try:
@@ -138,7 +152,7 @@ def test_sampled_curve_peak_memory(radial):
     # The sampler keeps one (level, index) id a sample, names no word and
     # reads the last level's seed images a block at a time: at genus 2,
     # R=6 its traced peak, its own ball included, stays within 160 B a
-    # ball word (136 B now; the whole last level kept took it to 177 B,
+    # ball word (129 B now; the whole last level kept took it to 177 B,
     # and word strings to 250 B).
     radius = 6
     tracemalloc.start()
@@ -168,28 +182,10 @@ def test_images3_matches_einsum_on_a_genus3_level():
     letter_images = spec.letter_images()
     table = BallTable.build(seed3, 5)
     stacks = {}
-    for level, rows, imgs in table.blocks(letter_images):
+    for level, _rows, *_, imgs in table.blocks(letter_images):
         stacks.setdefault(level, []).append(imgs)
     prev, got = np.concatenate(stacks[4]), np.concatenate(stacks[5])
     lv = table.levels[4]
     want = np.einsum("nij,njk->nik", prev[lv.parents], letter_images[lv.letters])
     want /= np.cbrt(np.linalg.det(want))[:, None, None]
     assert got.tobytes() == want.tobytes()
-
-
-@pytest.mark.parametrize("rows", [5, 10 ** 6])
-def test_top_level_is_derived_as_stored(monkeypatch, seed2, rows):
-    # The top level keeps only letters and parents; the seed images and
-    # exponent sums scored derives for it, block by block, are the bits a
-    # deeper build stores for the same level.
-    monkeypatch.setattr(ball, "BLOCK_ROWS", rows)
-    table = BallTable.build(seed2, RADIUS)
-    top = table.levels[-1]
-    assert (top.firsts, top.mats, top.expsums) == (None, None, None)
-    stored = BallTable(seed2, RADIUS, BallTable.build(seed2, RADIUS + 1).levels[:RADIUS])
-    for level in range(1, RADIUS + 1):
-        assert _same(table.mats2(level), stored.mats2(level))
-        assert _same(table.expsums(level), stored.expsums(level))
-        assert _same(table.cyclically_reduced(level), stored.cyclically_reduced(level))
-    got, want = list(table.scored(0.5)), list(stored.scored(0.5))
-    assert len(got) == len(want) and all(map(_same, got, want))

@@ -215,6 +215,7 @@ def test_model_commands_name_no_word(tmp_path, monkeypatch, command):
     {"output_dir": 5},
     {"orbit": {"base_point": ["0.7071067811865476", "0.7071067811865476", False],
                "base_line": [0.7071067811865476, -0.7071067811865476, 0.0]}},
+    '"note": ' + "[" * 100000 + "]" * 100000,
 ], ids=["ball_radius", "width_px", "neighborhood", "genus", "tolerance_key", "render",
         "nan", "infinity", "base_point_object", "overflow", "tolerance_overflow",
         "tolerance_huge_int", "window_zero", "width_px_zero", "width_px_negative",
@@ -223,7 +224,7 @@ def test_model_commands_name_no_word(tmp_path, monkeypatch, command):
         "genus_string", "coboundary_types", "u_string", "u_bool", "generator_string",
         "matrix_string", "rep_spec_list", "u_list", "u_string_object", "mu_list",
         "render_key", "orbit_key", "singular_matrices", "root_list", "output_dir_int",
-        "base_point_strings"])
+        "base_point_strings", "deep_nesting"])
 def test_malformed_config_exits_2(tmp_path, capsys, monkeypatch, fields):
     raw = fields if isinstance(fields, str) else ""
     if isinstance(fields, list):  # a config root that is not an object
@@ -235,6 +236,26 @@ def test_malformed_config_exits_2(tmp_path, capsys, monkeypatch, fields):
         assert _run(tmp_path, "orbit", config, raw, out) == 2
         assert capsys.readouterr().err.startswith("config error:")
         assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("out, output_dir", [
+    ("blocker", None),
+    ("blocker/sub", None),
+    (None, "blocker"),
+], ids=["out_is_file", "out_under_file", "output_dir_is_file"])
+def test_unusable_output_dir_exits_2(tmp_path, capsys, monkeypatch, out, output_dir):
+    # The output directory is made before any computation; a path that is
+    # or runs through a file is a config error, not a traceback.
+    (tmp_path / "blocker").write_text("kept\n", encoding="utf-8")
+    monkeypatch.chdir(tmp_path)
+    config = {"rep_spec": RADIAL_G2, "ball_radius": 3}
+    if output_dir is not None:
+        config["output_dir"] = output_dir
+    (tmp_path / "config.json").write_text(json.dumps(config), encoding="utf-8")
+    argv = ["certify", "--config", "config.json"] + (["--out", out] if out else [])
+    assert cli.main(argv) == 2
+    assert capsys.readouterr().err.startswith("config error: cannot create output directory")
+    assert (tmp_path / "blocker").read_text(encoding="utf-8") == "kept\n"
 
 
 @pytest.mark.parametrize("command", sorted(REPORTS))

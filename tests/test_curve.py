@@ -221,22 +221,27 @@ def test_stable_norm_monotone_in_radius(seed2):
     assert e4.value >= e3.value - 1e-15
 
 
-def _stored_top(seed, radius: int) -> BallTable:
-    """A radius-``radius`` table that stores its top level's seed images,
-    cut from a build one level deeper, so that a test can overwrite one:
-    a build's own top level derives them block by block."""
-    deeper = BallTable.build(seed, radius + 1)
-    return BallTable(seed, radius, deeper.levels[:radius])
+def _patch_seed_image(monkeypatch, level: int, k: int, mat) -> None:
+    """Make every ball give word k of a level the seed image ``mat``, by
+    wrapping the kernel that derives seed images block by block."""
+    kernel = BallTable.seed_data
+
+    def seed_data(self, lv, rows, prev):
+        firsts, mats, exps = kernel(self, lv, rows, prev)
+        if lv == level and rows.start <= k < rows.stop:
+            mats[k - rows.start] = mat
+        return firsts, mats, exps
+
+    monkeypatch.setattr(BallTable, "seed_data", seed_data)
 
 
 def test_non_hyperbolic_seed_image_is_named(monkeypatch, seed2, u_a1):
-    table = _stored_top(seed2, 3)
-    k = int(np.nonzero(table.cyclically_reduced(3))[0][100])
+    table = BallTable.build(seed2, 3)
+    k = int(np.concatenate([idx for level, idx, *_ in table.scored() if level == 3])[100])
     c, s = math.cos(0.3), math.sin(0.3)
-    table.mats2(3)[k] = [[c, -s], [s, c]]
+    _patch_seed_image(monkeypatch, 3, k, [[c, -s], [s, c]])
     named = re.escape(repr(table.word_strings(3)[k]))
     spec = RepSpec("linear_u", seed2, u=u_a1)
-    monkeypatch.setattr(BallTable, "build", staticmethod(lambda seed, radius: table))
     for run in (
         lambda: list(table.scored()),
         lambda: stable_norm(u_a1, seed2, 3),
@@ -253,19 +258,17 @@ def test_trivial_seed_image_is_skipped(monkeypatch, seed2, u_a1, canonical2, sig
     # drops them instead of raising.
     ref_model = sample_limit_curve(canonical2, 3)
     dropped = next(w for w in ref_model.words if w.count(".") == 2)
-    plain = BallTable.build(seed2, 3)
-    table = _stored_top(seed2, 3)
-    k = plain.word_strings(3).index(dropped)
-    table.mats2(3)[k] = sign * np.eye(2)
-    want = {level: idx for level, idx, *_ in plain.scored()}
+    table = BallTable.build(seed2, 3)
+    k = table.word_strings(3).index(dropped)
+    want = {level: idx for level, idx, *_ in table.scored()}
     want[3] = want[3][want[3] != k]
+    spec = RepSpec("linear_u", seed2, u=u_a1)
+    ref_norm, ref = stable_norm(u_a1, seed2, 3), certify_anosov(spec, 3)
+    _patch_seed_image(monkeypatch, 3, k, sign * np.eye(2))
     got = {level: idx for level, idx, *_ in table.scored()}
     assert got.keys() == want.keys()
     for level in want:
         assert np.array_equal(got[level], want[level])
-    spec = RepSpec("linear_u", seed2, u=u_a1)
-    ref_norm, ref = stable_norm(u_a1, seed2, 3), certify_anosov(spec, 3)
-    monkeypatch.setattr(BallTable, "build", staticmethod(lambda seed, radius: table))
     assert stable_norm(u_a1, seed2, 3) == ref_norm
     res = certify_anosov(spec, 3)
     assert (res.verdict, res.tests_agree) == (ref.verdict, ref.tests_agree)

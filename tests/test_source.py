@@ -6,6 +6,7 @@ from pathlib import Path
 import flagcurve
 
 PACKAGE = Path(flagcurve.__file__).parent
+ROOT = Path(__file__).resolve().parents[1]
 
 
 def unused_imports(source: str) -> list:
@@ -32,4 +33,52 @@ def test_no_unused_imports():
     found = [f"{path.name}:{line}: {name}"
              for path in sorted(PACKAGE.glob("*.py")) if path.name != "__init__.py"
              for line, name in unused_imports(path.read_text(encoding="utf-8"))]
+    assert found == []
+
+
+def definitions(source: str) -> list:
+    """(line, name) of every function, method and class a module defines,
+    dunder methods aside: Python calls those itself."""
+    return [(n.lineno, n.name) for n in ast.walk(ast.parse(source))
+            if isinstance(n, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
+            and not (n.name.startswith("__") and n.name.endswith("__"))]
+
+
+def references(source: str, strings: bool = False) -> set:
+    """Every name a module reads, as a name or an attribute; with
+    ``strings``, also each dotted part of its string constants, the way
+    perfbench's tracer names its targets ("BallTable.build")."""
+    found = set()
+    for n in ast.walk(ast.parse(source)):
+        if isinstance(n, ast.Name):
+            found.add(n.id)
+        elif isinstance(n, ast.Attribute):
+            found.add(n.attr)
+        elif strings and isinstance(n, ast.Constant) and isinstance(n.value, str):
+            found.update(n.value.split("."))
+    return found
+
+
+def test_unreferenced_definitions_are_found():
+    source = ("class A:\n    def f(self):\n        return g()\n\n"
+              "    def __len__(self):\n        return 0\n\n"
+              "def g():\n    pass\n\ndef h():\n    pass\n")
+    defined = definitions(source)
+    assert defined == [(1, "A"), (8, "g"), (11, "h"), (2, "f")]
+    used = references(source) | references('TARGETS = {"x": ("m", "A.f")}', strings=True)
+    assert [name for _, name in defined if name not in used] == ["h"]
+
+
+def test_every_definition_is_referenced():
+    # A helper that nothing calls is deleted, not kept for later.  The
+    # tracer wraps its targets by name, so perfbench's strings count.
+    used = set()
+    for path in sorted(PACKAGE.glob("*.py")) + sorted((ROOT / "tests").glob("*.py")):
+        used |= references(path.read_text(encoding="utf-8"))
+    for path in sorted((ROOT / "perfbench").glob("*.py")):
+        used |= references(path.read_text(encoding="utf-8"), strings=True)
+    found = [f"{path.name}:{line}: {name}"
+             for path in sorted(PACKAGE.glob("*.py"))
+             for line, name in definitions(path.read_text(encoding="utf-8"))
+             if name not in used]
     assert found == []

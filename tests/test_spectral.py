@@ -21,6 +21,7 @@ from flagcurve import (
 )
 from flagcurve.errors import ComplexSpectrum, NotFixed, NotLoxodromic
 from flagcurve.projective import proj_dist
+from flagcurve import ball
 from flagcurve.ball import BallTable
 from flagcurve.spectral import batch_eigvals3, batch_eigvec, batch_saddle_at_e2
 from flagcurve.surface import batch_translation_lengths, eval_u
@@ -261,16 +262,18 @@ def test_canonical_ball_loxodromic(seed2, canonical2):
         assert is_loxodromic(evaluate(canonical2, w))
 
 
-def test_batch_saddle_matches_ratio_on_ball(seed2):
+def test_batch_saddle_matches_ratio_on_ball(monkeypatch, seed2):
     # Every word of the ball, conjugates included; the class refutes some.
     u = CohomologyClass.from_dict({"a1": 1.6, "b2": -0.9}, 2)
     spec = RepSpec("linear_u", seed2, u=u)
-    table = BallTable.build(seed2, 3)
-    refuted = 0
-    for level, rows, imgs in table.blocks(spec.letter_images()):
-        hyp, t = batch_translation_lengths(table.mats2(level)[rows])
-        assert hyp.all()
-        ratio_ok = np.abs(table.expsums(level)[rows] @ u.as_vector()) < t / 2.0
-        assert np.array_equal(batch_saddle_at_e2(imgs), ratio_ok)
-        refuted += int((~ratio_ok).sum())
-    assert refuted > 0
+    for block_rows in (1, 5, 10 ** 6):
+        monkeypatch.setattr(ball, "BLOCK_ROWS", block_rows)
+        table = BallTable.build(seed2, 3)
+        refuted = 0
+        for _level, _rows, _firsts, mats, exps, imgs in table.blocks(spec.letter_images()):
+            hyp, t = batch_translation_lengths(mats)
+            assert hyp.all()
+            ratio_ok = np.abs(exps @ u.as_vector()) < t / 2.0
+            assert np.array_equal(batch_saddle_at_e2(imgs), ratio_ok)
+            refuted += int((~ratio_ok).sum())
+        assert refuted > 0

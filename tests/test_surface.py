@@ -15,6 +15,7 @@ from flagcurve import (
     standard_fuchsian,
     translation_length,
 )
+from flagcurve import ball
 from flagcurve.ball import BallTable
 from flagcurve.errors import NotHyperbolic, UnsupportedGenus
 from flagcurve.surface import attractive_direction, gen_name, standard_relator
@@ -157,49 +158,63 @@ def test_seed_rejects_bad_relator():
         FuchsianSeed(2, gens)
 
 
-def test_ball_table_matches_enumeration(seed2):
+def _whole_levels(table) -> dict:
+    """level -> (firsts, mats, exps) of every word of the level, joined
+    from the blocks of ``table.blocks()``."""
+    levels = {}
+    for level, _rows, *seed_data, _imgs in table.blocks():
+        levels.setdefault(level, []).append(seed_data)
+    return {level: [np.concatenate(col) for col in zip(*blocks)]
+            for level, blocks in levels.items()}
+
+
+def test_ball_table_matches_enumeration(monkeypatch, seed2):
     # Brute force: every letter tuple, filtered by free reduction, sorted.
     for seed, radius in ((seed2, 3), (standard_fuchsian(3), 2)):
-        table = BallTable.build(seed, radius)
-        scored = {m: [] for m in (0.0, 5.0, 7.0)}
-        for level in range(1, radius + 1):
-            words = [
-                Word(ls, seed.genus)
-                for ls in sorted(product(range(4 * seed.genus), repeat=level))
-                if all(b != a ^ 1 for a, b in zip(ls, ls[1:]))
-            ]
-            assert table.word_strings(level) == [str(w) for w in words]
-            assert [table.word(level, i) for i in range(len(words))] == [
-                str(w) for w in words
-            ]
-            lengths = [translation_length(seed.image(w)) for w in words]
+        levels = [
+            [Word(ls, seed.genus)
+             for ls in sorted(product(range(4 * seed.genus), repeat=level))
+             if all(b != a ^ 1 for a, b in zip(ls, ls[1:]))]
+            for level in range(1, radius + 1)
+        ]
+        lengths = [[translation_length(seed.image(w)) for w in words] for words in levels]
+        for block_rows in (1, 5, 10 ** 6):
+            monkeypatch.setattr(ball, "BLOCK_ROWS", block_rows)
+            table = BallTable.build(seed, radius)
+            whole = _whole_levels(table)
+            scored = {m: [] for m in (0.0, 5.0, 7.0)}
+            for level, words in enumerate(levels, 1):
+                assert table.word_strings(level) == [str(w) for w in words]
+                assert [table.word(level, i) for i in range(len(words))] == [
+                    str(w) for w in words
+                ]
+                for m, expected in scored.items():
+                    idx = [i for i, w in enumerate(words)
+                           if w.is_cyclically_reduced() and lengths[level - 1][i] >= m]
+                    if idx:
+                        expected.append((level, idx, [lengths[level - 1][i] for i in idx]))
+                firsts, mats, exps = whole[level]
+                assert firsts.tolist() == [w.letters[0] for w in words]
+                assert np.allclose(mats, [seed.image(w) for w in words], atol=1e-12)
+                assert np.array_equal(exps, [w.exponent_sums() for w in words])
             for m, expected in scored.items():
-                idx = [i for i, w in enumerate(words)
-                       if w.is_cyclically_reduced() and lengths[i] >= m]
-                if idx:
-                    expected.append((level, idx, [lengths[i] for i in idx]))
-            assert np.allclose(
-                table.mats2(level), [seed.image(w) for w in words], atol=1e-12
-            )
-            assert np.array_equal(
-                table.expsums(level), [w.exponent_sums() for w in words]
-            )
-            assert table.cyclically_reduced(level).tolist() == [
-                w.is_cyclically_reduced() for w in words
-            ]
-        for m, expected in scored.items():
-            got = list(table.scored(m))
-            assert [(lv, idx.tolist()) for lv, idx, *_ in got] == [
-                (lv, idx) for lv, idx, _ in expected
-            ]
-            for (_, _, t, *_), (_, _, ref) in zip(got, expected):
-                assert np.allclose(t, ref, rtol=1e-12)
+                got = {}
+                for lv, idx, t, *_ in table.scored(m):
+                    got.setdefault(lv, []).append((idx, t))
+                assert [(lv, np.concatenate([i for i, _ in b]).tolist())
+                        for lv, b in got.items()] == [(lv, idx) for lv, idx, _ in expected]
+                for blocks, (_, _, ref) in zip(got.values(), expected):
+                    assert np.allclose(np.concatenate([t for _, t in blocks]), ref,
+                                       rtol=1e-12)
 
 
-def test_ball_table_expsums(seed2):
-    table = BallTable.build(seed2, 3)
-    strs = table.word_strings(3)
-    exps = table.expsums(3)
-    for i in (0, 100, 390):
-        w = Word.parse(strs[i], 2)
-        assert np.array_equal(w.exponent_sums(), exps[i])
+def test_ball_table_expsums(monkeypatch, seed2):
+    for block_rows in (1, 5, 10 ** 6):
+        monkeypatch.setattr(ball, "BLOCK_ROWS", block_rows)
+        table = BallTable.build(seed2, 3)
+        strs = table.word_strings(3)
+        exps = _whole_levels(table)[3][2]
+        assert exps.dtype == np.int32
+        for i in (0, 100, 390):
+            w = Word.parse(strs[i], 2)
+            assert np.array_equal(w.exponent_sums(), exps[i])
