@@ -1,31 +1,11 @@
-"""Flag representations of surface groups in SL(3,R): projective-plane
-primitives, Fuchsian seeds and word balls, representation families,
-limit-curve sampling, spectral certificates, and invariant-domain
-experiments."""
+"""Flag representations of surface groups in SL(3,R): projective points,
+lines and flags, Fuchsian seeds and word balls, representation families
+(group elements are plain (3,3) arrays), limit-curve sampling, spectral
+certificates, and invariant-domain experiments."""
 
 __version__ = "0.1.0"
 
-from .projective import (
-    Flag,
-    Frame,
-    GroupElement,
-    Pencil,
-    ProjLine,
-    ProjPoint,
-    act,
-    act_dual,
-    act_frame,
-    canonicalize,
-    dual,
-    frame_from_flags,
-    is_in_Y,
-    join,
-    meet,
-    pairing,
-    perp,
-    pi_minus,
-    pi_plus,
-)
+from .projective import Flag, ProjLine, ProjPoint, canonicalize, pairing
 from .surface import (
     CohomologyClass,
     FuchsianSeed,
@@ -54,7 +34,6 @@ from .spectral import (
 )
 from .curve import (
     CurveModel,
-    CurveSample,
     check_incidence,
     injectivity_report,
     regularity_diagnostics,

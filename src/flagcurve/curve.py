@@ -37,20 +37,11 @@ import numpy as np
 
 from .ball import BallTable, WordIds
 from .errors import InsufficientSamples
-from .projective import Flag, ProjLine, ProjPoint
 from .reps import RepSpec
 from .spectral import batch_attracting_flags, canonicalize_rows
 from .surface import batch_attractive_directions
 
 E2 = np.array([0.0, 1.0, 0.0])
-
-
-@dataclass(frozen=True)
-class CurveSample:
-    param: float
-    flag: Flag
-    source_word: str
-    translation_length: float
 
 
 @dataclass
@@ -78,14 +69,6 @@ class CurveModel:
 
     def __len__(self):
         return len(self.params)
-
-    def sample(self, i: int) -> CurveSample:
-        return CurveSample(
-            float(self.params[i]),
-            Flag(ProjPoint(self.points[i]), ProjLine(self.lines[i])),
-            self.words[i],
-            float(self.tlens[i]),
-        )
 
     def point_margin(self, rep: np.ndarray) -> float:
         """Angular distance of a projective point to the sampled point curve."""
@@ -275,7 +258,11 @@ def crossing_counts(points: np.ndarray, lines: np.ndarray, ztol: float,
     flip[1:] = np.cumsum(turns) % 2 == 1
     lifted[:n + 1] *= np.where(flip, -1.0, 1.0)[:, None]
     lifted[n + 1:] = lifted[n]  # padding: zero steps, no flips
-    reach = np.linalg.norm(np.diff(lifted, axis=0), axis=1).reshape(nb, B).sum(axis=1)
+    # |P_{i+1} - P_i| with one step-sized temporary, squared in place.
+    steps = np.diff(lifted, axis=0)
+    steps *= steps
+    reach = np.sqrt(np.add.reduce(steps, axis=1)).reshape(nb, B).sum(axis=1)
+    del steps
     reach += _SLACK * float(np.linalg.norm(points, axis=1).max())
     out = (np.empty(len(lines), dtype=np.int64), np.empty(len(lines), dtype=np.int64),
            np.empty(len(lines), dtype=bool))

@@ -9,18 +9,6 @@ class FlagCurveError(Exception):
     """Base class for all library errors."""
 
 
-class DegenerateJoin(FlagCurveError):
-    """Join/meet of projectively equal elements."""
-
-
-class SingularMatrix(FlagCurveError):
-    """Matrix with |det| below the invertibility floor."""
-
-
-class NotInY(FlagCurveError):
-    """Flag pair violates the transversality condition (cross-pairing zero)."""
-
-
 class UnsupportedGenus(FlagCurveError):
     """Surface genus below 2."""
 

@@ -22,7 +22,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import NotUnimodular, UnsupportedSpec
-from .projective import GroupElement
 from .surface import (
     CohomologyClass,
     FuchsianSeed,
@@ -37,8 +36,8 @@ from .surface import (
 VARIANTS = ("canonical", "linear_u", "radial", "explicit")
 
 
-def rho0(m: np.ndarray) -> GroupElement:
-    """Block embedding [[a,b],[c,d]] -> [[a,0,b],[0,1,0],[c,0,d]]."""
+def rho0(m: np.ndarray) -> np.ndarray:
+    """Block embedding [[a,b],[c,d]] -> [[a,0,b],[0,1,0],[c,0,d]], read-only."""
     m = np.asarray(m, dtype=float)
     d = float(np.linalg.det(m))
     if abs(d - 1.0) > 1e-10:
@@ -51,15 +50,16 @@ def rho0(m: np.ndarray) -> GroupElement:
         ]
     )
     out.flags.writeable = False
-    return GroupElement(out)
+    return out
 
 
-def phi(t: float) -> GroupElement:
-    """Diagonal flow diag(e^{t/3}, e^{-2t/3}, e^{t/3}); commutes with rho0."""
+def phi(t: float) -> np.ndarray:
+    """Diagonal flow diag(e^{t/3}, e^{-2t/3}, e^{t/3}), read-only; commutes
+    with rho0."""
     a, b = math.exp(t / 3.0), math.exp(-2.0 * t / 3.0)
     out = np.diag([a, b, a])
     out.flags.writeable = False
-    return GroupElement(out)
+    return out
 
 
 def radial_generator(m2: np.ndarray, u_val: float, mu: float, nu: float) -> np.ndarray:
@@ -114,10 +114,10 @@ class RepSpec:
         out = np.empty((2 * g, 3, 3))
         if self.variant == "canonical":
             for k in range(2 * g):
-                out[k] = rho0(gens2[k]).mat
+                out[k] = rho0(gens2[k])
         elif self.variant == "linear_u":
             for k in range(2 * g):
-                out[k] = phi(self.u.values[k]).mat @ rho0(gens2[k]).mat
+                out[k] = phi(self.u.values[k]) @ rho0(gens2[k])
         elif self.variant == "radial":
             for k in range(2 * g):
                 out[k] = radial_generator(
@@ -230,9 +230,9 @@ def spec_from_json_dict(d: dict) -> RepSpec:
     return RepSpec("explicit", seed, matrices=tuple(mats))
 
 
-def evaluate(spec: RepSpec, w: Word) -> GroupElement:
-    """Image of a word: product of letter images, determinant renormalized
-    every 16 multiplications to bound drift."""
+def evaluate(spec: RepSpec, w: Word) -> np.ndarray:
+    """Image of a word, read-only: product of letter images, determinant
+    renormalized every 16 multiplications to bound drift."""
     letters = spec.letter_images()
     m = np.eye(3)
     for i, l in enumerate(w.letters):
@@ -241,7 +241,7 @@ def evaluate(spec: RepSpec, w: Word) -> GroupElement:
             m = m / np.cbrt(np.linalg.det(m))
     m = m / np.cbrt(np.linalg.det(m))
     m.flags.writeable = False
-    return GroupElement(m)
+    return m
 
 
 def coboundary_radial(spec: RepSpec, m1: float, m2: float) -> RepSpec:
@@ -260,7 +260,7 @@ def coboundary_radial(spec: RepSpec, m1: float, m2: float) -> RepSpec:
     Uinv[1, 0], Uinv[1, 2] = -m1, -m2
     mu, nu = [], []
     for k in range(2 * g):
-        img = U @ phi(spec.u.values[k]).mat @ rho0(spec.seed.generators[k]).mat @ Uinv
+        img = U @ phi(spec.u.values[k]) @ rho0(spec.seed.generators[k]) @ Uinv
         mu.append(float(img[1, 0]))
         nu.append(float(img[1, 2]))
     return RepSpec("radial", spec.seed, u=spec.u, mu=tuple(mu), nu=tuple(nu))

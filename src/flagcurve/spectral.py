@@ -1,9 +1,10 @@
 """Eigenstructure of 3x3 unimodular matrices.
 
-Each eigen task has one batched kernel, and the scalar functions call it
-with n=1.  Eigenvalues come from ``batch_eigvals3``: the
-characteristic cubic solved in trigonometric form with a Newton polish
-that skips the divergent steps near a double root.  ``batch_loxodromic``
+Each eigen task has one batched kernel on (n,3,3) stacks, and the scalar
+functions take one plain (3,3) array g and call that kernel on g[None].
+Eigenvalues come from ``batch_eigvals3``: the characteristic cubic solved
+in trigonometric form with a Newton polish that skips the divergent steps
+near a double root.  ``batch_loxodromic``
 and ``batch_saddle_at_e2`` classify stacks from those eigenvalues.
 Eigenvectors come from ``batch_eigvec``: the longest cross product of two
 rows of g - lambda*I (the rank-2 null-space formula), or, where
@@ -23,7 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ComplexSpectrum, NotFixed, NotLoxodromic
-from .projective import Flag, GroupElement, ProjLine, ProjPoint
+from .projective import Flag, ProjLine, ProjPoint
 
 # Relative modulus gap below which eigenvalue ordering is unreliable.
 GAP_TOL = 1e-8
@@ -49,43 +50,43 @@ class EigenTriple:
     near_degenerate: bool
 
 
-def eigen3(g: GroupElement) -> EigenTriple:
+def eigen3(g: np.ndarray) -> EigenTriple:
     """Full real eigendecomposition; raises ComplexSpectrum otherwise."""
-    lox, vals = batch_loxodromic(g.mat[None])
+    lox, vals = batch_loxodromic(g[None])
     if np.isnan(vals[0]).any():
         raise ComplexSpectrum("matrix has a complex eigenvalue pair")
-    vecs = batch_eigvec(np.broadcast_to(g.mat, (3, 3, 3)), vals[0])
+    vecs = batch_eigvec(np.broadcast_to(g, (3, 3, 3)), vals[0])
     return EigenTriple(tuple(vals[0].tolist()), tuple(ProjPoint.of(v) for v in vecs),
                        not lox[0])
 
 
-def is_loxodromic(g: GroupElement) -> bool:
+def is_loxodromic(g: np.ndarray) -> bool:
     """Three real eigenvalues of pairwise distinct modulus."""
-    return bool(batch_loxodromic(g.mat[None])[0][0])
+    return bool(batch_loxodromic(g[None])[0][0])
 
 
-def attractive_flag(g: GroupElement) -> Flag:
+def attractive_flag(g: np.ndarray) -> Flag:
     """Attracting fixed flag of a loxodromic matrix: top eigenline together
     with the plane spanned by the top two eigenlines."""
-    lox, points, lines = batch_attracting_flags(g.mat[None])
+    lox, points, lines = batch_attracting_flags(g[None])
     if not lox[0]:
         raise NotLoxodromic("not three real eigenvalues of distinct modulus")
     return Flag(ProjPoint.of(points[0]), ProjLine.of(lines[0]))
 
 
-def repulsive_flag(g: GroupElement) -> Flag:
+def repulsive_flag(g: np.ndarray) -> Flag:
     """Repelling fixed flag: the attracting flag of g^-1, i.e. the bottom
     eigenline together with the plane of the bottom two eigenlines."""
-    return attractive_flag(GroupElement(np.linalg.inv(g.mat)))
+    return attractive_flag(np.linalg.inv(g))
 
 
-def saddle_at_e2(g: GroupElement) -> bool:
+def saddle_at_e2(g: np.ndarray) -> bool:
     """Whether the eigenvalue at [e2] is strictly the middle one in modulus."""
-    col = g.mat[:, 1]
+    col = g[:, 1]
     n = float(np.linalg.norm(col))
     if math.acos(min(1.0, abs(float(col[1])) / n)) > FIX_TOL:
         raise NotFixed("[e2] is not fixed")
-    return bool(batch_saddle_at_e2(g.mat[None])[0])
+    return bool(batch_saddle_at_e2(g[None])[0])
 
 
 # ---------------------------------------------------------------------------

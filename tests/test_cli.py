@@ -216,6 +216,8 @@ def test_model_commands_name_no_word(tmp_path, monkeypatch, command):
     {"orbit": {"base_point": ["0.7071067811865476", "0.7071067811865476", False],
                "base_line": [0.7071067811865476, -0.7071067811865476, 0.0]}},
     '"note": ' + "[" * 100000 + "]" * 100000,
+    {"rep_spec": _conjugated_radial_g2(),
+     "orbit": {"base_point": [1e308, 1e308, 0], "base_line": [1e308, -1e308, 0]}},
 ], ids=["ball_radius", "width_px", "neighborhood", "genus", "tolerance_key", "render",
         "nan", "infinity", "base_point_object", "overflow", "tolerance_overflow",
         "tolerance_huge_int", "window_zero", "width_px_zero", "width_px_negative",
@@ -224,7 +226,7 @@ def test_model_commands_name_no_word(tmp_path, monkeypatch, command):
         "genus_string", "coboundary_types", "u_string", "u_bool", "generator_string",
         "matrix_string", "rep_spec_list", "u_list", "u_string_object", "mu_list",
         "render_key", "orbit_key", "singular_matrices", "root_list", "output_dir_int",
-        "base_point_strings", "deep_nesting"])
+        "base_point_strings", "deep_nesting", "base_flag_overflow"])
 def test_malformed_config_exits_2(tmp_path, capsys, monkeypatch, fields):
     raw = fields if isinstance(fields, str) else ""
     if isinstance(fields, list):  # a config root that is not an object

@@ -82,17 +82,14 @@ def test_model_sorted_and_deduped(model4):
 
 def test_sample_invariants(seed2, canonical2, model4):
     for i in (0, len(model4) // 3, len(model4) - 1):
-        s = model4.sample(i)
-        w = Word.parse(s.source_word, 2)
+        w = Word.parse(model4.words[i], 2)
         g = evaluate(canonical2, w)
         f = attractive_flag(g)
-        assert proj_dist(f.point.rep, s.flag.point.rep) <= 1e-9
-        assert proj_dist(f.line.rep, s.flag.line.rep) <= 1e-9
+        assert proj_dist(f.point.rep, model4.points[i]) <= 1e-9
+        assert proj_dist(f.line.rep, model4.lines[i]) <= 1e-9
         m2 = seed2.image(w)
-        assert s.param == pytest.approx(attractive_direction(m2), abs=1e-12)
-        assert s.translation_length == pytest.approx(
-            translation_length(m2), abs=1e-12
-        )
+        assert model4.params[i] == pytest.approx(attractive_direction(m2), abs=1e-12)
+        assert model4.tlens[i] == pytest.approx(translation_length(m2), abs=1e-12)
 
 
 def test_small_linear_deformation_keeps_curve(seed2):

@@ -3,30 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from flagcurve import (
-    Flag,
-    Frame,
-    GroupElement,
-    ProjLine,
-    ProjPoint,
-    act,
-    act_dual,
-    act_frame,
-    canonicalize,
-    dual,
-    frame_from_flags,
-    is_in_Y,
-    join,
-    meet,
-    pairing,
-    perp,
-    pi_minus,
-    pi_plus,
-)
-from flagcurve.errors import DegenerateJoin, NotInY
-from flagcurve.projective import proj_dist
-
-from conftest import random_unimodular
+from flagcurve import Flag, ProjLine, ProjPoint, canonicalize, pairing
 
 E1, E2, E3 = np.eye(3)
 
@@ -46,8 +23,10 @@ def test_canonicalize_bit_exact_idempotent(rng):
 
 
 def test_canonicalize_rejects_zero():
-    with pytest.raises(ValueError):
-        canonicalize([0.0, 0.0, 0.0])
+    # A norm that overflows would otherwise scale the vector to zero.
+    for v in ([0.0, 0.0, 0.0], [1e308, 1e308, 0.0]):
+        with pytest.raises(ValueError):
+            canonicalize(v)
 
 
 def test_pairing_dual_basis():
@@ -61,137 +40,6 @@ def test_pairing_example_vectors():
     assert pairing(p, l) == pytest.approx(32.0 / math.sqrt(14.0 * 77.0), abs=1e-14)
 
 
-def test_join_meet_examples():
-    assert join(ProjPoint.of(E1), ProjPoint.of(E2)).same_as(ProjLine.of(E3))
-    assert meet(ProjLine.of(E1), ProjLine.of(E2)).same_as(ProjPoint.of(E3))
-    with pytest.raises(DegenerateJoin):
-        join(ProjPoint.of(E1), ProjPoint.of(E1))
-    with pytest.raises(DegenerateJoin):
-        meet(ProjLine.of(E1), ProjLine.of(-E1))
-
-
-def test_join_vanishes_on_inputs(rng):
-    for _ in range(200):
-        p = ProjPoint.of(rng.normal(size=3))
-        q = ProjPoint.of(rng.normal(size=3))
-        l = join(p, q)
-        assert abs(pairing(p, l)) <= 1e-10
-        assert abs(pairing(q, l)) <= 1e-10
-
-
-def test_meet_join_duality(rng):
-    for _ in range(200):
-        p = ProjPoint.of(rng.normal(size=3))
-        q = ProjPoint.of(rng.normal(size=3))
-        r = ProjPoint.of(rng.normal(size=3))
-        if abs(np.linalg.det(np.stack([p.rep, q.rep, r.rep]))) < 1e-3:
-            continue
-        assert meet(join(p, q), join(p, r)).same_as(p)
-
-
-def test_perp_pencil():
-    pen = perp(ProjPoint.of(E2))
-    assert pen.contains(ProjLine.of(E1))
-    assert pen.contains(ProjLine.of(E3))
-    assert not pen.contains(ProjLine.of(E2))
-
-
-def test_perp_join_recovers_point(rng):
-    for _ in range(100):
-        p = ProjPoint.of(rng.normal(size=3))
-        pen = perp(p)
-        # two distinct members of the pencil of lines through p
-        l1 = join(p, ProjPoint.of(rng.normal(size=3)))
-        l2 = join(p, ProjPoint.of(rng.normal(size=3)))
-        if l1.same_as(l2, 1e-6):
-            continue
-        assert pen.contains(l1) and pen.contains(l2)
-        back = np.cross(l1.rep, l2.rep)  # join in the dual plane
-        assert ProjPoint.of(back).same_as(p)
-
-
-def test_frame_projections():
-    f = Frame.of(E1, E2, E3)
-    plus, minus = pi_plus(f), pi_minus(f)
-    assert plus.point.same_as(ProjPoint.of(E1))
-    assert plus.line.same_as(ProjLine.of(E3))
-    assert minus.point.same_as(ProjPoint.of(E3))
-    assert minus.line.same_as(ProjLine.of(E1))
-
-
-def test_frame_projection_equivariance(rng):
-    for _ in range(100):
-        f = Frame.of(rng.normal(size=3), rng.normal(size=3), rng.normal(size=3))
-        g = GroupElement.of(random_unimodular(rng))
-        gf = act_frame(g, f)
-        left = pi_plus(gf)
-        right_p = act(g, pi_plus(f).point)
-        right_l = act_dual(g, pi_plus(f).line)
-        assert proj_dist(left.point.rep, right_p.rep) <= 1e-9
-        assert proj_dist(left.line.rep, right_l.rep) <= 1e-9
-
-
-def test_transversality():
-    f1 = Flag.of(E1, E3)
-    f2 = Flag.of(E3, E1)
-    assert is_in_Y(f1, f2)
-    assert not is_in_Y(f1, f1)
-
-
-def test_frames_give_transversal_pairs(rng):
-    for _ in range(100):
-        f = Frame.of(rng.normal(size=3), rng.normal(size=3), rng.normal(size=3))
-        assert is_in_Y(pi_plus(f), pi_minus(f))
-
-
-def test_frame_from_flags_example():
-    f = frame_from_flags(Flag.of(E1, E3), Flag.of(E3, E1))
-    assert f.p1.same_as(ProjPoint.of(E1))
-    assert f.p2.same_as(ProjPoint.of(E2))
-    assert f.p3.same_as(ProjPoint.of(E3))
-    with pytest.raises(NotInY):
-        frame_from_flags(Flag.of(E1, E3), Flag.of(E1, E3))
-
-
-def test_frame_from_flags_round_trip(rng):
-    done = 0
-    while done < 1000:
-        fr = Frame.of(rng.normal(size=3), rng.normal(size=3), rng.normal(size=3))
-        f1, f2 = pi_plus(fr), pi_minus(fr)
-        if not is_in_Y(f1, f2):
-            continue
-        back = frame_from_flags(f1, f2)
-        b1, b2 = pi_plus(back), pi_minus(back)
-        assert proj_dist(b1.point.rep, f1.point.rep) <= 1e-8
-        assert proj_dist(b1.line.rep, f1.line.rep) <= 1e-8
-        assert proj_dist(b2.point.rep, f2.point.rep) <= 1e-8
-        assert proj_dist(b2.line.rep, f2.line.rep) <= 1e-8
-        done += 1
-
-
-def test_dual_examples():
-    assert np.allclose(dual(GroupElement.of(np.eye(3))).mat, np.eye(3))
-    g = GroupElement.of(np.diag([2.0, 1.0, 0.5]))
-    assert np.allclose(dual(g).mat, np.diag([0.5, 1.0, 2.0]))
-
-
-def test_duality_identity(rng):
-    p = ProjPoint.of(E1)
-    l = ProjLine.of(E3)
-    for _ in range(500):
-        g = GroupElement.of(random_unimodular(rng))
-        ginv = GroupElement.of(np.linalg.inv(g.mat) / np.cbrt(np.linalg.det(np.linalg.inv(g.mat))))
-        lhs = float(p.rep @ (dual(g).mat @ l.rep))
-        rhs = float((ginv.mat @ p.rep) @ l.rep)
-        # both sides are un-normalized evaluations of the same bilinear form
-        assert abs(lhs - rhs) <= 1e-9 * max(1.0, abs(lhs))
-
-
 def test_flag_rejects_non_incident():
     with pytest.raises(ValueError):
         Flag.of(E1, E1)
-
-
-def test_frame_rejects_collinear():
-    with pytest.raises(ValueError):
-        Frame.of(E1, E2, [1.0, 1.0, 0.0])

@@ -42,9 +42,10 @@ def test_rho0_layout():
     a, b = m[0]
     c, d = m[1]
     assert np.allclose(
-        g.mat, [[a, 0.0, b], [0.0, 1.0, 0.0], [c, 0.0, d]], atol=1e-15
+        g, [[a, 0.0, b], [0.0, 1.0, 0.0], [c, 0.0, d]], atol=1e-15
     )
-    assert np.allclose(rho0(np.eye(2)).mat, np.eye(3))
+    assert np.allclose(rho0(np.eye(2)), np.eye(3))
+    assert g.shape == (3, 3) and not g.flags.writeable
     with pytest.raises(NotUnimodular):
         rho0(2.0 * np.eye(2))
 
@@ -53,14 +54,15 @@ def test_rho0_morphism(rng):
     for _ in range(200):
         m1, m2 = random_sl2_strict(rng), random_sl2_strict(rng)
         assert np.allclose(
-            rho0(m1 @ m2).mat, rho0(m1).mat @ rho0(m2).mat, atol=1e-12
+            rho0(m1 @ m2), rho0(m1) @ rho0(m2), atol=1e-12
         )
 
 
 def test_phi_values():
-    assert np.allclose(phi(0.0).mat, np.eye(3))
+    assert np.allclose(phi(0.0), np.eye(3))
+    assert not phi(0.0).flags.writeable
     assert np.allclose(
-        phi(3.0).mat, np.diag([math.e, math.exp(-2.0), math.e]), atol=1e-14
+        phi(3.0), np.diag([math.e, math.exp(-2.0), math.e]), atol=1e-14
     )
 
 
@@ -68,21 +70,23 @@ def test_phi_commutes_with_rho0(rng):
     for _ in range(200):
         t = float(rng.uniform(-2, 2))
         m = random_sl2_strict(rng)
-        lhs = phi(t).mat @ rho0(m).mat
-        rhs = rho0(m).mat @ phi(t).mat
+        lhs = phi(t) @ rho0(m)
+        rhs = rho0(m) @ phi(t)
         assert np.abs(lhs - rhs).max() <= 1e-12
 
 
 def test_evaluate_canonical(seed2, canonical2):
     w = Word.parse("a1", 2)
-    assert np.allclose(evaluate(canonical2, w).mat, rho0(seed2.generators[0]).mat)
+    g = evaluate(canonical2, w)
+    assert np.allclose(g, rho0(seed2.generators[0]))
+    assert g.shape == (3, 3) and not g.flags.writeable
 
 
 def test_linear_u_zero_is_canonical(seed2, canonical2):
     lin = RepSpec("linear_u", seed2, u=CohomologyClass.zero(2))
     for w, _ in list(enumerate_ball(seed2, 2)):
         assert np.allclose(
-            evaluate(lin, w).mat, evaluate(canonical2, w).mat, atol=1e-12
+            evaluate(lin, w), evaluate(canonical2, w), atol=1e-12
         )
 
 
@@ -91,7 +95,7 @@ def test_radial_zero_shear_is_linear_u(seed2):
     lin = RepSpec("linear_u", seed2, u=u)
     rad = RepSpec("radial", seed2, u=u, mu=(0.0,) * 4, nu=(0.0,) * 4)
     for w, _ in list(enumerate_ball(seed2, 4))[::37]:
-        assert np.abs(evaluate(rad, w).mat - evaluate(lin, w).mat).max() <= 1e-10
+        assert np.abs(evaluate(rad, w) - evaluate(lin, w)).max() <= 1e-10
 
 
 def test_evaluate_homomorphism(rng, seed2):
@@ -101,8 +105,8 @@ def test_evaluate_homomorphism(rng, seed2):
     for _ in range(100):
         w1 = words[rng.integers(len(words))]
         w2 = words[rng.integers(len(words))]
-        lhs = evaluate(spec, w1.concat(w2)).mat
-        rhs = evaluate(spec, w1).mat @ evaluate(spec, w2).mat
+        lhs = evaluate(spec, w1.concat(w2))
+        rhs = evaluate(spec, w1) @ evaluate(spec, w2)
         # entries grow like e^t, so the bound is relative to the result size
         assert np.abs(lhs - rhs).max() <= 1e-9 * max(1.0, np.abs(lhs).max())
 
@@ -113,14 +117,14 @@ def test_evaluate_det_one(rng, seed2):
     words = [w for w, _ in enumerate_ball(seed2, 5)]
     for _ in range(50):
         w = words[rng.integers(len(words))]
-        assert abs(np.linalg.det(evaluate(spec, w).mat) - 1.0) <= 1e-9
+        assert abs(np.linalg.det(evaluate(spec, w)) - 1.0) <= 1e-9
 
 
 def test_linear_u_fixes_middle(seed2):
     u = CohomologyClass.from_dict({"a1": 0.2, "a2": -0.3}, 2)
     spec = RepSpec("linear_u", seed2, u=u)
     for w, _ in list(enumerate_ball(seed2, 3))[1:]:
-        g = evaluate(spec, w).mat
+        g = evaluate(spec, w)
         q = math.exp(-2.0 * sum(
             u.values[l // 2] * (-1 if l % 2 else 1) for l in w.letters
         ) / 3.0)
@@ -135,7 +139,7 @@ def test_dual_of_product_is_product_of_duals(rng, seed2):
     words = [w for w, _ in enumerate_ball(seed2, 4)]
     for _ in range(50):
         w = words[rng.integers(len(words))]
-        g = evaluate(spec, w).mat
+        g = evaluate(spec, w)
         ref = np.eye(3)
         for l in w.letters:
             ref = ref @ duals[l]

@@ -1,6 +1,7 @@
 """Checks on the package source itself."""
 
 import ast
+import sys
 from pathlib import Path
 
 import flagcurve
@@ -38,19 +39,27 @@ def test_no_unused_imports():
 
 def definitions(source: str) -> list:
     """(line, name) of every function, method and class a module defines,
-    dunder methods aside: Python calls those itself."""
-    return [(n.lineno, n.name) for n in ast.walk(ast.parse(source))
-            if isinstance(n, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
-            and not (n.name.startswith("__") and n.name.endswith("__"))]
+    then of every name it assigns at module level (its constants); dunder
+    names aside: Python reads those itself."""
+    tree = ast.parse(source)
+    found = [(n.lineno, n.name) for n in ast.walk(tree)
+             if isinstance(n, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))]
+    for n in tree.body:
+        targets = (n.targets if isinstance(n, ast.Assign)
+                   else [n.target] if isinstance(n, ast.AnnAssign) else [])
+        found += [(t.lineno, t.id) for t in targets if isinstance(t, ast.Name)]
+    return [(line, name) for line, name in found
+            if not (name.startswith("__") and name.endswith("__"))]
 
 
 def references(source: str, strings: bool = False) -> set:
-    """Every name a module reads, as a name or an attribute; with
-    ``strings``, also each dotted part of its string constants, the way
-    perfbench's tracer names its targets ("BallTable.build")."""
+    """Every name a module reads, as a name (assigning one is no read) or an
+    attribute; with ``strings``, also each dotted part of its string
+    constants, the way perfbench's tracer names its targets
+    ("BallTable.build")."""
     found = set()
     for n in ast.walk(ast.parse(source)):
-        if isinstance(n, ast.Name):
+        if isinstance(n, ast.Name) and not isinstance(n.ctx, ast.Store):
             found.add(n.id)
         elif isinstance(n, ast.Attribute):
             found.add(n.attr)
@@ -67,6 +76,10 @@ def test_unreferenced_definitions_are_found():
     assert defined == [(1, "A"), (8, "g"), (11, "h"), (2, "f")]
     used = references(source) | references('TARGETS = {"x": ("m", "A.f")}', strings=True)
     assert [name for _, name in defined if name not in used] == ["h"]
+    source = "TOL = 1e-9\nSLACK: float = 2.0\n__all__ = []\n\ndef f(x):\n    return x < SLACK\n\nf(1)\n"
+    defined = definitions(source)
+    assert defined == [(5, "f"), (1, "TOL"), (2, "SLACK")]
+    assert [name for _, name in defined if name not in references(source)] == ["TOL"]
 
 
 def test_every_definition_is_referenced():
@@ -81,4 +94,24 @@ def test_every_definition_is_referenced():
              for path in sorted(PACKAGE.glob("*.py"))
              for line, name in definitions(path.read_text(encoding="utf-8"))
              if name not in used]
+    assert found == []
+
+
+def imported_modules(source: str) -> set:
+    """Top-level names of the modules a module imports by absolute name."""
+    found = set()
+    for n in ast.walk(ast.parse(source)):
+        if isinstance(n, ast.Import):
+            found.update(a.name.split(".")[0] for a in n.names)
+        elif isinstance(n, ast.ImportFrom) and n.level == 0:
+            found.add(n.module.split(".")[0])
+    return found
+
+
+def test_runtime_imports_are_numpy_or_stdlib():
+    # pyproject.toml declares numpy as the package's only runtime dependency.
+    allowed = set(sys.stdlib_module_names) | {"numpy", "flagcurve"}
+    found = [f"{path.name}: {name}" for path in sorted(PACKAGE.glob("*.py"))
+             for name in sorted(imported_modules(path.read_text(encoding="utf-8")))
+             if name not in allowed]
     assert found == []
