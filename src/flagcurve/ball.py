@@ -57,10 +57,11 @@ BLOCK_ROWS = 1 << 12
 
 
 def rowwise_dot(rows: np.ndarray, vec: np.ndarray) -> np.ndarray:
-    """``rows @ vec``, with each row rounded the same way whatever the
-    number of rows: numpy evaluates a one-row product as a dot product,
-    whose rounding differs from the matrix-vector product it uses for two
-    rows or more, so a single row is evaluated as a two-row stack."""
+    """``rows @ vec``, ``vec`` a vector or a matrix, with each row rounded
+    the same way whatever the number of rows: numpy evaluates a one-row
+    product as a dot or vector-matrix product, whose rounding differs from
+    the product it uses for two rows or more, so a single row is evaluated
+    as a two-row stack."""
     if len(rows) == 1:
         return (np.concatenate([rows, rows]) @ vec)[:1]
     return rows @ vec

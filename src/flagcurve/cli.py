@@ -25,7 +25,6 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
-import hashlib
 import json
 import math
 import sys
@@ -161,7 +160,15 @@ class RunConfig:
             float, orbit.get("neighborhood", 0.05), "orbit.neighborhood")
         self.out_dir = Path(out_dir) if out_dir else Path(output_dir)
         self.raw = raw
-        self.input_sha256 = hashlib.sha256(source_bytes).hexdigest()
+        self.source_bytes = source_bytes
+
+    @property
+    def input_sha256(self) -> str:
+        # hashlib loads OpenSSL, about 3.4 MB resident; only the report
+        # header needs the digest.
+        import hashlib
+
+        return hashlib.sha256(self.source_bytes).hexdigest()
 
     @staticmethod
     def load(path: str, out_dir: str | None, _ignored=None) -> "RunConfig":

@@ -13,6 +13,15 @@ The profile is stored on a dense angular grid over [0, 2*pi) and
 evaluated with linear interpolation; grid nodes are filled from the
 samples by 4-point Lagrange interpolation after thinning clusters, which
 keeps the fill error far below the grid-interpolation error.
+
+The fit reads the model's points SLICE_ROWS rows at a time: the support
+angles and values are filled slice by slice, and the cocycle residual and
+the pushforward deviation are maxima over slices, so beyond the model
+only the antipodal support, its sort order and its sorted copy are ever
+held whole, at most 64 B a sample at once.  Every
+per-row step rounds the same whatever the slice (``ball.rowwise_dot``
+for the one product whose rounding depends on the row count), so the
+results do not depend on SLICE_ROWS.
 """
 
 from __future__ import annotations
@@ -22,12 +31,17 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .ball import rowwise_dot
 from .curve import CurveModel, greedy_thin
 from .errors import InsufficientSamples, NotRadial, PolarDegenerate
 from .reps import RepSpec
 
 GRID_SIZE = 4096
 _THIN_SPACING = 1e-3
+
+# Sample rows per slice of the support fill, the cocycle residual and the
+# pushforward: bounds their per-sample temporaries to a few hundred kB.
+SLICE_ROWS = 1 << 12
 
 
 @dataclass(frozen=True)
@@ -60,22 +74,47 @@ class DeltaFit:
     taus: tuple  # per generator (tau1, tau2)
 
 
-def _lagrange_fill(ang: np.ndarray, vals: np.ndarray) -> np.ndarray:
+def _slices(n: int):
+    """Consecutive slices of SLICE_ROWS rows covering range(n)."""
+    return (slice(lo, min(n, lo + SLICE_ROWS)) for lo in range(0, n, SLICE_ROWS))
+
+
+def _plane_coords(pts: np.ndarray) -> tuple:
+    """(xs, zs, ys): the rows' x, z and y over their plane norm hypot(x, y).
+    Every step is elementwise, so a row's values do not depend on the
+    rows around it."""
+    x, z, y = pts[:, 0], pts[:, 1], pts[:, 2]
+    plane = np.hypot(x, y)
+    if plane.min() < 1e-8:
+        raise PolarDegenerate("sample too close to the fixed point [e2]")
+    return x / plane, z / plane, y / plane
+
+
+def _lagrange_fill(pts: np.ndarray) -> np.ndarray:
     """Fill grid nodes by cubic Lagrange through the 4 nearest support nodes.
 
-    The support is the samples' directions ``ang`` in [0, 2*pi) with
-    ``vals``, and their antipodes with -vals, since the profile is odd.
-    Support is cyclic over [0, 2*pi); clusters are thinned first so node
-    spacing is bounded below and the Lagrange weights stay well
-    conditioned.  Thinning keeps exact values, it does not average.  The
-    unsorted support and its sort order are freed before thinning.
+    The support is the samples' plane directions in [0, 2*pi) with their
+    values -z / hypot(x, y), filled SLICE_ROWS rows at a time, and their
+    antipodes with the negated values, since the profile is odd.  Support
+    is cyclic over [0, 2*pi); clusters are thinned first so node spacing
+    is bounded below and the Lagrange weights stay well conditioned.
+    Thinning keeps exact values, it does not average.  Each whole-support
+    array is freed as soon as the next one is built from it.
     """
+    n = len(pts)
+    ang, vals = np.empty(n), np.empty(n)
+    for rows in _slices(n):
+        xs, zs, ys = _plane_coords(pts[rows])
+        ang[rows] = np.arctan2(ys, xs) % (2.0 * math.pi)
+        vals[rows] = -zs
     support = np.concatenate([ang, (ang + math.pi) % (2.0 * math.pi)])
     del ang
     order = np.argsort(support)
     ang = support[order]
     del support
-    val = np.concatenate([vals, -vals])[order]
+    val = np.concatenate([vals, -vals])
+    del vals
+    val = val[order]
     del order
     keep = greedy_thin(ang, _THIN_SPACING)
     if (2.0 * math.pi - ang[keep[-1]]) + ang[keep[0]] < _THIN_SPACING and len(keep) > 4:
@@ -120,17 +159,7 @@ def fit_delta(spec: RepSpec, model: CurveModel) -> DeltaFit:
         raise NotRadial(f"variant {spec.variant!r} has no shear profile")
     if len(model) < 64:
         raise InsufficientSamples(f"{len(model)} samples < 64")
-    pts = model.points
-    x, z, y = pts[:, 0], pts[:, 1], pts[:, 2]
-    plane = np.hypot(x, y)
-    if plane.min() < 1e-8:
-        raise PolarDegenerate("sample too close to the fixed point [e2]")
-    xs, ys, zs = x / plane, y / plane, z / plane
-    del plane
-    vals = -zs
-    # The angles are passed as a temporary, so _lagrange_fill holds the
-    # only reference and frees them before thinning.
-    dm = DeltaModel(_lagrange_fill(np.arctan2(ys, xs) % (2.0 * math.pi), vals))
+    dm = DeltaModel(_lagrange_fill(model.points))
 
     genus = spec.genus
     if spec.variant == "linear_u":
@@ -138,26 +167,40 @@ def fit_delta(spec: RepSpec, model: CurveModel) -> DeltaFit:
     else:
         mu, nu = spec.mu, spec.nu
     uvals = spec.u.values if spec.u is not None else (0.0,) * (2 * genus)
-    gen_imgs = spec.generator_images()
-    unit = np.stack([xs, zs, ys], axis=1)
-    residual = 0.0
-    taus = []
-    for k in range(2 * genus):
+    terms = []
+    for k, g in enumerate(spec.generator_images()):
         e23 = math.exp(2.0 * uvals[k] / 3.0)
-        tau1, tau2 = -e23 * mu[k], -e23 * nu[k]
-        taus.append((tau1, tau2))
-        mapped = unit @ gen_imgs[k].T
-        lhs = -e23 * mapped[:, 1]  # delta at the mapped direction, homogeneous
-        rhs = vals + tau1 * xs + tau2 * ys
-        residual = max(residual, float(np.abs(lhs - rhs).max()))
-    return DeltaFit(dm, residual, tuple(taus))
+        terms.append((e23, -e23 * mu[k], -e23 * nu[k], g.T))
+    residual = 0.0
+    for rows in _slices(len(model)):
+        residual = max(residual, float(_cocycle_defects(model.points[rows], terms).max()))
+    return DeltaFit(dm, residual, tuple((tau1, tau2) for _, tau1, tau2, _ in terms))
+
+
+def _cocycle_defects(pts: np.ndarray, terms) -> np.ndarray:
+    """Each row's largest cocycle defect over the generators, given each
+    generator's (e^{2u/3}, tau1, tau2, g^T).  A row's defect does not
+    depend on the rows around it."""
+    xs, zs, ys = _plane_coords(pts)
+    unit = np.stack([xs, zs, ys], axis=1)
+    out = np.zeros(len(pts))
+    for e23, tau1, tau2, gt in terms:
+        # delta at the mapped direction, homogeneous
+        lhs = -e23 * rowwise_dot(unit, gt)[:, 1]
+        rhs = -zs + tau1 * xs + tau2 * ys
+        np.maximum(out, np.abs(lhs - rhs), out=out)
+    return out
 
 
 def pushforward_deviation(model: CurveModel, fit: DeltaFit) -> float:
     """Max angular distance to the canonical line z = 0 after applying the
-    shear (x, y, z) -> (x, y, z + delta(x, y)) to the samples."""
-    pts = model.points
-    z_new = pts[:, 1] + fit.model(pts[:, 0], pts[:, 2])
-    sheared = np.stack([pts[:, 0], z_new, pts[:, 2]], axis=1)
-    norms = np.linalg.norm(sheared, axis=1)
-    return float(np.arcsin(np.abs(z_new) / norms).max())
+    shear (x, y, z) -> (x, y, z + delta(x, y)) to the samples, SLICE_ROWS
+    rows at a time."""
+    deviation = 0.0
+    for rows in _slices(len(model)):
+        pts = model.points[rows]
+        z_new = pts[:, 1] + fit.model(pts[:, 0], pts[:, 2])
+        sheared = np.stack([pts[:, 0], z_new, pts[:, 2]], axis=1)
+        norms = np.linalg.norm(sheared, axis=1)
+        deviation = max(deviation, float(np.arcsin(np.abs(z_new) / norms).max()))
+    return deviation

@@ -16,7 +16,9 @@ from flagcurve import (
     ball_count,
     certify_anosov,
     coboundary_radial,
+    fit_delta,
     probe_explicit,
+    pushforward_deviation,
     recurrence_experiment,
     sample_limit_curve,
     standard_fuchsian,
@@ -152,7 +154,7 @@ def test_sampled_curve_peak_memory(radial):
     # The sampler keeps one (level, index) id a sample, names no word and
     # reads the last level's seed images a block at a time: at genus 2,
     # R=6 its traced peak, its own ball included, stays within 160 B a
-    # ball word (129 B now; the whole last level kept took it to 177 B,
+    # ball word (124 B now; the whole last level kept took it to 177 B,
     # and word strings to 250 B).
     radius = 6
     tracemalloc.start()
@@ -163,6 +165,23 @@ def test_sampled_curve_peak_memory(radial):
         tracemalloc.stop()
     assert len(model) > 10 ** 5
     assert peak < 160 * ball_count(2, radius)
+
+
+def test_delta_fit_memory(radial):
+    # The fit and the pushforward read the model a slice at a time, and
+    # beyond it hold only the sorted support whole: at genus 2, R=6 their
+    # traced rise over the model stays within 80 B a sample (64 B now;
+    # whole-sample temporaries took it to 120 B).
+    model = sample_limit_curve(radial, 6)
+    tracemalloc.start()
+    try:
+        fit = fit_delta(radial, model)
+        pushforward_deviation(model, fit)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(model) > 10 ** 5
+    assert peak < 80 * len(model)
 
 
 def test_matmul3_matches_einsum(rng):

@@ -2,13 +2,17 @@
 
 import hashlib
 import json
+import os
+import subprocess
+import sys
 from importlib.resources import files
+from pathlib import Path
 
 import jsonschema
 import numpy as np
 import pytest
 
-from flagcurve import RepSpec, cli, spec_from_json_dict, standard_fuchsian
+from flagcurve import RepSpec, ball, cli, delta, spec_from_json_dict, standard_fuchsian
 from flagcurve.ball import BallTable
 
 RADIAL_G2 = {
@@ -328,3 +332,36 @@ def test_output_digests(tmp_path, case):
     out = tmp_path / "out"
     written = {p.name: hashlib.sha256(p.read_bytes()).hexdigest() for p in out.iterdir()}
     assert written == digests
+
+
+@pytest.mark.parametrize("rows", [1, 7, 10 ** 6])
+@pytest.mark.parametrize("case", ["delta", "limit_curve", "regularity"])
+def test_model_outputs_do_not_depend_on_slice_rows(tmp_path, monkeypatch, case, rows):
+    # The sampler writes its columns a ball block at a time and the delta
+    # fit reads the model a slice at a time; neither size shows in a file.
+    # At 7 rows a slice the 2,736 samples leave a 6-row tail slice.
+    monkeypatch.setattr(ball, "BLOCK_ROWS", rows)
+    monkeypatch.setattr(delta, "SLICE_ROWS", rows)
+    command, rep_spec, fields, digests = PINNED[case]
+    assert _run(tmp_path, command, {"rep_spec": rep_spec, **fields}) == 0
+    out = tmp_path / "out"
+    assert {p.name: hashlib.sha256(p.read_bytes()).hexdigest() for p in out.iterdir()} == digests
+
+
+def test_loading_a_config_leaves_openssl_unloaded(tmp_path):
+    # hashlib's OpenSSL backend adds about 3.4 MB to every command's
+    # resident peak; only the report header needs the input digest.
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps({"rep_spec": RADIAL_G2}), encoding="utf-8")
+    probe = ("import sys\n"
+             "import flagcurve.cli as cli\n"
+             "cli.RunConfig.load(sys.argv[1], None, None)\n"
+             "print(sorted(m for m in sys.modules if 'hashlib' in m))\n")
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = {**os.environ,
+           "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    res = subprocess.run([sys.executable, "-c", probe, str(path)], env=env,
+                         capture_output=True, text=True, check=True)
+    assert res.stdout.strip() == "[]"
+    config = cli.RunConfig.load(str(path), None, None)
+    assert config.input_sha256 == hashlib.sha256(path.read_bytes()).hexdigest()

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -11,6 +12,7 @@ from flagcurve import (
     pushforward_deviation,
     sample_limit_curve,
 )
+from flagcurve import delta
 from flagcurve.curve import CurveModel
 from flagcurve.errors import NotRadial, PolarDegenerate
 
@@ -88,3 +90,33 @@ def test_fit_delta_polar_degenerate(seed2, u_a1):
     )
     with pytest.raises(PolarDegenerate):
         fit_delta(rad, broken)
+
+
+@pytest.mark.parametrize("rows", [1, 7, 10 ** 6])
+def test_fit_does_not_depend_on_slice_rows(monkeypatch, radial_fit, rows):
+    # n = 1 mod 7, so at 7 rows a slice the last slice holds one row, whose
+    # product with a generator numpy rounds as a vector-matrix product.
+    rad, model, _ = radial_fit
+    m = len(model) - (len(model) - 1) % 7
+    model = dataclasses.replace(
+        model, params=model.params[:m], points=model.points[:m],
+        lines=model.lines[:m], words=model.words[:m], tlens=model.tlens[:m])
+    assert m < delta.SLICE_ROWS  # the reference fit reads one slice
+    want = fit_delta(rad, model)
+    want_push = pushforward_deviation(model, want)
+    monkeypatch.setattr(delta, "SLICE_ROWS", rows)
+    got = fit_delta(rad, model)
+    assert got.model.grid.tobytes() == want.model.grid.tobytes()
+    assert got.cocycle_residual == want.cocycle_residual
+    assert got.taus == want.taus
+    assert pushforward_deviation(model, got) == want_push
+
+
+def test_cocycle_defect_of_a_row_does_not_depend_on_its_slice(radial_fit):
+    # numpy rounds a one-row product with a generator as a vector-matrix
+    # product, unlike the same row inside a larger slice.
+    rad, model, _ = radial_fit
+    terms = [(1.0, 0.3, -0.2, g.T) for g in rad.generator_images()]
+    whole = delta._cocycle_defects(model.points, terms)
+    rows = [delta._cocycle_defects(model.points[i:i + 1], terms) for i in range(len(model))]
+    assert np.concatenate(rows).tobytes() == whole.tobytes()
