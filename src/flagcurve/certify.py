@@ -12,16 +12,17 @@ cyclically reduced ball words that are nontrivial in the group, whose seed
 images must be hyperbolic.  ``certify_anosov`` builds the ball once and
 reads the signed ratio r = u(w)/t(w) of every scored word in one pass
 (``_scan``), which yields the stable-norm estimate, the saddle
-cross-check, the refuting witness and the gap rates; ``stable_norm`` and
-``anosov_rates`` run the same pass on a ball of their own.
-Witnesses are named through ``BallTable.word``.
+cross-check, the refuting witness and the extrema of r that give the gap
+rates; ``stable_norm`` and ``anosov_rates`` run the same pass on a ball
+of their own.  Witnesses are named through ``BallTable.word``.
 
 The pass reads the ball as ``BallTable.scored`` streams it: the seed data
 and 3x3 images of the level below the one being read are held whole, and
 those of the last level exist one block at a time, as do the eigenvalue
-temporaries of the saddle test and of ``probe_explicit``.  Only the per-level maximum of
-|r| crosses blocks: it is the first maximum over all blocks of the level,
-so the running estimate moves as it would on the whole level.
+temporaries of the saddle test and of ``probe_explicit``.  Only running
+reductions cross blocks: each level's first maximum of |r|, so the
+running estimate moves as it would on the whole level, and the extrema
+of r over t >= min_length, which give the gap rates.
 """
 
 from __future__ import annotations
@@ -51,11 +52,9 @@ class StableNormEstimate:
 
 @dataclass(frozen=True)
 class RatesResult:
-    inf_top_gap: float  # inf over elements of log(|l_top| / |l_fixed|) / t
-    inf_bottom_gap: float  # inf of log(|l_fixed| / |l_bot|) / t
-    n_elements: int
-    top_rates: np.ndarray
-    bottom_rates: np.ndarray
+    inf_top_gap: float  # inf of log(|l_top| / |l_fixed|) / t: 0.5 + min r
+    inf_bottom_gap: float  # inf of log(|l_fixed| / |l_bot|) / t: 0.5 - max r
+    n_elements: int  # scored words with t >= min_length
 
 
 @dataclass(frozen=True)
@@ -70,22 +69,20 @@ class CertifyResult:
     rates: RatesResult | None  # None when refuted
 
 
-def _u_class(spec: RepSpec) -> CohomologyClass:
-    return spec.u if spec.u is not None else CohomologyClass.zero(spec.genus)
-
-
-def _scan(table: BallTable, u: CohomologyClass, radius: int, min_length: float,
+def _scan(table: BallTable, u: CohomologyClass, min_length: float,
           letter_images: np.ndarray | None = None) -> tuple:
     """One pass over ``table.scored()`` with the signed ratio r = u(w)/t(w).
 
     Returns the stable-norm estimate, the first refuting word (or None),
     whether the ratio and saddle tests agree (checked only when the
-    ``letter_images`` are given), the scored count, and the (level, idx, r)
-    of the words with t >= min_length, block by block.
+    ``letter_images`` are given), the scored count, and the rate data of
+    the words with t >= min_length: (least r, greatest r, their count, the
+    first with |r| within GAP_TOL of 1/2 or None).
     """
     uvec = u.as_vector()
-    tops, kept = {}, []  # tops: level -> (max |r|, first word index at it)
+    tops = {}  # level -> (max |r|, first word index at it)
     refut_word, agree, scored = None, True, 0
+    lo, hi, n_kept, degenerate_word = math.inf, -math.inf, 0, None
     for level, idx, t, _mats, exps, imgs in table.scored(0.0, letter_images):
         saddle_pass = None if imgs is None else batch_saddle_at_e2(imgs)
         r = rowwise_dot(exps, uvec) / t
@@ -100,7 +97,12 @@ def _scan(table: BallTable, u: CohomologyClass, radius: int, min_length: float,
             agree &= bool(np.array_equal(ratio_pass, saddle_pass))
         scored += len(idx)
         keep = t >= min_length
-        kept.append((level, idx[keep], r[keep]))
+        rk = r[keep]
+        lo, hi = float(rk.min(initial=lo)), float(rk.max(initial=hi))
+        n_kept += len(rk)
+        degenerate = np.abs(vals[keep] - 0.5) <= GAP_TOL
+        if degenerate_word is None and degenerate.any():
+            degenerate_word = table.word(level, int(idx[keep][np.argmax(degenerate)]))
     # The running maximum moves only at a level whose own (first-occurrence)
     # maximum beats it by a relative 1e-12.
     best, best_word, history = 0.0, "", []
@@ -108,21 +110,20 @@ def _scan(table: BallTable, u: CohomologyClass, radius: int, min_length: float,
         if val > best * (1.0 + 1e-12) + 1e-300:
             best, best_word = float(val), table.word(level, i)
         history.append((level, best))
-    estimate = StableNormEstimate(best, best_word, radius, tuple(history))
-    return estimate, refut_word, agree, scored, kept
+    estimate = StableNormEstimate(best, best_word, table.radius, tuple(history))
+    return estimate, refut_word, agree, scored, (lo, hi, n_kept, degenerate_word)
 
 
-def _rates(table: BallTable, kept: list) -> RatesResult:
-    """Gap rates 0.5 +- r from the (level, idx, r) blocks of ``_scan``."""
-    for level, idx, r in kept:
-        degenerate = np.abs(np.abs(r) - 0.5) <= GAP_TOL
-        if degenerate.any():
-            raise NonLoxodromicEncountered(table.word(level, int(idx[np.argmax(degenerate)])))
-    r = np.concatenate([np.empty(0)] + [r for _, _, r in kept])
-    if not len(r):
+def _rates(extrema: tuple) -> RatesResult:
+    """Gap rates 0.5 +- r from the rate data of ``_scan``.  Since
+    x -> fl(0.5 +- x) is monotone, 0.5 + min r and 0.5 - max r are the
+    least rates bit for bit."""
+    lo, hi, n, degenerate_word = extrema
+    if degenerate_word is not None:
+        raise NonLoxodromicEncountered(degenerate_word)
+    if not n:
         raise FlagCurveError("no elements pass the length filter")
-    top, bot = 0.5 + r, 0.5 - r
-    return RatesResult(float(top.min()), float(bot.min()), len(r), top, bot)
+    return RatesResult(0.5 + lo, 0.5 - hi, n)
 
 
 def stable_norm(u: CohomologyClass, seed: FuchsianSeed, radius: int) -> StableNormEstimate:
@@ -132,7 +133,7 @@ def stable_norm(u: CohomologyClass, seed: FuchsianSeed, radius: int) -> StableNo
     """
     if radius < 2:
         raise ValueError("radius must be >= 2")
-    return _scan(BallTable.build(seed, radius), u, radius, 0.0)[0]
+    return _scan(BallTable.build(seed, radius), u, 0.0)[0]
 
 
 def certify_anosov(
@@ -157,8 +158,8 @@ def certify_anosov(
     if radius < 2:
         raise ValueError("radius must be >= 2")
     table = BallTable.build(spec.seed, radius)
-    estimate, refut_word, agree, scored, kept = _scan(
-        table, _u_class(spec), radius, min_length, spec.letter_images())
+    estimate, refut_word, agree, scored, extrema = _scan(
+        table, spec.u, min_length, spec.letter_images())
     if refut_word is not None:
         verdict = "refuted"
     elif estimate.value <= 0.5 - margin:
@@ -173,12 +174,13 @@ def certify_anosov(
         refuting_witness=refut_word,
         tests_agree=agree,
         n_scored=scored,
-        rates=None if refut_word is not None else _rates(table, kept),
+        rates=None if refut_word is not None else _rates(extrema),
     )
 
 
 def anosov_rates(spec: RepSpec, radius: int, min_length: float = 0.5) -> RatesResult:
-    """Per-element eigenvalue-gap rates over the seed translation length.
+    """Infima of the per-element eigenvalue-gap rates over the seed
+    translation length, over the scored words with t >= min_length.
 
     Structured images have log eigenvalue moduli u/3 + t/2, -2u/3, and
     u/3 - t/2 (the shear data moves no eigenvalue), so the two gaps around
@@ -192,8 +194,7 @@ def anosov_rates(spec: RepSpec, radius: int, min_length: float = 0.5) -> RatesRe
     """
     if spec.variant == "explicit":
         raise UnsupportedSpec("rates require a seed-aligned spec; use probe_explicit")
-    table = BallTable.build(spec.seed, radius)
-    return _rates(table, _scan(table, _u_class(spec), radius, min_length)[4])
+    return _rates(_scan(BallTable.build(spec.seed, radius), spec.u, min_length)[4])
 
 
 @dataclass(frozen=True)

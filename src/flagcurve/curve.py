@@ -69,7 +69,6 @@ class CurveModel:
     lines: np.ndarray
     words: Sequence
     tlens: np.ndarray
-    variant: str
     dedup_res: float
     exact_point_line: np.ndarray | None = None
     exact_line_point: np.ndarray | None = None
@@ -189,7 +188,6 @@ def sample_limit_curve(
         lines=lines,
         words=WordIds(table, levels, index),
         tlens=tlens,
-        variant=spec.variant,
         dedup_res=dedup_res,
         exact_point_line=exact_pl,
         exact_line_point=exact_lp,
@@ -293,29 +291,34 @@ def crossing_counts(points: np.ndarray, lines: np.ndarray, ztol: float,
         steps = np.diff(part, axis=0)
         steps *= steps
         reach[lo:hi] = np.sqrt(np.add.reduce(steps, axis=1)).reshape(hi - lo, B).sum(axis=1)
-    # Freed here, not on return: freeing a block this size raises glibc's
-    # mmap threshold, so the line chunks' arrays reuse heap pages instead
-    # of faulting in fresh ones (6x fewer page faults on 16k samples).
+    # Freed before the line chunks, not on return, so the last slice of
+    # step differences and the coarse pass's buffer, each up to about
+    # _COARSE_BYTES, are never alive together.
     del part, steps
     reach += _SLACK * float(top)
     out = (np.empty(len(lines), dtype=np.int64), np.empty(len(lines), dtype=np.int64),
            np.empty(len(lines), dtype=bool))
     step = max(1, min(chunk, _COARSE_BYTES // (16 * nb)))
+    # The coarse pass's two (lines, blocks) arrays, allocated once for
+    # every chunk, so no chunk asks the allocator for fresh pages.
+    buf = np.empty((2, min(step, len(lines)), nb))
     for lo in range(0, len(lines), step):
-        part = _chunk_counts(lifted, n, reach, bool(flip[n]), lines[lo:lo + step], ztol)
+        part = _chunk_counts(lifted, n, reach, bool(flip[n]), lines[lo:lo + step], ztol, buf)
         for o, r in zip(out, part):
             o[lo:lo + step] = r
     return out
 
 
-def _chunk_counts(lifted, n, reach, monodromy_neg, lines, ztol):
+def _chunk_counts(lifted, n, reach, monodromy_neg, lines, ztol, buf):
     """``crossing_counts`` for one chunk of lines, given the n lifted
-    points padded to n_blocks * B + 1 rows and the blocks' skip reach."""
+    points padded to n_blocks * B + 1 rows, the blocks' skip reach and a
+    (2, >= len(lines), n_blocks) buffer for the coarse pass."""
     k, B = len(lines), _BLOCK
     # Coarse pass: the pairing at block starts decides which blocks to scan.
-    coarse = lines @ lifted[:-1:B].T
+    coarse, bound = buf[:, :k]
+    np.matmul(lines, lifted[:-1:B].T, out=coarse)
     np.abs(coarse, out=coarse)
-    bound = np.multiply.outer(np.linalg.norm(lines, axis=1), reach)
+    np.multiply.outer(np.linalg.norm(lines, axis=1), reach, out=bound)
     bound += ztol
     cols, blks = np.nonzero(~(coarse > bound))  # by line, then block
 

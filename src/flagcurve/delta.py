@@ -161,16 +161,10 @@ def fit_delta(spec: RepSpec, model: CurveModel) -> DeltaFit:
         raise InsufficientSamples(f"{len(model)} samples < 64")
     dm = DeltaModel(_lagrange_fill(model.points))
 
-    genus = spec.genus
-    if spec.variant == "linear_u":
-        mu = nu = (0.0,) * (2 * genus)
-    else:
-        mu, nu = spec.mu, spec.nu
-    uvals = spec.u.values if spec.u is not None else (0.0,) * (2 * genus)
     terms = []
     for k, g in enumerate(spec.generator_images()):
-        e23 = math.exp(2.0 * uvals[k] / 3.0)
-        terms.append((e23, -e23 * mu[k], -e23 * nu[k], g.T))
+        e23 = math.exp(2.0 * spec.u.values[k] / 3.0)
+        terms.append((e23, -e23 * spec.mu[k], -e23 * spec.nu[k], g.T))
     residual = 0.0
     for rows in _slices(len(model)):
         residual = max(residual, float(_cocycle_defects(model.points[rows], terms).max()))

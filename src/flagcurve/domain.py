@@ -40,25 +40,18 @@ class OmegaQuery:
     margin_line: float
 
 
-def in_omega(
-    flag: Flag,
-    model_l: CurveModel,
-    model_lstar: CurveModel,
-    tol: float | None = None,
-) -> OmegaQuery:
-    """Classify a flag against the invariant domain.
-
-    ``model_l`` supplies the point curve, ``model_lstar`` the line curve
-    (the two arguments may be the same model).  Default tolerance band is
-    twice the dedup resolution.
+def in_omega(flag: Flag, model: CurveModel, tol: float | None = None) -> OmegaQuery:
+    """Classify a flag against the invariant domain: its point against the
+    model's point curve, its line against the model's line curve.  Default
+    tolerance band is twice the dedup resolution.
     """
     if tol is None:
-        tol = 2.0 * max(model_l.dedup_res, model_lstar.dedup_res)
-    mp = model_l.point_margin(flag.point.rep)
-    ml = model_lstar.line_margin(flag.line.rep)
+        tol = 2.0 * model.dedup_res
+    mp = model.point_margin(flag.point.rep)
+    ml = model.line_margin(flag.line.rep)
     m = min(mp, ml)
-    point_exact = model_l.exact_point_line is not None
-    line_exact = model_lstar.exact_line_point is not None
+    point_exact = model.exact_point_line is not None
+    line_exact = model.exact_line_point is not None
     if m <= HARD_EPS:
         verdict = "outside"
     elif m <= tol:
@@ -72,7 +65,6 @@ def in_omega(
 
 @dataclass(frozen=True)
 class RecurrenceReport:
-    ball_radius: int
     neighborhood: float
     returning_words: tuple  # includes the empty word ""
     count_history: tuple  # (radius, cumulative count) pairs
@@ -90,24 +82,17 @@ def flag_displacement(points: np.ndarray, lines: np.ndarray,
     return np.maximum(dp, dl)
 
 
-def recurrence_experiment(
-    spec: RepSpec,
-    base: Flag,
-    nbhd: float,
-    radius: int,
-    model_l: CurveModel | None = None,
-    model_lstar: CurveModel | None = None,
-) -> RecurrenceReport:
+def recurrence_experiment(spec: RepSpec, base: Flag, nbhd: float, radius: int,
+                          model: CurveModel | None = None) -> RecurrenceReport:
     """List the ball words that move the base flag by at most 2*nbhd.
 
     Properness proxy: the returning set stabilizes as the radius grows.
-    Freeness proxy: no nonempty word fixes the base within 1e-8.
+    Freeness proxy: no nonempty word fixes the base within 1e-8.  The base
+    is tested against ``model``, sampled at radius min(radius, 5) when None.
     """
-    if model_l is None or model_lstar is None:
-        m = sample_limit_curve(spec, min(radius, 5))
-        model_l = model_l or m
-        model_lstar = model_lstar or m
-    q = in_omega(base, model_l, model_lstar)
+    if model is None:
+        model = sample_limit_curve(spec, min(radius, 5))
+    q = in_omega(base, model)
     if q.verdict != "inside" or min(q.margin_point, q.margin_line) <= 2.0 * nbhd:
         raise BaseNotInterior(
             f"verdict {q.verdict}, margins ({q.margin_point:.4f}, {q.margin_line:.4f})"
@@ -132,7 +117,6 @@ def recurrence_experiment(
     history = list(counts.items())
     stabilized = len(history) >= 3 and history[-1][1] == history[-2][1] == history[-3][1]
     return RecurrenceReport(
-        ball_radius=radius,
         neighborhood=nbhd,
         returning_words=tuple(returning),
         count_history=tuple(history),
@@ -149,17 +133,16 @@ class FiberProfile:
     nontransversal: bool
 
 
-def fiber_profile(target, model_l: CurveModel, model_lstar: CurveModel,
-                  ztol: float = 1e-9) -> FiberProfile:
+def fiber_profile(target, model: CurveModel, ztol: float = 1e-9) -> FiberProfile:
     """Transversal crossings of one projective line with the sampled point
     curve, or dually of one point's line pencil with the sampled line curve.
 
     ``in_m_set`` marks targets crossing exactly once.
     """
     if isinstance(target, ProjLine):
-        arr = model_l.points
+        arr = model.points
     elif isinstance(target, ProjPoint):
-        arr = model_lstar.lines
+        arr = model.lines
     else:
         raise TypeError("target must be a ProjPoint or a ProjLine")
     cross, tang, allzero = crossing_counts(arr, target.rep[None], ztol)

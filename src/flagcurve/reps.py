@@ -1,13 +1,15 @@
 """Representation constructors and their JSON form.
 
-Four families, all sharing a Fuchsian seed:
+Four families, all sharing a Fuchsian seed.  The three structured ones
+build each generator image with ``radial_generator`` from its 2x2 seed
+block and its data (u, mu, nu):
 
-- canonical: the block embedding of SL(2,R) fixing [e2] and the plane
-  {second coordinate = 0};
-- linear_u: the canonical images composed with the commuting diagonal
-  flow, with exponent u(word);
-- radial: generator images with an extra middle-row shear (mu, nu) per
-  generator, validated against the surface relator;
+- radial: a middle-row shear (mu, nu) per generator, validated against
+  the surface relator;
+- linear_u: zero shear, the canonical images composed with the commuting
+  diagonal flow ``phi`` of exponent u;
+- canonical: zero data, the block embedding ``rho0`` fixing [e2] and the
+  plane {second coordinate = 0};
 - explicit: arbitrary per-generator SL(3,R) images, relator = +-identity.
 
 Determinant-1 representatives are unique in odd dimension (no PGL sign
@@ -81,17 +83,22 @@ class RepSpec:
 
     variant: str
     seed: FuchsianSeed
+    # Structured data: zero where the variant fixes it, u zero by default.
     u: CohomologyClass | None = None
-    mu: tuple | None = None  # per generator, radial only
+    mu: tuple | None = None  # per generator, given for radial
     nu: tuple | None = None
     matrices: tuple | None = None  # per generator 3x3, explicit only
 
     def __post_init__(self):
         if self.variant not in VARIANTS:
             raise ValueError(f"unknown variant {self.variant!r}")
-        if self.variant in ("linear_u", "radial") and self.u is None:
-            object.__setattr__(self, "u", CohomologyClass.zero(self.seed.genus))
-        if self.variant == "radial":
+        if self.variant in ("canonical", "linear_u", "radial"):
+            zero = CohomologyClass.zero(self.seed.genus)
+            if self.variant == "canonical" or self.u is None:
+                object.__setattr__(self, "u", zero)
+            if self.variant != "radial":
+                object.__setattr__(self, "mu", zero.values)
+                object.__setattr__(self, "nu", zero.values)
             if self.mu is None or self.nu is None:
                 raise ValueError("radial spec requires mu and nu per generator")
             if len(self.mu) != 2 * self.seed.genus or len(self.nu) != 2 * self.seed.genus:
@@ -109,24 +116,10 @@ class RepSpec:
 
     def generator_images(self) -> np.ndarray:
         """(2g, 3, 3) stack of generator images."""
-        gens2 = self.seed.generators
-        g = self.genus
-        out = np.empty((2 * g, 3, 3))
-        if self.variant == "canonical":
-            for k in range(2 * g):
-                out[k] = rho0(gens2[k])
-        elif self.variant == "linear_u":
-            for k in range(2 * g):
-                out[k] = phi(self.u.values[k]) @ rho0(gens2[k])
-        elif self.variant == "radial":
-            for k in range(2 * g):
-                out[k] = radial_generator(
-                    gens2[k], self.u.values[k], self.mu[k], self.nu[k]
-                )
-        else:
-            for k in range(2 * g):
-                out[k] = self.matrices[k]
-        return out
+        if self.variant == "explicit":
+            return np.array(self.matrices, dtype=float)
+        return np.array([radial_generator(*data) for data in zip(
+            self.seed.generators, self.u.values, self.mu, self.nu)])
 
     def letter_images(self) -> np.ndarray:
         """(4g, 3, 3) stack: generator at 2k, inverse at 2k+1."""
@@ -154,7 +147,7 @@ class RepSpec:
     def to_json_dict(self) -> dict:
         names = [gen_name(k) for k in range(2 * self.genus)]
         d = {"variant": self.variant, "seed": self.seed.to_json_dict()}
-        if self.u is not None:
+        if self.variant in ("linear_u", "radial"):
             d["u"] = {names[k]: self.u.values[k] for k in range(2 * self.genus)}
         if self.variant == "radial":
             d["mu"] = {names[k]: self.mu[k] for k in range(2 * self.genus)}

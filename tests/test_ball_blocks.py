@@ -13,6 +13,7 @@ from flagcurve import (
     CohomologyClass,
     Flag,
     RepSpec,
+    anosov_rates,
     ball_count,
     certify_anosov,
     coboundary_radial,
@@ -26,6 +27,7 @@ from flagcurve import (
 )
 from flagcurve import ball
 from flagcurve.ball import BallTable
+from flagcurve.errors import FlagCurveError, NonLoxodromicEncountered
 
 RADIUS = 4
 
@@ -82,7 +84,7 @@ def _runs(radial, refuted, explicit) -> dict:
         "certify_refuted": certify_anosov(refuted, RADIUS),
         "probe": probe_explicit(explicit, RADIUS),
         "curve": model,
-        "recurrence": recurrence_experiment(radial, base, 0.05, RADIUS, model, model),
+        "recurrence": recurrence_experiment(radial, base, 0.05, RADIUS, model),
     }
 
 
@@ -117,6 +119,22 @@ def test_a_level_maximum_lies_past_its_first_block(monkeypatch, refuted):
     assert any(np.argmax(m) > 0 for m in maxima.values())
 
 
+@pytest.mark.parametrize("rows", [1, 5, 10 ** 6])
+def test_degenerate_and_empty_rates(monkeypatch, seed2, rows):
+    # u(b2) = t(b2)/2 puts the [e2] eigenvalue of b2 on the top one: the
+    # rates name b2 as non-loxodromic and certify refutes at b2, whatever
+    # the block size; a length filter that keeps no word has no rates.
+    monkeypatch.setattr(ball, "BLOCK_ROWS", rows)
+    t_b2 = translation_length(seed2.generators[3])
+    spec = RepSpec("linear_u", seed2, u=CohomologyClass.from_dict({"b2": 0.5 * t_b2}, 2))
+    with pytest.raises(NonLoxodromicEncountered, match="'b2'"):
+        anosov_rates(spec, 3)
+    res = certify_anosov(spec, 3)
+    assert (res.verdict, res.refuting_witness, res.rates) == ("refuted", "b2", None)
+    with pytest.raises(FlagCurveError, match="^no elements pass the length filter$"):
+        anosov_rates(spec, 3, min_length=1e9)
+
+
 def test_built_table_holds_letters_and_parents(seed2):
     # A built table keeps each level's last letters and parent indices,
     # 9 B a word; seed data and images are derived as the ball is read.
@@ -134,9 +152,11 @@ def test_built_table_holds_letters_and_parents(seed2):
 @pytest.mark.parametrize("command", ["probe", "certify"])
 def test_streamed_peak_memory(radial, explicit, command):
     # The last level's seed data and 3x3 images and the eigen temporaries
-    # are O(block): the traced peak of a whole run, its own ball included,
-    # stays within 75 B a ball word at genus 2, R=6 (44 and 55 B now; the
-    # whole last level kept took it to 113 and 122 B).
+    # are O(block), and certify keeps only running extrema of its ratios:
+    # the traced peak of a whole run, its own ball included, stays within
+    # 50 B a ball word at genus 2, R=6 (43.5 and 43.1 B now; certify's
+    # per-word ratios took it to 55.5 B, the whole last level kept to 113
+    # and 122 B).
     radius = 6
     tracemalloc.start()
     try:
@@ -147,7 +167,7 @@ def test_streamed_peak_memory(radial, explicit, command):
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < 75 * ball_count(2, radius)
+    assert peak < 50 * ball_count(2, radius)
 
 
 def test_sampled_curve_peak_memory(radial):

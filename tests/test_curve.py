@@ -134,7 +134,6 @@ def test_incidence_names_nontransversal_witness(model4):
         lines=np.zeros_like(model4.lines),
         words=model4.words,
         tlens=model4.tlens,
-        variant="doctored",
         dedup_res=model4.dedup_res,
     )
     rep = check_incidence(doctored, max_lines=100)
@@ -155,7 +154,6 @@ def test_incidence_flags_doctored_model(model4):
         lines=model4.lines.copy(),
         words=model4.words,
         tlens=model4.tlens,
-        variant="doctored",
         dedup_res=model4.dedup_res,
     )
     rep = check_incidence(doctored)
@@ -296,10 +294,7 @@ def test_certify_is_one_pass(monkeypatch, seed2, u_a1, variant):
     res = certify_anosov(spec, 4)
     assert calls == ["build", "scored"]
     assert res.estimate == norm
-    assert (res.rates.inf_top_gap, res.rates.inf_bottom_gap, res.rates.n_elements) == (
-        rates.inf_top_gap, rates.inf_bottom_gap, rates.n_elements)
-    assert np.array_equal(res.rates.top_rates, rates.top_rates)
-    assert np.array_equal(res.rates.bottom_rates, rates.bottom_rates)
+    assert res.rates == rates
 
 
 def test_certify_canonical(canonical2):
@@ -353,9 +348,9 @@ def test_certify_rejects_explicit(seed2, canonical2):
 
 def test_rates_canonical_exact(canonical2):
     rates = anosov_rates(canonical2, 4)
+    # min(0.5 + r) == min(0.5 - r) == 0.5: every rate is 0.5
     assert rates.inf_top_gap == 0.5
     assert rates.inf_bottom_gap == 0.5
-    assert np.all(rates.top_rates == 0.5)
 
 
 def test_rates_linear_u(seed2):
@@ -378,19 +373,20 @@ def test_rates_match_generic_eigensolver(monkeypatch, seed2):
     # accumulated matrix products (accurate only up to e^t determinant drift)
     from flagcurve.spectral import batch_eigvals3
 
-    pos = 0
-    for _level, idx, t, _mats, _exps, imgs in table.scored(0.5, spec.letter_images()):
+    pos, inf_top = 0, np.inf
+    for _level, idx, t, _mats, exps, imgs in table.scored(0.5, spec.letter_images()):
         vals, real = batch_eigvals3(imgs)
         assert real.all()
         a = np.abs(vals)
         got_top = np.log(a[:, 0] / a[:, 1]) / t
-        n = len(idx)
-        ref = rates.top_rates[pos:pos + n]
+        ref = 0.5 + (exps @ u.as_vector()) / t
         # signed closed form equals the generic sorted-modulus gap only
         # while the [e2] eigenvalue is the middle one (true here)
         assert np.abs(got_top - ref).max() <= 1e-8
-        pos += n
+        inf_top = min(inf_top, ref.min())
+        pos += len(idx)
     assert pos == rates.n_elements
+    assert rates.inf_top_gap == inf_top
 
 
 def test_rates_negative_iff_refuted(seed2):
@@ -429,7 +425,6 @@ def test_regularity_detects_cusp():
         lines=pts,
         words=("w",) * len(t),
         tlens=np.ones(len(t)),
-        variant="synthetic",
         dedup_res=1e-9,
     )
     rep = regularity_diagnostics(model)
@@ -444,7 +439,6 @@ def test_regularity_needs_samples(canonical2):
         lines=model.lines[:100],
         words=model.words[:100],
         tlens=model.tlens[:100],
-        variant="canonical",
         dedup_res=model.dedup_res,
     )
     with pytest.raises(InsufficientSamples):

@@ -86,7 +86,7 @@ def test_fit_delta_polar_degenerate(seed2, u_a1):
     broken = CurveModel(
         params=model.params, points=pts, lines=model.lines,
         words=model.words, tlens=model.tlens,
-        variant="radial", dedup_res=model.dedup_res,
+        dedup_res=model.dedup_res,
     )
     with pytest.raises(PolarDegenerate):
         fit_delta(rad, broken)

@@ -31,20 +31,20 @@ def model4(canonical2):
 
 
 def test_in_omega_inside(model4):
-    q = in_omega(BASE, model4, model4)
+    q = in_omega(BASE, model4)
     assert q.verdict == "inside"
     assert q.margin_point == pytest.approx(math.pi / 4.0, abs=1e-9)
     assert q.margin_line == pytest.approx(math.pi / 4.0, abs=1e-9)
 
 
 def test_in_omega_outside_on_curve(model4):
-    q = in_omega(Flag.of(E1, E3), model4, model4)
+    q = in_omega(Flag.of(E1, E3), model4)
     assert q.verdict == "outside"
 
 
 def test_in_omega_sampled_flag(model4):
     flag = Flag(ProjPoint(model4.points[7]), ProjLine(model4.lines[7]))
-    q = in_omega(flag, model4, model4)
+    q = in_omega(flag, model4)
     assert q.verdict in ("outside", "on-boundary")
 
 
@@ -54,19 +54,19 @@ def test_in_omega_sampled_curve_band(seed2):
     model = sample_limit_curve(RepSpec("linear_u", seed2, u=u), 4)
     assert model.exact_point_line is None
     near = Flag.of((1.0, 5e-8, 0.0), (0.0, 0.0, 1.0))
-    q = in_omega(near, model, model, tol=1e-6)
+    q = in_omega(near, model, tol=1e-6)
     assert q.verdict in ("on-boundary", "outside")
 
 
 def test_fiber_profile_line_crosses_once(model4):
-    prof = fiber_profile(ProjLine.of(E3), model4, model4)
+    prof = fiber_profile(ProjLine.of(E3), model4)
     assert prof.crossings == 1
     assert prof.in_m_set
     assert not prof.nontransversal
 
 
 def test_fiber_profile_degenerate_line(model4):
-    prof = fiber_profile(ProjLine.of(E2), model4, model4)
+    prof = fiber_profile(ProjLine.of(E2), model4)
     assert prof.nontransversal
     assert not prof.in_m_set
 
@@ -76,12 +76,12 @@ def test_fiber_profile_generic_lines(model4, rng):
         l = ProjLine.of(rng.normal(size=3))
         if abs(l.rep[1]) < 0.05:
             continue  # close to the degenerate pencil member
-        prof = fiber_profile(l, model4, model4)
+        prof = fiber_profile(l, model4)
         assert prof.crossings == 1, l.rep
 
 
 def test_fiber_profile_point_dual(model4):
-    prof = fiber_profile(ProjPoint.of(E1), model4, model4)
+    prof = fiber_profile(ProjPoint.of(E1), model4)
     assert prof.crossings == 1
     assert prof.in_m_set
 
@@ -92,7 +92,7 @@ def test_fiber_profile_equivariance(model4, canonical2, seed2):
     g = evaluate(canonical2, Word.parse("a1.b2", 2))
     gd = np.linalg.inv(g).T
     l = ProjLine.of([0.3, 0.8, -0.2])
-    before = fiber_profile(l, model4, model4).crossings
+    before = fiber_profile(l, model4).crossings
     # transform the whole model and the line together
     mp = canonicalize_rows((g @ model4.points.T).T)
     ml = canonicalize_rows((gd @ model4.lines.T).T)
@@ -103,18 +103,16 @@ def test_fiber_profile_equivariance(model4, canonical2, seed2):
     moved = CurveModel(
         params=new_params[order], points=mp[order], lines=ml[order],
         words=model4.words[order],
-        tlens=model4.tlens[order], variant="canonical",
+        tlens=model4.tlens[order],
         dedup_res=model4.dedup_res,
     )
     gl = ProjLine.of(gd @ l.rep)
-    after = fiber_profile(gl, moved, moved).crossings
+    after = fiber_profile(gl, moved).crossings
     assert before == after == 1
 
 
 def test_recurrence_canonical(canonical2, model4):
-    rep = recurrence_experiment(
-        canonical2, BASE, 0.05, 5, model_l=model4, model_lstar=model4
-    )
+    rep = recurrence_experiment(canonical2, BASE, 0.05, 5, model=model4)
     assert rep.returning_words == ("",)
     assert rep.stabilized
     assert rep.free_at_scale
@@ -124,9 +122,7 @@ def test_recurrence_canonical(canonical2, model4):
 
 
 def test_recurrence_brute_force_oracle(canonical2, seed2, model4):
-    rep = recurrence_experiment(
-        canonical2, BASE, 0.05, 3, model_l=model4, model_lstar=model4
-    )
+    rep = recurrence_experiment(canonical2, BASE, 0.05, 3, model=model4)
     # independent recomputation: recursive enumeration, fresh matrices,
     # chordal distances via explicit representative comparison
     letters = canonical2.letter_images()
@@ -171,23 +167,16 @@ def test_recurrence_wider_neighborhood_returns_more(canonical2, model4):
     lb = l - (l @ pb) * pb + 0.25 * (E2 - (E2 @ pb) * pb)
     lb /= np.linalg.norm(lb)
     base = Flag.of(pb, lb, tol=1e-8)
-    tight = recurrence_experiment(
-        canonical2, base, 0.05, 3, model_l=model4, model_lstar=model4
-    )
+    tight = recurrence_experiment(canonical2, base, 0.05, 3, model=model4)
     assert tight.returning_words == ("",)
-    grown = recurrence_experiment(
-        canonical2, base, 0.1, 3, model_l=model4, model_lstar=model4
-    )
+    grown = recurrence_experiment(canonical2, base, 0.1, 3, model=model4)
     assert "a1" in grown.returning_words
     assert set(tight.returning_words) < set(grown.returning_words)
 
 
 def test_recurrence_rejects_boundary_base(canonical2, model4):
     with pytest.raises(BaseNotInterior):
-        recurrence_experiment(
-            canonical2, Flag.of(E1, E3), 0.05, 3,
-            model_l=model4, model_lstar=model4,
-        )
+        recurrence_experiment(canonical2, Flag.of(E1, E3), 0.05, 3, model=model4)
 
 
 def test_freeness_multiple_specs_and_bases(seed2, canonical2, model4, rng):
@@ -209,7 +198,7 @@ def test_freeness_multiple_specs_and_bases(seed2, canonical2, model4, rng):
         ok = True
         for s in specs:
             m = models[s.variant]
-            if in_omega(flag, m, m).verdict != "inside":
+            if in_omega(flag, m).verdict != "inside":
                 ok = False
                 break
         if not ok:
@@ -217,9 +206,7 @@ def test_freeness_multiple_specs_and_bases(seed2, canonical2, model4, rng):
         found += 1
         for s in specs:
             m = models[s.variant]
-            rep = recurrence_experiment(
-                s, flag, 1e-4, 3, model_l=m, model_lstar=m
-            )
+            rep = recurrence_experiment(s, flag, 1e-4, 3, model=m)
             assert rep.free_at_scale
 
 

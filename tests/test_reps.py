@@ -13,6 +13,7 @@ from flagcurve import (
     phi,
     rho0,
     spec_from_json_dict,
+    standard_fuchsian,
 )
 from flagcurve.errors import NotUnimodular, UnsupportedSpec
 
@@ -146,6 +147,21 @@ def test_dual_of_product_is_product_of_duals(rng, seed2):
         assert np.abs(np.linalg.inv(g).T - ref).max() <= 1e-10 * max(
             1.0, np.abs(ref).max()
         )
+
+
+@pytest.mark.parametrize("genus", [2, 3, 4])
+def test_structured_images_are_radial_with_zero_data(rng, genus):
+    # canonical and linear_u images are radial generators with zero data,
+    # bit for bit the block embedding and its composition with the flow.
+    seed = standard_fuchsian(genus)
+    can = RepSpec("canonical", seed)
+    for _ in range(5):
+        u = CohomologyClass(tuple(rng.normal(scale=0.3, size=2 * genus)), genus)
+        lin = RepSpec("linear_u", seed, u=u)
+        for k, (c, l) in enumerate(zip(can.generator_images(), lin.generator_images())):
+            m = seed.generators[k]
+            assert c.tobytes() == rho0(m).tobytes()
+            assert l.tobytes() == (phi(u.values[k]) @ rho0(m)).tobytes()
 
 
 def test_coboundary_trivial_is_identity_shear(seed2, u_a1):
