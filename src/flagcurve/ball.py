@@ -4,18 +4,20 @@ The ball of freely reduced words is materialized level by level as flat
 numpy arrays.  Level 1 holds the 4g letters in order, and level L appends
 every letter in order to each word of level L-1 (``surface.next_level``).
 Since level L-1 is in shortlex order, so is level L.  A ``BallTable``
-keeps only each level's last letters and parent indices, 9 B a word.
+keeps only each level's int8 last letters, 1 B a word: every word has
+4g-1 children, in order, so word i of a level of n words extends word
+i // (4g-1) of the level below and has first letter i // (n / 4g).
 
 Everything else about a word is derived as the ball is read.
-``BallTable.blocks`` streams every level in blocks of at most BLOCK_ROWS
-words, each with its words' first letters, SL(2,R) seed images and
-exponent sums (``BallTable.seed_data``) and, given a representation,
-their 3x3 images (``BallTable.images3``), all from the same data of the
-whole level below by row-wise products, so a block's rows are the same
-bits whatever the block size.  A level's data is kept whole only while
-the next level is read; the last level's, (4g-2)/(4g-1) of the ball,
-exists one block at a time, so its data and every consumer's temporaries
-are O(block).
+``BallTable.blocks(*fields)`` streams every level in blocks of at most
+BLOCK_ROWS words with the fields its reader asks for: seed images
+(``BallTable.seed_images``), exponent sums (``exponent_sums``) or, given
+a representation, 3x3 images (``images3``).  A field is derived from its
+own values over the whole level below by row-wise products, so a block's
+rows are the same bits whatever the block size.  A field's values of a
+level are kept whole only while the next level is read; the last
+level's, (4g-2)/(4g-1) of the ball, exist one block at a time, so they
+and every consumer's temporaries are O(block).
 
 Words are named only here.  ``BallTable.word`` walks one word's
 parents; ``BallTable.names`` names a batch of (level, index) ids, reading
@@ -36,6 +38,7 @@ its rotations, from length 4g on).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import partial
 from types import SimpleNamespace
 from typing import Iterator
 
@@ -85,14 +88,6 @@ def _near_identity(mats: np.ndarray) -> np.ndarray:
     return (np.abs(mats - sign * np.eye(2)) <= TRIVIAL_TOL).all(axis=(1, 2))
 
 
-@dataclass(frozen=True)
-class _Level:
-    """All words of one length, in shortlex order, 9 B a word."""
-
-    letters: np.ndarray  # (n,) int8, last letter of each word
-    parents: np.ndarray  # (n,) int64 index into the previous level, -1 at level 1
-
-
 @dataclass
 class BallTable:
     """Freely reduced words of length 1..radius, shortlex order.
@@ -102,7 +97,7 @@ class BallTable:
 
     seed: FuchsianSeed
     radius: int
-    levels: list = field(default_factory=list)  # level L at index L-1
+    levels: list = field(default_factory=list)  # level L's last letters at L-1
     _strings: dict = field(default_factory=dict)
 
     @staticmethod
@@ -111,11 +106,10 @@ class BallTable:
             raise ValueError("radius must be >= 0")
         table = BallTable(seed, radius)
         letts = np.arange(4 * seed.genus, dtype=np.int8)
-        parents = np.full(len(letts), -1, dtype=np.int64)
         for level in range(1, radius + 1):
             if level > 1:
-                parents, letts = next_level(letts, 4 * seed.genus)
-            table.levels.append(_Level(letts, parents))
+                letts = next_level(letts, 4 * seed.genus)
+            table.levels.append(letts)
         return table
 
     @property
@@ -124,61 +118,60 @@ class BallTable:
 
     @property
     def partitions(self):  # read by perfbench/tracer.py to count ball words
-        return (SimpleNamespace(letters=[lv.letters for lv in self.levels]),)
+        return (SimpleNamespace(letters=self.levels),)
 
     def letters(self, level: int) -> np.ndarray:
-        return self.levels[level - 1].letters
+        return self.levels[level - 1]
 
-    def seed_data(self, level: int, rows: slice, prev: list | None) -> tuple:
-        """(firsts, mats, exps): the first letters, (n, 2, 2) seed images
-        and (n, 2g) int32 exponent sums of the words ``rows`` of a level,
-        from ``prev``, the same of the whole level below (None at level
-        1).  Every step is row by row, so a block's rows do not depend on
-        the block."""
-        lv = self.levels[level - 1]
-        letts = lv.letters[rows]
-        mats = self.seed.letter_matrices()[letts]
-        # Letter 2k adds 1 to the k-th exponent sum, letter 2k+1 adds -1.
-        exps = np.kron(np.eye(2 * self.genus, dtype=np.int32), np.int32([[1], [-1]]))[letts]
-        if prev is None:
-            return letts, mats, exps
-        parents = lv.parents[rows]
+    def parents(self, level: int, rows) -> np.ndarray:
+        """Indices in the level below of the parents of the words ``rows``
+        (a slice or an index array) of a level > 1."""
+        if isinstance(rows, slice):
+            rows = np.arange(*rows.indices(len(self.letters(level))))
+        return rows // (4 * self.genus - 1)
+
+    def seed_images(self, level: int, rows: slice, below) -> np.ndarray:
+        """(n, 2, 2) seed images of the words ``rows`` of a level, from
+        ``below``, those of the whole level below (None at level 1)."""
+        mats = self.seed.letter_matrices()[self.letters(level)[rows]]
+        if below is None:
+            return mats
         # The 2x2 products as two broadcast terms: a sum of two products
         # rounds the same whatever its order.
-        below = prev[1][parents]
+        below = below[self.parents(level, rows)]
         prods = below[:, :, :1] * mats[:, :1]
         prods += below[:, :, 1:] * mats[:, 1:]
-        return prev[0][parents], prods, prev[2][parents] + exps
+        return prods
 
-    def blocks(self, letter_images: np.ndarray | None = None) -> Iterator[tuple]:
-        """Yield (level, rows, firsts, mats, exps, imgs) for the blocks of
-        at most BLOCK_ROWS words of every level in shortlex order: ``rows``
-        is a slice of the level, (firsts, mats, exps) its words'
-        ``seed_data``, and ``imgs`` their (n, 3, 3) images under the
-        representation given by its (4g, 3, 3) letter matrices (None
-        without them).
+    def exponent_sums(self, level: int, rows: slice, below) -> np.ndarray:
+        """(n, 2g) int32 exponent sums of the words ``rows`` of a level,
+        from ``below``, those of the whole level below (None at level 1)."""
+        # Letter 2k adds 1 to the k-th exponent sum, letter 2k+1 adds -1.
+        steps = np.kron(np.eye(2 * self.genus, dtype=np.int32), np.int32([[1], [-1]]))
+        exps = steps[self.letters(level)[rows]]
+        if below is None:
+            return exps
+        return below[self.parents(level, rows)] + exps
 
-        Each level's data is kept whole until the next level is derived
-        from it; the last level's is held one block at a time.
-        """
-        prev = None  # the whole level below: [firsts, mats, exps, imgs]
+    def blocks(self, *fields) -> Iterator[tuple]:
+        """Yield (level, rows, *values) for the blocks of at most
+        BLOCK_ROWS words of every level in shortlex order: ``rows`` is a
+        slice of the level, and each value is ``field(level, rows,
+        below)``, ``below`` being that field's values over the whole level
+        below (None at level 1), kept only while this level is read."""
+        below = [None] * len(fields)
         for level in range(1, self.radius + 1):
             n = len(self.letters(level))
-            below = None if prev is None else prev[3]
-            whole = None if level == self.radius else [
-                np.empty(n, dtype=np.int8), np.empty((n, 2, 2)),
-                np.empty((n, 2 * self.genus), dtype=np.int32),
-                None if letter_images is None else np.empty((n, 3, 3))]
+            whole = []
             for start in range(0, n, BLOCK_ROWS):
                 rows = slice(start, min(n, start + BLOCK_ROWS))
-                data = self.seed_data(level, rows, prev) + (
-                    None if letter_images is None else
-                    self.images3(letter_images, level, rows, below),)
-                for stack, block in zip(whole or (), data):
-                    if stack is not None:
-                        stack[rows] = block
-                yield (level, rows, *data)
-            prev = whole
+                values = [f(level, rows, b) for f, b in zip(fields, below)]
+                if not start and level < self.radius:
+                    whole = [np.empty((n, *v.shape[1:]), v.dtype) for v in values]
+                for stack, v in zip(whole, values):
+                    stack[rows] = v
+                yield (level, rows, *values)
+            below = whole
 
     def scored(self, min_length: float = 0.0,
                letter_images: np.ndarray | None = None) -> Iterator[tuple]:
@@ -193,11 +186,16 @@ class BallTable:
         Raises NotHyperbolic naming the first other cyclically reduced word
         whose seed image is not hyperbolic (the seed is then not Fuchsian).
         """
-        for level, rows, firsts, mats, exps, imgs in self.blocks(letter_images):
+        fields = [self.seed_images, self.exponent_sums]
+        if letter_images is not None:
+            fields.append(partial(self.images3, letter_images))
+        for level, rows, mats, exps, *imgs in self.blocks(*fields):
             hyp, t = batch_translation_lengths(mats)
             # A word is cyclically reduced unless its first letter inverts
             # its last; a one-letter word's first letter is its last.
-            reduced = firsts != (self.letters(level)[rows] ^ 1)
+            letts = self.letters(level)
+            firsts = np.arange(rows.start, rows.stop) // (len(letts) // (4 * self.genus))
+            reduced = firsts != (letts[rows] ^ 1)
             # An image within TRIVIAL_TOL of +-I has t < 0.01.
             near = np.nonzero(reduced & (t < 0.01))[0]
             reduced[near[_near_identity(mats[near])]] = False
@@ -208,16 +206,16 @@ class BallTable:
             sel = np.nonzero(reduced & (t >= min_length))[0]
             if len(sel):
                 yield (level, rows.start + sel, t[sel], mats[sel], exps[sel],
-                       None if imgs is None else imgs[sel])
+                       imgs[0][sel] if imgs else None)
 
     def word(self, level: int, i: int) -> str:
         """Dot-separated display string of word i of a level, read off its
         parents; unlike ``word_strings`` it builds no strings for the rest
         of the level."""
         names = []
-        for lv in reversed(self.levels[:level]):
-            names.append(letter_name(int(lv.letters[i])))
-            i = int(lv.parents[i])
+        for letts in reversed(self.levels[:level]):
+            names.append(letter_name(int(letts[i])))
+            i //= 4 * self.genus - 1
         return ".".join(reversed(names))
 
     def word_strings(self, level: int) -> list:
@@ -246,12 +244,12 @@ class BallTable:
         """Display strings of the words ``rows`` of a level: each is its
         parent's string, a dot and its last letter."""
         names = [letter_name(l) for l in range(4 * self.genus)]
-        lv = self.levels[level - 1]
-        letters = lv.letters[rows].tolist()
+        letters = self.letters(level)[rows].tolist()
         if level == 1:
             return [names[l] for l in letters]
         prev = self.word_strings(level - 1)
-        return [prev[p] + "." + names[l] for p, l in zip(lv.parents[rows].tolist(), letters)]
+        return [prev[p] + "." + names[l]
+                for p, l in zip(self.parents(level, rows).tolist(), letters)]
 
     def images3(self, letter_images: np.ndarray, level: int, rows: slice,
                 prev: np.ndarray | None) -> np.ndarray:
@@ -260,10 +258,9 @@ class BallTable:
         ``prev``, the image stack of the whole level below (None at level
         1).  Renormalizes determinant drift; every step is row by row, so
         a block's images do not depend on the block."""
-        lv = self.levels[level - 1]
-        imgs = letter_images[lv.letters[rows]]
+        imgs = letter_images[self.letters(level)[rows]]
         if prev is not None:
-            imgs = matmul3(prev[lv.parents[rows]], imgs)
+            imgs = matmul3(prev[self.parents(level, rows)], imgs)
         det = np.linalg.det(imgs)
         imgs /= np.cbrt(det)[:, None, None]
         return imgs
@@ -297,11 +294,13 @@ def enumerate_ball(seed: FuchsianSeed, radius: int) -> Iterator[tuple]:
     image, in shortlex order."""
     table = BallTable.build(seed, radius)
     yield Word((), seed.genus), np.eye(2)
-    words = [()]  # level 1 parents are -1, which also indexes the empty word
-    for level, rows, _firsts, mats, _exps, _imgs in table.blocks():
+    words = []
+    for level, rows, mats in table.blocks(table.seed_images):
         if rows.start == 0:
             prev, words = words, []
-        lv = table.levels[level - 1]
-        for p, l, m in zip(lv.parents[rows].tolist(), lv.letters[rows].tolist(), mats):
-            words.append(prev[p] + (l,))
+        letters = table.letters(level)[rows].tolist()
+        heads = ([prev[p] for p in table.parents(level, rows).tolist()] if level > 1
+                 else [()] * len(letters))
+        for head, l, m in zip(heads, letters, mats):
+            words.append(head + (l,))
             yield Word(words[-1], seed.genus), m

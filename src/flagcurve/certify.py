@@ -153,8 +153,6 @@ def certify_anosov(
     """
     if spec.variant == "explicit":
         raise UnsupportedSpec("explicit specs are probe-only; use probe_explicit")
-    if spec.variant not in ("canonical", "linear_u", "radial"):
-        raise UnsupportedSpec(spec.variant)
     if radius < 2:
         raise ValueError("radius must be >= 2")
     table = BallTable.build(spec.seed, radius)

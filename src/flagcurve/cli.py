@@ -34,7 +34,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .certify import certify_anosov, probe_explicit
+from .certify import DEFAULT_MARGIN, certify_anosov, probe_explicit
 from .curve import (
     check_incidence,
     injectivity_report,
@@ -49,7 +49,7 @@ from .reps import RepSpec, spec_from_json_dict
 from .surface import json_number, json_object
 
 DEFAULT_TOLERANCES = {
-    "certify_margin": 0.02,
+    "certify_margin": DEFAULT_MARGIN,
     "dedup": 1e-7,
     "incidence_zero": 1e-9,
 }

@@ -17,8 +17,8 @@ index arrays or one gathered column.  A
 ``CurveModel`` keeps its samples' params, flags and translation lengths,
 and each sample's word as a (level, index) id (``ball.WordIds``): one
 int8 and one int64 a sample, plus the sampled ``BallTable`` itself, only
-each level's last letters and parent indices (9 B a ball word).  No word
-string exists until one is read: ``model.words[i]`` names one word, and
+each level's last letters (1 B a ball word).  No word string exists
+until one is read: ``model.words[i]`` names one word, and
 ``CurveModel.csv_rows`` names only the rows asked for.
 
 Crossing counts use sign changes of the pairing along the param-ordered
@@ -145,7 +145,7 @@ def sample_limit_curve(
     # A ball word gives at most one sample, so the ball's word count bounds
     # the columns; the rows past the last sample are never written, and
     # their pages are never touched.
-    size = sum(len(lv.letters) for lv in table.levels)
+    size = sum(map(len, table.levels))
     params, tlens = np.empty(size), np.empty(size)
     points, lines = np.empty((size, 3)), np.empty((size, 3))
     levels, index = np.empty(size, dtype=np.int8), np.empty(size, dtype=np.int64)

@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
@@ -103,7 +104,7 @@ def recurrence_experiment(spec: RepSpec, base: Flag, nbhd: float, radius: int,
     returning = [""]
     counts = {0: 1}  # level -> cumulative count of returning words
     min_disp = math.inf
-    for level, rows, *_, imgs in table.blocks(spec.letter_images()):
+    for level, rows, imgs in table.blocks(partial(table.images3, spec.letter_images())):
         pts = np.einsum("nij,j->ni", imgs, bp)
         pts /= np.linalg.norm(pts, axis=1)[:, None]
         duals = np.linalg.inv(imgs).transpose(0, 2, 1)

@@ -193,17 +193,16 @@ def attractive_direction(m: np.ndarray) -> float:
     return float(batch_attractive_directions(_hyperbolic_stack(m))[0])
 
 
-def next_level(last: np.ndarray, n_letters: int) -> tuple:
-    """(parent index, appended letter) of every freely reduced one-letter
-    extension of a level of words ending in ``last``.
+def next_level(last: np.ndarray, n_letters: int) -> np.ndarray:
+    """Last letters of every freely reduced one-letter extension of a
+    level of words ending in ``last``.
 
-    Letters are appended in order to each parent in turn, so the result is
-    in shortlex order whenever the parent level is.
+    Letters are appended in order to each word in turn, so word i of the
+    result extends word i // (n_letters - 1), and the result is in
+    shortlex order whenever the level is.
     """
-    parent = np.repeat(np.arange(len(last), dtype=np.int64), n_letters)
     letts = np.tile(np.arange(n_letters, dtype=np.int8), len(last))
-    keep = letts != (last[parent] ^ 1)
-    return parent[keep], letts[keep]
+    return letts[letts != np.repeat(last ^ 1, n_letters)]
 
 
 # ---------------------------------------------------------------------------
@@ -279,7 +278,8 @@ class FuchsianSeed:
             best = min(best, float(np.abs(np.trace(mats, axis1=1, axis2=2)).min()))
             if length == max_length:
                 break
-            parent, last = next_level(last, len(letters))
+            last = next_level(last, len(letters))
+            parent = np.arange(len(last)) // (len(letters) - 1)
             mats = np.einsum("nij,njk->nik", mats[parent], letters[last])
         return best
 

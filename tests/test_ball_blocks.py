@@ -4,6 +4,7 @@ number of bytes per ball word."""
 
 import dataclasses
 import math
+from functools import partial
 import tracemalloc
 
 import numpy as np
@@ -106,6 +107,20 @@ def test_results_do_not_depend_on_block_size(monkeypatch, radial, refuted, expli
         assert _same(got[key], want[key]), key
 
 
+def test_recurrence_derives_no_seed_data(monkeypatch, radial, default_runs):
+    # The recurrence reads only the 3x3 images, so it streams no seed
+    # images or exponent sums.
+    def derived(*args):
+        raise AssertionError("seed data derived")
+
+    monkeypatch.setattr(BallTable, "seed_images", derived)
+    monkeypatch.setattr(BallTable, "exponent_sums", derived)
+    s = 1.0 / math.sqrt(2.0)
+    base = Flag.of((s, s, 0.0), (s, -s, 0.0))
+    got = recurrence_experiment(radial, base, 0.05, RADIUS, default_runs["curve"])
+    assert _same(got, default_runs["recurrence"])
+
+
 def test_a_level_maximum_lies_past_its_first_block(monkeypatch, refuted):
     # The per-level maximum of _scan must be the first maximum over every
     # block of the level; at 5 rows a block, some level's lies in a later
@@ -135,9 +150,11 @@ def test_degenerate_and_empty_rates(monkeypatch, seed2, rows):
         anosov_rates(spec, 3, min_length=1e9)
 
 
-def test_built_table_holds_letters_and_parents(seed2):
-    # A built table keeps each level's last letters and parent indices,
-    # 9 B a word; seed data and images are derived as the ball is read.
+def test_built_table_holds_only_letters(seed2):
+    # A built table keeps each level's int8 last letters, 1 B a word;
+    # parents and first letters have closed forms, and seed data and
+    # images are derived as the ball is read (parent indices took it to
+    # 9 B).
     radius = 6
     tracemalloc.start()
     try:
@@ -146,7 +163,7 @@ def test_built_table_holds_letters_and_parents(seed2):
     finally:
         tracemalloc.stop()
     assert table.radius == radius
-    assert held <= 9 * ball_count(2, radius) + 16384
+    assert held <= ball_count(2, radius) + 16384
 
 
 @pytest.mark.parametrize("command", ["probe", "certify"])
@@ -154,9 +171,9 @@ def test_streamed_peak_memory(radial, explicit, command):
     # The last level's seed data and 3x3 images and the eigen temporaries
     # are O(block), and certify keeps only running extrema of its ratios:
     # the traced peak of a whole run, its own ball included, stays within
-    # 50 B a ball word at genus 2, R=6 (43.5 and 43.1 B now; certify's
-    # per-word ratios took it to 55.5 B, the whole last level kept to 113
-    # and 122 B).
+    # 42 B a ball word at genus 2, R=6 (35.5 and 35.0 B now; parent
+    # indices took it to 43.5 B, certify's per-word ratios to 55.5 B, the
+    # whole last level kept to 113 and 122 B).
     radius = 6
     tracemalloc.start()
     try:
@@ -167,15 +184,15 @@ def test_streamed_peak_memory(radial, explicit, command):
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < 50 * ball_count(2, radius)
+    assert peak < 42 * ball_count(2, radius)
 
 
 def test_sampled_curve_peak_memory(radial):
     # The sampler keeps one (level, index) id a sample, names no word and
     # reads the last level's seed images a block at a time: at genus 2,
     # R=6 its traced peak, its own ball included, stays within 160 B a
-    # ball word (124 B now; the whole last level kept took it to 177 B,
-    # and word strings to 250 B).
+    # ball word (116 B now; parent indices took it to 124 B, the whole
+    # last level kept to 177 B, and word strings to 250 B).
     radius = 6
     tracemalloc.start()
     try:
@@ -221,10 +238,11 @@ def test_images3_matches_einsum_on_a_genus3_level():
     letter_images = spec.letter_images()
     table = BallTable.build(seed3, 5)
     stacks = {}
-    for level, _rows, *_, imgs in table.blocks(letter_images):
+    for level, _rows, imgs in table.blocks(partial(table.images3, letter_images)):
         stacks.setdefault(level, []).append(imgs)
     prev, got = np.concatenate(stacks[4]), np.concatenate(stacks[5])
-    lv = table.levels[4]
-    want = np.einsum("nij,njk->nik", prev[lv.parents], letter_images[lv.letters])
+    # Word i of a level extends word i // (4g-1) of the level below.
+    parents = np.arange(len(got)) // 11
+    want = np.einsum("nij,njk->nik", prev[parents], letter_images[table.letters(5)])
     want /= np.cbrt(np.linalg.det(want))[:, None, None]
     assert got.tobytes() == want.tobytes()

@@ -219,15 +219,15 @@ def test_stable_norm_monotone_in_radius(seed2):
 def _patch_seed_image(monkeypatch, level: int, k: int, mat) -> None:
     """Make every ball give word k of a level the seed image ``mat``, by
     wrapping the kernel that derives seed images block by block."""
-    kernel = BallTable.seed_data
+    kernel = BallTable.seed_images
 
-    def seed_data(self, lv, rows, prev):
-        firsts, mats, exps = kernel(self, lv, rows, prev)
+    def seed_images(self, lv, rows, below):
+        mats = kernel(self, lv, rows, below)
         if lv == level and rows.start <= k < rows.stop:
             mats[k - rows.start] = mat
-        return firsts, mats, exps
+        return mats
 
-    monkeypatch.setattr(BallTable, "seed_data", seed_data)
+    monkeypatch.setattr(BallTable, "seed_images", seed_images)
 
 
 def test_non_hyperbolic_seed_image_is_named(monkeypatch, seed2, u_a1):

@@ -1,4 +1,5 @@
 import math
+from functools import partial
 
 import numpy as np
 import pytest
@@ -265,7 +266,9 @@ def test_batch_saddle_matches_ratio_on_ball(monkeypatch, seed2):
         monkeypatch.setattr(ball, "BLOCK_ROWS", block_rows)
         table = BallTable.build(seed2, 3)
         refuted = 0
-        for _level, _rows, _firsts, mats, exps, imgs in table.blocks(spec.letter_images()):
+        fields = (table.seed_images, table.exponent_sums,
+                  partial(table.images3, spec.letter_images()))
+        for _level, _rows, mats, exps, imgs in table.blocks(*fields):
             hyp, t = batch_translation_lengths(mats)
             assert hyp.all()
             ratio_ok = np.abs(exps @ u.as_vector()) < t / 2.0

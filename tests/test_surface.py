@@ -159,10 +159,10 @@ def test_seed_rejects_bad_relator():
 
 
 def _whole_levels(table) -> dict:
-    """level -> (firsts, mats, exps) of every word of the level, joined
-    from the blocks of ``table.blocks()``."""
+    """level -> (mats, exps) of every word of the level, joined from the
+    blocks of ``table.blocks``."""
     levels = {}
-    for level, _rows, *seed_data, _imgs in table.blocks():
+    for level, _rows, *seed_data in table.blocks(table.seed_images, table.exponent_sums):
         levels.setdefault(level, []).append(seed_data)
     return {level: [np.concatenate(col) for col in zip(*blocks)]
             for level, blocks in levels.items()}
@@ -193,8 +193,7 @@ def test_ball_table_matches_enumeration(monkeypatch, seed2):
                            if w.is_cyclically_reduced() and lengths[level - 1][i] >= m]
                     if idx:
                         expected.append((level, idx, [lengths[level - 1][i] for i in idx]))
-                firsts, mats, exps = whole[level]
-                assert firsts.tolist() == [w.letters[0] for w in words]
+                mats, exps = whole[level]
                 assert np.allclose(mats, [seed.image(w) for w in words], atol=1e-12)
                 assert np.array_equal(exps, [w.exponent_sums() for w in words])
             for m, expected in scored.items():
@@ -213,7 +212,7 @@ def test_ball_table_expsums(monkeypatch, seed2):
         monkeypatch.setattr(ball, "BLOCK_ROWS", block_rows)
         table = BallTable.build(seed2, 3)
         strs = table.word_strings(3)
-        exps = _whole_levels(table)[3][2]
+        exps = _whole_levels(table)[3][1]
         assert exps.dtype == np.int32
         for i in (0, 100, 390):
             w = Word.parse(strs[i], 2)
