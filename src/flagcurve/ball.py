@@ -29,10 +29,17 @@ such ids that names words only when they are read.
 ``BallTable.scored`` is the one word selection of every spectral pipeline:
 the cyclically reduced words above a translation-length floor, filtered
 from the blocks of ``blocks``.  Every spectral quantity is a conjugacy
-invariant, so the other words add work but no information.  It is also
-the only place that decides whether seed images are hyperbolic, and it
-drops the words that are trivial in the surface group (the relator and
-its rotations, from length 4g on).
+invariant, so the other words add work but no information, and a
+cyclically reduced word is conjugate to each of its rotations.  Asked
+for rotation classes, ``blocks`` derives the fields of the top level,
+(4g-2)/(4g-1) of the ball, only for the words that are cyclically
+reduced and the least of their rotations (``least_rotations``: the
+shortlex-first word of each class), and ``scored`` weights each with
+the number of words in its class (``class_sizes``), so counts still
+count words.  The levels below are read whole anyway and scored word by
+word.  ``scored`` is also the only place that decides whether seed
+images are hyperbolic, and it drops the words that are trivial in the
+surface group (the relator and its rotations, from length 4g on).
 """
 
 from __future__ import annotations
@@ -99,6 +106,15 @@ class BallTable:
     radius: int
     levels: list = field(default_factory=list)  # level L's last letters at L-1
     _strings: dict = field(default_factory=dict)
+    # Per-letter tables of ``seed_images`` and ``exponent_sums``.
+    _seed_letters: np.ndarray = field(init=False, repr=False)
+    _exp_steps: np.ndarray = field(init=False, repr=False)
+
+    def __post_init__(self):
+        self._seed_letters = self.seed.letter_matrices()
+        # Letter 2k adds 1 to the k-th exponent sum, letter 2k+1 adds -1.
+        self._exp_steps = np.kron(np.eye(2 * self.genus, dtype=np.int32),
+                                  np.int32([[1], [-1]]))
 
     @staticmethod
     def build(seed: FuchsianSeed, radius: int) -> "BallTable":
@@ -130,10 +146,10 @@ class BallTable:
             rows = np.arange(*rows.indices(len(self.letters(level))))
         return rows // (4 * self.genus - 1)
 
-    def seed_images(self, level: int, rows: slice, below) -> np.ndarray:
+    def seed_images(self, level: int, rows, below) -> np.ndarray:
         """(n, 2, 2) seed images of the words ``rows`` of a level, from
         ``below``, those of the whole level below (None at level 1)."""
-        mats = self.seed.letter_matrices()[self.letters(level)[rows]]
+        mats = self._seed_letters[self.letters(level)[rows]]
         if below is None:
             return mats
         # The 2x2 products as two broadcast terms: a sum of two products
@@ -143,28 +159,79 @@ class BallTable:
         prods += below[:, :, 1:] * mats[:, 1:]
         return prods
 
-    def exponent_sums(self, level: int, rows: slice, below) -> np.ndarray:
+    def exponent_sums(self, level: int, rows, below) -> np.ndarray:
         """(n, 2g) int32 exponent sums of the words ``rows`` of a level,
         from ``below``, those of the whole level below (None at level 1)."""
-        # Letter 2k adds 1 to the k-th exponent sum, letter 2k+1 adds -1.
-        steps = np.kron(np.eye(2 * self.genus, dtype=np.int32), np.int32([[1], [-1]]))
-        exps = steps[self.letters(level)[rows]]
+        exps = self._exp_steps[self.letters(level)[rows]]
         if below is None:
             return exps
         return below[self.parents(level, rows)] + exps
 
-    def blocks(self, *fields) -> Iterator[tuple]:
+    def _rotation_codes(self, level: int, idx: np.ndarray) -> Iterator[np.ndarray]:
+        """Yield the words ``idx`` of a level as base-4g integers, first
+        letter most significant, then their rotations by 1..level-1
+        letters (the first s letters moved to the end).  Words of one
+        length compare as their codes do."""
+        base = 4 * self.genus
+        # A level's 4g(4g-1)^(level-1) letters fit in memory only while
+        # base**level is far below 2**63.
+        code, place, up = np.zeros(len(idx), dtype=np.int64), 1, idx
+        for letts in reversed(self.levels[:level]):
+            code += letts[up].astype(np.int64) * place
+            place *= base
+            up = up // (base - 1)
+        yield code
+        for s in range(1, level):
+            high = base ** (level - s)
+            yield code % high * base ** s + code // high
+
+    def least_rotations(self, level: int, rows: slice) -> np.ndarray:
+        """Indices of the words ``rows`` of a level that are cyclically
+        reduced and the lexicographically least of their rotations (Booth,
+        Inf. Process. Lett. 10, 1980): one word, the shortlex-first, of
+        every rotation class of cyclically reduced words."""
+        letts = self.letters(level)
+        idx = np.arange(*rows.indices(len(letts)))
+        # A word is cyclically reduced unless its first letter inverts its
+        # last, and the least of its rotations only if its last letter is
+        # not below its first.
+        firsts, lasts = idx // (len(letts) // (4 * self.genus)), letts[idx]
+        idx = idx[(firsts != (lasts ^ 1)) & (firsts <= lasts)]
+        codes = self._rotation_codes(level, idx)
+        code = next(codes)
+        least = np.ones(len(idx), dtype=bool)
+        for rot in codes:
+            least &= code <= rot
+        return idx[least]
+
+    def class_sizes(self, level: int, idx: np.ndarray) -> np.ndarray:
+        """Number of distinct rotations of each word ``idx`` of a level:
+        its least period, level / (number of rotations that fix it)."""
+        codes = self._rotation_codes(level, idx)
+        code = next(codes)
+        size = np.full(len(idx), level)
+        for s, rot in enumerate(codes, 1):
+            size[(rot == code) & (size == level)] = s
+        return size
+
+    def blocks(self, *fields, classes: bool = False) -> Iterator[tuple]:
         """Yield (level, rows, *values) for the blocks of at most
         BLOCK_ROWS words of every level in shortlex order: ``rows`` is a
         slice of the level, and each value is ``field(level, rows,
         below)``, ``below`` being that field's values over the whole level
-        below (None at level 1), kept only while this level is read."""
+        below (None at level 1), kept only while this level is read.  With
+        ``classes``, the top level's ``rows`` are the index array of a
+        block's ``least_rotations``, and blocks without one are skipped."""
         below = [None] * len(fields)
         for level in range(1, self.radius + 1):
             n = len(self.letters(level))
             whole = []
             for start in range(0, n, BLOCK_ROWS):
                 rows = slice(start, min(n, start + BLOCK_ROWS))
+                if classes and level == self.radius:
+                    rows = self.least_rotations(level, rows)
+                    if not len(rows):
+                        continue
                 values = [f(level, rows, b) for f, b in zip(fields, below)]
                 if not start and level < self.radius:
                     whole = [np.empty((n, *v.shape[1:]), v.dtype) for v in values]
@@ -173,40 +240,50 @@ class BallTable:
                 yield (level, rows, *values)
             below = whole
 
-    def scored(self, min_length: float = 0.0,
-               letter_images: np.ndarray | None = None) -> Iterator[tuple]:
+    def scored(self, min_length: float = 0.0, letter_images: np.ndarray | None = None,
+               classes: bool = False) -> Iterator[tuple]:
         """For each block of ``blocks`` holding cyclically reduced words of
         seed translation length t >= min_length, yield
-        (level, idx, t, mats, exps, imgs): their indices in the level in
-        shortlex order, their translation lengths, (n, 2, 2) seed images and
-        (n, 2g) exponent sums, and their (n, 3, 3) images (None without
-        letter_images).
+        (level, idx, t, mats, exps, imgs, weight): their indices in the
+        level in shortlex order, their translation lengths, (n, 2, 2) seed
+        images and (n, 2g) exponent sums, their (n, 3, 3) images (None
+        without letter_images) and the number of words each one stands for
+        (None without ``classes``): with ``classes`` a top-level word
+        stands for its rotation class (``class_sizes``) and any other word
+        for itself.
 
         Words whose seed image is +-I are trivial in the group and skipped.
         Raises NotHyperbolic naming the first other cyclically reduced word
-        whose seed image is not hyperbolic (the seed is then not Fuchsian).
+        whose seed image is not hyperbolic (the seed is then not Fuchsian;
+        with ``classes``, a top-level class is named by its least word).
         """
         fields = [self.seed_images, self.exponent_sums]
         if letter_images is not None:
             fields.append(partial(self.images3, letter_images))
-        for level, rows, mats, exps, *imgs in self.blocks(*fields):
+        for level, rows, mats, exps, *imgs in self.blocks(*fields, classes=classes):
             hyp, t = batch_translation_lengths(mats)
             # A word is cyclically reduced unless its first letter inverts
             # its last; a one-letter word's first letter is its last.
             letts = self.letters(level)
-            firsts = np.arange(rows.start, rows.stop) // (len(letts) // (4 * self.genus))
+            idx = np.arange(rows.start, rows.stop) if isinstance(rows, slice) else rows
+            firsts = idx // (len(letts) // (4 * self.genus))
             reduced = firsts != (letts[rows] ^ 1)
             # An image within TRIVIAL_TOL of +-I has t < 0.01.
             near = np.nonzero(reduced & (t < 0.01))[0]
             reduced[near[_near_identity(mats[near])]] = False
             bad = reduced & ~hyp
             if bad.any():
-                w = self.word(level, rows.start + int(np.argmax(bad)))
+                w = self.word(level, int(idx[np.argmax(bad)]))
                 raise NotHyperbolic(f"seed image of {w!r} is not hyperbolic")
             sel = np.nonzero(reduced & (t >= min_length))[0]
             if len(sel):
-                yield (level, rows.start + sel, t[sel], mats[sel], exps[sel],
-                       imgs[0][sel] if imgs else None)
+                idx, weight = idx[sel], None
+                if classes:
+                    # Ones as a read-only view, which allocates nothing.
+                    weight = (self.class_sizes(level, idx) if level == self.radius
+                              else np.broadcast_to(np.int64(1), len(idx)))
+                yield (level, idx, t[sel], mats[sel], exps[sel],
+                       imgs[0][sel] if imgs else None, weight)
 
     def word(self, level: int, i: int) -> str:
         """Dot-separated display string of word i of a level, read off its
@@ -251,7 +328,7 @@ class BallTable:
         return [prev[p] + "." + names[l]
                 for p, l in zip(self.parents(level, rows).tolist(), letters)]
 
-    def images3(self, letter_images: np.ndarray, level: int, rows: slice,
+    def images3(self, letter_images: np.ndarray, level: int, rows,
                 prev: np.ndarray | None) -> np.ndarray:
         """(n, 3, 3) images of the words ``rows`` of a level under a
         representation given by its (4g, 3, 3) letter matrices, from

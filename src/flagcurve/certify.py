@@ -9,12 +9,17 @@ element by element.
 
 Every function here scores the words of ``BallTable.scored``: the
 cyclically reduced ball words that are nontrivial in the group, whose seed
-images must be hyperbolic.  ``certify_anosov`` builds the ball once and
-reads the signed ratio r = u(w)/t(w) of every scored word in one pass
-(``_scan``), which yields the stable-norm estimate, the saddle
-cross-check, the refuting witness and the extrema of r that give the gap
-rates; ``stable_norm`` and ``anosov_rates`` run the same pass on a ball
-of their own.  Witnesses are named through ``BallTable.word``.
+images must be hyperbolic.  The criterion and the eigenvalue gaps are
+conjugacy invariants, so on the top level, most of the ball, only the
+least word of each rotation class is scored, and counted as many times
+as its class has words: ``n_scored``, ``n_elements`` and the loxodromy
+rate count words, while extrema and witnesses come from each class's
+least word.  ``certify_anosov`` builds the ball once and reads the
+signed ratio r = u(w)/t(w) of every scored word in one pass (``_scan``),
+which yields the stable-norm estimate, the saddle cross-check, the
+refuting witness and the extrema of r that give the gap rates;
+``stable_norm`` and ``anosov_rates`` run the same pass on a ball of
+their own.  Witnesses are named through ``BallTable.word``.
 
 The pass reads the ball as ``BallTable.scored`` streams it: the seed data
 and 3x3 images of the level below the one being read are held whole, and
@@ -77,13 +82,14 @@ def _scan(table: BallTable, u: CohomologyClass, min_length: float,
     whether the ratio and saddle tests agree (checked only when the
     ``letter_images`` are given), the scored count, and the rate data of
     the words with t >= min_length: (least r, greatest r, their count, the
-    first with |r| within GAP_TOL of 1/2 or None).
+    first with |r| within GAP_TOL of 1/2 or None).  Top-level words are
+    read one per rotation class and counted with their class sizes.
     """
     uvec = u.as_vector()
     tops = {}  # level -> (max |r|, first word index at it)
     refut_word, agree, scored = None, True, 0
     lo, hi, n_kept, degenerate_word = math.inf, -math.inf, 0, None
-    for level, idx, t, _mats, exps, imgs in table.scored(0.0, letter_images):
+    for level, idx, t, _mats, exps, imgs, weight in table.scored(0.0, letter_images, True):
         saddle_pass = None if imgs is None else batch_saddle_at_e2(imgs)
         r = rowwise_dot(exps, uvec) / t
         vals = np.abs(r)
@@ -95,11 +101,11 @@ def _scan(table: BallTable, u: CohomologyClass, min_length: float,
             refut_word = table.word(level, int(idx[np.argmin(ratio_pass)]))
         if saddle_pass is not None:
             agree &= bool(np.array_equal(ratio_pass, saddle_pass))
-        scored += len(idx)
+        scored += int(weight.sum())
         keep = t >= min_length
         rk = r[keep]
         lo, hi = float(rk.min(initial=lo)), float(rk.max(initial=hi))
-        n_kept += len(rk)
+        n_kept += int(weight[keep].sum())
         degenerate = np.abs(vals[keep] - 0.5) <= GAP_TOL
         if degenerate_word is None and degenerate.any():
             degenerate_word = table.word(level, int(idx[keep][np.argmax(degenerate)]))
@@ -215,11 +221,11 @@ def probe_explicit(
     n_scored = 0
     n_lox = 0
     inf_top, inf_bot = math.inf, math.inf
-    for _level, idx, t, _mats, _exps, imgs in table.scored(min_length,
-                                                           spec.letter_images()):
+    for _level, _idx, t, _mats, _exps, imgs, weight in table.scored(
+            min_length, spec.letter_images(), True):
         lox, vals = batch_loxodromic(imgs)
-        n_scored += len(idx)
-        n_lox += int(lox.sum())
+        n_scored += int(weight.sum())
+        n_lox += int(weight[lox].sum())
         if lox.any():
             a = np.abs(vals[lox])
             inf_top = min(inf_top, float((np.log(a[:, 0] / a[:, 1]) / t[lox]).min()))

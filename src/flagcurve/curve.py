@@ -106,13 +106,14 @@ def greedy_thin(x: np.ndarray, spacing: float) -> np.ndarray:
     each start with a kept entry.  Inside a run of smaller gaps the next
     kept entry after x[k] is found by ``searchsorted`` at x[k] + spacing
     and then moved to the first index meeting the exact predicate, which
-    is monotone in the index and constant on equal values.
+    is monotone in the index and constant on equal values.  A run of two
+    keeps only its start, so only longer runs are walked.
     """
     if not len(x):
         return np.empty(0, dtype=np.intp)
     starts = np.concatenate(([0], np.flatnonzero(np.diff(x) >= spacing) + 1))
     ends = np.append(starts[1:], len(x))
-    runs = ends - starts > 1
+    runs = ends - starts > 2
     kept = [starts]
     for a, b in zip(starts[runs].tolist(), ends[runs].tolist()):
         k, inner = a, []
@@ -150,7 +151,8 @@ def sample_limit_curve(
     points, lines = np.empty((size, 3)), np.empty((size, 3))
     levels, index = np.empty(size, dtype=np.int8), np.empty(size, dtype=np.int64)
     n = 0
-    for level, idx, t, mats, _exps, imgs in table.scored(min_length, spec.letter_images()):
+    for level, idx, t, mats, _exps, imgs, _weight in table.scored(min_length,
+                                                                  spec.letter_images()):
         lox, pts, lns = batch_attracting_flags(imgs)
         rows = slice(n, n + len(pts))
         points[rows] = pts

@@ -11,8 +11,12 @@ within the tolerance band of a sampled curve are "on-boundary", not
 
 ``recurrence_experiment`` maps the base flag by every ball word, block by
 block from ``BallTable.blocks``: the images of the level below the one
-being read are held whole, while the last level's images, their inverses
-and the mapped flags exist one block at a time.
+being read are held whole, while the last level's images and the mapped
+flags exist one block at a time.  A word's displacement is the larger of
+its point's and its line's, so the point alone rules out most words: only
+a word whose point moves by at most 2*nbhd can return, and only one whose
+point moves less than the least displacement so far can lower it.  Only
+those words pay for an inverse and a mapped line.
 """
 
 from __future__ import annotations
@@ -74,13 +78,16 @@ class RecurrenceReport:
     free_at_scale: bool  # no nonempty word fixes the base within 1e-8
 
 
+def _angles(rows: np.ndarray, base: np.ndarray) -> np.ndarray:
+    """Angular distances of unit rows from a unit base, up to sign."""
+    return np.arccos(np.minimum(1.0, np.abs(rowwise_dot(rows, base))))
+
+
 def flag_displacement(points: np.ndarray, lines: np.ndarray,
                       base_point: np.ndarray, base_line: np.ndarray) -> np.ndarray:
     """Chordal displacement of mapped flags from the base: max of the two
     angular distances."""
-    dp = np.arccos(np.minimum(1.0, np.abs(rowwise_dot(points, base_point))))
-    dl = np.arccos(np.minimum(1.0, np.abs(rowwise_dot(lines, base_line))))
-    return np.maximum(dp, dl)
+    return np.maximum(_angles(points, base_point), _angles(lines, base_line))
 
 
 def recurrence_experiment(spec: RepSpec, base: Flag, nbhd: float, radius: int,
@@ -107,13 +114,18 @@ def recurrence_experiment(spec: RepSpec, base: Flag, nbhd: float, radius: int,
     for level, rows, imgs in table.blocks(partial(table.images3, spec.letter_images())):
         pts = np.einsum("nij,j->ni", imgs, bp)
         pts /= np.linalg.norm(pts, axis=1)[:, None]
-        duals = np.linalg.inv(imgs).transpose(0, 2, 1)
-        lns = np.einsum("nij,j->ni", duals, bl)
-        lns /= np.linalg.norm(lns, axis=1)[:, None]
-        disp = flag_displacement(pts, lns, bp, bl)
-        min_disp = min(min_disp, float(disp.min()))
-        hits = np.nonzero(disp <= 2.0 * nbhd)[0]
-        returning.extend(table.word(level, rows.start + int(i)) for i in hits)
+        dp = _angles(pts, bp)
+        # The displacement max(dp, dl) is at least dp: no other word can
+        # return or lower the minimum.
+        cand = np.flatnonzero((dp <= 2.0 * nbhd) | (dp < min_disp))
+        if len(cand):
+            duals = np.linalg.inv(imgs[cand]).transpose(0, 2, 1)
+            lns = np.einsum("nij,j->ni", duals, bl)
+            lns /= np.linalg.norm(lns, axis=1)[:, None]
+            disp = np.maximum(dp[cand], _angles(lns, bl))
+            min_disp = min(min_disp, float(disp.min()))
+            hits = cand[disp <= 2.0 * nbhd]
+            returning.extend(table.word(level, rows.start + int(i)) for i in hits)
         counts[level] = len(returning)
     history = list(counts.items())
     stabilized = len(history) >= 3 and history[-1][1] == history[-2][1] == history[-3][1]

@@ -4,11 +4,13 @@ number of bytes per ball word."""
 
 import dataclasses
 import math
-from functools import partial
+from functools import lru_cache, partial
 import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from flagcurve import (
     CohomologyClass,
@@ -23,12 +25,14 @@ from flagcurve import (
     pushforward_deviation,
     recurrence_experiment,
     sample_limit_curve,
+    stable_norm,
     standard_fuchsian,
     translation_length,
 )
 from flagcurve import ball
 from flagcurve.ball import BallTable
 from flagcurve.errors import FlagCurveError, NonLoxodromicEncountered
+from flagcurve.surface import Word, letter_name
 
 RADIUS = 4
 
@@ -121,6 +125,120 @@ def test_recurrence_derives_no_seed_data(monkeypatch, radial, default_runs):
     assert _same(got, default_runs["recurrence"])
 
 
+@lru_cache(maxsize=None)
+def _level_classes(genus: int, length: int) -> tuple:
+    """(table, letters, kept, sizes): a ball of radius ``length``, its top
+    level's words as an (n, length) letter array read off the parents,
+    and the level's ``least_rotations`` and their ``class_sizes``."""
+    table = BallTable.build(standard_fuchsian(genus), length)
+    n = len(table.letters(length))
+    letters = np.empty((n, length), dtype=np.int8)
+    up = np.arange(n)
+    for k in range(length, 0, -1):
+        letters[:, k - 1] = table.letters(k)[up]
+        up = up // (4 * genus - 1)
+    kept = np.concatenate([table.least_rotations(length, slice(s, s + 4096))
+                           for s in range(0, n, 4096)])
+    return table, letters, kept, table.class_sizes(length, kept)
+
+
+@settings(max_examples=60, deadline=None)
+@given(genus=st.sampled_from([2, 3]), length=st.integers(1, 6), data=st.data())
+def test_rotation_classes_partition_the_cyclically_reduced_words(genus, length, data):
+    table, letters, kept, sizes = _level_classes(genus, length)
+    # Cyclically reduced words of length L in the free group on n = 2g
+    # letters: (2n-1)^L + 1 + (n-1)(1 + (-1)^L).
+    n = 2 * genus
+    reduced = letters[:, 0] != letters[:, -1] ^ 1
+    assert reduced.sum() == (2 * n - 1) ** length + 1 + (n - 1) * (1 + (-1) ** length)
+    assert sizes.sum() == reduced.sum()
+    assert reduced[kept].all() and (np.diff(kept) > 0).all()
+    # Every kept word is below or equal to each of its rotations, and its
+    # size is its least period.
+    words = letters[kept]
+    period = np.full(len(kept), length)
+    for s in range(1, length):
+        rot = np.roll(words, -s, axis=1)
+        differ = rot != words
+        first = differ.argmax(axis=1)
+        rows = np.arange(len(kept))
+        assert (~differ.any(axis=1) | (rot[rows, first] > words[rows, first])).all()
+        period[~differ.any(axis=1) & (period == length)] = s
+    assert np.array_equal(sizes, period)
+    # A drawn word: kept exactly when it is cyclically reduced and the least
+    # of its rotations, whose class size counts its distinct rotations.
+    i = data.draw(st.integers(0, len(letters) - 1))
+    word = tuple(letters[i].tolist())
+    pos = int(np.searchsorted(kept, i))
+    is_kept = pos < len(kept) and kept[pos] == i
+    rots = {word[s:] + word[:s] for s in range(length)}
+    assert is_kept == (bool(reduced[i]) and word == min(rots))
+    if is_kept:
+        assert sizes[pos] == len(rots)
+
+
+def _least_rotation(name: str, genus: int) -> str:
+    """Display string of the least rotation of a word."""
+    w = Word.parse(name, genus).letters
+    return ".".join(map(letter_name, min(w[s:] + w[:s] for s in range(len(w)))))
+
+
+def _per_word(monkeypatch):
+    """Make every class pass read each cyclically reduced top-level word,
+    each standing for itself."""
+    def every_row(self, level, rows):
+        return np.arange(*rows.indices(len(self.letters(level))))
+
+    monkeypatch.setattr(BallTable, "least_rotations", every_row)
+    monkeypatch.setattr(BallTable, "class_sizes",
+                        lambda self, level, idx: np.ones(len(idx), dtype=np.int64))
+
+
+@pytest.mark.parametrize("radius", [4, 5])
+def test_class_pass_matches_per_word_pass(monkeypatch, seed2, radial, refuted, explicit,
+                                          radius):
+    # The criterion and the gaps are conjugacy invariants, so scoring one
+    # word a rotation class changes values only in their last bits: a
+    # class's float values come from its least word.  Counts still count
+    # words, and a top-level witness is its class's least word.
+    def witness(got, want):
+        if want is None or want.count(".") + 1 < radius:
+            return got == want
+        return got == _least_rotation(want, 2)
+
+    # u = c(a1* - b1* + a2* - b2*) puts the stable-norm witness, and at
+    # c = 0.77 the refutation, on a1.B1.a2.B2, a top-level word at R=4.
+    specs = (radial, refuted) + tuple(
+        RepSpec("linear_u", seed2, u=CohomologyClass.from_dict(
+            {"a1": c, "b1": -c, "a2": c, "b2": -c}, 2)) for c in (0.1, 0.77))
+    classed = [certify_anosov(s, radius) for s in specs], probe_explicit(explicit, radius)
+    with monkeypatch.context() as m:
+        _per_word(m)
+        words = [certify_anosov(s, radius) for s in specs], probe_explicit(explicit, radius)
+    for got, want in zip(classed[0], words[0]):
+        assert (got.verdict, got.n_scored, got.tests_agree) == \
+            (want.verdict, want.n_scored, want.tests_agree)
+        assert got.estimate.value == pytest.approx(want.estimate.value, rel=1e-12)
+        assert witness(got.estimate.witness, want.estimate.witness)
+        assert [lv for lv, _ in got.estimate.history] == [lv for lv, _ in want.estimate.history]
+        assert [v for _, v in got.estimate.history] == \
+            pytest.approx([v for _, v in want.estimate.history], rel=1e-12)
+        assert witness(got.refuting_witness, want.refuting_witness)
+        assert (got.rates is None) == (want.rates is None)
+        if got.rates is not None:
+            assert got.rates.n_elements == want.rates.n_elements
+            assert got.rates.inf_top_gap == pytest.approx(want.rates.inf_top_gap, rel=1e-12)
+            assert got.rates.inf_bottom_gap == pytest.approx(want.rates.inf_bottom_gap,
+                                                             rel=1e-12)
+    got, want = classed[1], words[1]
+    assert (got.n_scored, got.loxodromy_rate) == (want.n_scored, want.loxodromy_rate)
+    assert got.inf_top_gap == pytest.approx(want.inf_top_gap, rel=1e-12)
+    assert got.inf_bottom_gap == pytest.approx(want.inf_bottom_gap, rel=1e-12)
+    assert stable_norm(radial.u, seed2, radius).value == \
+        pytest.approx(classed[0][0].estimate.value, rel=0)
+    assert anosov_rates(radial, radius) == classed[0][0].rates
+
+
 def test_a_level_maximum_lies_past_its_first_block(monkeypatch, refuted):
     # The per-level maximum of _scan must be the first maximum over every
     # block of the level; at 5 rows a block, some level's lies in a later
@@ -128,7 +246,7 @@ def test_a_level_maximum_lies_past_its_first_block(monkeypatch, refuted):
     monkeypatch.setattr(ball, "BLOCK_ROWS", 5)
     table = BallTable.build(refuted.seed, RADIUS)
     maxima = {}
-    for level, _idx, t, _mats, exps, _imgs in table.scored():
+    for level, _idx, t, _mats, exps, _imgs, _weight in table.scored():
         r = np.abs(exps @ refuted.u.as_vector()) / t
         maxima.setdefault(level, []).append(r.max())
     assert any(np.argmax(m) > 0 for m in maxima.values())
@@ -191,7 +309,8 @@ def test_sampled_curve_peak_memory(radial):
     # The sampler keeps one (level, index) id a sample, names no word and
     # reads the last level's seed images a block at a time: at genus 2,
     # R=6 its traced peak, its own ball included, stays within 160 B a
-    # ball word (116 B now; parent indices took it to 124 B, the whole
+    # ball word (112 B now; an index array for each run of two in
+    # greedy_thin took it to 116 B, parent indices to 124 B, the whole
     # last level kept to 177 B, and word strings to 250 B).
     radius = 6
     tracemalloc.start()

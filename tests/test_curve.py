@@ -70,6 +70,10 @@ def _thin_inputs(draw):
 # x[2] - x[0] rounds up to the spacing although x[2] < fl(x[0] + spacing).
 @example(case=(1e-7, np.array([-4.3357229086071404e-08, 0.0, 5.6642770913928584e-08,
                                5.664277091392859e-08])))
+# Mostly runs of two (a pair closer than the spacing), as in the curve
+# sampler's dedup, with a run of three and one of a single entry.
+@example(case=(0.125, np.array([0, 0.1, 0.3, 0.3, 0.5, 0.62, 0.8, 0.9, 0.95, 1.1, 1.3,
+                                1.42499, 1.6, 1.7])))
 def test_greedy_thin_matches_loop(case):
     spacing, x = case
     assert greedy_thin(x, spacing).tolist() == _thin_loop(x, spacing)
@@ -216,60 +220,103 @@ def test_stable_norm_monotone_in_radius(seed2):
     assert e4.value >= e3.value - 1e-15
 
 
-def _patch_seed_image(monkeypatch, level: int, k: int, mat) -> None:
-    """Make every ball give word k of a level the seed image ``mat``, by
-    wrapping the kernel that derives seed images block by block."""
+def _patch_seed_images(monkeypatch, level: int, ks, mat) -> None:
+    """Make every ball give the words ``ks`` of a level the seed image
+    ``mat``, by wrapping the kernel that derives seed images block by
+    block (``rows`` a slice, or the index array of a top level read one
+    rotation class at a time)."""
     kernel = BallTable.seed_images
 
     def seed_images(self, lv, rows, below):
         mats = kernel(self, lv, rows, below)
-        if lv == level and rows.start <= k < rows.stop:
-            mats[k - rows.start] = mat
+        if lv == level:
+            idx = np.arange(rows.start, rows.stop) if isinstance(rows, slice) else rows
+            mats[np.isin(idx, ks)] = mat
         return mats
 
     monkeypatch.setattr(BallTable, "seed_images", seed_images)
 
 
+def _rotations(table: BallTable, level: int, k: int) -> list:
+    """Indices in a level of the rotations of its word k, least first."""
+    strs = table.word_strings(level)
+    names = strs[k].split(".")
+    return sorted({strs.index(".".join(names[s:] + names[:s])) for s in range(level)})
+
+
+def _level_scores(table: BallTable, classes: bool) -> dict:
+    """level -> (scored indices, the words each stands for) of one scored
+    pass; a per-word pass's words stand for themselves."""
+    out = {}
+    for level, idx, *_, weight in table.scored(0.0, None, classes):
+        weight = np.ones(len(idx), dtype=np.int64) if weight is None else weight
+        prev = out.get(level, (np.empty(0, int), np.empty(0, int)))
+        out[level] = (np.concatenate([prev[0], idx]), np.concatenate([prev[1], weight]))
+    return out
+
+
 def test_non_hyperbolic_seed_image_is_named(monkeypatch, seed2, u_a1):
+    # Hyperbolicity is a conjugacy invariant, so a bad seed image spoils a
+    # whole rotation class, or, read one class at a time, the class's least
+    # word.  Either way every pass names the shortlex-first bad word: the
+    # per-word pass of the curve sampler and the class pass of certify.
     table = BallTable.build(seed2, 3)
-    k = int(np.concatenate([idx for level, idx, *_ in table.scored() if level == 3])[100])
+    top = np.concatenate([idx for level, idx, *_ in table.scored() if level == 3])
+    # The rotation class of the first scored word past the 100th whose
+    # class has three words.
+    ks = next(r for r in (_rotations(table, 3, int(k)) for k in top[100:]) if len(r) == 3)
     c, s = math.cos(0.3), math.sin(0.3)
-    _patch_seed_image(monkeypatch, 3, k, [[c, -s], [s, c]])
-    named = re.escape(repr(table.word_strings(3)[k]))
+    named = re.escape(repr(table.word_strings(3)[ks[0]]))
     spec = RepSpec("linear_u", seed2, u=u_a1)
-    for run in (
-        lambda: list(table.scored()),
-        lambda: stable_norm(u_a1, seed2, 3),
-        lambda: certify_anosov(spec, 3),
-    ):
-        with pytest.raises(NotHyperbolic, match=named):
-            run()
+    for patched in (ks, ks[:1]):
+        with monkeypatch.context() as m:
+            _patch_seed_images(m, 3, patched, [[c, -s], [s, c]])
+            for run in (
+                lambda: list(table.scored()),
+                lambda: list(table.scored(0.0, None, True)),
+                lambda: stable_norm(u_a1, seed2, 3),
+                lambda: certify_anosov(spec, 3),
+            ):
+                with pytest.raises(NotHyperbolic, match=named):
+                    run()
 
 
 @pytest.mark.parametrize("sign", [1.0, -1.0])
 def test_trivial_seed_image_is_skipped(monkeypatch, seed2, u_a1, canonical2, sign):
     # From radius 4g on the ball holds the relator and its rotations, whose
     # seed images are +-I: they are the identity in the group, so scoring
-    # drops them instead of raising.
+    # drops them instead of raising.  A top-level class's least word stands
+    # for its class in certify, so certify drops the whole class whether
+    # the class or only that word reads +-I; the curve sampler reads every
+    # word and drops just the patched ones.
     ref_model = sample_limit_curve(canonical2, 3)
     dropped = next(w for w in ref_model.words if w.count(".") == 2)
     table = BallTable.build(seed2, 3)
-    k = table.word_strings(3).index(dropped)
-    want = {level: idx for level, idx, *_ in table.scored()}
-    want[3] = want[3][want[3] != k]
+    ks = _rotations(table, 3, table.word_strings(3).index(dropped))
+    assert len(ks) == 3
+    want_words, want_classes = _level_scores(table, False), _level_scores(table, True)
+    assert ks[0] in want_classes[3][0]
     spec = RepSpec("linear_u", seed2, u=u_a1)
     ref_norm, ref = stable_norm(u_a1, seed2, 3), certify_anosov(spec, 3)
-    _patch_seed_image(monkeypatch, 3, k, sign * np.eye(2))
-    got = {level: idx for level, idx, *_ in table.scored()}
-    assert got.keys() == want.keys()
-    for level in want:
-        assert np.array_equal(got[level], want[level])
-    assert stable_norm(u_a1, seed2, 3) == ref_norm
-    res = certify_anosov(spec, 3)
-    assert (res.verdict, res.tests_agree) == (ref.verdict, ref.tests_agree)
-    assert res.n_scored == ref.n_scored - 1
-    model = sample_limit_curve(canonical2, 3)
-    assert tuple(model.words) == tuple(w for w in ref_model.words if w != dropped)
+    for patched in (ks, ks[:1]):
+        with monkeypatch.context() as m:
+            _patch_seed_images(m, 3, patched, sign * np.eye(2))
+            for classes, want, gone in ((False, want_words, patched),
+                                        (True, want_classes, ks[:1])):
+                got = _level_scores(table, classes)
+                assert got.keys() == want.keys()
+                for level in want:
+                    keep = ~np.isin(want[level][0], gone) if level == 3 else slice(None)
+                    assert np.array_equal(got[level][0], want[level][0][keep])
+                    assert np.array_equal(got[level][1], want[level][1][keep])
+            assert stable_norm(u_a1, seed2, 3) == ref_norm
+            res = certify_anosov(spec, 3)
+            assert (res.verdict, res.tests_agree) == (ref.verdict, ref.tests_agree)
+            assert res.n_scored == ref.n_scored - len(ks)
+            assert res.rates.n_elements == ref.rates.n_elements - len(ks)
+            model = sample_limit_curve(canonical2, 3)
+            names = {table.word_strings(3)[i] for i in patched}
+            assert tuple(model.words) == tuple(w for w in ref_model.words if w not in names)
 
 
 @pytest.mark.parametrize("variant", ["linear_u", "radial"])
@@ -373,8 +420,11 @@ def test_rates_match_generic_eigensolver(monkeypatch, seed2):
     # accumulated matrix products (accurate only up to e^t determinant drift)
     from flagcurve.spectral import batch_eigvals3
 
+    # The rates read the top level one rotation class at a time, each
+    # class's least word standing for its class.
     pos, inf_top = 0, np.inf
-    for _level, idx, t, _mats, exps, imgs in table.scored(0.5, spec.letter_images()):
+    for _level, _idx, t, _mats, exps, imgs, weight in table.scored(
+            0.5, spec.letter_images(), True):
         vals, real = batch_eigvals3(imgs)
         assert real.all()
         a = np.abs(vals)
@@ -384,7 +434,7 @@ def test_rates_match_generic_eigensolver(monkeypatch, seed2):
         # while the [e2] eigenvalue is the middle one (true here)
         assert np.abs(got_top - ref).max() <= 1e-8
         inf_top = min(inf_top, ref.min())
-        pos += len(idx)
+        pos += int(weight.sum())
     assert pos == rates.n_elements
     assert rates.inf_top_gap == inf_top
 

@@ -1,4 +1,5 @@
 import math
+from functools import partial
 
 import numpy as np
 import pytest
@@ -17,6 +18,8 @@ from flagcurve import (
     recurrence_experiment,
     sample_limit_curve,
 )
+from flagcurve import ball
+from flagcurve.ball import BallTable
 from flagcurve.domain import flag_displacement
 from flagcurve.errors import BaseNotInterior
 
@@ -153,10 +156,8 @@ def test_recurrence_brute_force_oracle(canonical2, seed2, model4):
     assert sorted(hits) == sorted(rep.returning_words)
 
 
-def test_recurrence_wider_neighborhood_returns_more(canonical2, model4):
-    # a base near the attracting fixed flag of a1 is moved little by a1,
-    # so growing the neighborhood past that displacement gains exactly the
-    # orbit point's witnesses
+def _near_a1_base(canonical2) -> Flag:
+    """A base near the attracting fixed flag of a1, so a1 moves it little."""
     from flagcurve.spectral import attractive_flag
 
     g = evaluate(canonical2, Word.parse("a1", 2))
@@ -166,12 +167,60 @@ def test_recurrence_wider_neighborhood_returns_more(canonical2, model4):
     pb /= np.linalg.norm(pb)
     lb = l - (l @ pb) * pb + 0.25 * (E2 - (E2 @ pb) * pb)
     lb /= np.linalg.norm(lb)
-    base = Flag.of(pb, lb, tol=1e-8)
+    return Flag.of(pb, lb, tol=1e-8)
+
+
+def test_recurrence_wider_neighborhood_returns_more(canonical2, model4):
+    # a base near the attracting fixed flag of a1 is moved little by a1,
+    # so growing the neighborhood past that displacement gains exactly the
+    # orbit point's witnesses
+    base = _near_a1_base(canonical2)
     tight = recurrence_experiment(canonical2, base, 0.05, 3, model=model4)
     assert tight.returning_words == ("",)
     grown = recurrence_experiment(canonical2, base, 0.1, 3, model=model4)
     assert "a1" in grown.returning_words
     assert set(tight.returning_words) < set(grown.returning_words)
+
+
+def _recurrence_full_inverse(spec, base, nbhd, radius) -> tuple:
+    """(returning words, least nonempty displacement) with every ball
+    word's image inverted and its line mapped, block by block."""
+    table = BallTable.build(spec.seed, radius)
+    bp, bl = base.point.rep, base.line.rep
+    returning, least = [""], math.inf
+    for level, rows, imgs in table.blocks(partial(table.images3, spec.letter_images())):
+        pts = np.einsum("nij,j->ni", imgs, bp)
+        pts /= np.linalg.norm(pts, axis=1)[:, None]
+        lns = np.einsum("nij,j->ni", np.linalg.inv(imgs).transpose(0, 2, 1), bl)
+        lns /= np.linalg.norm(lns, axis=1)[:, None]
+        disp = flag_displacement(pts, lns, bp, bl)
+        least = min(least, float(disp.min()))
+        returning += [table.word(level, rows.start + int(i))
+                      for i in np.flatnonzero(disp <= 2.0 * nbhd)]
+    return tuple(returning), least
+
+
+@pytest.mark.parametrize("rows", [1, 7, 10 ** 6])
+def test_recurrence_matches_full_inverse(monkeypatch, canonical2, seed2, model4, rows):
+    # Only the words whose point alone could return or lower the running
+    # minimum are inverted; the rest cannot change the report, whatever
+    # the block size, so the words and the minimum's bits are those of
+    # inverting every word.
+    monkeypatch.setattr(ball, "BLOCK_ROWS", rows)
+    u = CohomologyClass.from_dict({"a1": 0.25}, 2)
+    radial = coboundary_radial(RepSpec("linear_u", seed2, u=u), 0.15, 0.1)
+    cases = [(canonical2, BASE, 0.05, model4),
+             (canonical2, _near_a1_base(canonical2), 0.1, model4),
+             (radial, BASE, 0.05, sample_limit_curve(radial, 4))]
+    caught = 0
+    for spec, base, nbhd, model in cases:
+        rep = recurrence_experiment(spec, base, nbhd, 4, model=model)
+        words, least = _recurrence_full_inverse(spec, base, nbhd, 4)
+        assert rep.returning_words == words
+        assert np.float64(rep.min_nonempty_displacement).tobytes() == \
+            np.float64(least).tobytes()
+        caught += len(words) - 1
+    assert caught >= 1  # a1 returns near its attracting flag
 
 
 def test_recurrence_rejects_boundary_base(canonical2, model4):
