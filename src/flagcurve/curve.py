@@ -19,7 +19,7 @@ and each sample's word as a (level, index) id (``ball.WordIds``): one
 int8 and one int64 a sample, plus the sampled ``BallTable`` itself, only
 each level's last letters (1 B a ball word).  No word string exists
 until one is read: ``model.words[i]`` names one word, and
-``CurveModel.csv_rows`` names only the rows asked for.
+``model.words[rows]`` selects ids that name only those rows when read.
 
 Crossing counts use sign changes of the pairing along the param-ordered
 point samples.  Representatives are sign-canonicalized, so consecutive
@@ -87,14 +87,6 @@ class CurveModel:
         if self.exact_line_point is not None:
             return math.asin(min(1.0, abs(float(rep @ self.exact_line_point))))
         return float(np.arccos(np.minimum(1.0, np.abs(self.lines @ rep)).max()))
-
-    def csv_rows(self, rows: slice = slice(None)):
-        """The CSV fields of the samples ``rows``, one 9-tuple each: param,
-        point, line, word and translation length, the numbers as Python
-        floats.  Only these samples' words are named."""
-        return zip(self.params[rows].tolist(), *self.points[rows].T.tolist(),
-                   *self.lines[rows].T.tolist(), list(self.words[rows]),
-                   self.tlens[rows].tolist())
 
 
 def greedy_thin(x: np.ndarray, spacing: float) -> np.ndarray:

@@ -22,24 +22,33 @@ import numpy as np
 CONSTRUCTED_TOL = 1e-10
 
 _UNIT_SLACK = 4 * np.finfo(float).eps
+_TINY = np.finfo(float).tiny  # the least normal double
 
 
 def canonicalize(v: np.ndarray) -> np.ndarray:
     """Unit-norm, first-nonzero-positive representative of a homogeneous vector.
 
     Idempotent bit-exactly: vectors whose norm is already 1 within a few ulp
-    are not rescaled again.  Raises ValueError for a zero vector and for
-    one whose norm overflows (it would otherwise scale to zero).
+    are not rescaled again.  A vector whose squared norm falls below the
+    normal range is first divided by its largest entry, so a tiny nonzero
+    vector still gets a unit representative.  Raises ValueError for a zero
+    vector and for one whose squared norm overflows (it would otherwise
+    scale to zero).
     """
     v = np.asarray(v, dtype=float)
     if v.shape != (3,):
         raise ValueError(f"expected a 3-vector, got shape {v.shape}")
-    with np.errstate(over="ignore"):
-        n = float(np.sqrt(v @ v))
-    if not math.isfinite(n):
+    with np.errstate(over="ignore", under="ignore"):
+        sq = float(v @ v)
+    if not math.isfinite(sq):
         raise ValueError("vector norm overflows or is not a number")
-    if n < 1e-300:
-        raise ValueError("zero vector has no projective class")
+    if sq < _TINY:
+        top = float(np.abs(v).max())
+        if top == 0.0:
+            raise ValueError("zero vector has no projective class")
+        v = v / top
+        sq = float(v @ v)
+    n = math.sqrt(sq)
     if abs(n - 1.0) > _UNIT_SLACK:
         v = v / n
     for x in v:

@@ -169,6 +169,26 @@ def test_curve_csv_does_not_depend_on_chunk_size(tmp_path, monkeypatch, curve_cs
     assert {w.count(".") for w in words} == {0, 1, 2}
 
 
+@pytest.mark.parametrize("spec", ["canonical", "radial", "explicit"])
+def test_curve_csv_fields_are_repr(tmp_path, spec):
+    # Each number is repr of the model's float and reads back to its bits.
+    # The canonical curve's points have y = 0 and its lines b = 0: 392
+    # rows hold 784 zeros, signed either way.
+    rep_spec = {"canonical": CANONICAL_G2, "radial": RADIAL_G2,
+                "explicit": _conjugated_radial_g2()}[spec]
+    config = {"rep_spec": rep_spec, "ball_radius": 3}
+    assert _run(tmp_path, "limit-curve", config) == 0
+    rows = [line.split(",") for line in
+            (tmp_path / "out" / "curve.csv").read_text(encoding="ascii").splitlines()[1:]]
+    model = cli._model(cli.RunConfig(config, b"", None))
+    want = np.column_stack([model.params, model.points, model.lines, model.tlens])
+    got = [row[:7] + row[8:] for row in rows]
+    assert got == [[repr(v) for v in row] for row in want.tolist()]
+    assert np.array_equal(np.array(got, dtype=float).view(np.uint64), want.view(np.uint64))
+    if spec == "canonical":
+        assert sum(f in ("0.0", "-0.0") for row in got for f in row) == 784 == 2 * len(rows)
+
+
 @pytest.mark.parametrize("command", ["delta", "regularity", "orbit"])
 def test_model_commands_name_no_word(tmp_path, monkeypatch, command):
     def refuse(self, level):
@@ -357,13 +377,14 @@ def test_model_outputs_do_not_depend_on_slice_rows(tmp_path, monkeypatch, case, 
 
 def test_loading_a_config_leaves_openssl_unloaded(tmp_path):
     # hashlib's OpenSSL backend adds about 3.4 MB to every command's
-    # resident peak; only the report header needs the input digest.
+    # resident peak; only the report header needs the input digest.  The
+    # CSV formatter, too, loads only in the commands that write CSV.
     path = tmp_path / "config.json"
     path.write_text(json.dumps({"rep_spec": RADIAL_G2}), encoding="utf-8")
     probe = ("import sys\n"
              "import flagcurve.cli as cli\n"
              "cli.RunConfig.load(sys.argv[1], None, None)\n"
-             "print(sorted(m for m in sys.modules if 'hashlib' in m))\n")
+             "print(sorted(m for m in sys.modules if 'hashlib' in m or 'textfmt' in m))\n")
     src = str(Path(cli.__file__).resolve().parents[1])
     env = {**os.environ,
            "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}

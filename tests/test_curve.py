@@ -493,9 +493,3 @@ def test_regularity_needs_samples(canonical2):
     )
     with pytest.raises(InsufficientSamples):
         regularity_diagnostics(small)
-
-
-def test_csv_rows(model4):
-    rows = list(model4.csv_rows())
-    assert len(rows) == len(model4)
-    assert len(rows[0]) == 9

@@ -29,6 +29,13 @@ def test_canonicalize_rejects_zero():
             canonicalize(v)
 
 
+def test_canonicalize_tiny_vectors():
+    # Squared norms below the normal range: subnormal, or zero in float64.
+    for v in ([1e-160, 0.0, 0.0], [1e-170, 0.0, 0.0], [5e-324, 0.0, 0.0]):
+        assert np.array_equal(canonicalize(v), E1)
+    assert abs(np.linalg.norm(canonicalize([3e-155, 4e-155, 0.0])) - 1.0) <= 4e-16
+
+
 def test_pairing_dual_basis():
     assert pairing(ProjPoint.of(E1), ProjLine.of(E1)) == pytest.approx(1.0)
     assert pairing(ProjPoint.of(E1), ProjLine.of(E3)) == 0.0
