@@ -52,8 +52,7 @@ from typing import Iterator
 import numpy as np
 
 from .errors import NotHyperbolic
-from .surface import (FuchsianSeed, Word, batch_translation_lengths, letter_name,
-                      next_level)
+from .surface import FuchsianSeed, batch_translation_lengths, letter_name, next_level
 
 # A word whose seed image is within this of +-I (entrywise) is taken to be
 # trivial in the group.  Every nontrivial element of a Fuchsian group is
@@ -364,20 +363,3 @@ class WordIds:
 
     def __iter__(self) -> Iterator[str]:
         return iter(self.table.names(self.levels, self.index))
-
-
-def enumerate_ball(seed: FuchsianSeed, radius: int) -> Iterator[tuple]:
-    """Yield every freely reduced word of length <= radius with its SL(2,R)
-    image, in shortlex order."""
-    table = BallTable.build(seed, radius)
-    yield Word((), seed.genus), np.eye(2)
-    words = []
-    for level, rows, mats in table.blocks(table.seed_images):
-        if rows.start == 0:
-            prev, words = words, []
-        letters = table.letters(level)[rows].tolist()
-        heads = ([prev[p] for p in table.parents(level, rows).tolist()] if level > 1
-                 else [()] * len(letters))
-        for head, l, m in zip(heads, letters, mats):
-            words.append(head + (l,))
-            yield Word(words[-1], seed.genus), m

@@ -18,8 +18,8 @@ least word.  ``certify_anosov`` builds the ball once and reads the
 signed ratio r = u(w)/t(w) of every scored word in one pass (``_scan``),
 which yields the stable-norm estimate, the saddle cross-check, the
 refuting witness and the extrema of r that give the gap rates;
-``stable_norm`` and ``anosov_rates`` run the same pass on a ball of
-their own.  Witnesses are named through ``BallTable.word``.
+``anosov_rates`` runs the same pass on a ball of its own.  Witnesses
+are named through ``BallTable.word``.
 
 The pass reads the ball as ``BallTable.scored`` streams it: the seed data
 and 3x3 images of the level below the one being read are held whole, and
@@ -42,7 +42,7 @@ from .errors import (FlagCurveError, InsufficientSamples, NonLoxodromicEncounter
                      UnsupportedSpec)
 from .reps import RepSpec
 from .spectral import GAP_TOL, batch_loxodromic, batch_saddle_at_e2
-from .surface import CohomologyClass, FuchsianSeed
+from .surface import CohomologyClass
 
 DEFAULT_MARGIN = 0.02
 
@@ -130,16 +130,6 @@ def _rates(extrema: tuple) -> RatesResult:
     if not n:
         raise FlagCurveError("no elements pass the length filter")
     return RatesResult(0.5 + lo, 0.5 - hi, n)
-
-
-def stable_norm(u: CohomologyClass, seed: FuchsianSeed, radius: int) -> StableNormEstimate:
-    """Max of |u(w)| / t(w) over the scored (cyclically reduced) ball words.
-
-    A lower bound for the dual stable norm of u, nondecreasing in radius.
-    """
-    if radius < 2:
-        raise ValueError("radius must be >= 2")
-    return _scan(BallTable.build(seed, radius), u, 0.0)[0]
 
 
 def certify_anosov(

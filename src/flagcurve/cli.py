@@ -131,7 +131,8 @@ class RunConfig:
             raise ConfigError("missing field 'rep_spec'")
         try:
             self.spec: RepSpec = spec_from_json_dict(raw["rep_spec"])
-        except (KeyError, ValueError, TypeError, FlagCurveError) as e:
+        except (KeyError, ValueError, TypeError, OverflowError, FlagCurveError) as e:
+            # OverflowError: math.exp of a large |u| in a generator image.
             raise ConfigError(f"bad field 'rep_spec': {e}") from e
         self.ball_radius = json_number(int, raw.get("ball_radius", 6), "ball_radius")
         if not 2 <= self.ball_radius <= 12:
@@ -160,6 +161,10 @@ class RunConfig:
         self.orbit_base = _base_flag(orbit)
         self.orbit_neighborhood = _positive(
             float, orbit.get("neighborhood", 0.05), "orbit.neighborhood")
+        # The base's margins are angles in [0, pi/2], and the recurrence
+        # needs both above 2 * neighborhood.
+        if self.orbit_neighborhood >= math.pi / 4:
+            raise ConfigError("field 'orbit.neighborhood' must be below pi/4")
         self.out_dir = Path(out_dir) if out_dir else Path(output_dir)
         self.raw = raw
         self.source_bytes = source_bytes

@@ -43,9 +43,9 @@ from typing import Sequence
 import numpy as np
 
 from .ball import BallTable, WordIds
-from .errors import InsufficientSamples
+from .errors import FlagCurveError, InsufficientSamples
 from .reps import RepSpec
-from .spectral import batch_attracting_flags, canonicalize_rows
+from .spectral import batch_attracting_flags
 from .surface import batch_attractive_directions
 
 E2 = np.array([0.0, 1.0, 0.0])
@@ -131,7 +131,10 @@ def sample_limit_curve(
 ) -> CurveModel:
     """One sample per cyclically reduced loxodromic ball word with
     translation length >= min_length, deduplicated by param and sorted.
-    Words are kept as (level, index) ids and named only when read."""
+    Words are kept as (level, index) ids and named only when read.
+
+    Raises FlagCurveError naming the first word whose flag is not finite,
+    as when its image leaves the float range."""
     if radius < 2:
         raise ValueError("radius must be >= 2")
     table = BallTable.build(spec.seed, radius)
@@ -146,6 +149,12 @@ def sample_limit_curve(
     for level, idx, t, mats, _exps, imgs, _weight in table.scored(min_length,
                                                                   spec.letter_images()):
         lox, pts, lns = batch_attracting_flags(imgs)
+        # Rows are unit vectors, so the block's sum is finite unless a row
+        # is not; the sum allocates nothing.
+        if not math.isfinite(pts.sum() + lns.sum()):
+            bad = ~(np.isfinite(pts).all(axis=1) & np.isfinite(lns).all(axis=1))
+            word = table.word(level, int(idx[lox][np.argmax(bad)]))
+            raise FlagCurveError(f"flag of {word!r} is not finite")
         rows = slice(n, n + len(pts))
         points[rows] = pts
         lines[rows] = lns
@@ -451,50 +460,6 @@ def injectivity_report(model: CurveModel) -> InjectivityReport:
     p_sep, p_viol = min_sep(model.points)
     l_sep, l_viol = min_sep(model.lines)
     return InjectivityReport(p_sep, l_sep, p_viol + l_viol)
-
-
-def equivariance_report(model: CurveModel, spec: RepSpec) -> dict:
-    """Residuals of curve invariance under the generators.
-
-    When the curve (or its dual) is exactly known, reports the max exact
-    residual of the mapped samples.  Otherwise reports the max angular
-    deviation of each mapped point from the sample nearest to its mapped
-    param, divided by the local param gap (a scale-free heuristic: the
-    curve map is at least Lipschitz on the families handled here).
-    """
-    gen_imgs = spec.generator_images()
-    n = len(model)
-    exact_p, exact_l, rel = 0.0, 0.0, 0.0
-    for k in range(2 * spec.genus):
-        g = gen_imgs[k]
-        gd = np.linalg.inv(g).T
-        mp = canonicalize_rows((g @ model.points.T).T)
-        ml = canonicalize_rows((gd @ model.lines.T).T)
-        if model.exact_point_line is not None:
-            exact_p = max(exact_p, float(np.abs(mp @ model.exact_point_line).max()))
-        else:
-            m2 = spec.seed.generators[k]
-            dirs = np.stack([np.cos(model.params), np.sin(model.params)], axis=1)
-            mdir = (m2 @ dirs.T).T
-            mpar = np.arctan2(mdir[:, 1], mdir[:, 0]) % math.pi
-            pos = np.searchsorted(model.params, mpar)
-            left, right = (pos - 1) % n, pos % n
-            dl = np.abs(model.params[left] - mpar)
-            dl = np.minimum(dl, math.pi - dl)
-            dr = np.abs(model.params[right] - mpar)
-            dr = np.minimum(dr, math.pi - dr)
-            use = np.where(dr <= dl, right, left)
-            gaps = np.maximum(np.minimum(dl, dr), model.dedup_res)
-            ref = model.points[use]
-            dev = np.arccos(np.minimum(1.0, np.abs(np.einsum("ij,ij->i", mp, ref))))
-            rel = max(rel, float((dev / gaps).max()))
-        if model.exact_line_point is not None:
-            exact_l = max(exact_l, float(np.abs(ml @ model.exact_line_point).max()))
-    return {
-        "exact_point_residual": exact_p if model.exact_point_line is not None else None,
-        "exact_line_residual": exact_l if model.exact_line_point is not None else None,
-        "relative_point_deviation": rel if model.exact_point_line is None else None,
-    }
 
 
 # ---------------------------------------------------------------------------

@@ -1,5 +1,5 @@
-"""The invariant domain of flags, membership tests, recurrence experiments
-and tautological-fiber crossing counts.
+"""The invariant domain of flags, membership tests and recurrence
+experiments.
 
 A flag is inside the domain when its point avoids the sampled point curve
 and its line avoids the sampled line curve.  Where a curve is exactly
@@ -28,9 +28,9 @@ from functools import partial
 import numpy as np
 
 from .ball import BallTable, rowwise_dot
-from .curve import CurveModel, crossing_counts, sample_limit_curve
+from .curve import CurveModel, sample_limit_curve
 from .errors import BaseNotInterior
-from .projective import Flag, ProjLine, ProjPoint
+from .projective import Flag
 from .reps import RepSpec
 
 HARD_EPS = 1e-9
@@ -83,13 +83,6 @@ def _angles(rows: np.ndarray, base: np.ndarray) -> np.ndarray:
     return np.arccos(np.minimum(1.0, np.abs(rowwise_dot(rows, base))))
 
 
-def flag_displacement(points: np.ndarray, lines: np.ndarray,
-                      base_point: np.ndarray, base_line: np.ndarray) -> np.ndarray:
-    """Chordal displacement of mapped flags from the base: max of the two
-    angular distances."""
-    return np.maximum(_angles(points, base_point), _angles(lines, base_line))
-
-
 def recurrence_experiment(spec: RepSpec, base: Flag, nbhd: float, radius: int,
                           model: CurveModel | None = None) -> RecurrenceReport:
     """List the ball words that move the base flag by at most 2*nbhd.
@@ -137,33 +130,3 @@ def recurrence_experiment(spec: RepSpec, base: Flag, nbhd: float, radius: int,
         min_nonempty_displacement=min_disp,
         free_at_scale=min_disp > 1e-8,
     )
-
-
-@dataclass(frozen=True)
-class FiberProfile:
-    crossings: int
-    in_m_set: bool
-    nontransversal: bool
-
-
-def fiber_profile(target, model: CurveModel, ztol: float = 1e-9) -> FiberProfile:
-    """Transversal crossings of one projective line with the sampled point
-    curve, or dually of one point's line pencil with the sampled line curve.
-
-    ``in_m_set`` marks targets crossing exactly once.
-    """
-    if isinstance(target, ProjLine):
-        arr = model.points
-    elif isinstance(target, ProjPoint):
-        arr = model.lines
-    else:
-        raise TypeError("target must be a ProjPoint or a ProjLine")
-    cross, tang, allzero = crossing_counts(arr, target.rep[None], ztol)
-    c = int(cross[0])
-    nontrans = bool(allzero[0] or tang[0] > 0)
-    return FiberProfile(
-        crossings=c,
-        in_m_set=(not nontrans) and c == 1,
-        nontransversal=nontrans,
-    )
-

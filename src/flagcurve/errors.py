@@ -21,18 +21,6 @@ class NotUnimodular(FlagCurveError):
     """Input matrix determinant too far from 1."""
 
 
-class ComplexSpectrum(FlagCurveError):
-    """3x3 matrix with a complex-conjugate eigenvalue pair."""
-
-
-class NotLoxodromic(FlagCurveError):
-    """Matrix without three eigenvalues of pairwise distinct modulus."""
-
-
-class NotFixed(FlagCurveError):
-    """Matrix does not fix the required projective point."""
-
-
 class InsufficientSamples(FlagCurveError):
     """Curve model has too few samples for the requested analysis."""
 

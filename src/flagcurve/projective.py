@@ -61,17 +61,6 @@ def canonicalize(v: np.ndarray) -> np.ndarray:
     return out
 
 
-def proj_dist(u: np.ndarray, v: np.ndarray) -> float:
-    """Chordal distance min(|u-v|, |u+v|) of unit representatives.
-
-    Resolves tiny separations to machine precision, unlike the arccos of
-    the dot product (whose error floor near zero angle is ~1e-8).
-    """
-    return float(
-        min(np.linalg.norm(u - v), np.linalg.norm(u + v))
-    )
-
-
 @dataclass(frozen=True, eq=False)
 class ProjPoint:
     """Point of the projective plane, canonicalized unit 3-vector."""

@@ -27,7 +27,6 @@ from .errors import NotUnimodular, UnsupportedSpec
 from .surface import (
     CohomologyClass,
     FuchsianSeed,
-    Word,
     gen_name,
     json_number,
     json_object,
@@ -134,7 +133,7 @@ class RepSpec:
     def relator_residual(self) -> float:
         letters = self.letter_images()
         m = np.eye(3)
-        for l in standard_relator(self.genus).letters:
+        for l in standard_relator(self.genus):
             m = m @ letters[l]
         if self.variant == "explicit":
             # identity in PGL: +-I for matrices
@@ -223,20 +222,6 @@ def spec_from_json_dict(d: dict) -> RepSpec:
     return RepSpec("explicit", seed, matrices=tuple(mats))
 
 
-def evaluate(spec: RepSpec, w: Word) -> np.ndarray:
-    """Image of a word, read-only: product of letter images, determinant
-    renormalized every 16 multiplications to bound drift."""
-    letters = spec.letter_images()
-    m = np.eye(3)
-    for i, l in enumerate(w.letters):
-        m = m @ letters[l]
-        if (i + 1) % 16 == 0:
-            m = m / np.cbrt(np.linalg.det(m))
-    m = m / np.cbrt(np.linalg.det(m))
-    m.flags.writeable = False
-    return m
-
-
 def coboundary_radial(spec: RepSpec, m1: float, m2: float) -> RepSpec:
     """Radial spec obtained by conjugating a linear_u spec with the unipotent
     whose middle row is (m1, 1, m2).
@@ -257,4 +242,3 @@ def coboundary_radial(spec: RepSpec, m1: float, m2: float) -> RepSpec:
         mu.append(float(img[1, 0]))
         nu.append(float(img[1, 2]))
     return RepSpec("radial", spec.seed, u=spec.u, mu=tuple(mu), nu=tuple(nu))
-

@@ -1,30 +1,23 @@
 """Eigenstructure of 3x3 unimodular matrices.
 
-Each eigen task has one batched kernel on (n,3,3) stacks, and the scalar
-functions take one plain (3,3) array g and call that kernel on g[None].
-Eigenvalues come from ``batch_eigvals3``: the characteristic cubic solved
-in trigonometric form with a Newton polish that skips the divergent steps
-near a double root.  ``batch_loxodromic``
+Each eigen task has one kernel on (n,3,3) stacks; a single matrix g is
+the stack g[None].  Eigenvalues come from ``batch_eigvals3``: the
+characteristic cubic solved in trigonometric form with a Newton polish
+that skips the divergent steps near a double root.  ``batch_loxodromic``
 and ``batch_saddle_at_e2`` classify stacks from those eigenvalues.
 Eigenvectors come from ``batch_eigvec``: the longest cross product of two
 rows of g - lambda*I (the rank-2 null-space formula), or, where
 g - lambda*I has rank <= 1, its smallest right singular vector; there is
 no inverse iteration.  Attracting flags come from
 ``batch_attracting_flags`` (top eigenline, and the plane of the top two
-eigenlines); ``attractive_flag`` is its n=1 wrapper and ``repulsive_flag``
-the attracting flag of the inverse.  Everything is 3x3-specialized,
-deterministic, and free of iteration-order ambiguity.
+eigenlines); the repelling flag of g is the attracting flag of its
+inverse.  Everything is 3x3-specialized, deterministic, and free of
+iteration-order ambiguity.
 """
 
 from __future__ import annotations
 
-import math
-from dataclasses import dataclass
-
 import numpy as np
-
-from .errors import ComplexSpectrum, NotFixed, NotLoxodromic
-from .projective import Flag, ProjLine, ProjPoint
 
 # Relative modulus gap below which eigenvalue ordering is unreliable.
 GAP_TOL = 1e-8
@@ -37,61 +30,6 @@ NEWTON_MAX_STEP = 1e-6
 # at or below NULL_TOL * max(1, max|g - lam*I|)^2 means rank <= 1.
 NULL_TOL = 1e-12
 
-# Angle of g e2 from [e2] above which saddle_at_e2 reports [e2] not fixed.
-FIX_TOL = 1e-8
-
-
-@dataclass(frozen=True)
-class EigenTriple:
-    """Real eigenvalues sorted by decreasing modulus, with unit eigenvectors."""
-
-    values: tuple
-    vectors: tuple  # ProjPoint triple
-    near_degenerate: bool
-
-
-def eigen3(g: np.ndarray) -> EigenTriple:
-    """Full real eigendecomposition; raises ComplexSpectrum otherwise."""
-    lox, vals = batch_loxodromic(g[None])
-    if np.isnan(vals[0]).any():
-        raise ComplexSpectrum("matrix has a complex eigenvalue pair")
-    vecs = batch_eigvec(np.broadcast_to(g, (3, 3, 3)), vals[0])
-    return EigenTriple(tuple(vals[0].tolist()), tuple(ProjPoint.of(v) for v in vecs),
-                       not lox[0])
-
-
-def is_loxodromic(g: np.ndarray) -> bool:
-    """Three real eigenvalues of pairwise distinct modulus."""
-    return bool(batch_loxodromic(g[None])[0][0])
-
-
-def attractive_flag(g: np.ndarray) -> Flag:
-    """Attracting fixed flag of a loxodromic matrix: top eigenline together
-    with the plane spanned by the top two eigenlines."""
-    lox, points, lines = batch_attracting_flags(g[None])
-    if not lox[0]:
-        raise NotLoxodromic("not three real eigenvalues of distinct modulus")
-    return Flag(ProjPoint.of(points[0]), ProjLine.of(lines[0]))
-
-
-def repulsive_flag(g: np.ndarray) -> Flag:
-    """Repelling fixed flag: the attracting flag of g^-1, i.e. the bottom
-    eigenline together with the plane of the bottom two eigenlines."""
-    return attractive_flag(np.linalg.inv(g))
-
-
-def saddle_at_e2(g: np.ndarray) -> bool:
-    """Whether the eigenvalue at [e2] is strictly the middle one in modulus."""
-    col = g[:, 1]
-    n = float(np.linalg.norm(col))
-    if math.acos(min(1.0, abs(float(col[1])) / n)) > FIX_TOL:
-        raise NotFixed("[e2] is not fixed")
-    return bool(batch_saddle_at_e2(g[None])[0])
-
-
-# ---------------------------------------------------------------------------
-# Batched versions for ball pipelines
-# ---------------------------------------------------------------------------
 
 def batch_eigvals3(mats: np.ndarray):
     """Eigenvalues of a (n,3,3) stack, sorted by decreasing modulus.

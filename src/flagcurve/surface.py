@@ -1,10 +1,11 @@
 """Genus-g surface groups with a concrete Fuchsian embedding into SL(2,R).
 
-Words are freely reduced sequences of letter indices.  Generators are
-ordered a1, b1, ..., ag, bg; generator k contributes the two letters
-2k (the generator) and 2k+1 (its inverse), so the inverse of a letter is
-``letter ^ 1`` and shortlex order is (length, letter tuple) with letter
-order a1 < a1^-1 < b1 < b1^-1 < a2 < ...
+A word is a freely reduced sequence of letter indices, held as a ball
+entry (``ball.BallTable``) or, for the relator, a tuple, and named with
+``letter_name``.  Generators are ordered a1, b1, ..., ag, bg; generator k
+contributes the two letters 2k (the generator) and 2k+1 (its inverse), so
+the inverse of a letter is ``letter ^ 1`` and shortlex order is (length,
+letter tuple) with letter order a1 < a1^-1 < b1 < b1^-1 < a2 < ...
 
 The standard seed comes from the regular hyperbolic 4g-gon with vertex
 angle 2*pi/(4g), all vertices identified to a single point.  Side-pairing
@@ -23,7 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigError, NotHyperbolic, NotUnimodular, UnsupportedGenus
+from .errors import ConfigError, NotUnimodular, UnsupportedGenus
 
 
 def json_number(kind: type, value, name: str):
@@ -56,71 +57,13 @@ def letter_name(letter: int) -> str:
     return name.upper() if letter % 2 else name
 
 
-def parse_letter(token: str, genus: int) -> int:
-    inv = token[0].isupper()
-    kind, idx = token[0].lower(), token[1:]
-    if kind not in "ab" or not idx.isdigit():
-        raise ValueError(f"bad letter {token!r}")
-    j = int(idx) - 1
-    if not 0 <= j < genus:
-        raise ValueError(f"letter {token!r} out of range for genus {genus}")
-    k = 2 * j + (0 if kind == "a" else 1)
-    return 2 * k + (1 if inv else 0)
-
-
-@dataclass(frozen=True)
-class Word:
-    """Freely reduced word, stored as a tuple of letter indices."""
-
-    letters: tuple
-    genus: int
-
-    def __post_init__(self):
-        for i in range(len(self.letters) - 1):
-            if self.letters[i + 1] == self.letters[i] ^ 1:
-                raise ValueError("word is not freely reduced")
-
-    def __len__(self):
-        return len(self.letters)
-
-    def __str__(self):
-        return ".".join(letter_name(l) for l in self.letters)
-
-    @staticmethod
-    def parse(text: str, genus: int) -> "Word":
-        if not text:
-            return Word((), genus)
-        return Word(tuple(parse_letter(t, genus) for t in text.split(".")), genus)
-
-    def inverse(self) -> "Word":
-        return Word(tuple(l ^ 1 for l in reversed(self.letters)), self.genus)
-
-    def concat(self, other: "Word") -> "Word":
-        """Concatenation with free reduction at the junction."""
-        left = list(self.letters)
-        right = list(other.letters)
-        while left and right and right[0] == left[-1] ^ 1:
-            left.pop()
-            right.pop(0)
-        return Word(tuple(left + right), self.genus)
-
-    def is_cyclically_reduced(self) -> bool:
-        ls = self.letters
-        return len(ls) <= 1 or ls[0] != ls[-1] ^ 1
-
-    def exponent_sums(self) -> np.ndarray:
-        out = np.zeros(2 * self.genus, dtype=np.int64)
-        for l in self.letters:
-            out[l // 2] += -1 if l % 2 else 1
-        return out
-
-
-def standard_relator(genus: int) -> Word:
+def standard_relator(genus: int) -> tuple:
+    """Letters of the relator [a1,b1]...[ag,bg]."""
     letters = []
     for j in range(genus):
         a, b = 2 * (2 * j), 2 * (2 * j + 1)
         letters += [a, b, a ^ 1, b ^ 1]
-    return Word(tuple(letters), genus)
+    return tuple(letters)
 
 
 @dataclass(frozen=True)
@@ -148,11 +91,6 @@ class CohomologyClass:
         return np.array(self.values, dtype=float)
 
 
-def eval_u(u: CohomologyClass, w: Word) -> float:
-    """Signed sum of generator values along the word."""
-    return float(w.exponent_sums() @ u.as_vector())
-
-
 def batch_translation_lengths(mats: np.ndarray):
     """(hyperbolic mask, translation lengths) for a (n,2,2) stack."""
     tr = np.abs(np.trace(mats, axis1=1, axis2=2))
@@ -173,24 +111,6 @@ def batch_attractive_directions(mats: np.ndarray) -> np.ndarray:
     use1 = (v1 * v1).sum(axis=1) >= (v2 * v2).sum(axis=1)
     v = np.where(use1[:, None], v1, v2)
     return np.arctan2(v[:, 1], v[:, 0]) % math.pi
-
-
-def _hyperbolic_stack(m: np.ndarray) -> np.ndarray:
-    """A 2x2 matrix as a (1,2,2) stack; NotHyperbolic unless |trace| > 2."""
-    tr = abs(float(np.trace(m)))
-    if tr <= 2.0 + 1e-10:
-        raise NotHyperbolic(f"|trace| = {tr} <= 2")
-    return np.asarray(m, dtype=float)[None]
-
-
-def translation_length(m: np.ndarray) -> float:
-    """Hyperbolic translation length 2*log(spectral radius) of a 2x2 matrix."""
-    return float(batch_translation_lengths(_hyperbolic_stack(m))[1][0])
-
-
-def attractive_direction(m: np.ndarray) -> float:
-    """Angle in [0, pi) of the attracting eigendirection of a hyperbolic 2x2 matrix."""
-    return float(batch_attractive_directions(_hyperbolic_stack(m))[0])
 
 
 def next_level(last: np.ndarray, n_letters: int) -> np.ndarray:
@@ -300,13 +220,6 @@ class FuchsianSeed:
             out[2 * k + 1] = np.linalg.inv(m)
         return out
 
-    def image(self, w: Word) -> np.ndarray:
-        letters = self.letter_matrices()
-        m = np.eye(2)
-        for l in w.letters:
-            m = m @ letters[l]
-        return m
-
     def to_json_dict(self) -> dict:
         return {
             "genus": self.genus,
@@ -355,11 +268,3 @@ def standard_fuchsian(genus: int) -> FuchsianSeed:
             m.flags.writeable = False
             gens.append(m)
     return FuchsianSeed(genus, tuple(gens))
-
-
-def ball_count(genus: int, radius: int) -> int:
-    """Closed-form number of freely reduced words of length <= radius."""
-    k = 4 * genus
-    if radius == 0:
-        return 1
-    return 1 + k * ((k - 1) ** radius - 1) // (k - 2)

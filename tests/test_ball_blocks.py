@@ -17,7 +17,6 @@ from flagcurve import (
     Flag,
     RepSpec,
     anosov_rates,
-    ball_count,
     certify_anosov,
     coboundary_radial,
     fit_delta,
@@ -25,14 +24,14 @@ from flagcurve import (
     pushforward_deviation,
     recurrence_experiment,
     sample_limit_curve,
-    stable_norm,
     standard_fuchsian,
-    translation_length,
 )
 from flagcurve import ball
 from flagcurve.ball import BallTable
 from flagcurve.errors import FlagCurveError, NonLoxodromicEncountered
-from flagcurve.surface import Word, letter_name
+from flagcurve.surface import batch_translation_lengths, letter_name
+
+from oracles import Word, ball_count
 
 RADIUS = 4
 
@@ -52,7 +51,7 @@ def radial(seed2):
 
 @pytest.fixture(scope="module")
 def refuted(seed2):
-    t_b2 = translation_length(seed2.generators[3])
+    t_b2 = float(batch_translation_lengths(seed2.generators[3][None])[1][0])
     u = CohomologyClass.from_dict({"a1": 0.1, "b1": -0.15, "b2": 0.6 * t_b2}, 2)
     return RepSpec("linear_u", seed2, u=u)
 
@@ -234,8 +233,8 @@ def test_class_pass_matches_per_word_pass(monkeypatch, seed2, radial, refuted, e
     assert (got.n_scored, got.loxodromy_rate) == (want.n_scored, want.loxodromy_rate)
     assert got.inf_top_gap == pytest.approx(want.inf_top_gap, rel=1e-12)
     assert got.inf_bottom_gap == pytest.approx(want.inf_bottom_gap, rel=1e-12)
-    assert stable_norm(radial.u, seed2, radius).value == \
-        pytest.approx(classed[0][0].estimate.value, rel=0)
+    linear = RepSpec("linear_u", seed2, u=radial.u)
+    assert certify_anosov(linear, radius).estimate == classed[0][0].estimate
     assert anosov_rates(radial, radius) == classed[0][0].rates
 
 
@@ -258,7 +257,7 @@ def test_degenerate_and_empty_rates(monkeypatch, seed2, rows):
     # rates name b2 as non-loxodromic and certify refutes at b2, whatever
     # the block size; a length filter that keeps no word has no rates.
     monkeypatch.setattr(ball, "BLOCK_ROWS", rows)
-    t_b2 = translation_length(seed2.generators[3])
+    t_b2 = float(batch_translation_lengths(seed2.generators[3][None])[1][0])
     spec = RepSpec("linear_u", seed2, u=CohomologyClass.from_dict({"b2": 0.5 * t_b2}, 2))
     with pytest.raises(NonLoxodromicEncountered, match="'b2'"):
         anosov_rates(spec, 3)

@@ -11,8 +11,10 @@ from pathlib import Path
 
 import pytest
 
-from flagcurve import ball_count, cli
+from flagcurve import cli
 from flagcurve.ball import BallTable
+
+from oracles import ball_count
 
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 

@@ -22,6 +22,9 @@ RADIAL_G2 = {
     "coboundary": {"m1": 0.4, "m2": -0.2},
 }
 CANONICAL_G2 = {"variant": "canonical", "seed": {"genus": 2}}
+# exp(700/3) in the image of a1 sends its eigen computations past the
+# float range: its flag is not finite.
+LINEAR_U_700 = {"variant": "linear_u", "seed": {"genus": 2}, "u": {"a1": 700}}
 SAMPLES = 2736  # at ball radius 4, below the default incidence_max_lines
 ABSENT = "<absent from the report>"
 REPORTS = {
@@ -101,8 +104,12 @@ def _conjugated_radial_g2() -> dict:
     ("delta", CANONICAL_G2, {}, 6, None),
     ("orbit", RADIAL_G2, {}, 0, {"free_at_scale": True}),
     ("regularity", RADIAL_G2, {}, 0, {}),
+    ("limit-curve", LINEAR_U_700, {}, 6, None),
+    ("delta", LINEAR_U_700, {}, 6, None),
+    ("regularity", LINEAR_U_700, {}, 6, None),
 ], ids=["certify_certified", "certify_refuted", "certify_explicit", "certify_not_loxodromic",
-        "limit_curve_insufficient", "delta_not_radial", "orbit", "regularity"])
+        "limit_curve_insufficient", "delta_not_radial", "orbit", "regularity",
+        "limit_curve_not_finite", "delta_not_finite", "regularity_not_finite"])
 def test_exit_code_and_report(tmp_path, report_schema, command, rep_spec, fields, code,
                               expect):
     if rep_spec == "explicit":
@@ -112,8 +119,8 @@ def test_exit_code_and_report(tmp_path, report_schema, command, rep_spec, fields
     config = {"rep_spec": rep_spec, "ball_radius": 3, **fields}
     assert _run(tmp_path, command, config) == code
     path = tmp_path / "out" / REPORTS[command]
-    if expect is None:  # the command failed before writing its report
-        assert not path.exists()
+    if expect is None:  # the command failed before writing any file
+        assert list((tmp_path / "out").iterdir()) == []
         return
     report = json.loads(path.read_text(encoding="utf-8"))
     jsonschema.validate(report, report_schema)
@@ -242,6 +249,9 @@ def test_model_commands_name_no_word(tmp_path, monkeypatch, command):
     '"note": ' + "[" * 100000 + "]" * 100000,
     {"rep_spec": _conjugated_radial_g2(),
      "orbit": {"base_point": [1e308, 1e308, 0], "base_line": [1e308, -1e308, 0]}},
+    {"rep_spec": {"variant": "linear_u", "seed": {"genus": 2}, "u": {"a1": 1e6}}},
+    {"rep_spec": {"variant": "linear_u", "seed": {"genus": 2}, "u": {"a1": -1100}}},
+    {"rep_spec": {**RADIAL_G2, "u": {"a1": 1e6}}},
 ], ids=["ball_radius", "width_px", "neighborhood", "genus", "tolerance_key", "render",
         "nan", "infinity", "base_point_object", "overflow", "tolerance_overflow",
         "tolerance_huge_int", "window_zero", "width_px_zero", "width_px_negative",
@@ -250,7 +260,8 @@ def test_model_commands_name_no_word(tmp_path, monkeypatch, command):
         "genus_string", "coboundary_types", "u_string", "u_bool", "generator_string",
         "matrix_string", "rep_spec_list", "u_list", "u_string_object", "mu_list",
         "render_key", "orbit_key", "singular_matrices", "root_list", "output_dir_int",
-        "base_point_strings", "deep_nesting", "base_flag_overflow"])
+        "base_point_strings", "deep_nesting", "base_flag_overflow", "u_overflow",
+        "u_negative_overflow", "radial_u_overflow"])
 def test_malformed_config_exits_2(tmp_path, capsys, monkeypatch, fields):
     raw = fields if isinstance(fields, str) else ""
     if isinstance(fields, list):  # a config root that is not an object
@@ -289,7 +300,8 @@ def test_unusable_output_dir_exits_2(tmp_path, capsys, monkeypatch, out, output_
     {"neighborhood": 0},
     {"base_point": [1, 0, 0]},
     {"base_point": [1, 0, 0], "base_line": [1, 0, 0]},
-], ids=["neighborhood_zero", "base_line_missing", "not_incident"])
+    {"neighborhood": 0.8},
+], ids=["neighborhood_zero", "base_line_missing", "not_incident", "neighborhood_past_pi_4"])
 def test_malformed_orbit_block_exits_2_before_output(tmp_path, capsys, command, orbit):
     config = {"rep_spec": RADIAL_G2, "ball_radius": 3, "orbit": orbit}
     assert _run(tmp_path, command, config) == 2

@@ -9,25 +9,33 @@ from hypothesis import strategies as st
 from flagcurve import (
     CohomologyClass,
     RepSpec,
-    Word,
     anosov_rates,
     certify_anosov,
     check_incidence,
     coboundary_radial,
-    evaluate,
     injectivity_report,
     probe_explicit,
     regularity_diagnostics,
     sample_limit_curve,
-    stable_norm,
-    translation_length,
 )
 from flagcurve.ball import BallTable
-from flagcurve.curve import CurveModel, equivariance_report, greedy_thin
+from flagcurve.curve import CurveModel, greedy_thin
 from flagcurve.errors import InsufficientSamples, NotHyperbolic, UnsupportedSpec
-from flagcurve.projective import proj_dist
-from flagcurve.spectral import attractive_flag
-from flagcurve.surface import attractive_direction
+from flagcurve.spectral import batch_attracting_flags
+from flagcurve.surface import batch_attractive_directions, batch_translation_lengths
+
+from oracles import Word, equivariance_report, evaluate, proj_dist, seed_image
+
+
+def _stable_norm(u, seed, radius):
+    """The stable-norm estimate of ``certify_anosov`` on the linear_u spec
+    of ``u``."""
+    return certify_anosov(RepSpec("linear_u", seed, u=u), radius).estimate
+
+
+def _t_a1(seed) -> float:
+    """Translation length of the generator a1 of a seed."""
+    return float(batch_translation_lengths(seed.generators[0][None])[1][0])
 
 
 @pytest.fixture(scope="module")
@@ -87,13 +95,14 @@ def test_model_sorted_and_deduped(model4):
 def test_sample_invariants(seed2, canonical2, model4):
     for i in (0, len(model4) // 3, len(model4) - 1):
         w = Word.parse(model4.words[i], 2)
-        g = evaluate(canonical2, w)
-        f = attractive_flag(g)
-        assert proj_dist(f.point.rep, model4.points[i]) <= 1e-9
-        assert proj_dist(f.line.rep, model4.lines[i]) <= 1e-9
-        m2 = seed2.image(w)
-        assert model4.params[i] == pytest.approx(attractive_direction(m2), abs=1e-12)
-        assert model4.tlens[i] == pytest.approx(translation_length(m2), abs=1e-12)
+        _, (p,), (l,) = batch_attracting_flags(evaluate(canonical2, w)[None])
+        assert proj_dist(p, model4.points[i]) <= 1e-9
+        assert proj_dist(l, model4.lines[i]) <= 1e-9
+        m2 = seed_image(seed2, w)[None]
+        assert model4.params[i] == pytest.approx(batch_attractive_directions(m2)[0],
+                                                 abs=1e-12)
+        assert model4.tlens[i] == pytest.approx(batch_translation_lengths(m2)[1][0],
+                                                abs=1e-12)
 
 
 def test_small_linear_deformation_keeps_curve(seed2):
@@ -199,13 +208,13 @@ def test_insufficient_samples(canonical2):
 
 
 def test_stable_norm_zero(seed2):
-    est = stable_norm(CohomologyClass.zero(2), seed2, 3)
+    est = _stable_norm(CohomologyClass.zero(2), seed2, 3)
     assert est.value == 0.0
 
 
 def test_stable_norm_generator(seed2, u_a1):
-    t_a1 = translation_length(seed2.generators[0])
-    est = stable_norm(u_a1, seed2, 4)
+    t_a1 = _t_a1(seed2)
+    est = _stable_norm(u_a1, seed2, 4)
     assert est.value >= 0.3 / t_a1 - 1e-12
     assert est.value == pytest.approx(0.3 / t_a1, abs=1e-12)
     assert est.witness == "a1"
@@ -215,8 +224,8 @@ def test_stable_norm_generator(seed2, u_a1):
 
 def test_stable_norm_monotone_in_radius(seed2):
     u = CohomologyClass.from_dict({"a1": 0.4, "b2": 0.2}, 2)
-    e3 = stable_norm(u, seed2, 3)
-    e4 = stable_norm(u, seed2, 4)
+    e3 = _stable_norm(u, seed2, 3)
+    e4 = _stable_norm(u, seed2, 4)
     assert e4.value >= e3.value - 1e-15
 
 
@@ -274,7 +283,6 @@ def test_non_hyperbolic_seed_image_is_named(monkeypatch, seed2, u_a1):
             for run in (
                 lambda: list(table.scored()),
                 lambda: list(table.scored(0.0, None, True)),
-                lambda: stable_norm(u_a1, seed2, 3),
                 lambda: certify_anosov(spec, 3),
             ):
                 with pytest.raises(NotHyperbolic, match=named):
@@ -297,7 +305,7 @@ def test_trivial_seed_image_is_skipped(monkeypatch, seed2, u_a1, canonical2, sig
     want_words, want_classes = _level_scores(table, False), _level_scores(table, True)
     assert ks[0] in want_classes[3][0]
     spec = RepSpec("linear_u", seed2, u=u_a1)
-    ref_norm, ref = stable_norm(u_a1, seed2, 3), certify_anosov(spec, 3)
+    ref = certify_anosov(spec, 3)
     for patched in (ks, ks[:1]):
         with monkeypatch.context() as m:
             _patch_seed_images(m, 3, patched, sign * np.eye(2))
@@ -309,8 +317,8 @@ def test_trivial_seed_image_is_skipped(monkeypatch, seed2, u_a1, canonical2, sig
                     keep = ~np.isin(want[level][0], gone) if level == 3 else slice(None)
                     assert np.array_equal(got[level][0], want[level][0][keep])
                     assert np.array_equal(got[level][1], want[level][1][keep])
-            assert stable_norm(u_a1, seed2, 3) == ref_norm
             res = certify_anosov(spec, 3)
+            assert res.estimate == ref.estimate
             assert (res.verdict, res.tests_agree) == (ref.verdict, ref.tests_agree)
             assert res.n_scored == ref.n_scored - len(ks)
             assert res.rates.n_elements == ref.rates.n_elements - len(ks)
@@ -322,12 +330,12 @@ def test_trivial_seed_image_is_skipped(monkeypatch, seed2, u_a1, canonical2, sig
 @pytest.mark.parametrize("variant", ["linear_u", "radial"])
 def test_certify_is_one_pass(monkeypatch, seed2, u_a1, variant):
     # certify_anosov derives the stable norm, the saddle check, the witness
-    # and the rates from one scored pass of one ball; each agrees with the
-    # function that computes it alone.
+    # and the rates from one scored pass of one ball; the rates agree with
+    # anosov_rates, and the estimate depends on u alone.
     spec = RepSpec("linear_u", seed2, u=u_a1)
     if variant == "radial":
         spec = coboundary_radial(spec, 0.2, -0.1)
-    rates, norm = anosov_rates(spec, 4), stable_norm(spec.u, seed2, 4)
+    rates, norm = anosov_rates(spec, 4), _stable_norm(spec.u, seed2, 4)
     calls = []
 
     def counted(name, fn):
@@ -352,7 +360,7 @@ def test_certify_canonical(canonical2):
 
 
 def test_certify_three_regimes(seed2):
-    t_a1 = translation_length(seed2.generators[0])
+    t_a1 = _t_a1(seed2)
     expected = {0.3: "certified-at-scale", 0.49: "inconclusive", 0.6: "refuted"}
     for r, verdict in expected.items():
         u = CohomologyClass.from_dict({"a1": r * t_a1}, 2)
@@ -367,7 +375,7 @@ def test_certify_three_regimes(seed2):
 
 
 def test_certify_monotone_refutation(seed2):
-    t_a1 = translation_length(seed2.generators[0])
+    t_a1 = _t_a1(seed2)
     u = CohomologyClass.from_dict({"a1": 0.6 * t_a1}, 2)
     spec = RepSpec("linear_u", seed2, u=u)
     for radius in (3, 4, 5):
@@ -404,7 +412,7 @@ def test_rates_linear_u(seed2):
     u = CohomologyClass.from_dict({"a1": 0.4, "a2": -0.25}, 2)
     spec = RepSpec("linear_u", seed2, u=u)
     rates = anosov_rates(spec, 4)
-    est = stable_norm(u, seed2, 4)
+    est = _stable_norm(u, seed2, 4)
     assert rates.inf_top_gap >= 0.5 - est.value - 1e-6
     assert rates.inf_bottom_gap >= 0.5 - est.value - 1e-6
 
@@ -440,7 +448,7 @@ def test_rates_match_generic_eigensolver(monkeypatch, seed2):
 
 
 def test_rates_negative_iff_refuted(seed2):
-    t_a1 = translation_length(seed2.generators[0])
+    t_a1 = _t_a1(seed2)
     u = CohomologyClass.from_dict({"a1": 0.6 * t_a1}, 2)
     spec = RepSpec("linear_u", seed2, u=u)
     rates = anosov_rates(spec, 4)

@@ -10,18 +10,18 @@ from flagcurve import (
     ProjLine,
     ProjPoint,
     RepSpec,
-    Word,
     coboundary_radial,
-    evaluate,
-    fiber_profile,
     in_omega,
     recurrence_experiment,
     sample_limit_curve,
 )
 from flagcurve import ball
-from flagcurve.ball import BallTable
-from flagcurve.domain import flag_displacement
+from flagcurve.ball import BallTable, rowwise_dot
+from flagcurve.curve import CurveModel, crossing_counts
 from flagcurve.errors import BaseNotInterior
+from flagcurve.spectral import batch_attracting_flags, canonicalize_rows
+
+from oracles import Word, evaluate
 
 E1, E2, E3 = np.eye(3)
 S = 1.0 / math.sqrt(2.0)
@@ -61,17 +61,21 @@ def test_in_omega_sampled_curve_band(seed2):
     assert q.verdict in ("on-boundary", "outside")
 
 
+def _fiber(curve: np.ndarray, target) -> tuple:
+    """(crossings, tangencies, all_zero) of one projective line with a
+    sampled point curve, or dually of one point's line pencil with a
+    sampled line curve."""
+    cross, tang, allzero = crossing_counts(curve, target.rep[None], 1e-9)
+    return int(cross[0]), int(tang[0]), bool(allzero[0])
+
+
 def test_fiber_profile_line_crosses_once(model4):
-    prof = fiber_profile(ProjLine.of(E3), model4)
-    assert prof.crossings == 1
-    assert prof.in_m_set
-    assert not prof.nontransversal
+    assert _fiber(model4.points, ProjLine.of(E3)) == (1, 0, False)
 
 
 def test_fiber_profile_degenerate_line(model4):
-    prof = fiber_profile(ProjLine.of(E2), model4)
-    assert prof.nontransversal
-    assert not prof.in_m_set
+    # The pencil's degenerate member holds the whole canonical point curve.
+    assert _fiber(model4.points, ProjLine.of(E2)) == (0, 0, True)
 
 
 def test_fiber_profile_generic_lines(model4, rng):
@@ -79,30 +83,23 @@ def test_fiber_profile_generic_lines(model4, rng):
         l = ProjLine.of(rng.normal(size=3))
         if abs(l.rep[1]) < 0.05:
             continue  # close to the degenerate pencil member
-        prof = fiber_profile(l, model4)
-        assert prof.crossings == 1, l.rep
+        assert _fiber(model4.points, l)[0] == 1, l.rep
 
 
 def test_fiber_profile_point_dual(model4):
-    prof = fiber_profile(ProjPoint.of(E1), model4)
-    assert prof.crossings == 1
-    assert prof.in_m_set
+    assert _fiber(model4.lines, ProjPoint.of(E1)) == (1, 0, False)
 
 
 def test_fiber_profile_equivariance(model4, canonical2, seed2):
-    from flagcurve.spectral import canonicalize_rows
-
     g = evaluate(canonical2, Word.parse("a1.b2", 2))
     gd = np.linalg.inv(g).T
     l = ProjLine.of([0.3, 0.8, -0.2])
-    before = fiber_profile(l, model4).crossings
+    before = _fiber(model4.points, l)[0]
     # transform the whole model and the line together
     mp = canonicalize_rows((g @ model4.points.T).T)
     ml = canonicalize_rows((gd @ model4.lines.T).T)
     new_params = np.arctan2(mp[:, 2], mp[:, 0]) % math.pi
     order = np.argsort(new_params)
-    from flagcurve.curve import CurveModel
-
     moved = CurveModel(
         params=new_params[order], points=mp[order], lines=ml[order],
         words=model4.words[order],
@@ -110,7 +107,7 @@ def test_fiber_profile_equivariance(model4, canonical2, seed2):
         dedup_res=model4.dedup_res,
     )
     gl = ProjLine.of(gd @ l.rep)
-    after = fiber_profile(gl, moved).crossings
+    after = _fiber(moved.points, gl)[0]
     assert before == after == 1
 
 
@@ -158,11 +155,8 @@ def test_recurrence_brute_force_oracle(canonical2, seed2, model4):
 
 def _near_a1_base(canonical2) -> Flag:
     """A base near the attracting fixed flag of a1, so a1 moves it little."""
-    from flagcurve.spectral import attractive_flag
-
     g = evaluate(canonical2, Word.parse("a1", 2))
-    fstar = attractive_flag(g)
-    p, l = fstar.point.rep, fstar.line.rep
+    _, (p,), (l,) = batch_attracting_flags(g[None])
     pb = p + 0.25 * E2
     pb /= np.linalg.norm(pb)
     lb = l - (l @ pb) * pb + 0.25 * (E2 - (E2 @ pb) * pb)
@@ -193,7 +187,8 @@ def _recurrence_full_inverse(spec, base, nbhd, radius) -> tuple:
         pts /= np.linalg.norm(pts, axis=1)[:, None]
         lns = np.einsum("nij,j->ni", np.linalg.inv(imgs).transpose(0, 2, 1), bl)
         lns /= np.linalg.norm(lns, axis=1)[:, None]
-        disp = flag_displacement(pts, lns, bp, bl)
+        disp = np.maximum(np.arccos(np.minimum(1.0, np.abs(rowwise_dot(pts, bp)))),
+                          np.arccos(np.minimum(1.0, np.abs(rowwise_dot(lns, bl)))))
         least = min(least, float(disp.min()))
         returning += [table.word(level, rows.start + int(i))
                       for i in np.flatnonzero(disp <= 2.0 * nbhd)]
@@ -258,10 +253,3 @@ def test_freeness_multiple_specs_and_bases(seed2, canonical2, model4, rng):
             rep = recurrence_experiment(s, flag, 1e-4, 3, model=m)
             assert rep.free_at_scale
 
-
-def test_flag_displacement_zero_for_identity(model4):
-    d = flag_displacement(
-        model4.points[:5], model4.lines[:5],
-        model4.points[2], model4.lines[2],
-    )
-    assert d[2] <= 1e-12

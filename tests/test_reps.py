@@ -6,10 +6,7 @@ import pytest
 from flagcurve import (
     CohomologyClass,
     RepSpec,
-    Word,
     coboundary_radial,
-    enumerate_ball,
-    evaluate,
     phi,
     rho0,
     spec_from_json_dict,
@@ -18,6 +15,7 @@ from flagcurve import (
 from flagcurve.errors import NotUnimodular, UnsupportedSpec
 
 from conftest import random_unimodular
+from oracles import Word, enumerate_ball, evaluate
 
 
 def random_sl2(rng):

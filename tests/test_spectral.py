@@ -4,59 +4,55 @@ from functools import partial
 import numpy as np
 import pytest
 
-from flagcurve import (
-    CohomologyClass,
-    RepSpec,
-    Word,
-    attractive_flag,
-    eigen3,
-    enumerate_ball,
-    evaluate,
-    is_loxodromic,
-    repulsive_flag,
-    saddle_at_e2,
-    translation_length,
-)
-from flagcurve.errors import ComplexSpectrum, NotFixed, NotLoxodromic
-from flagcurve.projective import proj_dist
+from flagcurve import CohomologyClass, RepSpec
 from flagcurve import ball
 from flagcurve.ball import BallTable
-from flagcurve.spectral import batch_eigvals3, batch_eigvec, batch_saddle_at_e2
-from flagcurve.surface import batch_translation_lengths, eval_u
+from flagcurve.spectral import (batch_attracting_flags, batch_eigvals3, batch_eigvec,
+                                batch_loxodromic, batch_saddle_at_e2)
+from flagcurve.surface import batch_translation_lengths
 
 from conftest import random_unimodular, random_unimodular_batch
+from oracles import Word, enumerate_ball, eval_u, evaluate, proj_dist
+
+
+def _eigvecs(mats, vals) -> np.ndarray:
+    """(n, 3, 3) unit eigenvectors, column k for eigenvalue vals[:, k]."""
+    return np.stack([batch_eigvec(mats, vals[:, k]) for k in range(3)], axis=2)
 
 
 def test_eigen3_diagonal():
-    t = eigen3(np.diag([4.0, 1.0, 0.25]))
-    assert t.values == pytest.approx((4.0, 1.0, 0.25), abs=1e-12)
-    assert proj_dist(t.vectors[0].rep, np.array([1.0, 0, 0])) <= 1e-12
-    assert proj_dist(t.vectors[1].rep, np.array([0, 1.0, 0])) <= 1e-12
-    assert proj_dist(t.vectors[2].rep, np.array([0, 0, 1.0])) <= 1e-12
-    assert not t.near_degenerate
+    g = np.diag([4.0, 1.0, 0.25])
+    lox, vals = batch_loxodromic(g[None])
+    assert lox[0]
+    assert vals[0] == pytest.approx((4.0, 1.0, 0.25), abs=1e-12)
+    vecs = _eigvecs(g[None], vals)[0]
+    for k, e in enumerate(np.eye(3)):
+        assert proj_dist(vecs[:, k], e) <= 1e-12
 
 
 def test_eigen3_rotation_raises():
     c, s = math.cos(0.7), math.sin(0.7)
     rot = np.array([[c, -s, 0.0], [s, c, 0.0], [0.0, 0.0, 1.0]])
-    with pytest.raises(ComplexSpectrum):
-        eigen3(rot)
-    assert not is_loxodromic(rot)
+    lox, vals = batch_loxodromic(rot[None])
+    assert np.isnan(vals[0]).all()
+    assert not lox[0]
 
 
 def test_eigen3_identity_triple_root():
-    t = eigen3(np.eye(3))
-    assert t.values == pytest.approx((1.0, 1.0, 1.0), abs=1e-12)
-    assert t.near_degenerate
-    assert not is_loxodromic(np.eye(3))
+    lox, vals = batch_loxodromic(np.eye(3)[None])
+    assert vals[0] == pytest.approx((1.0, 1.0, 1.0), abs=1e-12)
+    assert not lox[0]
 
 
 def test_eigen3_linear_u_block_structure(seed2):
     u = CohomologyClass.from_dict({"a1": 0.4, "b1": -0.2}, 2)
     spec = RepSpec("linear_u", seed2, u=u)
-    for w, m2 in list(enumerate_ball(seed2, 3))[1:][::17]:
+    words, m2s = zip(*list(enumerate_ball(seed2, 3))[1:][::17])
+    _, tlens = batch_translation_lengths(np.array(m2s))
+    vals, real = batch_eigvals3(np.array([evaluate(spec, w) for w in words]))
+    checked = 0
+    for w, t_w, got, is_real in zip(words, tlens, vals, real):
         uw = eval_u(u, w)
-        t_w = translation_length(m2)
         l = t_w / 2.0
         if abs(uw) >= l:
             continue
@@ -65,35 +61,35 @@ def test_eigen3_linear_u_block_structure(seed2):
              math.exp(uw / 3.0 - l)],
             reverse=True,
         )
-        got = eigen3(evaluate(spec, w))
-        assert np.allclose(sorted(np.abs(got.values), reverse=True),
-                           expected, rtol=1e-9)
+        assert is_real
+        assert np.allclose(sorted(np.abs(got), reverse=True), expected, rtol=1e-9)
+        checked += 1
+    assert checked
 
 
 def test_eigen3_matches_lapack(rng):
     mats = random_unimodular_batch(rng, 2000)
-    for m in mats:
-        try:
-            t = eigen3(m / np.cbrt(np.linalg.det(m)))
-        except ComplexSpectrum:
+    vals, real = batch_eigvals3(mats / np.cbrt(np.linalg.det(mats))[:, None, None])
+    for m, v, is_real in zip(mats, vals, real):
+        if not is_real:
             assert np.abs(np.linalg.eigvals(m).imag).max() > 1e-10
             continue
         ref = np.linalg.eigvals(m)
         ref = ref[np.argsort(-np.abs(ref))].real
-        assert np.abs(np.array(t.values) - ref).max() <= 1e-8
+        assert np.abs(v - ref).max() <= 1e-8
 
 
 def test_eigen3_residuals(rng):
-    done = 0
-    while done < 500:
+    mats = []
+    while len(mats) < 500:
         g = random_unimodular(rng)
-        try:
-            t = eigen3(g)
-        except ComplexSpectrum:
-            continue
-        for lam, vec in zip(t.values, t.vectors):
-            assert np.linalg.norm(g @ vec.rep - lam * vec.rep) <= 1e-8
-        done += 1
+        if batch_eigvals3(g[None])[1][0]:
+            mats.append(g)
+    mats = np.array(mats)
+    vals = batch_eigvals3(mats)[0]
+    vecs = _eigvecs(mats, vals)
+    res = mats @ vecs - vecs * vals[:, None, :]
+    assert np.linalg.norm(res, axis=1).max() <= 1e-8
 
 
 def test_eigenvalue_product_one(rng):
@@ -167,95 +163,101 @@ def test_eigvec_double_root(rng):
     v = batch_eigvec(mats, np.full(len(mats), 2.0))
     res = np.einsum("nij,nj->ni", mats, v) - 2.0 * v
     assert np.linalg.norm(res, axis=1).max() <= 1e-10
-    for m in mats:
-        t = eigen3(m)
-        for lam, vec in zip(t.values, t.vectors):
-            assert np.linalg.norm(m @ vec.rep - lam * vec.rep) <= 1e-4
+    vals, real = batch_eigvals3(mats)
+    assert real.all()
+    vecs = _eigvecs(mats, vals)
+    res = mats @ vecs - vecs * vals[:, None, :]
+    assert np.linalg.norm(res, axis=1).max() <= 1e-4
 
 
 def test_attractive_flag_diagonal():
-    g = np.diag([4.0, 1.0, 0.25])
-    f = attractive_flag(g)
-    assert proj_dist(f.point.rep, np.array([1.0, 0, 0])) <= 1e-12
-    assert proj_dist(f.line.rep, np.array([0, 0, 1.0])) <= 1e-12
-    with pytest.raises(NotLoxodromic):
-        attractive_flag(np.eye(3))
+    lox, points, lines = batch_attracting_flags(np.stack([np.diag([4.0, 1.0, 0.25]),
+                                                          np.eye(3)]))
+    assert lox.tolist() == [True, False]
+    assert len(points) == len(lines) == 1
+    assert proj_dist(points[0], np.array([1.0, 0, 0])) <= 1e-12
+    assert proj_dist(lines[0], np.array([0, 0, 1.0])) <= 1e-12
 
 
 def test_attractive_of_inverse_is_repulsive(rng):
-    # repulsive_flag is attractive_flag of g^-1; check it against eigen3(g):
-    # the bottom eigenline and the plane of the bottom two eigenlines.
-    done = 0
-    while done < 100:
+    # The attracting flag of g^-1 is the repelling flag of g: the bottom
+    # eigenline and the plane of the bottom two eigenlines of g.
+    mats = []
+    while len(mats) < 100:
         g = random_unimodular(rng)
-        if not is_loxodromic(g):
-            continue
-        t = eigen3(g)
-        fr = repulsive_flag(g)
-        assert proj_dist(fr.point.rep, t.vectors[2].rep) <= 1e-7
-        ref_l = np.cross(t.vectors[2].rep, t.vectors[1].rep)
-        assert proj_dist(fr.line.rep, ref_l / np.linalg.norm(ref_l)) <= 1e-7
-        done += 1
+        if batch_loxodromic(g[None])[0][0]:
+            mats.append(g)
+    mats = np.array(mats)
+    lox, points, lines = batch_attracting_flags(np.linalg.inv(mats))
+    assert lox.all()
+    vecs = _eigvecs(mats, batch_eigvals3(mats)[0])
+    for p, l, v in zip(points, lines, vecs):
+        assert proj_dist(p, v[:, 2]) <= 1e-7
+        ref_l = np.cross(v[:, 2], v[:, 1])
+        assert proj_dist(l, ref_l / np.linalg.norm(ref_l)) <= 1e-7
 
 
 def test_attractive_flag_equivariance(rng):
     g = np.diag([4.0, 1.0, 0.25])
-    for _ in range(100):
-        h = random_unimodular(rng)
-        conj = h @ g @ np.linalg.inv(h)
-        conj = conj / np.cbrt(np.linalg.det(conj))
-        f = attractive_flag(conj)
-        ref_p = h @ attractive_flag(g).point.rep
-        ref_l = np.linalg.inv(h).T @ attractive_flag(g).line.rep
-        assert proj_dist(f.point.rep, ref_p / np.linalg.norm(ref_p)) <= 1e-7
-        assert proj_dist(f.line.rep, ref_l / np.linalg.norm(ref_l)) <= 1e-7
+    hs = np.array([random_unimodular(rng) for _ in range(100)])
+    conj = hs @ g @ np.linalg.inv(hs)
+    conj /= np.cbrt(np.linalg.det(conj))[:, None, None]
+    lox, points, lines = batch_attracting_flags(conj)
+    assert lox.all()
+    _, (p0,), (l0,) = batch_attracting_flags(g[None])
+    for h, p, l in zip(hs, points, lines):
+        ref_p = h @ p0
+        ref_l = np.linalg.inv(h).T @ l0
+        assert proj_dist(p, ref_p / np.linalg.norm(ref_p)) <= 1e-7
+        assert proj_dist(l, ref_l / np.linalg.norm(ref_l)) <= 1e-7
 
 
 def test_attractive_line_is_dual_top_eigencovector(seed2, canonical2):
-    for w, _ in list(enumerate_ball(seed2, 3))[1:][::29]:
-        g = evaluate(canonical2, w)
-        f = attractive_flag(g)
-        td = eigen3(np.linalg.inv(g).T)
-        assert proj_dist(f.line.rep, td.vectors[0].rep) <= 1e-8
+    mats = np.array([evaluate(canonical2, w)
+                     for w, _ in list(enumerate_ball(seed2, 3))[1:][::29]])
+    lox, _, lines = batch_attracting_flags(mats)
+    assert lox.all()
+    duals = np.linalg.inv(mats).transpose(0, 2, 1)
+    top = batch_eigvec(duals, batch_eigvals3(duals)[0][:, 0])
+    for l, t in zip(lines, top):
+        assert proj_dist(l, t) <= 1e-8
 
 
 def test_attractive_flag_fixed_and_attracting(rng, seed2, canonical2):
     g = evaluate(canonical2, Word.parse("a1.b1", 2))
-    f = attractive_flag(g)
-    gp = g @ f.point.rep
-    assert proj_dist(gp / np.linalg.norm(gp), f.point.rep) <= 1e-8
+    _, (p,), _ = batch_attracting_flags(g[None])
+    gp = g @ p
+    assert proj_dist(gp / np.linalg.norm(gp), p) <= 1e-8
     for _ in range(20):
-        v = f.point.rep + 0.05 * rng.normal(size=3)
+        v = p + 0.05 * rng.normal(size=3)
         v /= np.linalg.norm(v)
-        before = proj_dist(v, f.point.rep)
+        before = proj_dist(v, p)
         gv = g @ v
         gv /= np.linalg.norm(gv)
-        after = proj_dist(gv, f.point.rep)
+        after = proj_dist(gv, p)
         assert after < before
 
 
 def test_saddle_examples():
-    assert saddle_at_e2(np.diag([4.0, 1.0, 0.25]))
-    assert not saddle_at_e2(np.diag([2.0, 0.25, 2.0]))
-    with pytest.raises(NotFixed):
-        saddle_at_e2(np.array([[1.0, 0.3, 0.0], [0.0, 1.0, 0.0], [0.0, 0.0, 1.0]]))
+    mats = np.stack([np.diag([4.0, 1.0, 0.25]), np.diag([2.0, 0.25, 2.0])])
+    assert batch_saddle_at_e2(mats).tolist() == [True, False]
 
 
 def test_saddle_iff_ratio(seed2):
     u = CohomologyClass.from_dict({"a1": 0.9, "b2": -0.5}, 2)
     spec = RepSpec("linear_u", seed2, u=u)
-    for w, m2 in list(enumerate_ball(seed2, 3))[1:][::11]:
-        g = evaluate(spec, w)
-        t_w = translation_length(m2)
-        ratio_ok = abs(eval_u(u, w)) < t_w / 2.0
-        assert saddle_at_e2(g) == ratio_ok
+    words, m2s = zip(*list(enumerate_ball(seed2, 3))[1:][::11])
+    _, tlens = batch_translation_lengths(np.array(m2s))
+    ratio_ok = [abs(eval_u(u, w)) < t_w / 2.0 for w, t_w in zip(words, tlens)]
+    saddle = batch_saddle_at_e2(np.array([evaluate(spec, w) for w in words]))
+    assert saddle.tolist() == ratio_ok
 
 
 def test_canonical_ball_loxodromic(seed2, canonical2):
-    for w, _ in list(enumerate_ball(seed2, 4))[1:][::101]:
-        if not w.is_cyclically_reduced():
-            continue
-        assert is_loxodromic(evaluate(canonical2, w))
+    mats = np.array([evaluate(canonical2, w)
+                     for w, _ in list(enumerate_ball(seed2, 4))[1:][::101]
+                     if w.is_cyclically_reduced()])
+    assert batch_loxodromic(mats)[0].all()
 
 
 def test_batch_saddle_matches_ratio_on_ball(monkeypatch, seed2):
