@@ -10,7 +10,8 @@ i // (4g-1) of the level below and has first letter i // (n / 4g).
 
 Everything else about a word is derived as the ball is read.
 ``BallTable.blocks(*fields)`` streams every level in blocks of at most
-BLOCK_ROWS words with the fields its reader asks for: seed images
+BLOCK_ROWS words, each an int64 index array of rows of the level, with
+the fields its reader asks for: seed images
 (``BallTable.seed_images``), exponent sums (``exponent_sums``) or, given
 a representation, 3x3 images (``images3``).  A field is derived from its
 own values over the whole level below by row-wise products, so a block's
@@ -19,12 +20,12 @@ level are kept whole only while the next level is read; the last
 level's, (4g-2)/(4g-1) of the ball, exist one block at a time, so they
 and every consumer's temporaries are O(block).
 
-Words are named only here.  ``BallTable.word`` walks one word's
-parents; ``BallTable.names`` names a batch of (level, index) ids, reading
-the levels below the top off their cached ``word_strings`` and building
-each top-level word from its parent's string, so the top level, most of
-the ball, never has all its strings built.  ``WordIds`` is a sequence of
-such ids that names words only when they are read.
+``BallTable.word_letters`` is the one walk from a word's index up its
+parents to its letters.  ``BallTable.word_strings`` is the one naming
+kernel: it gathers a batch of (level, index) ids' letters into a table
+of each letter's bytes and returns an ``S`` array; ``word`` is its n=1
+wrapper, and ``WordIds``, a sequence of such ids, names words only when
+they are read.
 
 ``BallTable.scored`` is the one word selection of every spectral pipeline:
 the cyclically reduced words above a translation-length floor, filtered
@@ -104,16 +105,20 @@ class BallTable:
     seed: FuchsianSeed
     radius: int
     levels: list = field(default_factory=list)  # level L's last letters at L-1
-    _strings: dict = field(default_factory=dict)
-    # Per-letter tables of ``seed_images`` and ``exponent_sums``.
+    # Per-letter tables of ``seed_images``, ``exponent_sums`` and
+    # ``word_strings``.
     _seed_letters: np.ndarray = field(init=False, repr=False)
     _exp_steps: np.ndarray = field(init=False, repr=False)
+    _letter_bytes: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
         self._seed_letters = self.seed.letter_matrices()
         # Letter 2k adds 1 to the k-th exponent sum, letter 2k+1 adds -1.
         self._exp_steps = np.kron(np.eye(2 * self.genus, dtype=np.int32),
                                   np.int32([[1], [-1]]))
+        # "." and each letter's name, NUL-padded to the widest.
+        names = np.array([b"." + letter_name(l).encode() for l in range(4 * self.genus)])
+        self._letter_bytes = names.view(np.uint8).reshape(len(names), -1)
 
     @staticmethod
     def build(seed: FuchsianSeed, radius: int) -> "BallTable":
@@ -138,12 +143,24 @@ class BallTable:
     def letters(self, level: int) -> np.ndarray:
         return self.levels[level - 1]
 
-    def parents(self, level: int, rows) -> np.ndarray:
+    def parents(self, rows: np.ndarray) -> np.ndarray:
         """Indices in the level below of the parents of the words ``rows``
-        (a slice or an index array) of a level > 1."""
-        if isinstance(rows, slice):
-            rows = np.arange(*rows.indices(len(self.letters(level))))
+        of a level > 1."""
         return rows // (4 * self.genus - 1)
+
+    def first_letters(self, level: int, rows: np.ndarray) -> np.ndarray:
+        """First letters of the words ``rows`` of a level: each letter
+        starts an equal share of the level."""
+        return rows // (len(self.letters(level)) // (4 * self.genus))
+
+    def word_letters(self, level: int, rows: np.ndarray) -> np.ndarray:
+        """(n, level) int8 letters of the words ``rows`` of a level, first
+        letter first, read up their parents."""
+        out = np.empty((len(rows), level), dtype=np.int8)
+        for k in range(level - 1, -1, -1):
+            out[:, k] = self.levels[k][rows]
+            rows = self.parents(rows)
+        return out
 
     def seed_images(self, level: int, rows, below) -> np.ndarray:
         """(n, 2, 2) seed images of the words ``rows`` of a level, from
@@ -153,7 +170,7 @@ class BallTable:
             return mats
         # The 2x2 products as two broadcast terms: a sum of two products
         # rounds the same whatever its order.
-        below = below[self.parents(level, rows)]
+        below = below[self.parents(rows)]
         prods = below[:, :, :1] * mats[:, :1]
         prods += below[:, :, 1:] * mats[:, 1:]
         return prods
@@ -164,7 +181,7 @@ class BallTable:
         exps = self._exp_steps[self.letters(level)[rows]]
         if below is None:
             return exps
-        return below[self.parents(level, rows)] + exps
+        return below[self.parents(rows)] + exps
 
     def _rotation_codes(self, level: int, idx: np.ndarray) -> Iterator[np.ndarray]:
         """Yield the words ``idx`` of a level as base-4g integers, first
@@ -174,27 +191,24 @@ class BallTable:
         base = 4 * self.genus
         # A level's 4g(4g-1)^(level-1) letters fit in memory only while
         # base**level is far below 2**63.
-        code, place, up = np.zeros(len(idx), dtype=np.int64), 1, idx
-        for letts in reversed(self.levels[:level]):
-            code += letts[up].astype(np.int64) * place
-            place *= base
-            up = up // (base - 1)
+        code = np.zeros(len(idx), dtype=np.int64)
+        for letts in self.word_letters(level, idx).T:
+            code *= base
+            code += letts
         yield code
         for s in range(1, level):
             high = base ** (level - s)
             yield code % high * base ** s + code // high
 
-    def least_rotations(self, level: int, rows: slice) -> np.ndarray:
-        """Indices of the words ``rows`` of a level that are cyclically
+    def least_rotations(self, level: int, idx: np.ndarray) -> np.ndarray:
+        """Indices of the words ``idx`` of a level that are cyclically
         reduced and the lexicographically least of their rotations (Booth,
         Inf. Process. Lett. 10, 1980): one word, the shortlex-first, of
         every rotation class of cyclically reduced words."""
-        letts = self.letters(level)
-        idx = np.arange(*rows.indices(len(letts)))
         # A word is cyclically reduced unless its first letter inverts its
         # last, and the least of its rotations only if its last letter is
         # not below its first.
-        firsts, lasts = idx // (len(letts) // (4 * self.genus)), letts[idx]
+        firsts, lasts = self.first_letters(level, idx), self.letters(level)[idx]
         idx = idx[(firsts != (lasts ^ 1)) & (firsts <= lasts)]
         codes = self._rotation_codes(level, idx)
         code = next(codes)
@@ -215,18 +229,18 @@ class BallTable:
 
     def blocks(self, *fields, classes: bool = False) -> Iterator[tuple]:
         """Yield (level, rows, *values) for the blocks of at most
-        BLOCK_ROWS words of every level in shortlex order: ``rows`` is a
-        slice of the level, and each value is ``field(level, rows,
-        below)``, ``below`` being that field's values over the whole level
-        below (None at level 1), kept only while this level is read.  With
-        ``classes``, the top level's ``rows`` are the index array of a
+        BLOCK_ROWS words of every level in shortlex order: ``rows`` is the
+        block's int64 index array in the level, and each value is
+        ``field(level, rows, below)``, ``below`` being that field's values
+        over the whole level below (None at level 1), kept only while this
+        level is read.  With ``classes``, the top level's ``rows`` are a
         block's ``least_rotations``, and blocks without one are skipped."""
         below = [None] * len(fields)
         for level in range(1, self.radius + 1):
             n = len(self.letters(level))
             whole = []
             for start in range(0, n, BLOCK_ROWS):
-                rows = slice(start, min(n, start + BLOCK_ROWS))
+                rows = np.arange(start, min(n, start + BLOCK_ROWS))
                 if classes and level == self.radius:
                     rows = self.least_rotations(level, rows)
                     if not len(rows):
@@ -263,20 +277,17 @@ class BallTable:
             hyp, t = batch_translation_lengths(mats)
             # A word is cyclically reduced unless its first letter inverts
             # its last; a one-letter word's first letter is its last.
-            letts = self.letters(level)
-            idx = np.arange(rows.start, rows.stop) if isinstance(rows, slice) else rows
-            firsts = idx // (len(letts) // (4 * self.genus))
-            reduced = firsts != (letts[rows] ^ 1)
+            reduced = self.first_letters(level, rows) != (self.letters(level)[rows] ^ 1)
             # An image within TRIVIAL_TOL of +-I has t < 0.01.
             near = np.nonzero(reduced & (t < 0.01))[0]
             reduced[near[_near_identity(mats[near])]] = False
             bad = reduced & ~hyp
             if bad.any():
-                w = self.word(level, int(idx[np.argmax(bad)]))
+                w = self.word(level, int(rows[np.argmax(bad)]))
                 raise NotHyperbolic(f"seed image of {w!r} is not hyperbolic")
             sel = np.nonzero(reduced & (t >= min_length))[0]
             if len(sel):
-                idx, weight = idx[sel], None
+                idx, weight = rows[sel], None
                 if classes:
                     # Ones as a read-only view, which allocates nothing.
                     weight = (self.class_sizes(level, idx) if level == self.radius
@@ -285,47 +296,25 @@ class BallTable:
                        imgs[0][sel] if imgs else None, weight)
 
     def word(self, level: int, i: int) -> str:
-        """Dot-separated display string of word i of a level, read off its
-        parents; unlike ``word_strings`` it builds no strings for the rest
-        of the level."""
-        names = []
-        for letts in reversed(self.levels[:level]):
-            names.append(letter_name(int(letts[i])))
-            i //= 4 * self.genus - 1
-        return ".".join(reversed(names))
+        """Dot-separated display string of word i of a level."""
+        return self.word_strings(np.array([level]), np.array([i]))[0].decode()
 
-    def word_strings(self, level: int) -> list:
-        """Dot-separated display strings of a level, shortlex order."""
-        if level not in self._strings:
-            self._strings[level] = self._extend(level, slice(None))
-        return self._strings[level]
-
-    def names(self, levels: np.ndarray, index: np.ndarray) -> list:
-        """Display strings of the words (levels[k], index[k]), in order.
-        A word below the top level is read off ``word_strings``; a word of
-        the top level, which holds most of the ball, is its parent's string
-        and its last letter, so the top level's strings are never all
-        built."""
-        out = np.empty(len(levels), dtype=object)
-        for level in np.unique(levels).tolist():
+    def word_strings(self, levels: np.ndarray, index: np.ndarray) -> np.ndarray:
+        """Dot-separated display strings, as an ``S`` array, of the words
+        (levels[k], index[k]), in order: each word's letters index the
+        table of "." and each letter's name, and the leading dot goes."""
+        table = self._letter_bytes
+        width = table.shape[1]
+        out = np.zeros((len(levels), width * int(levels.max(initial=1))), dtype=np.uint8)
+        for level in set(levels.tolist()):
             at = np.flatnonzero(levels == level)
-            if level < self.radius:
-                strs = self.word_strings(level)
-                out[at] = [strs[i] for i in index[at].tolist()]
-            else:
-                out[at] = self._extend(level, index[at])
-        return out.tolist()
-
-    def _extend(self, level: int, rows) -> list:
-        """Display strings of the words ``rows`` of a level: each is its
-        parent's string, a dot and its last letter."""
-        names = [letter_name(l) for l in range(4 * self.genus)]
-        letters = self.letters(level)[rows].tolist()
-        if level == 1:
-            return [names[l] for l in letters]
-        prev = self.word_strings(level - 1)
-        return [prev[p] + "." + names[l]
-                for p, l in zip(self.parents(level, rows).tolist(), letters)]
+            letters = self.word_letters(level, index[at])
+            out[at, :width * level] = table[letters].reshape(len(at), -1)
+        if (table == 0).any():
+            # Letter names differ in width (genus >= 10): move each row's
+            # NULs to its end, keeping the order of its other bytes.
+            out = np.take_along_axis(out, np.argsort(out == 0, axis=1, kind="stable"), axis=1)
+        return out[:, 1:].view(f"S{out.shape[1] - 1}").ravel()
 
     def images3(self, letter_images: np.ndarray, level: int, rows,
                 prev: np.ndarray | None) -> np.ndarray:
@@ -336,7 +325,7 @@ class BallTable:
         a block's images do not depend on the block."""
         imgs = letter_images[self.letters(level)[rows]]
         if prev is not None:
-            imgs = matmul3(prev[self.parents(level, rows)], imgs)
+            imgs = matmul3(prev[self.parents(rows)], imgs)
         det = np.linalg.det(imgs)
         imgs /= np.cbrt(det)[:, None, None]
         return imgs
@@ -345,9 +334,9 @@ class BallTable:
 @dataclass(frozen=True, eq=False)
 class WordIds:
     """A sequence of ball words held as (level, index) ids and named only
-    when read: ``ids[i]`` walks one word's parents (``BallTable.word``),
-    iteration names them all through ``BallTable.names``, and a slice or
-    an index array selects ids without naming any."""
+    when read, through ``BallTable.word_strings``: ``ids[i]`` names one
+    word, iteration names them all at once, and a slice or an index array
+    selects ids without naming any."""
 
     table: BallTable
     levels: np.ndarray  # (n,) int8
@@ -362,4 +351,4 @@ class WordIds:
         return WordIds(self.table, self.levels[key], self.index[key])
 
     def __iter__(self) -> Iterator[str]:
-        return iter(self.table.names(self.levels, self.index))
+        return (s.decode() for s in self.table.word_strings(self.levels, self.index).tolist())

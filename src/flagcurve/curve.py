@@ -17,9 +17,8 @@ index arrays or one gathered column.  A
 ``CurveModel`` keeps its samples' params, flags and translation lengths,
 and each sample's word as a (level, index) id (``ball.WordIds``): one
 int8 and one int64 a sample, plus the sampled ``BallTable`` itself, only
-each level's last letters (1 B a ball word).  No word string exists
-until one is read: ``model.words[i]`` names one word, and
-``model.words[rows]`` selects ids that name only those rows when read.
+each level's last letters (1 B a ball word).  A word is named, by
+``BallTable.word_strings``, only when it is read.
 
 Crossing counts use sign changes of the pairing along the param-ordered
 point samples.  Representatives are sign-canonicalized, so consecutive

@@ -118,7 +118,7 @@ def recurrence_experiment(spec: RepSpec, base: Flag, nbhd: float, radius: int,
             disp = np.maximum(dp[cand], _angles(lns, bl))
             min_disp = min(min_disp, float(disp.min()))
             hits = cand[disp <= 2.0 * nbhd]
-            returning.extend(table.word(level, rows.start + int(i)) for i in hits)
+            returning.extend(table.word(level, int(rows[i])) for i in hits)
         counts[level] = len(returning)
     history = list(counts.items())
     stabilized = len(history) >= 3 and history[-1][1] == history[-2][1] == history[-3][1]

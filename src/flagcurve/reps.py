@@ -143,21 +143,6 @@ class RepSpec:
             )
         return float(np.linalg.norm(m - np.eye(3)))
 
-    def to_json_dict(self) -> dict:
-        names = [gen_name(k) for k in range(2 * self.genus)]
-        d = {"variant": self.variant, "seed": self.seed.to_json_dict()}
-        if self.variant in ("linear_u", "radial"):
-            d["u"] = {names[k]: self.u.values[k] for k in range(2 * self.genus)}
-        if self.variant == "radial":
-            d["mu"] = {names[k]: self.mu[k] for k in range(2 * self.genus)}
-            d["nu"] = {names[k]: self.nu[k] for k in range(2 * self.genus)}
-        if self.variant == "explicit":
-            d["matrices"] = {
-                names[k]: list(np.asarray(self.matrices[k]).ravel())
-                for k in range(2 * self.genus)
-            }
-        return d
-
 
 def _cohomology(d: dict, key: str, genus: int) -> CohomologyClass:
     """The class whose generator values are the JSON object ``d[key]``;

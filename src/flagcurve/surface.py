@@ -220,12 +220,6 @@ class FuchsianSeed:
             out[2 * k + 1] = np.linalg.inv(m)
         return out
 
-    def to_json_dict(self) -> dict:
-        return {
-            "genus": self.genus,
-            "generators": [list(np.asarray(m).ravel()) for m in self.generators],
-        }
-
     @staticmethod
     def from_json_dict(d: dict) -> "FuchsianSeed":
         genus = json_number(int, d["genus"], "seed.genus")

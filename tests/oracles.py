@@ -5,7 +5,9 @@ computes in batches over the ball: a word as a tuple of letters, its
 images as products of letter matrices, its exponent sums and cohomology
 values, the ball as a sequence of words, the chordal distance of two
 projective points, and the equivariance residuals of a sampled curve.
-No command reads any of them, so they live with the tests.
+Beside them are the JSON forms of a seed and a spec, which the tests
+write configs from.  No command reads any of them, so they live with the
+tests.
 """
 
 import math
@@ -16,7 +18,7 @@ import numpy as np
 
 from flagcurve.ball import BallTable
 from flagcurve.spectral import canonicalize_rows
-from flagcurve.surface import letter_name
+from flagcurve.surface import gen_name, letter_name
 
 
 def parse_letter(token: str, genus: int) -> int:
@@ -115,14 +117,39 @@ def enumerate_ball(seed, radius: int) -> Iterator[tuple]:
     yield Word((), seed.genus), np.eye(2)
     words = []
     for level, rows, mats in table.blocks(table.seed_images):
-        if rows.start == 0:
+        if rows[0] == 0:
             prev, words = words, []
         letters = table.letters(level)[rows].tolist()
-        heads = ([prev[p] for p in table.parents(level, rows).tolist()] if level > 1
+        heads = ([prev[p] for p in table.parents(rows).tolist()] if level > 1
                  else [()] * len(letters))
         for head, l, m in zip(heads, letters, mats):
             words.append(head + (l,))
             yield Word(words[-1], seed.genus), m
+
+
+def seed_to_json_dict(seed) -> dict:
+    """The JSON form of a seed, as ``FuchsianSeed.from_json_dict`` reads it."""
+    return {
+        "genus": seed.genus,
+        "generators": [list(np.asarray(m).ravel()) for m in seed.generators],
+    }
+
+
+def spec_to_json_dict(spec) -> dict:
+    """The JSON form of a spec, as ``spec_from_json_dict`` reads it."""
+    names = [gen_name(k) for k in range(2 * spec.genus)]
+    d = {"variant": spec.variant, "seed": seed_to_json_dict(spec.seed)}
+    if spec.variant in ("linear_u", "radial"):
+        d["u"] = {names[k]: spec.u.values[k] for k in range(2 * spec.genus)}
+    if spec.variant == "radial":
+        d["mu"] = {names[k]: spec.mu[k] for k in range(2 * spec.genus)}
+        d["nu"] = {names[k]: spec.nu[k] for k in range(2 * spec.genus)}
+    if spec.variant == "explicit":
+        d["matrices"] = {
+            names[k]: list(np.asarray(spec.matrices[k]).ravel())
+            for k in range(2 * spec.genus)
+        }
+    return d
 
 
 def proj_dist(u: np.ndarray, v: np.ndarray) -> float:

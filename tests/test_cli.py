@@ -15,6 +15,8 @@ import pytest
 from flagcurve import RepSpec, ball, cli, delta, spec_from_json_dict, standard_fuchsian
 from flagcurve.ball import BallTable
 
+from oracles import spec_to_json_dict
+
 RADIAL_G2 = {
     "variant": "radial",
     "seed": {"genus": 2},
@@ -25,6 +27,7 @@ CANONICAL_G2 = {"variant": "canonical", "seed": {"genus": 2}}
 # exp(700/3) in the image of a1 sends its eigen computations past the
 # float range: its flag is not finite.
 LINEAR_U_700 = {"variant": "linear_u", "seed": {"genus": 2}, "u": {"a1": 700}}
+NO_FLOAT_WARNINGS = pytest.mark.filterwarnings("error::RuntimeWarning")
 SAMPLES = 2736  # at ball radius 4, below the default incidence_max_lines
 ABSENT = "<absent from the report>"
 REPORTS = {
@@ -59,7 +62,7 @@ def _explicit_g2() -> dict:
     """The canonical genus-2 representation given by its matrices."""
     seed = standard_fuchsian(2)
     mats = tuple(RepSpec("canonical", seed).generator_images())
-    return RepSpec("explicit", seed, matrices=mats).to_json_dict()
+    return spec_to_json_dict(RepSpec("explicit", seed, matrices=mats))
 
 
 def _explicit_g2_with(matrix: np.ndarray) -> dict:
@@ -90,7 +93,7 @@ def _conjugated_radial_g2() -> dict:
     """RADIAL_G2 conjugated by CONJ, as an explicit spec."""
     spec = spec_from_json_dict(RADIAL_G2)
     mats = tuple(CONJ @ g @ CONJ_INV for g in spec.generator_images())
-    return RepSpec("explicit", spec.seed, matrices=mats).to_json_dict()
+    return spec_to_json_dict(RepSpec("explicit", spec.seed, matrices=mats))
 
 
 @pytest.mark.parametrize("command, rep_spec, fields, code, expect", [
@@ -104,12 +107,16 @@ def _conjugated_radial_g2() -> dict:
     ("delta", CANONICAL_G2, {}, 6, None),
     ("orbit", RADIAL_G2, {}, 0, {"free_at_scale": True}),
     ("regularity", RADIAL_G2, {}, 0, {}),
-    ("limit-curve", LINEAR_U_700, {}, 6, None),
-    ("delta", LINEAR_U_700, {}, 6, None),
-    ("regularity", LINEAR_U_700, {}, 6, None),
+    # Images near the float range: numpy's overflow warnings stay silent.
+    pytest.param("limit-curve", LINEAR_U_700, {}, 6, None, marks=NO_FLOAT_WARNINGS),
+    pytest.param("delta", LINEAR_U_700, {}, 6, None, marks=NO_FLOAT_WARNINGS),
+    pytest.param("regularity", LINEAR_U_700, {}, 6, None, marks=NO_FLOAT_WARNINGS),
+    pytest.param("certify", LINEAR_U_700, {}, 4, {"verdict": "refuted"},
+                 marks=NO_FLOAT_WARNINGS),
 ], ids=["certify_certified", "certify_refuted", "certify_explicit", "certify_not_loxodromic",
         "limit_curve_insufficient", "delta_not_radial", "orbit", "regularity",
-        "limit_curve_not_finite", "delta_not_finite", "regularity_not_finite"])
+        "limit_curve_not_finite", "delta_not_finite", "regularity_not_finite",
+        "certify_near_float_range"])
 def test_exit_code_and_report(tmp_path, report_schema, command, rep_spec, fields, code,
                               expect):
     if rep_spec == "explicit":
@@ -198,11 +205,19 @@ def test_curve_csv_fields_are_repr(tmp_path, spec):
 
 @pytest.mark.parametrize("command", ["delta", "regularity", "orbit"])
 def test_model_commands_name_no_word(tmp_path, monkeypatch, command):
-    def refuse(self, level):
-        raise AssertionError(f"word strings of level {level} built")
+    # delta and regularity name no word of their curve models, and orbit
+    # names only its returning words.
+    kernel, named = BallTable.word_strings, []
 
-    monkeypatch.setattr(BallTable, "word_strings", refuse)
+    def counted(self, levels, index):
+        named.append(len(levels))
+        return kernel(self, levels, index)
+
+    monkeypatch.setattr(BallTable, "word_strings", counted)
     assert _run(tmp_path, command, {"rep_spec": RADIAL_G2, "ball_radius": 4}) == 0
+    report = json.loads((tmp_path / "out" / REPORTS[command]).read_text(encoding="utf-8"))
+    # The returning words include the empty word, which is never named.
+    assert sum(named) <= max(len(report.get("returning_words", [])) - 1, 0)
 
 
 @pytest.mark.parametrize("fields", [

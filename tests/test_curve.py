@@ -232,23 +232,27 @@ def test_stable_norm_monotone_in_radius(seed2):
 def _patch_seed_images(monkeypatch, level: int, ks, mat) -> None:
     """Make every ball give the words ``ks`` of a level the seed image
     ``mat``, by wrapping the kernel that derives seed images block by
-    block (``rows`` a slice, or the index array of a top level read one
-    rotation class at a time)."""
+    block."""
     kernel = BallTable.seed_images
 
     def seed_images(self, lv, rows, below):
         mats = kernel(self, lv, rows, below)
         if lv == level:
-            idx = np.arange(rows.start, rows.stop) if isinstance(rows, slice) else rows
-            mats[np.isin(idx, ks)] = mat
+            mats[np.isin(rows, ks)] = mat
         return mats
 
     monkeypatch.setattr(BallTable, "seed_images", seed_images)
 
 
+def _level_words(table: BallTable, level: int) -> list:
+    """Display strings of every word of a level, in order."""
+    n = len(table.letters(level))
+    return [s.decode() for s in table.word_strings(np.full(n, level), np.arange(n)).tolist()]
+
+
 def _rotations(table: BallTable, level: int, k: int) -> list:
     """Indices in a level of the rotations of its word k, least first."""
-    strs = table.word_strings(level)
+    strs = _level_words(table, level)
     names = strs[k].split(".")
     return sorted({strs.index(".".join(names[s:] + names[:s])) for s in range(level)})
 
@@ -275,7 +279,7 @@ def test_non_hyperbolic_seed_image_is_named(monkeypatch, seed2, u_a1):
     # class has three words.
     ks = next(r for r in (_rotations(table, 3, int(k)) for k in top[100:]) if len(r) == 3)
     c, s = math.cos(0.3), math.sin(0.3)
-    named = re.escape(repr(table.word_strings(3)[ks[0]]))
+    named = re.escape(repr(table.word(3, ks[0])))
     spec = RepSpec("linear_u", seed2, u=u_a1)
     for patched in (ks, ks[:1]):
         with monkeypatch.context() as m:
@@ -300,7 +304,7 @@ def test_trivial_seed_image_is_skipped(monkeypatch, seed2, u_a1, canonical2, sig
     ref_model = sample_limit_curve(canonical2, 3)
     dropped = next(w for w in ref_model.words if w.count(".") == 2)
     table = BallTable.build(seed2, 3)
-    ks = _rotations(table, 3, table.word_strings(3).index(dropped))
+    ks = _rotations(table, 3, _level_words(table, 3).index(dropped))
     assert len(ks) == 3
     want_words, want_classes = _level_scores(table, False), _level_scores(table, True)
     assert ks[0] in want_classes[3][0]
@@ -323,7 +327,7 @@ def test_trivial_seed_image_is_skipped(monkeypatch, seed2, u_a1, canonical2, sig
             assert res.n_scored == ref.n_scored - len(ks)
             assert res.rates.n_elements == ref.rates.n_elements - len(ks)
             model = sample_limit_curve(canonical2, 3)
-            names = {table.word_strings(3)[i] for i in patched}
+            names = {table.word(3, i) for i in patched}
             assert tuple(model.words) == tuple(w for w in ref_model.words if w not in names)
 
 

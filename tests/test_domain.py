@@ -190,7 +190,7 @@ def _recurrence_full_inverse(spec, base, nbhd, radius) -> tuple:
         disp = np.maximum(np.arccos(np.minimum(1.0, np.abs(rowwise_dot(pts, bp)))),
                           np.arccos(np.minimum(1.0, np.abs(rowwise_dot(lns, bl)))))
         least = min(least, float(disp.min()))
-        returning += [table.word(level, rows.start + int(i))
+        returning += [table.word(level, int(rows[i]))
                       for i in np.flatnonzero(disp <= 2.0 * nbhd)]
     return tuple(returning), least
 

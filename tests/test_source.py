@@ -54,17 +54,26 @@ def definitions(source: str) -> list:
 
 def references(source: str, strings: bool = False) -> set:
     """Every name a module reads, as a name (assigning one is no read) or an
-    attribute; with ``strings``, also each dotted part of its string
-    constants, the way perfbench's tracer names its targets
-    ("BallTable.build")."""
+    attribute, except inside a definition of the same name, so a method
+    that calls its namesake on another object is no reference to either;
+    with ``strings``, also each dotted part of its string constants, the
+    way perfbench's tracer names its targets ("BallTable.build")."""
     found = set()
-    for n in ast.walk(ast.parse(source)):
+    todo = [(ast.parse(source), frozenset())]
+    while todo:
+        n, inside = todo.pop()
+        if isinstance(n, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            inside |= {n.name}
+        name = None
         if isinstance(n, ast.Name) and not isinstance(n.ctx, ast.Store):
-            found.add(n.id)
+            name = n.id
         elif isinstance(n, ast.Attribute):
-            found.add(n.attr)
+            name = n.attr
         elif strings and isinstance(n, ast.Constant) and isinstance(n.value, str):
             found.update(n.value.split("."))
+        if name is not None and name not in inside:
+            found.add(name)
+        todo += [(child, inside) for child in ast.iter_child_nodes(n)]
     return found
 
 
@@ -76,6 +85,14 @@ def test_unreferenced_definitions_are_found():
     assert defined == [(1, "A"), (8, "g"), (11, "h"), (2, "f")]
     used = references(source) | references('TARGETS = {"x": ("m", "A.f")}', strings=True)
     assert [name for _, name in defined if name not in used] == ["h"]
+    # A method that calls its namesake on another object references neither.
+    source = ("class Spec:\n    def to_json(self):\n"
+              "        return {'seed': self.seed.to_json()}\n\n"
+              "class Seed:\n    def to_json(self):\n        return {}\n\n"
+              "def fact(n):\n    return n * fact(n - 1) if n else 1\n")
+    used = references(source)
+    assert [name for _, name in definitions(source) if name not in used] == [
+        "Spec", "Seed", "fact", "to_json", "to_json"]
     source = "TOL = 1e-9\nSLACK: float = 2.0\n__all__ = []\n\ndef f(x):\n    return x < SLACK\n\nf(1)\n"
     defined = definitions(source)
     assert defined == [(5, "f"), (1, "TOL"), (2, "SLACK")]

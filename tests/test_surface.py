@@ -7,12 +7,12 @@ import pytest
 
 from flagcurve import CohomologyClass, FuchsianSeed, standard_fuchsian
 from flagcurve import ball
-from flagcurve.ball import BallTable
+from flagcurve.ball import BallTable, WordIds
 from flagcurve.errors import UnsupportedGenus
 from flagcurve.surface import (batch_attractive_directions, batch_translation_lengths,
                                gen_name, standard_relator)
 
-from oracles import Word, ball_count, enumerate_ball, eval_u, seed_image
+from oracles import Word, ball_count, enumerate_ball, eval_u, seed_image, seed_to_json_dict
 
 
 def test_standard_seed_relator(seed2):
@@ -134,7 +134,7 @@ def test_attractive_direction_fixed(seed2):
 
 
 def test_seed_json_round_trip(seed2):
-    d = json.loads(json.dumps(seed2.to_json_dict()))
+    d = json.loads(json.dumps(seed_to_json_dict(seed2)))
     loaded = FuchsianSeed.from_json_dict(d)
     for a, b in zip(seed2.generators, loaded.generators):
         assert np.array_equal(np.asarray(a), np.asarray(b))
@@ -180,7 +180,8 @@ def test_ball_table_matches_enumeration(monkeypatch, seed2):
             whole = _whole_levels(table)
             scored = {m: [] for m in (0.0, 5.0, 7.0)}
             for level, words in enumerate(levels, 1):
-                assert table.word_strings(level) == [str(w) for w in words]
+                named = table.word_strings(np.full(len(words), level), np.arange(len(words)))
+                assert named.tolist() == [str(w).encode() for w in words]
                 assert [table.word(level, i) for i in range(len(words))] == [
                     str(w) for w in words
                 ]
@@ -203,13 +204,34 @@ def test_ball_table_matches_enumeration(monkeypatch, seed2):
                                        rtol=1e-12)
 
 
+def test_word_strings_with_letter_names_of_two_widths():
+    # From genus 10 on, a10, A10, b10 and B10 are a byte longer than the
+    # other letter names.  Brute force: every letter tuple, filtered by
+    # free reduction, sorted.
+    genus, radius = 10, 2
+    table = BallTable.build(standard_fuchsian(genus), radius)
+    want = [str(Word(ls, genus)) for level in range(1, radius + 1)
+            for ls in sorted(product(range(4 * genus), repeat=level))
+            if all(b != a ^ 1 for a, b in zip(ls, ls[1:]))]
+    sizes = [len(table.letters(level)) for level in range(1, radius + 1)]
+    levels = np.repeat(np.arange(1, radius + 1, dtype=np.int8), sizes)
+    index = np.concatenate([np.arange(n) for n in sizes])
+    assert [s.decode() for s in table.word_strings(levels, index).tolist()] == want
+    assert [table.word(int(l), int(i)) for l, i in zip(levels, index)] == want
+    # An unsorted batch of mixed levels, named at once and one at a time.
+    order = np.random.default_rng(0).permutation(len(want))[:500]
+    named = table.word_strings(levels[order], index[order])
+    assert [s.decode() for s in named.tolist()] == [want[k] for k in order]
+    ids = WordIds(table, levels, index)[order]
+    assert list(ids) == [ids[k] for k in range(len(ids))] == [want[k] for k in order]
+
+
 def test_ball_table_expsums(monkeypatch, seed2):
     for block_rows in (1, 5, 10 ** 6):
         monkeypatch.setattr(ball, "BLOCK_ROWS", block_rows)
         table = BallTable.build(seed2, 3)
-        strs = table.word_strings(3)
         exps = _whole_levels(table)[3][1]
         assert exps.dtype == np.int32
         for i in (0, 100, 390):
-            w = Word.parse(strs[i], 2)
+            w = Word.parse(table.word(3, i), 2)
             assert np.array_equal(w.exponent_sums(), exps[i])
