@@ -1,12 +1,12 @@
-"""Flag representations of surface groups in SL(3,R): projective points,
-lines and flags, Fuchsian seeds, representation families (group elements
-are plain (3,3) arrays), limit-curve sampling, spectral certificates, and
+"""Flag representations of surface groups in SL(3,R): projective flags,
+Fuchsian seeds, representation families (group elements are plain (3,3)
+arrays), limit-curve sampling, spectral certificates, and
 invariant-domain experiments.  Every stage reads the shortlex word ball
 of ``ball.BallTable`` through one batched kernel per task."""
 
 __version__ = "0.1.0"
 
-from .projective import Flag, ProjLine, ProjPoint, canonicalize, pairing
+from .projective import Flag, canonicalize
 from .surface import CohomologyClass, FuchsianSeed, standard_fuchsian
 from .reps import RepSpec, coboundary_radial, phi, rho0, spec_from_json_dict
 from .curve import (

@@ -11,42 +11,31 @@ i // (4g-1) of the level below and has first letter i // (n / 4g).
 Everything else about a word is derived as the ball is read.
 ``BallTable.blocks(*fields)`` streams every level in blocks of at most
 BLOCK_ROWS words, each an int64 index array of rows of the level, with
-the fields its reader asks for: seed images
-(``BallTable.seed_images``), exponent sums (``exponent_sums``) or, given
-a representation, 3x3 images (``images3``).  A field is derived from its
-own values over the whole level below by row-wise products, so a block's
-rows are the same bits whatever the block size.  A field's values of a
-level are kept whole only while the next level is read; the last
-level's, (4g-2)/(4g-1) of the ball, exist one block at a time, so they
-and every consumer's temporaries are O(block).
+the fields its reader names: seed images (``seed_images``), exponent
+sums (``exponent_sums``) or, given a representation, 3x3 images
+(``images3``).  A field is derived from its own values over the whole
+level below by row-wise products, so a block's rows are the same bits
+whatever the block size; only the last level's values, (4g-2)/(4g-1) of
+the ball, exist one block at a time.
 
 ``BallTable.word_letters`` is the one walk from a word's index up its
 parents to its letters.  ``BallTable.word_strings`` is the one naming
-kernel: it gathers a batch of (level, index) ids' letters into a table
-of each letter's bytes and returns an ``S`` array; ``word`` is its n=1
-wrapper, and ``WordIds``, a sequence of such ids, names words only when
-they are read.
+kernel: it returns an ``S`` array; ``word`` is its n=1 wrapper, and
+``WordIds`` names a sequence of (level, index) ids only when read.
 
-``BallTable.scored`` is the one word selection of every spectral pipeline:
-the cyclically reduced words above a translation-length floor, filtered
-from the blocks of ``blocks``.  Every spectral quantity is a conjugacy
-invariant, so the other words add work but no information, and a
-cyclically reduced word is conjugate to each of its rotations.  Asked
-for rotation classes, ``blocks`` derives the fields of the top level,
-(4g-2)/(4g-1) of the ball, only for the words that are cyclically
-reduced and the least of their rotations (``least_rotations``: the
-shortlex-first word of each class), and ``scored`` weights each with
-the number of words in its class (``class_sizes``), so counts still
-count words.  The levels below are read whole anyway and scored word by
-word.  ``scored`` is also the only place that decides whether seed
-images are hyperbolic, and it drops the words that are trivial in the
-surface group (the relator and its rotations, from length 4g on).
+``BallTable.scored(min_length, *fields)`` is the one word selection of
+every spectral pipeline: the nontrivial cyclically reduced words above a
+translation-length floor, with the seed images that give it and the
+fields its reader names.  A spectral quantity is a conjugacy invariant,
+and a cyclically reduced word is conjugate to its rotations, so with
+rotation classes the top level is read only at the least word of each
+class, weighted by its class size; one pass over each block's rotation
+codes (``least_rotations``) picks the words and gives the sizes.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import partial
 from types import SimpleNamespace
 from typing import Iterator
 
@@ -183,58 +172,46 @@ class BallTable:
             return exps
         return below[self.parents(rows)] + exps
 
-    def _rotation_codes(self, level: int, idx: np.ndarray) -> Iterator[np.ndarray]:
-        """Yield the words ``idx`` of a level as base-4g integers, first
-        letter most significant, then their rotations by 1..level-1
-        letters (the first s letters moved to the end).  Words of one
-        length compare as their codes do."""
-        base = 4 * self.genus
-        # A level's 4g(4g-1)^(level-1) letters fit in memory only while
-        # base**level is far below 2**63.
-        code = np.zeros(len(idx), dtype=np.int64)
-        for letts in self.word_letters(level, idx).T:
-            code *= base
-            code += letts
-        yield code
-        for s in range(1, level):
-            high = base ** (level - s)
-            yield code % high * base ** s + code // high
-
-    def least_rotations(self, level: int, idx: np.ndarray) -> np.ndarray:
-        """Indices of the words ``idx`` of a level that are cyclically
+    def least_rotations(self, level: int, idx: np.ndarray) -> tuple:
+        """(kept, sizes): the words ``idx`` of a level that are cyclically
         reduced and the lexicographically least of their rotations (Booth,
-        Inf. Process. Lett. 10, 1980): one word, the shortlex-first, of
-        every rotation class of cyclically reduced words."""
+        Inf. Process. Lett. 10, 1980), one word, the shortlex-first, of
+        every rotation class of cyclically reduced words, and the size of
+        each one's class, its least period."""
         # A word is cyclically reduced unless its first letter inverts its
         # last, and the least of its rotations only if its last letter is
         # not below its first.
         firsts, lasts = self.first_letters(level, idx), self.letters(level)[idx]
         idx = idx[(firsts != (lasts ^ 1)) & (firsts <= lasts)]
-        codes = self._rotation_codes(level, idx)
-        code = next(codes)
+        # Each word as a base-4g integer, first letter most significant, and
+        # its rotations by s letters (the first s moved to the end): words
+        # of one length compare as their codes do.  A level's words fit in
+        # memory only while base**level is far below 2**63.
+        base = 4 * self.genus
+        code = np.zeros(len(idx), dtype=np.int64)
+        for letts in self.word_letters(level, idx).T:
+            code *= base
+            code += letts
         least = np.ones(len(idx), dtype=bool)
-        for rot in codes:
+        sizes = np.full(len(idx), level, dtype=np.int64)
+        # Downward, so a word's size is the least s whose rotation fixes it.
+        for s in range(level - 1, 0, -1):
+            high = base ** (level - s)
+            rot = code % high * base ** s + code // high
             least &= code <= rot
-        return idx[least]
-
-    def class_sizes(self, level: int, idx: np.ndarray) -> np.ndarray:
-        """Number of distinct rotations of each word ``idx`` of a level:
-        its least period, level / (number of rotations that fix it)."""
-        codes = self._rotation_codes(level, idx)
-        code = next(codes)
-        size = np.full(len(idx), level)
-        for s, rot in enumerate(codes, 1):
-            size[(rot == code) & (size == level)] = s
-        return size
+            sizes[rot == code] = s
+        return idx[least], sizes[least]
 
     def blocks(self, *fields, classes: bool = False) -> Iterator[tuple]:
-        """Yield (level, rows, *values) for the blocks of at most
+        """Yield (level, rows, weight, *values) for the blocks of at most
         BLOCK_ROWS words of every level in shortlex order: ``rows`` is the
-        block's int64 index array in the level, and each value is
+        block's int64 index array in the level, ``weight`` the number of
+        words each row stands for, and each value is
         ``field(level, rows, below)``, ``below`` being that field's values
         over the whole level below (None at level 1), kept only while this
-        level is read.  With ``classes``, the top level's ``rows`` are a
-        block's ``least_rotations``, and blocks without one are skipped."""
+        level is read.  With ``classes``, the top level's rows and weights
+        are a block's ``least_rotations`` and their class sizes, and blocks
+        without one are skipped; every other row stands for itself."""
         below = [None] * len(fields)
         for level in range(1, self.radius + 1):
             n = len(self.letters(level))
@@ -242,38 +219,35 @@ class BallTable:
             for start in range(0, n, BLOCK_ROWS):
                 rows = np.arange(start, min(n, start + BLOCK_ROWS))
                 if classes and level == self.radius:
-                    rows = self.least_rotations(level, rows)
+                    rows, weight = self.least_rotations(level, rows)
                     if not len(rows):
                         continue
+                else:
+                    # Ones as a read-only view, which allocates nothing.
+                    weight = np.broadcast_to(np.int64(1), len(rows))
                 values = [f(level, rows, b) for f, b in zip(fields, below)]
                 if not start and level < self.radius:
                     whole = [np.empty((n, *v.shape[1:]), v.dtype) for v in values]
                 for stack, v in zip(whole, values):
                     stack[rows] = v
-                yield (level, rows, *values)
+                yield (level, rows, weight, *values)
             below = whole
 
-    def scored(self, min_length: float = 0.0, letter_images: np.ndarray | None = None,
-               classes: bool = False) -> Iterator[tuple]:
+    def scored(self, min_length: float = 0.0, *fields, classes: bool = False) -> Iterator[tuple]:
         """For each block of ``blocks`` holding cyclically reduced words of
         seed translation length t >= min_length, yield
-        (level, idx, t, mats, exps, imgs, weight): their indices in the
-        level in shortlex order, their translation lengths, (n, 2, 2) seed
-        images and (n, 2g) exponent sums, their (n, 3, 3) images (None
-        without letter_images) and the number of words each one stands for
-        (None without ``classes``): with ``classes`` a top-level word
-        stands for its rotation class (``class_sizes``) and any other word
-        for itself.
+        (level, idx, weight, t, mats, *values): the words' indices in the
+        level in shortlex order, the words each stands for, their
+        translation lengths, (n, 2, 2) seed images, and the values of
+        ``fields``, derived as ``blocks`` derives them.
 
         Words whose seed image is +-I are trivial in the group and skipped.
         Raises NotHyperbolic naming the first other cyclically reduced word
         whose seed image is not hyperbolic (the seed is then not Fuchsian;
         with ``classes``, a top-level class is named by its least word).
         """
-        fields = [self.seed_images, self.exponent_sums]
-        if letter_images is not None:
-            fields.append(partial(self.images3, letter_images))
-        for level, rows, mats, exps, *imgs in self.blocks(*fields, classes=classes):
+        for level, rows, weight, mats, *values in self.blocks(self.seed_images, *fields,
+                                                              classes=classes):
             hyp, t = batch_translation_lengths(mats)
             # A word is cyclically reduced unless its first letter inverts
             # its last; a one-letter word's first letter is its last.
@@ -287,13 +261,8 @@ class BallTable:
                 raise NotHyperbolic(f"seed image of {w!r} is not hyperbolic")
             sel = np.nonzero(reduced & (t >= min_length))[0]
             if len(sel):
-                idx, weight = rows[sel], None
-                if classes:
-                    # Ones as a read-only view, which allocates nothing.
-                    weight = (self.class_sizes(level, idx) if level == self.radius
-                              else np.broadcast_to(np.int64(1), len(idx)))
-                yield (level, idx, t[sel], mats[sel], exps[sel],
-                       imgs[0][sel] if imgs else None, weight)
+                yield (level, rows[sel], weight[sel], t[sel], mats[sel],
+                       *(v[sel] for v in values))
 
     def word(self, level: int, i: int) -> str:
         """Dot-separated display string of word i of a level."""

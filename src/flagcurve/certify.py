@@ -21,10 +21,10 @@ refuting witness and the extrema of r that give the gap rates;
 ``anosov_rates`` runs the same pass on a ball of its own.  Witnesses
 are named through ``BallTable.word``.
 
-The pass reads the ball as ``BallTable.scored`` streams it: the seed data
-and 3x3 images of the level below the one being read are held whole, and
-those of the last level exist one block at a time, as do the eigenvalue
-temporaries of the saddle test and of ``probe_explicit``.  Only running
+Each pass names the fields ``scored`` derives: exponent sums for the
+ratio, 3x3 images for the saddle check (``certify_anosov`` only) and for
+``probe_explicit``, which reads nothing else.  The last level's fields
+and eigenvalue temporaries exist one block at a time.  Only running
 reductions cross blocks: each level's first maximum of |r|, so the
 running estimate moves as it would on the whole level, and the extrema
 of r over t >= min_length, which give the gap rates.
@@ -34,6 +34,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
@@ -74,23 +75,23 @@ class CertifyResult:
     rates: RatesResult | None  # None when refuted
 
 
-def _scan(table: BallTable, u: CohomologyClass, min_length: float,
-          letter_images: np.ndarray | None = None) -> tuple:
-    """One pass over ``table.scored()`` with the signed ratio r = u(w)/t(w).
+def _scan(table: BallTable, u: CohomologyClass, min_length: float, *images) -> tuple:
+    """One pass over ``table.scored`` with the signed ratio r = u(w)/t(w).
 
     Returns the stable-norm estimate, the first refuting word (or None),
-    whether the ratio and saddle tests agree (checked only when the
-    ``letter_images`` are given), the scored count, and the rate data of
-    the words with t >= min_length: (least r, greatest r, their count, the
-    first with |r| within GAP_TOL of 1/2 or None).  Top-level words are
-    read one per rotation class and counted with their class sizes.
+    whether the ratio and saddle tests agree (checked only when an
+    ``images`` field of 3x3 images is given), the scored count, and the
+    rate data of the words with t >= min_length: (least r, greatest r,
+    their count, the first with |r| within GAP_TOL of 1/2 or None).
+    Top-level words are read one per rotation class and counted with
+    their class sizes.
     """
     uvec = u.as_vector()
     tops = {}  # level -> (max |r|, first word index at it)
     refut_word, agree, scored = None, True, 0
     lo, hi, n_kept, degenerate_word = math.inf, -math.inf, 0, None
-    for level, idx, t, _mats, exps, imgs, weight in table.scored(0.0, letter_images, True):
-        saddle_pass = None if imgs is None else batch_saddle_at_e2(imgs)
+    for level, idx, weight, t, _mats, exps, *imgs in table.scored(
+            0.0, table.exponent_sums, *images, classes=True):
         r = rowwise_dot(exps, uvec) / t
         vals = np.abs(r)
         j = int(np.argmax(vals))
@@ -99,8 +100,8 @@ def _scan(table: BallTable, u: CohomologyClass, min_length: float,
         ratio_pass = vals < 0.5
         if refut_word is None and not ratio_pass.all():
             refut_word = table.word(level, int(idx[np.argmin(ratio_pass)]))
-        if saddle_pass is not None:
-            agree &= bool(np.array_equal(ratio_pass, saddle_pass))
+        if imgs:
+            agree &= bool(np.array_equal(ratio_pass, batch_saddle_at_e2(imgs[0])))
         scored += int(weight.sum())
         keep = t >= min_length
         rk = r[keep]
@@ -153,7 +154,7 @@ def certify_anosov(
         raise ValueError("radius must be >= 2")
     table = BallTable.build(spec.seed, radius)
     estimate, refut_word, agree, scored, extrema = _scan(
-        table, spec.u, min_length, spec.letter_images())
+        table, spec.u, min_length, partial(table.images3, spec.letter_images()))
     if refut_word is not None:
         verdict = "refuted"
     elif estimate.value <= 0.5 - margin:
@@ -211,8 +212,8 @@ def probe_explicit(
     n_scored = 0
     n_lox = 0
     inf_top, inf_bot = math.inf, math.inf
-    for _level, _idx, t, _mats, _exps, imgs, weight in table.scored(
-            min_length, spec.letter_images(), True):
+    for _level, _idx, weight, t, _mats, imgs in table.scored(
+            min_length, partial(table.images3, spec.letter_images()), classes=True):
         lox, vals = batch_loxodromic(imgs)
         n_scored += int(weight.sum())
         n_lox += int(weight[lox].sum())

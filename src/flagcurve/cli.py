@@ -46,7 +46,7 @@ from .curve import (
 from .delta import fit_delta, pushforward_deviation
 from .domain import recurrence_experiment
 from .errors import ConfigError, FlagCurveError, InsufficientSamples
-from .projective import Flag, ProjLine, ProjPoint
+from .projective import Flag
 from .reps import RepSpec, spec_from_json_dict
 from .surface import json_number, json_object
 
@@ -108,9 +108,8 @@ def _base_flag(orbit: dict) -> Flag:
     """The base flag of the ``orbit`` config block."""
     if "base_point" in orbit or "base_line" in orbit:
         try:
-            p = ProjPoint.of(_orbit_vector(orbit, "base_point"))
-            l = ProjLine.of(_orbit_vector(orbit, "base_line"))
-            return Flag.of(p, l, tol=1e-8)
+            return Flag.of(_orbit_vector(orbit, "base_point"),
+                           _orbit_vector(orbit, "base_line"))
         except (KeyError, ValueError, TypeError) as e:
             raise ConfigError(f"bad field 'orbit.base_point'/'orbit.base_line': {e}") from e
     # Documented default: inside the canonical domain with wide margins.
@@ -303,7 +302,10 @@ def cmd_orbit(config: RunConfig) -> tuple:
                                 config.ball_radius)
     return 0, {
         "neighborhood": rep.neighborhood,
-        "returning_words": sorted(rep.returning_words, key=lambda w: (len(w), w)),
+        # Shorter words first: string length stops tracking word length
+        # once letter names differ in width (genus >= 10).
+        "returning_words": sorted(rep.returning_words,
+                                  key=lambda w: (w.count(".") + 1 if w else 0, w)),
         "count_history": [[r, c] for r, c in rep.count_history],
         "stabilized": rep.stabilized,
         "min_nonempty_displacement": rep.min_nonempty_displacement,

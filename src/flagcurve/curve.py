@@ -5,8 +5,9 @@ cyclically reduced ball elements; each sample is indexed by the attracting
 fixed direction of its 2x2 seed image on the circle of directions (an
 angle mod pi), which parametrizes the curve equivariantly and injectively.
 ``sample_limit_curve`` takes the flags block by block from
-``BallTable.scored``, so of the seed and 3x3 images only the level below
-the one being read is held whole and the last level is streamed.  Each
+``BallTable.scored``, naming only the 3x3 images as a field, so of the
+seed and 3x3 images only the level below the one being read is held
+whole and the last level is streamed.  Each
 block's loxodromic rows are written straight into six columns (params,
 points, lines, translation lengths, levels and indices) allocated at the
 ball's word count, which bounds the sample count; rows never written
@@ -37,6 +38,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import partial
 from typing import Sequence
 
 import numpy as np
@@ -145,8 +147,8 @@ def sample_limit_curve(
     points, lines = np.empty((size, 3)), np.empty((size, 3))
     levels, index = np.empty(size, dtype=np.int8), np.empty(size, dtype=np.int64)
     n = 0
-    for level, idx, t, mats, _exps, imgs, _weight in table.scored(min_length,
-                                                                  spec.letter_images()):
+    for level, idx, _weight, t, mats, imgs in table.scored(
+            min_length, partial(table.images3, spec.letter_images())):
         lox, pts, lns = batch_attracting_flags(imgs)
         # Rows are unit vectors, so the block's sum is finite unless a row
         # is not; the sum allocates nothing.

@@ -52,8 +52,8 @@ def in_omega(flag: Flag, model: CurveModel, tol: float | None = None) -> OmegaQu
     """
     if tol is None:
         tol = 2.0 * model.dedup_res
-    mp = model.point_margin(flag.point.rep)
-    ml = model.line_margin(flag.line.rep)
+    mp = model.point_margin(flag.point)
+    ml = model.line_margin(flag.line)
     m = min(mp, ml)
     point_exact = model.exact_point_line is not None
     line_exact = model.exact_line_point is not None
@@ -100,11 +100,11 @@ def recurrence_experiment(spec: RepSpec, base: Flag, nbhd: float, radius: int,
             f" need > {2.0 * nbhd:.4f}"
         )
     table = BallTable.build(spec.seed, radius)
-    bp, bl = base.point.rep, base.line.rep
+    bp, bl = base.point, base.line
     returning = [""]
     counts = {0: 1}  # level -> cumulative count of returning words
     min_disp = math.inf
-    for level, rows, imgs in table.blocks(partial(table.images3, spec.letter_images())):
+    for level, rows, _weight, imgs in table.blocks(partial(table.images3, spec.letter_images())):
         pts = np.einsum("nij,j->ni", imgs, bp)
         pts /= np.linalg.norm(pts, axis=1)[:, None]
         dp = _angles(pts, bp)

@@ -1,13 +1,13 @@
-"""Projective plane primitives: points, lines and incident flags.
+"""Projective plane primitives: canonical representatives and incident
+flags.
 
-Homogeneous representatives are stored with unit Euclidean norm and the
-first nonzero coordinate positive, so equal projective elements have equal
-(bitwise, after canonicalization) representatives and hashing/dedup is
-stable.  These scalar values carry the CLI's base flag and the domain
-queries; the curve and ball pipelines work on (n, 3) row arrays instead
+``canonicalize`` gives a homogeneous vector its representative of unit
+Euclidean norm with the first nonzero coordinate positive, so equal
+projective elements have bitwise equal representatives.  A ``Flag``
+holds two such read-only arrays, a point and the covector of a line
+through it, and carries the CLI's base flag and the domain queries; the
+curve and ball pipelines work on (n, 3) row arrays instead
 (``spectral.canonicalize_rows``).
-
-All objects are immutable values and every operation is pure.
 """
 
 from __future__ import annotations
@@ -17,9 +17,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-# Incidence tolerance for flags constructed by the library (near machine
-# precision).
-CONSTRUCTED_TOL = 1e-10
+# Largest |<point|line>| of the unit representatives of an incident flag.
+INCIDENCE_TOL = 1e-8
 
 _UNIT_SLACK = 4 * np.finfo(float).eps
 _TINY = np.finfo(float).tiny  # the least normal double
@@ -62,52 +61,20 @@ def canonicalize(v: np.ndarray) -> np.ndarray:
 
 
 @dataclass(frozen=True, eq=False)
-class ProjPoint:
-    """Point of the projective plane, canonicalized unit 3-vector."""
-
-    rep: np.ndarray
-
-    @staticmethod
-    def of(v) -> "ProjPoint":
-        return ProjPoint(canonicalize(v))
-
-
-@dataclass(frozen=True, eq=False)
-class ProjLine:
-    """Projective line, represented by a canonicalized unit covector."""
-
-    rep: np.ndarray
-
-    @staticmethod
-    def of(v) -> "ProjLine":
-        return ProjLine(canonicalize(v))
-
-
-def pairing(p: ProjPoint, l: ProjLine) -> float:
-    """Evaluation of the line's covector on the point's vector (both unit)."""
-    return float(p.rep @ l.rep)
-
-
-@dataclass(frozen=True, eq=False)
 class Flag:
-    """Incident (point, line) pair."""
+    """Incident (point, line) pair: the canonical representatives of a
+    point and of the covector of a line through it.  Built by
+    ``Flag.of``."""
 
-    point: ProjPoint
-    line: ProjLine
-
-    def __post_init__(self):
-        res = abs(pairing(self.point, self.line))
-        if res > CONSTRUCTED_TOL:
-            raise ValueError(f"not incident: |<point|line>| = {res:.3e} > {CONSTRUCTED_TOL:.1e}")
+    point: np.ndarray
+    line: np.ndarray
 
     @staticmethod
-    def of(point, line, tol: float = CONSTRUCTED_TOL) -> "Flag":
-        p = point if isinstance(point, ProjPoint) else ProjPoint.of(point)
-        l = line if isinstance(line, ProjLine) else ProjLine.of(line)
-        res = abs(pairing(p, l))
-        if res > tol:
-            raise ValueError(f"not incident: |<point|line>| = {res:.3e} > {tol:.1e}")
-        f = object.__new__(Flag)
-        object.__setattr__(f, "point", p)
-        object.__setattr__(f, "line", l)
-        return f
+    def of(point, line) -> "Flag":
+        """The flag of a point and a line given by any representatives;
+        raises ValueError unless they pair to within INCIDENCE_TOL."""
+        p, l = canonicalize(point), canonicalize(line)
+        res = abs(float(p @ l))
+        if res > INCIDENCE_TOL:
+            raise ValueError(f"not incident: |<point|line>| = {res:.3e} > {INCIDENCE_TOL:.1e}")
+        return Flag(p, l)

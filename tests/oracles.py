@@ -116,7 +116,7 @@ def enumerate_ball(seed, radius: int) -> Iterator[tuple]:
     table = BallTable.build(seed, radius)
     yield Word((), seed.genus), np.eye(2)
     words = []
-    for level, rows, mats in table.blocks(table.seed_images):
+    for level, rows, _weight, mats in table.blocks(table.seed_images):
         if rows[0] == 0:
             prev, words = words, []
         letters = table.letters(level)[rows].tolist()

@@ -124,11 +124,52 @@ def test_recurrence_derives_no_seed_data(monkeypatch, radial, default_runs):
     assert _same(got, default_runs["recurrence"])
 
 
+def test_images_only_readers_derive_no_exponent_sums(monkeypatch, radial, explicit,
+                                                     default_runs):
+    # The sampler and the probe name only the 3x3 images, so they stream
+    # no exponent sums.
+    def derived(*args):
+        raise AssertionError("exponent sums derived")
+
+    monkeypatch.setattr(BallTable, "exponent_sums", derived)
+    assert _same(sample_limit_curve(radial, RADIUS), default_runs["curve"])
+    assert _same(probe_explicit(explicit, RADIUS), default_runs["probe"])
+
+
+@pytest.mark.parametrize("rows", [5, 4096])
+def test_certify_walks_each_class_block_once(monkeypatch, radial, refuted, rows):
+    # The class pass reads each top-level block's letters up the parents
+    # once, to pick its least words and their class sizes; every other
+    # walk names a witness.
+    monkeypatch.setattr(ball, "BLOCK_ROWS", rows)
+    walk, name = BallTable.word_letters, BallTable.word
+    walks, names = [], []
+
+    def counted_walk(self, level, idx):
+        walks.append(level)
+        return walk(self, level, idx)
+
+    def counted_name(self, level, i):
+        names.append(level)
+        return name(self, level, i)
+
+    monkeypatch.setattr(BallTable, "word_letters", counted_walk)
+    monkeypatch.setattr(BallTable, "word", counted_name)
+    top = 8 * 7 ** (RADIUS - 1)
+    for spec in (radial, refuted):
+        walks.clear()
+        names.clear()
+        certify_anosov(spec, RADIUS)
+        assert names
+        assert len(walks) == -(-top // rows) + len(names)
+
+
 @lru_cache(maxsize=None)
 def _level_classes(genus: int, length: int) -> tuple:
     """(table, letters, kept, sizes): a ball of radius ``length``, its top
     level's words as an (n, length) letter array read off the parents,
-    and the level's ``least_rotations`` and their ``class_sizes``."""
+    and the rows and weights of the top level's blocks on the class pass
+    of ``blocks``."""
     table = BallTable.build(standard_fuchsian(genus), length)
     n = len(table.letters(length))
     letters = np.empty((n, length), dtype=np.int8)
@@ -136,9 +177,9 @@ def _level_classes(genus: int, length: int) -> tuple:
     for k in range(length, 0, -1):
         letters[:, k - 1] = table.letters(k)[up]
         up = up // (4 * genus - 1)
-    kept = np.concatenate([table.least_rotations(length, np.arange(s, min(n, s + 4096)))
-                           for s in range(0, n, 4096)])
-    return table, letters, kept, table.class_sizes(length, kept)
+    top = [(rows, weight) for level, rows, weight in table.blocks(classes=True)
+           if level == length]
+    return table, letters, *(np.concatenate(col) for col in zip(*top))
 
 
 @settings(max_examples=60, deadline=None)
@@ -185,9 +226,8 @@ def _least_rotation(name: str, genus: int) -> str:
 def _per_word(monkeypatch):
     """Make every class pass read each cyclically reduced top-level word,
     each standing for itself."""
-    monkeypatch.setattr(BallTable, "least_rotations", lambda self, level, rows: rows)
-    monkeypatch.setattr(BallTable, "class_sizes",
-                        lambda self, level, idx: np.ones(len(idx), dtype=np.int64))
+    monkeypatch.setattr(BallTable, "least_rotations",
+                        lambda self, level, rows: (rows, np.ones(len(rows), dtype=np.int64)))
 
 
 @pytest.mark.parametrize("radius", [4, 5])
@@ -242,7 +282,7 @@ def test_a_level_maximum_lies_past_its_first_block(monkeypatch, refuted):
     monkeypatch.setattr(ball, "BLOCK_ROWS", 5)
     table = BallTable.build(refuted.seed, RADIUS)
     maxima = {}
-    for level, _idx, t, _mats, exps, _imgs, _weight in table.scored():
+    for level, _idx, _weight, t, _mats, exps in table.scored(0.0, table.exponent_sums):
         r = np.abs(exps @ refuted.u.as_vector()) / t
         maxima.setdefault(level, []).append(r.max())
     assert any(np.argmax(m) > 0 for m in maxima.values())
@@ -353,7 +393,7 @@ def test_images3_matches_einsum_on_a_genus3_level():
     letter_images = spec.letter_images()
     table = BallTable.build(seed3, 5)
     stacks = {}
-    for level, _rows, imgs in table.blocks(partial(table.images3, letter_images)):
+    for level, _rows, _weight, imgs in table.blocks(partial(table.images3, letter_images)):
         stacks.setdefault(level, []).append(imgs)
     prev, got = np.concatenate(stacks[4]), np.concatenate(stacks[5])
     # Word i of a level extends word i // (4g-1) of the level below.

@@ -12,7 +12,8 @@ import jsonschema
 import numpy as np
 import pytest
 
-from flagcurve import RepSpec, ball, cli, delta, spec_from_json_dict, standard_fuchsian
+from flagcurve import (RecurrenceReport, RepSpec, ball, cli, delta, spec_from_json_dict,
+                       standard_fuchsian)
 from flagcurve.ball import BallTable
 
 from oracles import spec_to_json_dict
@@ -322,6 +323,33 @@ def test_malformed_orbit_block_exits_2_before_output(tmp_path, capsys, command, 
     assert _run(tmp_path, command, config) == 2
     assert capsys.readouterr().err.startswith("config error:")
     assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("offset, code", [(1e-8, 0), (4e-8, 2)])
+def test_orbit_base_flag_incidence_tolerance(tmp_path, capsys, offset, code):
+    # The line (1 + offset, -1, 0) pairs with the point (1, 1, 0) to about
+    # offset / 2 in unit representatives: 5e-9 passes the one flag
+    # tolerance, 1e-8, and 2e-8 does not.
+    orbit = {"base_point": [1, 1, 0], "base_line": [1 + offset, -1, 0]}
+    config = {"rep_spec": CANONICAL_G2, "ball_radius": 3, "orbit": orbit}
+    assert _run(tmp_path, "orbit", config) == code
+    err = capsys.readouterr().err
+    if code:
+        assert err.startswith("config error: bad field 'orbit.base_point'/'orbit.base_line': "
+                              "not incident: |<point|line>| = 2.000e-08 > 1.0e-08")
+        assert err.count("\n") == 1
+        assert not (tmp_path / "out").exists()
+
+
+def test_orbit_lists_shorter_words_first(tmp_path, monkeypatch):
+    # Letter names differ in width from genus 10 on, so a longer word can
+    # be the shorter string; the report orders words by letter count.
+    words = ("", "a10.b10.a10", "a1.b1.a1.b1", "b2", "A10", "a1.B1")
+    report = RecurrenceReport(0.05, words, ((0, 1),), False, 0.5, True)
+    monkeypatch.setattr(cli, "recurrence_experiment", lambda *args: report)
+    assert _run(tmp_path, "orbit", {"rep_spec": RADIAL_G2, "ball_radius": 3}) == 0
+    got = json.loads((tmp_path / "out" / "orbit.json").read_text(encoding="utf-8"))
+    assert got["returning_words"] == ["", "A10", "b2", "a1.B1", "a10.b10.a10", "a1.b1.a1.b1"]
 
 
 # SHA-256 of every file each command writes, pinned so that a refactor

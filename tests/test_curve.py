@@ -1,5 +1,6 @@
 import math
 import re
+from functools import partial
 
 import numpy as np
 import pytest
@@ -261,8 +262,7 @@ def _level_scores(table: BallTable, classes: bool) -> dict:
     """level -> (scored indices, the words each stands for) of one scored
     pass; a per-word pass's words stand for themselves."""
     out = {}
-    for level, idx, *_, weight in table.scored(0.0, None, classes):
-        weight = np.ones(len(idx), dtype=np.int64) if weight is None else weight
+    for level, idx, weight, *_ in table.scored(classes=classes):
         prev = out.get(level, (np.empty(0, int), np.empty(0, int)))
         out[level] = (np.concatenate([prev[0], idx]), np.concatenate([prev[1], weight]))
     return out
@@ -286,7 +286,7 @@ def test_non_hyperbolic_seed_image_is_named(monkeypatch, seed2, u_a1):
             _patch_seed_images(m, 3, patched, [[c, -s], [s, c]])
             for run in (
                 lambda: list(table.scored()),
-                lambda: list(table.scored(0.0, None, True)),
+                lambda: list(table.scored(classes=True)),
                 lambda: certify_anosov(spec, 3),
             ):
                 with pytest.raises(NotHyperbolic, match=named):
@@ -343,9 +343,9 @@ def test_certify_is_one_pass(monkeypatch, seed2, u_a1, variant):
     calls = []
 
     def counted(name, fn):
-        def wrapper(*args):
+        def wrapper(*args, **kwargs):
             calls.append(name)
-            return fn(*args)
+            return fn(*args, **kwargs)
         return wrapper
 
     monkeypatch.setattr(BallTable, "build", staticmethod(counted("build", BallTable.build)))
@@ -435,8 +435,9 @@ def test_rates_match_generic_eigensolver(monkeypatch, seed2):
     # The rates read the top level one rotation class at a time, each
     # class's least word standing for its class.
     pos, inf_top = 0, np.inf
-    for _level, _idx, t, _mats, exps, imgs, weight in table.scored(
-            0.5, spec.letter_images(), True):
+    for _level, _idx, weight, t, _mats, exps, imgs in table.scored(
+            0.5, table.exponent_sums, partial(table.images3, spec.letter_images()),
+            classes=True):
         vals, real = batch_eigvals3(imgs)
         assert real.all()
         a = np.abs(vals)

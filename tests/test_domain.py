@@ -7,8 +7,7 @@ import pytest
 from flagcurve import (
     CohomologyClass,
     Flag,
-    ProjLine,
-    ProjPoint,
+    canonicalize,
     RepSpec,
     coboundary_radial,
     in_omega,
@@ -46,7 +45,7 @@ def test_in_omega_outside_on_curve(model4):
 
 
 def test_in_omega_sampled_flag(model4):
-    flag = Flag(ProjPoint(model4.points[7]), ProjLine(model4.lines[7]))
+    flag = Flag.of(model4.points[7], model4.lines[7])
     q = in_omega(flag, model4)
     assert q.verdict in ("outside", "on-boundary")
 
@@ -65,35 +64,35 @@ def _fiber(curve: np.ndarray, target) -> tuple:
     """(crossings, tangencies, all_zero) of one projective line with a
     sampled point curve, or dually of one point's line pencil with a
     sampled line curve."""
-    cross, tang, allzero = crossing_counts(curve, target.rep[None], 1e-9)
+    cross, tang, allzero = crossing_counts(curve, target[None], 1e-9)
     return int(cross[0]), int(tang[0]), bool(allzero[0])
 
 
 def test_fiber_profile_line_crosses_once(model4):
-    assert _fiber(model4.points, ProjLine.of(E3)) == (1, 0, False)
+    assert _fiber(model4.points, canonicalize(E3)) == (1, 0, False)
 
 
 def test_fiber_profile_degenerate_line(model4):
     # The pencil's degenerate member holds the whole canonical point curve.
-    assert _fiber(model4.points, ProjLine.of(E2)) == (0, 0, True)
+    assert _fiber(model4.points, canonicalize(E2)) == (0, 0, True)
 
 
 def test_fiber_profile_generic_lines(model4, rng):
     for _ in range(25):
-        l = ProjLine.of(rng.normal(size=3))
-        if abs(l.rep[1]) < 0.05:
+        l = canonicalize(rng.normal(size=3))
+        if abs(l[1]) < 0.05:
             continue  # close to the degenerate pencil member
-        assert _fiber(model4.points, l)[0] == 1, l.rep
+        assert _fiber(model4.points, l)[0] == 1, l
 
 
 def test_fiber_profile_point_dual(model4):
-    assert _fiber(model4.lines, ProjPoint.of(E1)) == (1, 0, False)
+    assert _fiber(model4.lines, canonicalize(E1)) == (1, 0, False)
 
 
 def test_fiber_profile_equivariance(model4, canonical2, seed2):
     g = evaluate(canonical2, Word.parse("a1.b2", 2))
     gd = np.linalg.inv(g).T
-    l = ProjLine.of([0.3, 0.8, -0.2])
+    l = canonicalize([0.3, 0.8, -0.2])
     before = _fiber(model4.points, l)[0]
     # transform the whole model and the line together
     mp = canonicalize_rows((g @ model4.points.T).T)
@@ -106,7 +105,7 @@ def test_fiber_profile_equivariance(model4, canonical2, seed2):
         tlens=model4.tlens[order],
         dedup_res=model4.dedup_res,
     )
-    gl = ProjLine.of(gd @ l.rep)
+    gl = canonicalize(gd @ l)
     after = _fiber(moved.points, gl)[0]
     assert before == after == 1
 
@@ -127,7 +126,7 @@ def test_recurrence_brute_force_oracle(canonical2, seed2, model4):
     # chordal distances via explicit representative comparison
     letters = canonical2.letter_images()
     duals = np.array([np.linalg.inv(m).T for m in letters])
-    bp, bl = BASE.point.rep, BASE.line.rep
+    bp, bl = BASE.point, BASE.line
 
     def chord(u, v):
         u = u / np.linalg.norm(u)
@@ -161,7 +160,7 @@ def _near_a1_base(canonical2) -> Flag:
     pb /= np.linalg.norm(pb)
     lb = l - (l @ pb) * pb + 0.25 * (E2 - (E2 @ pb) * pb)
     lb /= np.linalg.norm(lb)
-    return Flag.of(pb, lb, tol=1e-8)
+    return Flag.of(pb, lb)
 
 
 def test_recurrence_wider_neighborhood_returns_more(canonical2, model4):
@@ -180,9 +179,9 @@ def _recurrence_full_inverse(spec, base, nbhd, radius) -> tuple:
     """(returning words, least nonempty displacement) with every ball
     word's image inverted and its line mapped, block by block."""
     table = BallTable.build(spec.seed, radius)
-    bp, bl = base.point.rep, base.line.rep
+    bp, bl = base.point, base.line
     returning, least = [""], math.inf
-    for level, rows, imgs in table.blocks(partial(table.images3, spec.letter_images())):
+    for level, rows, _weight, imgs in table.blocks(partial(table.images3, spec.letter_images())):
         pts = np.einsum("nij,j->ni", imgs, bp)
         pts /= np.linalg.norm(pts, axis=1)[:, None]
         lns = np.einsum("nij,j->ni", np.linalg.inv(imgs).transpose(0, 2, 1), bl)

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from flagcurve import Flag, ProjLine, ProjPoint, canonicalize, pairing
+from flagcurve import Flag, canonicalize
 
 E1, E2, E3 = np.eye(3)
 
@@ -37,16 +37,31 @@ def test_canonicalize_tiny_vectors():
 
 
 def test_pairing_dual_basis():
-    assert pairing(ProjPoint.of(E1), ProjLine.of(E1)) == pytest.approx(1.0)
-    assert pairing(ProjPoint.of(E1), ProjLine.of(E3)) == 0.0
+    # A flag holds the canonical representatives of its point and line.
+    flag = Flag.of(-2.0 * E1, 3.0 * E3)
+    assert np.array_equal(flag.point, E1) and np.array_equal(flag.line, E3)
+    assert flag.point @ flag.line == 0.0
 
 
 def test_pairing_example_vectors():
-    p = ProjPoint.of([1.0, 2.0, 3.0])
-    l = ProjLine.of([4.0, 5.0, 6.0])
-    assert pairing(p, l) == pytest.approx(32.0 / math.sqrt(14.0 * 77.0), abs=1e-14)
+    # The rejection names the pairing of the unit representatives.
+    res = 32.0 / math.sqrt(14.0 * 77.0)
+    with pytest.raises(ValueError, match=rf"^not incident: \|<point\|line>\| = {res:.3e} > "):
+        Flag.of([1.0, 2.0, 3.0], [4.0, 5.0, 6.0])
 
 
 def test_flag_rejects_non_incident():
     with pytest.raises(ValueError):
         Flag.of(E1, E1)
+
+
+@pytest.mark.parametrize("pairing, ok", [(5e-9, True), (2e-8, False)])
+def test_flag_incidence_tolerance(pairing, ok):
+    # One tolerance, 1e-8, for every flag.
+    line = np.array([pairing, 0.0, math.sqrt(1.0 - pairing ** 2)])
+    if ok:
+        flag = Flag.of(E1, line)
+        assert flag.point @ flag.line == pytest.approx(pairing, rel=1e-12, abs=0.0)
+    else:
+        with pytest.raises(ValueError, match=r"> 1\.0e-08$"):
+            Flag.of(E1, line)

@@ -270,7 +270,7 @@ def test_batch_saddle_matches_ratio_on_ball(monkeypatch, seed2):
         refuted = 0
         fields = (table.seed_images, table.exponent_sums,
                   partial(table.images3, spec.letter_images()))
-        for _level, _rows, mats, exps, imgs in table.blocks(*fields):
+        for _level, _rows, _weight, mats, exps, imgs in table.blocks(*fields):
             hyp, t = batch_translation_lengths(mats)
             assert hyp.all()
             ratio_ok = np.abs(exps @ u.as_vector()) < t / 2.0

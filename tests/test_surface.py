@@ -154,7 +154,7 @@ def _whole_levels(table) -> dict:
     """level -> (mats, exps) of every word of the level, joined from the
     blocks of ``table.blocks``."""
     levels = {}
-    for level, _rows, *seed_data in table.blocks(table.seed_images, table.exponent_sums):
+    for level, _rows, _weight, *seed_data in table.blocks(table.seed_images, table.exponent_sums):
         levels.setdefault(level, []).append(seed_data)
     return {level: [np.concatenate(col) for col in zip(*blocks)]
             for level, blocks in levels.items()}
@@ -195,7 +195,7 @@ def test_ball_table_matches_enumeration(monkeypatch, seed2):
                 assert np.array_equal(exps, [w.exponent_sums() for w in words])
             for m, expected in scored.items():
                 got = {}
-                for lv, idx, t, *_ in table.scored(m):
+                for lv, idx, _weight, t, *_ in table.scored(m):
                     got.setdefault(lv, []).append((idx, t))
                 assert [(lv, np.concatenate([i for i, _ in b]).tolist())
                         for lv, b in got.items()] == [(lv, idx) for lv, idx, _ in expected]
