@@ -15,8 +15,9 @@ formats a chunk of columns at once in numpy, and hands the few floats
 ``limit-curve`` checks incidence, which needs 64 samples, before it
 writes any file, and then streams ``curve.csv`` to the open file in
 chunks of CSV_ROWS rows, each chunk's words named as bytes by
-``BallTable.word_strings``.  ``delta``, ``regularity`` and ``orbit``
-name no word of their curve models.
+``BallTable.word_strings``.  ``delta`` and ``regularity`` sample only
+the points beside the params, and ``orbit`` only the points and lines:
+none names a word of its curve model.
 
 Exit codes: 0 success (certify: certified-at-scale), 2 config error,
 3 insufficient samples, 4 certify refuted, 5 certify inconclusive or
@@ -38,6 +39,7 @@ import numpy as np
 from . import __version__
 from .certify import DEFAULT_MARGIN, certify_anosov, probe_explicit
 from .curve import (
+    COLUMNS,
     check_incidence,
     injectivity_report,
     regularity_diagnostics,
@@ -170,11 +172,16 @@ class RunConfig:
 
     @property
     def input_sha256(self) -> str:
-        # hashlib loads OpenSSL, about 3.4 MB resident; only the report
-        # header needs the digest.
-        import hashlib
-
-        return hashlib.sha256(self.source_bytes).hexdigest()
+        # The interpreter's own SHA-256: hashlib loads OpenSSL, about
+        # 3.4 MB resident, for the one digest of the report header.
+        try:
+            if sys.version_info >= (3, 12):
+                from _sha2 import sha256
+            else:
+                from _sha256 import sha256
+        except ImportError:  # an interpreter built without its own hashes
+            from hashlib import sha256
+        return sha256(self.source_bytes).hexdigest()
 
     @staticmethod
     def load(path: str, out_dir: str | None, _ignored=None) -> "RunConfig":
@@ -193,12 +200,14 @@ class RunConfig:
         return RunConfig(raw, data, out_dir)
 
 
-def _model(config: RunConfig):
+def _model(config: RunConfig, *columns: str):
+    """The config's curve model, with the columns its reader names."""
     return sample_limit_curve(
         config.spec,
         config.ball_radius,
         min_length=config.min_translation_length,
         dedup_res=config.tolerances["dedup"],
+        columns=columns,
     )
 
 
@@ -206,7 +215,7 @@ def cmd_limit_curve(config: RunConfig) -> tuple:
     from .svg import render_model
     from .textfmt import csv_bytes
 
-    model = _model(config)
+    model = _model(config, *COLUMNS)
     # Raises InsufficientSamples below 64 samples, before any file exists.
     inc = check_incidence(
         model,
@@ -279,7 +288,7 @@ def cmd_certify(config: RunConfig) -> tuple:
 def cmd_delta(config: RunConfig) -> tuple:
     from .textfmt import csv_bytes
 
-    model = _model(config)
+    model = _model(config, "points")
     fit = fit_delta(config.spec, model)
     push = pushforward_deviation(model, fit)
     grid = fit.model.grid
@@ -314,7 +323,7 @@ def cmd_orbit(config: RunConfig) -> tuple:
 
 
 def cmd_regularity(config: RunConfig) -> tuple:
-    model = _model(config)
+    model = _model(config, "points")
     return 0, {"samples": len(model), **dataclasses.asdict(regularity_diagnostics(model))}
 
 

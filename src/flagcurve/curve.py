@@ -7,16 +7,17 @@ angle mod pi), which parametrizes the curve equivariantly and injectively.
 ``sample_limit_curve`` takes the flags block by block from
 ``BallTable.scored``, naming only the 3x3 images as a field, so of the
 seed and 3x3 images only the level below the one being read is held
-whole and the last level is streamed.  Each
-block's loxodromic rows are written straight into six columns (params,
-points, lines, translation lengths, levels and indices) allocated at the
-ball's word count, which bounds the sample count; rows never written
-never touch their pages.  Dedup sorts the params written, thins them and
-gathers each column once, dropping each unsorted column once it is
-read, so beyond one model's bytes the sampler holds only the sort's
-index arrays or one gathered column.  A
-``CurveModel`` keeps its samples' params, flags and translation lengths,
-and each sample's word as a (level, index) id (``ball.WordIds``): one
+whole and the last level is streamed.  As ``scored`` takes its reader's
+fields, the sampler takes its reader's columns: beside the params it
+keeps only the columns named, of points, lines, translation lengths and
+words, and a column not named is None on the model.  Each block's
+loxodromic rows are written straight into those columns, allocated at
+the ball's word count, which bounds the sample count; rows never written
+never touch their pages.  Dedup sorts the params written, marks the
+ones it keeps in a mask and gathers each column once, dropping each
+unsorted column once it is read, so beyond one model's bytes the
+sampler holds only the sort's index arrays or one gathered column.  A
+sample's word is kept as a (level, index) id (``ball.WordIds``): one
 int8 and one int64 a sample, plus the sampled ``BallTable`` itself, only
 each level's last letters (1 B a ball word).  A word is named, by
 ``BallTable.word_strings``, only when it is read.
@@ -57,7 +58,8 @@ class CurveModel:
     """Param-sorted samples of the limit curve and its two projections.
 
     ``words`` is any sequence of the samples' word strings; the sampler's
-    is a ``WordIds``, which names a word only when it is read.
+    is a ``WordIds``, which names a word only when it is read.  A column
+    the sampler's reader did not name (see ``COLUMNS``) is None.
 
     ``exact_point_line`` (a covector) is set when the point curve is known
     to be exactly a projective line; ``exact_line_point`` (a point) when
@@ -66,10 +68,10 @@ class CurveModel:
     """
 
     params: np.ndarray
-    points: np.ndarray
-    lines: np.ndarray
-    words: Sequence
-    tlens: np.ndarray
+    points: np.ndarray | None
+    lines: np.ndarray | None
+    words: Sequence | None
+    tlens: np.ndarray | None
     dedup_res: float
     exact_point_line: np.ndarray | None = None
     exact_line_point: np.ndarray | None = None
@@ -96,20 +98,25 @@ def greedy_thin(x: np.ndarray, spacing: float) -> np.ndarray:
 
     Float subtraction is monotone, so an entry at least ``spacing`` above
     its predecessor is always kept: those entries cut ``x`` into runs that
-    each start with a kept entry.  Inside a run of smaller gaps the next
-    kept entry after x[k] is found by ``searchsorted`` at x[k] + spacing
-    and then moved to the first index meeting the exact predicate, which
-    is monotone in the index and constant on equal values.  A run of two
-    keeps only its start, so only longer runs are walked.
+    each start with a kept entry, and a mask marks them.  Inside a run of
+    smaller gaps the next kept entry after x[k] is found by
+    ``searchsorted`` at x[k] + spacing and then moved to the first index
+    meeting the exact predicate, which is monotone in the index and
+    constant on equal values.  A run of two keeps only its start, so only
+    longer runs, those whose start is followed by two unmarked entries,
+    are walked.
     """
+    keep = np.empty(len(x), dtype=bool)
     if not len(x):
-        return np.empty(0, dtype=np.intp)
-    starts = np.concatenate(([0], np.flatnonzero(np.diff(x) >= spacing) + 1))
-    ends = np.append(starts[1:], len(x))
-    runs = ends - starts > 2
-    kept = [starts]
-    for a, b in zip(starts[runs].tolist(), ends[runs].tolist()):
-        k, inner = a, []
+        return np.flatnonzero(keep)
+    keep[0] = True
+    np.greater_equal(np.diff(x), spacing, out=keep[1:])
+    for a in np.flatnonzero(keep[:-2] & ~(keep[1:-1] | keep[2:])).tolist():
+        # The run ends at the next marked entry, or at the end of x.
+        rest = keep[a + 1:]
+        j = int(np.argmax(rest))
+        b = a + 1 + j if rest[j] else len(x)
+        k = a
         while True:
             i = k + 1 + int(np.searchsorted(x[k + 1:b], x[k] + spacing))
             while i > k + 1 and x[i - 1] - x[k] >= spacing:
@@ -118,10 +125,20 @@ def greedy_thin(x: np.ndarray, spacing: float) -> np.ndarray:
                 i = int(np.searchsorted(x, x[i], side="right"))
             if i >= b:
                 break
-            inner.append(i)
+            keep[i] = True
             k = i
-        kept.append(np.array(inner, dtype=np.intp))
-    return np.sort(np.concatenate(kept))
+    return np.flatnonzero(keep)
+
+
+# The arrays behind each column a reader of ``sample_limit_curve`` may
+# name, with their row shapes and types: a word is a (level, index) id.
+_COLUMN_ARRAYS = {
+    "points": (("points", (3,), np.float64),),
+    "lines": (("lines", (3,), np.float64),),
+    "tlens": (("tlens", (), np.float64),),
+    "words": (("levels", (), np.int8), ("index", (), np.int64)),
+}
+COLUMNS = tuple(_COLUMN_ARRAYS)
 
 
 def sample_limit_curve(
@@ -129,23 +146,31 @@ def sample_limit_curve(
     radius: int,
     min_length: float = 0.5,
     dedup_res: float = 1e-7,
+    columns: Sequence[str] = COLUMNS,
 ) -> CurveModel:
     """One sample per cyclically reduced loxodromic ball word with
     translation length >= min_length, deduplicated by param and sorted.
-    Words are kept as (level, index) ids and named only when read.
+
+    ``columns`` names the columns of ``COLUMNS`` that the model's reader
+    reads beyond the params; only those are allocated and gathered, and a
+    column not named is None.  Words are kept as (level, index) ids and
+    named only when read.
 
     Raises FlagCurveError naming the first word whose flag is not finite,
     as when its image leaves the float range."""
     if radius < 2:
         raise ValueError("radius must be >= 2")
+    unknown = sorted(set(columns) - set(COLUMNS))
+    if unknown:
+        raise ValueError(f"unknown curve columns {unknown}")
     table = BallTable.build(spec.seed, radius)
     # A ball word gives at most one sample, so the ball's word count bounds
     # the columns; the rows past the last sample are never written, and
     # their pages are never touched.
     size = sum(map(len, table.levels))
-    params, tlens = np.empty(size), np.empty(size)
-    points, lines = np.empty((size, 3)), np.empty((size, 3))
-    levels, index = np.empty(size, dtype=np.int8), np.empty(size, dtype=np.int64)
+    params = np.empty(size)
+    cols = {name: np.empty((size, *shape), dtype=dtype)
+            for column in columns for name, shape, dtype in _COLUMN_ARRAYS[column]}
     n = 0
     for level, idx, _weight, t, mats, imgs in table.scored(
             min_length, partial(table.images3, spec.letter_images())):
@@ -157,12 +182,11 @@ def sample_limit_curve(
             word = table.word(level, int(idx[lox][np.argmax(bad)]))
             raise FlagCurveError(f"flag of {word!r} is not finite")
         rows = slice(n, n + len(pts))
-        points[rows] = pts
-        lines[rows] = lns
         params[rows] = batch_attractive_directions(mats[lox])
-        tlens[rows] = t[lox]
-        levels[rows] = level
-        index[rows] = idx[lox]
+        block = {"points": pts, "lines": lns, "tlens": t[lox], "levels": level,
+                 "index": idx[lox]}
+        for name, col in cols.items():
+            col[rows] = block[name]
         n = rows.stop
     if not n:
         raise InsufficientSamples("no loxodromic samples in the ball")
@@ -177,21 +201,21 @@ def sample_limit_curve(
     sel = order[keep]
     del order, keep
     # One gather a column, each unsorted column dropped once it is read.
-    points = points[sel]
-    lines = lines[sel]
-    tlens = tlens[sel]
-    levels = levels[sel]
-    index = index[sel]
+    for name in cols:
+        cols[name] = cols[name][sel]
     del sel
 
+    words = None
+    if "words" in columns:
+        words = WordIds(table, cols.pop("levels"), cols.pop("index"))
     exact_pl = E2.copy() if spec.variant == "canonical" else None
     exact_lp = E2.copy() if spec.variant in ("canonical", "radial") else None
     return CurveModel(
         params=params,
-        points=points,
-        lines=lines,
-        words=WordIds(table, levels, index),
-        tlens=tlens,
+        points=cols.get("points"),
+        lines=cols.get("lines"),
+        words=words,
+        tlens=cols.get("tlens"),
         dedup_res=dedup_res,
         exact_point_line=exact_pl,
         exact_line_point=exact_lp,
@@ -425,6 +449,10 @@ def check_incidence(model: CurveModel, ztol: float = 1e-9, chunk: int = 1024,
 # count as an injectivity violation.
 INJECTIVITY_FLOOR = 1e-9
 
+# Sample rows per slice of the regularity fit and of the delta fit
+# (``delta.py``): bounds their per-sample temporaries to a few hundred kB.
+SLICE_ROWS = 1 << 12
+
 
 @dataclass(frozen=True)
 class InjectivityReport:
@@ -478,23 +506,37 @@ class RegularityReport:
 def regularity_diagnostics(model: CurveModel) -> RegularityReport:
     """Log-log regression of chordal distance against param gap over
     consecutive samples.  Estimates only; finite sampling cannot certify
-    regularity or its failure."""
+    regularity or its failure.
+
+    The gaps, distances and secant slopes are taken SLICE_ROWS pairs at a
+    time; only the usable pairs' log-gaps and log-distances are held
+    whole, and they go to ``np.polyfit`` as one array each, so no result
+    depends on SLICE_ROWS."""
     if len(model) < 256:
         raise InsufficientSamples(f"{len(model)} samples < 256")
-    gaps = np.diff(model.params)
-    dots = np.abs(np.einsum("ij,ij->i", model.points[:-1], model.points[1:]))
-    dists = np.arccos(np.minimum(1.0, dots))
-    mask = (gaps >= model.dedup_res) & (dists > 1e-14)
-    gaps, dists = gaps[mask], dists[mask]
-    if len(gaps) < 16:
+    params, points = model.params, model.points
+    pairs = len(model) - 1
+    lx, ly = np.empty(pairs), np.empty(pairs)
+    used, secant = 0, 0.0
+    for lo in range(0, pairs, SLICE_ROWS):
+        hi = min(pairs, lo + SLICE_ROWS)
+        gaps = params[lo + 1:hi + 1] - params[lo:hi]
+        dots = np.abs(np.einsum("ij,ij->i", points[lo:hi], points[lo + 1:hi + 1]))
+        dists = np.arccos(np.minimum(1.0, dots))
+        mask = (gaps >= model.dedup_res) & (dists > 1e-14)
+        gaps, dists = gaps[mask], dists[mask]
+        if len(gaps):
+            secant = max(secant, float((dists / gaps).max()))
+        np.log(gaps, out=lx[used:used + len(gaps)])
+        np.log(dists, out=ly[used:used + len(gaps)])
+        used += len(gaps)
+    if used < 16:
         raise InsufficientSamples("too few usable consecutive pairs")
-    lx, ly = np.log(gaps), np.log(dists)
-    slope = float(np.polyfit(lx, ly, 1)[0])
-    secant = float((dists / gaps).max())
+    slope = float(np.polyfit(lx[:used], ly[:used], 1)[0])
     if slope >= 0.9:
         hint = "consistent-with-lipschitz-at-this-scale"
     elif slope >= 0.6:
         hint = "intermediate-exponent-at-this-scale"
     else:
         hint = "sub-lipschitz-signature-at-this-scale"
-    return RegularityReport(slope, secant, int(len(gaps)), hint)
+    return RegularityReport(slope, secant, used, hint)

@@ -17,8 +17,9 @@ keeps the fill error far below the grid-interpolation error.
 The fit reads the model's points SLICE_ROWS rows at a time: the support
 angles and values are filled slice by slice, and the cocycle residual and
 the pushforward deviation are maxima over slices, so beyond the model
-only the antipodal support, its sort order and its sorted copy are ever
-held whole, at most 64 B a sample at once.  Every
+only the angles, their values, their sort order and their sorted copy
+are ever held whole, with one run of antipodes: about 33 B a sample at
+once.  Every
 per-row step rounds the same whatever the slice (``ball.rowwise_dot``
 for the one product whose rounding depends on the row count), so the
 results do not depend on SLICE_ROWS.
@@ -27,21 +28,18 @@ results do not depend on SLICE_ROWS.
 from __future__ import annotations
 
 import math
+from bisect import bisect_left
 from dataclasses import dataclass
 
 import numpy as np
 
 from .ball import rowwise_dot
-from .curve import CurveModel, greedy_thin
+from .curve import SLICE_ROWS, CurveModel, greedy_thin
 from .errors import InsufficientSamples, NotRadial, PolarDegenerate
 from .reps import RepSpec
 
 GRID_SIZE = 4096
 _THIN_SPACING = 1e-3
-
-# Sample rows per slice of the support fill, the cocycle residual and the
-# pushforward: bounds their per-sample temporaries to a few hundred kB.
-SLICE_ROWS = 1 << 12
 
 
 @dataclass(frozen=True)
@@ -98,28 +96,49 @@ def _lagrange_fill(pts: np.ndarray) -> np.ndarray:
     antipodes with the negated values, since the profile is odd.  Support
     is cyclic over [0, 2*pi); clusters are thinned first so node spacing
     is bounded below and the Lagrange weights stay well conditioned.
-    Thinning keeps exact values, it does not average.  Each whole-support
-    array is freed as soon as the next one is built from it.
+    Thinning keeps exact values, it does not average.
+
+    A row with x < 0 is read as its antipode, as a canonical row would
+    be, so the angles lie in [0, pi/2] and [3*pi/2, 2*pi] and their
+    antipodes in [pi/2, 3*pi/2]: the sorted support is the low angles,
+    the antipodes of the high ones, those of the low ones, and the high
+    angles, runs cut from one argsort of the n angles.  The runs are
+    thinned in that order, each from the last angle kept before it, and
+    only the kept angles' values are gathered.  Tied angles are equal
+    points here; ties of distinct values would be kept in sort order,
+    which neither this fill nor a sort of the whole support defines.
     """
     n = len(pts)
     ang, vals = np.empty(n), np.empty(n)
     for rows in _slices(n):
         xs, zs, ys = _plane_coords(pts[rows])
-        ang[rows] = np.arctan2(ys, xs) % (2.0 * math.pi)
-        vals[rows] = -zs
-    support = np.concatenate([ang, (ang + math.pi) % (2.0 * math.pi)])
-    del ang
-    order = np.argsort(support)
-    ang = support[order]
-    del support
-    val = np.concatenate([vals, -vals])
-    del vals
-    val = val[order]
-    del order
-    keep = greedy_thin(ang, _THIN_SPACING)
-    if (2.0 * math.pi - ang[keep[-1]]) + ang[keep[0]] < _THIN_SPACING and len(keep) > 4:
-        keep = keep[:-1]
-    ang, val = ang[keep], val[keep]
+        sign = np.where(xs < 0, -1.0, 1.0)
+        ang[rows] = np.arctan2(ys * sign, xs * sign) % (2.0 * math.pi)
+        vals[rows] = -zs * sign
+    order = np.argsort(ang)
+    ang = ang[order]
+    split = int(np.searchsorted(ang, math.pi))
+    low, high = slice(0, split), slice(split, n)
+    kept_ang, kept_val, last = [], [], None
+    for part, antipodes in ((low, False), (high, True), (low, True), (high, False)):
+        x = ang[part]
+        if antipodes:
+            x = x + math.pi
+            x %= 2.0 * math.pi
+        # The first angle kept in a run is the first far enough from the
+        # last one kept, by the exact predicate of greedy_thin.
+        start = 0 if last is None else bisect_left(
+            x, True, key=lambda a: a - last >= _THIN_SPACING)
+        keep = greedy_thin(x[start:], _THIN_SPACING) + start
+        if len(keep):
+            kept_ang.append(x[keep])
+            v = vals[order[part][keep]]
+            kept_val.append(-v if antipodes else v)
+            last = x[keep[-1]]
+        del x  # one run of antipodes at a time
+    ang, val = np.concatenate(kept_ang), np.concatenate(kept_val)
+    if (2.0 * math.pi - ang[-1]) + ang[0] < _THIN_SPACING and len(ang) > 4:
+        ang, val = ang[:-1], val[:-1]
     m = len(ang)
     if m < 8:
         raise PolarDegenerate("too few distinct directions to fit a profile")

@@ -92,7 +92,7 @@ def recurrence_experiment(spec: RepSpec, base: Flag, nbhd: float, radius: int,
     is tested against ``model``, sampled at radius min(radius, 5) when None.
     """
     if model is None:
-        model = sample_limit_curve(spec, min(radius, 5))
+        model = sample_limit_curve(spec, min(radius, 5), columns=("points", "lines"))
     q = in_omega(base, model)
     if q.verdict != "inside" or min(q.margin_point, q.margin_line) <= 2.0 * nbhd:
         raise BaseNotInterior(

@@ -4,8 +4,9 @@ Each computes, one word or one matrix at a time, something the package
 computes in batches over the ball: a word as a tuple of letters, its
 images as products of letter matrices, its exponent sums and cohomology
 values, the ball as a sequence of words, the chordal distance of two
-projective points, and the equivariance residuals of a sampled curve.
-Beside them are the JSON forms of a seed and a spec, which the tests
+projective points, the equivariance residuals of a sampled curve, and
+the delta profile's grid filled from the whole sorted support.  Beside
+them are the JSON forms of a seed and a spec, which the tests
 write configs from.  No command reads any of them, so they live with the
 tests.
 """
@@ -17,6 +18,9 @@ from typing import Iterator
 import numpy as np
 
 from flagcurve.ball import BallTable
+from flagcurve.curve import greedy_thin
+from flagcurve.delta import _THIN_SPACING, GRID_SIZE, _plane_coords
+from flagcurve.errors import PolarDegenerate
 from flagcurve.spectral import canonicalize_rows
 from flagcurve.surface import gen_name, letter_name
 
@@ -203,3 +207,38 @@ def equivariance_report(model, spec) -> dict:
         "exact_line_residual": exact_l if model.exact_line_point is not None else None,
         "relative_point_deviation": rel if model.exact_point_line is None else None,
     }
+
+
+def lagrange_fill_sorting_support(pts: np.ndarray) -> np.ndarray:
+    """The delta profile's grid, as ``delta._lagrange_fill`` fills it,
+    from the support of all 2n angles and antipodes sorted at once.
+
+    Each grid node is the cubic Lagrange value through its 4 nearest
+    support nodes; the support is thinned to ``_THIN_SPACING`` by the
+    greedy pass, the last node dropped when it wraps onto the first.
+    """
+    xs, zs, ys = _plane_coords(pts)
+    ang = np.arctan2(ys, xs) % (2.0 * math.pi)
+    support = np.concatenate([ang, (ang + math.pi) % (2.0 * math.pi)])
+    order = np.argsort(support)
+    ang, val = support[order], np.concatenate([-zs, zs])[order]
+    keep = greedy_thin(ang, _THIN_SPACING)
+    if (2.0 * math.pi - ang[keep[-1]]) + ang[keep[0]] < _THIN_SPACING and len(keep) > 4:
+        keep = keep[:-1]
+    ang, val = ang[keep], val[keep]
+    m = len(ang)
+    if m < 8:
+        raise PolarDegenerate("too few distinct directions to fit a profile")
+    nodes = np.arange(GRID_SIZE) * (2.0 * math.pi / GRID_SIZE)
+    idx = (np.searchsorted(ang, nodes)[:, None] + np.array([-2, -1, 0, 1])) % m
+    theta = ang[idx]
+    theta += 2.0 * math.pi * np.round((nodes[:, None] - theta) / (2.0 * math.pi))
+    fv = val[idx]
+    out = np.zeros(GRID_SIZE)
+    for j in range(4):
+        w = np.ones(GRID_SIZE)
+        for k in range(4):
+            if k != j:
+                w *= (nodes - theta[:, k]) / (theta[:, j] - theta[:, k])
+        out += w * fv[:, j]
+    return out

@@ -23,6 +23,7 @@ from flagcurve import (
     probe_explicit,
     pushforward_deviation,
     recurrence_experiment,
+    regularity_diagnostics,
     sample_limit_curve,
     standard_fuchsian,
 )
@@ -341,30 +342,53 @@ def test_streamed_peak_memory(radial, explicit, command):
     assert peak < 42 * ball_count(2, radius)
 
 
-def test_sampled_curve_peak_memory(radial):
-    # The sampler keeps one (level, index) id a sample, names no word and
-    # reads the last level's seed images a block at a time: at genus 2,
-    # R=6 its traced peak, its own ball included, stays within 160 B a
-    # ball word (112 B now; an index array for each run of two in
-    # greedy_thin took it to 116 B, parent indices to 124 B, the whole
-    # last level kept to 177 B, and word strings to 250 B).
-    radius = 6
+def _sampler_peak(spec, radius, **kwargs):
+    """The sampled model and the traced peak of sampling it."""
     tracemalloc.start()
     try:
-        model = sample_limit_curve(radial, radius)
+        model = sample_limit_curve(spec, radius, **kwargs)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
+    return model, peak
+
+
+def test_sampled_curve_peak_memory(radial):
+    # The sampler keeps one (level, index) id a sample, names no word and
+    # reads the last level's seed images a block at a time: at genus 2,
+    # R=6 its traced peak with every column, its own ball included, stays
+    # within 160 B a ball word (106 B now; greedy_thin's index arrays took
+    # it to 112 B, one for each run of two to 116 B, parent indices to
+    # 124 B, the whole last level kept to 177 B, and word strings to
+    # 250 B).
+    model, peak = _sampler_peak(radial, 6)
     assert len(model) > 10 ** 5
-    assert peak < 160 * ball_count(2, radius)
+    assert peak < 160 * ball_count(2, 6)
 
 
-def test_delta_fit_memory(radial):
+def test_points_only_sampler_peak_memory(radial):
+    # Only the columns named are allocated and gathered: with the points
+    # alone, as delta and regularity read them, the traced peak stays
+    # within 72 B a ball word at genus 2, R=6 (65 B now; every column,
+    # which both commands sampled before, took it to 112 B).
+    model, peak = _sampler_peak(radial, 6, columns=("points",))
+    assert len(model) > 10 ** 5
+    assert peak < 72 * ball_count(2, 6)
+
+
+@pytest.fixture(scope="module")
+def radial_points6(radial):
+    return sample_limit_curve(radial, 6, columns=("points",))
+
+
+def test_delta_fit_memory(radial, radial_points6):
     # The fit and the pushforward read the model a slice at a time, and
-    # beyond it hold only the sorted support whole: at genus 2, R=6 their
-    # traced rise over the model stays within 80 B a sample (64 B now;
-    # whole-sample temporaries took it to 120 B).
-    model = sample_limit_curve(radial, 6)
+    # beyond it hold only the angles, their values, sort order and sorted
+    # copy whole, with one run of antipodes: at genus 2, R=6 their traced
+    # rise over the model stays within 48 B a sample (33 B now; sorting
+    # all 2n angles and antipodes took it to 64 B, whole-sample
+    # temporaries to 120 B).
+    model = radial_points6
     tracemalloc.start()
     try:
         fit = fit_delta(radial, model)
@@ -373,7 +397,23 @@ def test_delta_fit_memory(radial):
     finally:
         tracemalloc.stop()
     assert len(model) > 10 ** 5
-    assert peak < 80 * len(model)
+    assert peak < 48 * len(model)
+
+
+def test_regularity_memory(radial_points6):
+    # Gaps, distances and secants are taken a slice at a time, and only
+    # the usable pairs' logs are held whole for np.polyfit, which copies
+    # them: at genus 2, R=6 the traced rise over the model stays within
+    # 72 B a sample (64 B now; whole-sample temporaries took it to 89 B).
+    model = radial_points6
+    tracemalloc.start()
+    try:
+        regularity_diagnostics(model)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(model) > 10 ** 5
+    assert peak < 72 * len(model)
 
 
 def test_matmul3_matches_einsum(rng):

@@ -12,7 +12,7 @@ import jsonschema
 import numpy as np
 import pytest
 
-from flagcurve import (RecurrenceReport, RepSpec, ball, cli, delta, spec_from_json_dict,
+from flagcurve import (RecurrenceReport, RepSpec, ball, cli, curve, delta, spec_from_json_dict,
                        standard_fuchsian)
 from flagcurve.ball import BallTable
 
@@ -195,7 +195,7 @@ def test_curve_csv_fields_are_repr(tmp_path, spec):
     assert _run(tmp_path, "limit-curve", config) == 0
     rows = [line.split(",") for line in
             (tmp_path / "out" / "curve.csv").read_text(encoding="ascii").splitlines()[1:]]
-    model = cli._model(cli.RunConfig(config, b"", None))
+    model = cli._model(cli.RunConfig(config, b"", None), "points", "lines", "tlens")
     want = np.column_stack([model.params, model.points, model.lines, model.tlens])
     got = [row[:7] + row[8:] for row in rows]
     assert got == [[repr(v) for v in row] for row in want.tolist()]
@@ -414,12 +414,14 @@ def test_output_digests(tmp_path, case):
                                   "orbit", "regularity"])
 def test_model_outputs_do_not_depend_on_slice_rows(tmp_path, monkeypatch, case, rows):
     # The sampler writes its columns a ball block at a time and the delta
-    # fit reads the model a slice at a time; neither size shows in a file.
+    # and regularity fits read the model a slice at a time; neither size
+    # shows in a file.
     # At 7 rows a slice the 2,736 samples leave a 6-row tail slice.
     # certify and its probe read the top level one rotation class at a
     # time, a block's least words, so most 1-row blocks hold none; orbit's
     # inverses skip the rows ruled out by the minimum of earlier blocks.
     monkeypatch.setattr(ball, "BLOCK_ROWS", rows)
+    monkeypatch.setattr(curve, "SLICE_ROWS", rows)
     monkeypatch.setattr(delta, "SLICE_ROWS", rows)
     command, rep_spec, fields, digests = PINNED[case]
     code = 0
@@ -432,19 +434,25 @@ def test_model_outputs_do_not_depend_on_slice_rows(tmp_path, monkeypatch, case, 
 
 def test_loading_a_config_leaves_openssl_unloaded(tmp_path):
     # hashlib's OpenSSL backend adds about 3.4 MB to every command's
-    # resident peak; only the report header needs the input digest.  The
-    # CSV formatter, too, loads only in the commands that write CSV.
+    # resident peak, so the report header's input digest comes from the
+    # interpreter's own SHA-256 module: OpenSSL stays unloaded after a
+    # command writes its report.  The CSV formatter, too, loads only in
+    # the commands that write CSV.
     path = tmp_path / "config.json"
-    path.write_text(json.dumps({"rep_spec": RADIAL_G2}), encoding="utf-8")
+    path.write_text(json.dumps({"rep_spec": RADIAL_G2, "ball_radius": 3}), encoding="utf-8")
     probe = ("import sys\n"
              "import flagcurve.cli as cli\n"
              "cli.RunConfig.load(sys.argv[1], None, None)\n"
-             "print(sorted(m for m in sys.modules if 'hashlib' in m or 'textfmt' in m))\n")
+             "print(sorted(m for m in sys.modules if 'hashlib' in m or 'textfmt' in m))\n"
+             "code = cli.main(['regularity', '--config', sys.argv[1], '--out', sys.argv[2]])\n"
+             "print(code, '_hashlib' in sys.modules)\n")
     src = str(Path(cli.__file__).resolve().parents[1])
     env = {**os.environ,
            "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
-    res = subprocess.run([sys.executable, "-c", probe, str(path)], env=env,
-                         capture_output=True, text=True, check=True)
-    assert res.stdout.strip() == "[]"
-    config = cli.RunConfig.load(str(path), None, None)
-    assert config.input_sha256 == hashlib.sha256(path.read_bytes()).hexdigest()
+    res = subprocess.run([sys.executable, "-c", probe, str(path), str(tmp_path / "out")],
+                         env=env, capture_output=True, text=True, check=True)
+    assert res.stdout.splitlines() == ["[]", "0 False"]
+    digest = hashlib.sha256(path.read_bytes()).hexdigest()
+    assert cli.RunConfig.load(str(path), None, None).input_sha256 == digest
+    report = json.loads((tmp_path / "out" / "regularity.json").read_text(encoding="utf-8"))
+    assert report["input_sha256"] == digest

@@ -73,8 +73,23 @@ def _thin_inputs(draw):
     return spacing, np.sort(base + np.array(steps, dtype=float) * spacing)
 
 
+@st.composite
+def _thin_runs(draw):
+    """(spacing, ascending x) of one shape of runs: none longer than two
+    (gaps alternate between two to four spacings and less than one, zero
+    among them), or one long run (every gap below the spacing)."""
+    spacing = draw(st.sampled_from([2.0 ** -3, 1e-3, 1e-7]))
+    small = st.one_of(st.just(0.0), st.floats(0.0, 0.99))
+    if draw(st.booleans()):
+        pairs = draw(st.lists(st.tuples(st.floats(2.0, 4.0), small), min_size=1, max_size=30))
+        steps = [s for pair in pairs for s in pair]
+    else:
+        steps = draw(st.lists(small, min_size=3, max_size=60))
+    return spacing, np.cumsum(np.array(steps, dtype=float) * spacing)
+
+
 @settings(max_examples=400, deadline=None)
-@given(case=_thin_inputs())
+@given(case=st.one_of(_thin_inputs(), _thin_runs()))
 @example(case=(0.125, np.array([0, 0, 1, 1, 1, 2, 2.5, 3, 3, 3]) * 0.125))
 # x[2] - x[0] rounds up to the spacing although x[2] < fl(x[0] + spacing).
 @example(case=(1e-7, np.array([-4.3357229086071404e-08, 0.0, 5.6642770913928584e-08,
@@ -86,6 +101,24 @@ def _thin_inputs(draw):
 def test_greedy_thin_matches_loop(case):
     spacing, x = case
     assert greedy_thin(x, spacing).tolist() == _thin_loop(x, spacing)
+
+
+@pytest.mark.parametrize("columns", [(), ("points",), ("points", "lines"), ("words", "tlens")])
+def test_columns_not_named_are_none(canonical2, model4, columns):
+    model = sample_limit_curve(canonical2, 4, columns=columns)
+    assert model.params.tobytes() == model4.params.tobytes()
+    for name in ("points", "lines", "tlens"):
+        col = getattr(model, name)
+        if name in columns:
+            assert col.tobytes() == getattr(model4, name).tobytes()
+        else:
+            assert col is None
+    if "words" in columns:
+        assert list(model.words) == list(model4.words)
+    else:
+        assert model.words is None
+    with pytest.raises(ValueError, match="unknown curve columns"):
+        sample_limit_curve(canonical2, 4, columns=("points", "levels"))
 
 
 def test_model_sorted_and_deduped(model4):

@@ -1,8 +1,11 @@
 import dataclasses
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import assume, example, given, settings
+from hypothesis import strategies as st
 
 from flagcurve import (
     CohomologyClass,
@@ -15,6 +18,9 @@ from flagcurve import (
 from flagcurve import delta
 from flagcurve.curve import CurveModel
 from flagcurve.errors import NotRadial, PolarDegenerate
+from flagcurve.spectral import canonicalize_rows
+
+from oracles import lagrange_fill_sorting_support
 
 
 @pytest.fixture(scope="module")
@@ -92,6 +98,17 @@ def test_fit_delta_polar_degenerate(seed2, u_a1):
         fit_delta(rad, broken)
 
 
+def test_fit_does_not_depend_on_point_signs(radial_fit):
+    # A row with x < 0 is read as its antipode: the fill's runs need the
+    # angles of canonical rows, and the profile is odd.
+    rad, model, fit = radial_fit
+    pts = model.points.copy()
+    pts[::3] *= -1.0
+    got = fit_delta(rad, dataclasses.replace(model, points=pts))
+    assert got.model.grid.tobytes() == fit.model.grid.tobytes()
+    assert got.cocycle_residual == fit.cocycle_residual
+
+
 @pytest.mark.parametrize("rows", [1, 7, 10 ** 6])
 def test_fit_does_not_depend_on_slice_rows(monkeypatch, radial_fit, rows):
     # n = 1 mod 7, so at 7 rows a slice the last slice holds one row, whose
@@ -120,3 +137,60 @@ def test_cocycle_defect_of_a_row_does_not_depend_on_its_slice(radial_fit):
     whole = delta._cocycle_defects(model.points, terms)
     rows = [delta._cocycle_defects(model.points[i:i + 1], terms) for i in range(len(model))]
     assert np.concatenate(rows).tobytes() == whole.tobytes()
+
+
+@st.composite
+def _canonical_points(draw):
+    """Canonical rows (x >= 0) of points on the graph of an odd profile
+    z = a cos t + b sin t + c sin 3t over clustered directions t: steps
+    near the thinning spacing, rows on the axes (x a signed zero, and y a
+    signed zero or tiny, whose angle rounds to 2*pi) and repeated rows."""
+    a, b, c = (draw(st.floats(-2.0, 2.0)) for _ in range(3))
+    base = draw(st.floats(0.0, 2.0 * math.pi))
+    steps = draw(st.lists(st.one_of(st.floats(0.0, 3e-3), st.sampled_from([0.0, 1e-3, 0.5])),
+                          min_size=8, max_size=80))
+    t = base + np.cumsum(steps)
+    rows = np.stack([np.cos(t), a * np.cos(t) + b * np.sin(t) + c * np.sin(3 * t), np.sin(t)],
+                    axis=1)
+    axes = {"x=0": [0.0, b - c, 1.0], "y=0": [1.0, a, 0.0], "y=-0": [1.0, a, -0.0],
+            "y=-tiny": [1.0, a, -1e-300], "y=+tiny": [1.0, a, 1e-300]}
+    picked = draw(st.lists(st.sampled_from(sorted(axes)), max_size=4))
+    extra = np.array([axes[k] for k in picked]).reshape(-1, 3)
+    pts = canonicalize_rows(np.concatenate([rows, extra]))
+    repeats = draw(st.lists(st.integers(0, len(pts) - 1), max_size=6))
+    return np.concatenate([pts, pts[repeats]])
+
+
+def _ties_are_equal_points(pts):
+    """Whether every angle of the support (angles and antipodes) that
+    occurs twice carries one value: the sorted order of tied angles of
+    distinct values is not defined."""
+    xs, zs, ys = delta._plane_coords(pts)
+    ang = np.arctan2(ys, xs) % (2.0 * math.pi)
+    ang = np.concatenate([ang, (ang + math.pi) % (2.0 * math.pi)])
+    val = np.concatenate([-zs, zs]).view(np.uint64)
+    order = np.lexsort((val, ang))
+    ang, val = ang[order], val[order]
+    return not ((ang[1:] == ang[:-1]) & (val[1:] != val[:-1])).any()
+
+
+@pytest.mark.parametrize("rows", [1, 7, 10 ** 6])
+@settings(max_examples=150, deadline=None)
+@given(pts=_canonical_points())
+# Rows on both axes: x = 0 (both signs of zero), y = 0 and y rounding the
+# angle to 2*pi, each an end of one of the fill's runs.
+@example(pts=canonicalize_rows(np.array(
+    [[math.cos(t), 0.1 * math.sin(3 * t), math.sin(t)] for t in np.linspace(0.2, 1.2, 12)]
+    + [[0.0, 0.5, 1.0], [-0.0, 0.5, 1.0], [1.0, 0.3, 0.0], [1.0, 0.3, -1e-300]])))
+def test_fill_matches_sorting_the_whole_support(rows, pts):
+    assume(_ties_are_equal_points(pts))
+    assert (pts[:, 0] >= 0).all()
+    try:
+        want = lagrange_fill_sorting_support(pts)
+    except PolarDegenerate:
+        with pytest.raises(PolarDegenerate):
+            delta._lagrange_fill(pts)
+        return
+    with mock.patch.object(delta, "SLICE_ROWS", rows):
+        got = delta._lagrange_fill(pts)
+    assert got.tobytes() == want.tobytes()

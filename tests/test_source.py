@@ -127,9 +127,25 @@ def imported_modules(source: str) -> set:
     return found
 
 
+# Standard-library modules of some supported Pythons (3.10-3.13) and not
+# others, with the versions [first, end) whose sys.stdlib_module_names
+# list them; the package imports each only on those versions.
+VERSIONED_STDLIB = {
+    "_sha2": ((3, 12), (4,)),
+    "_sha256": ((3,), (3, 12)),
+}
+
+
+def test_versioned_stdlib_names_match_this_python():
+    listed = {name for name, (first, end) in VERSIONED_STDLIB.items()
+              if first <= sys.version_info[:2] < end}
+    assert listed == set(VERSIONED_STDLIB) & set(sys.stdlib_module_names)
+
+
 def test_runtime_imports_are_numpy_or_stdlib():
-    # pyproject.toml declares numpy as the package's only runtime dependency.
-    allowed = set(sys.stdlib_module_names) | {"numpy", "flagcurve"}
+    # pyproject.toml declares numpy as the package's only runtime
+    # dependency; a module is stdlib when it is on any supported Python.
+    allowed = set(sys.stdlib_module_names) | set(VERSIONED_STDLIB) | {"numpy", "flagcurve"}
     found = [f"{path.name}: {name}" for path in sorted(PACKAGE.glob("*.py"))
              for name in sorted(imported_modules(path.read_text(encoding="utf-8")))
              if name not in allowed]
