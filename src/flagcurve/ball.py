@@ -2,11 +2,12 @@
 
 The ball of freely reduced words is materialized level by level as flat
 numpy arrays.  Level 1 holds the 4g letters in order, and level L appends
-every letter in order to each word of level L-1 (``surface.next_level``).
-Since level L-1 is in shortlex order, so is level L.  A ``BallTable``
-keeps only each level's int8 last letters, 1 B a word: every word has
-4g-1 children, in order, so word i of a level of n words extends word
-i // (4g-1) of the level below and has first letter i // (n / 4g).
+every letter in order to each word of level L-1 but the inverse of its
+last (``BallTable.build``).  Since level L-1 is in shortlex order, so is
+level L.  A ``BallTable`` keeps only each level's int8 last letters, 1 B
+a word: every word has 4g-1 children, in order, so word i of a level of
+n words extends word i // (4g-1) of the level below and has first letter
+i // (n / 4g).
 
 Everything else about a word is derived as the ball is read.
 ``BallTable.blocks(*fields)`` streams every level in blocks of at most
@@ -42,7 +43,7 @@ from typing import Iterator
 import numpy as np
 
 from .errors import NotHyperbolic
-from .surface import FuchsianSeed, batch_translation_lengths, letter_name, next_level
+from .surface import FuchsianSeed, batch_translation_lengths, letter_name
 
 # A word whose seed image is within this of +-I (entrywise) is taken to be
 # trivial in the group.  Every nontrivial element of a Fuchsian group is
@@ -50,8 +51,10 @@ from .surface import FuchsianSeed, batch_translation_lengths, letter_name, next_
 # seed sit within its 1e-8 residual, times conjugation.
 TRIVIAL_TOL = 1e-6
 
-# Words per block of ``BallTable.blocks``: bounds the last level's image
-# stacks and the temporaries of every kernel applied to them.
+# Words per block of ``BallTable.blocks``, and sample rows per slice of
+# the regularity and delta fits: bounds the last level's image stacks, the
+# temporaries of every kernel applied to them and the fits' per-sample
+# temporaries.  Readers read it through this module, at call time.
 BLOCK_ROWS = 1 << 12
 
 
@@ -114,10 +117,14 @@ class BallTable:
         if radius < 0:
             raise ValueError("radius must be >= 0")
         table = BallTable(seed, radius)
-        letts = np.arange(4 * seed.genus, dtype=np.int8)
+        alphabet = np.arange(4 * seed.genus, dtype=np.int8)
+        letts = alphabet
         for level in range(1, radius + 1):
             if level > 1:
-                letts = next_level(letts, 4 * seed.genus)
+                # Each word's children, in order: every letter but the
+                # inverse of its last.
+                tiled = np.tile(alphabet, len(letts))
+                letts = tiled[tiled != np.repeat(letts ^ 1, len(alphabet))]
             table.levels.append(letts)
         return table
 

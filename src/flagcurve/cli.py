@@ -16,8 +16,10 @@ formats a chunk of columns at once in numpy, and hands the few floats
 writes any file, and then streams ``curve.csv`` to the open file in
 chunks of CSV_ROWS rows, each chunk's words named as bytes by
 ``BallTable.word_strings``.  ``delta`` and ``regularity`` sample only
-the points beside the params, and ``orbit`` only the points and lines:
-none names a word of its curve model.
+the points beside the params, and ``orbit`` only the points and lines,
+at radius min(R, 5): none names a word of its curve model.  Every
+command samples its model through ``_model``, with the config's
+translation-length floor and dedup tolerance.
 
 Exit codes: 0 success (certify: certified-at-scale), 2 config error,
 3 insufficient samples, 4 certify refuted, 5 certify inconclusive or
@@ -200,11 +202,12 @@ class RunConfig:
         return RunConfig(raw, data, out_dir)
 
 
-def _model(config: RunConfig, *columns: str):
-    """The config's curve model, with the columns its reader names."""
+def _model(config: RunConfig, *columns: str, radius: int | None = None):
+    """The config's curve model, with the columns its reader names, at the
+    config's ball radius unless ``radius`` is given."""
     return sample_limit_curve(
         config.spec,
-        config.ball_radius,
+        config.ball_radius if radius is None else radius,
         min_length=config.min_translation_length,
         dedup_res=config.tolerances["dedup"],
         columns=columns,
@@ -307,8 +310,9 @@ def cmd_delta(config: RunConfig) -> tuple:
 
 
 def cmd_orbit(config: RunConfig) -> tuple:
+    model = _model(config, "points", "lines", radius=min(config.ball_radius, 5))
     rep = recurrence_experiment(config.spec, config.orbit_base, config.orbit_neighborhood,
-                                config.ball_radius)
+                                config.ball_radius, model)
     return 0, {
         "neighborhood": rep.neighborhood,
         # Shorter words first: string length stops tracking word length

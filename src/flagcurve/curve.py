@@ -44,6 +44,7 @@ from typing import Sequence
 
 import numpy as np
 
+from . import ball
 from .ball import BallTable, WordIds
 from .errors import FlagCurveError, InsufficientSamples
 from .reps import RepSpec
@@ -449,11 +450,6 @@ def check_incidence(model: CurveModel, ztol: float = 1e-9, chunk: int = 1024,
 # count as an injectivity violation.
 INJECTIVITY_FLOOR = 1e-9
 
-# Sample rows per slice of the regularity fit and of the delta fit
-# (``delta.py``): bounds their per-sample temporaries to a few hundred kB.
-SLICE_ROWS = 1 << 12
-
-
 @dataclass(frozen=True)
 class InjectivityReport:
     min_point_separation: float
@@ -508,18 +504,18 @@ def regularity_diagnostics(model: CurveModel) -> RegularityReport:
     consecutive samples.  Estimates only; finite sampling cannot certify
     regularity or its failure.
 
-    The gaps, distances and secant slopes are taken SLICE_ROWS pairs at a
-    time; only the usable pairs' log-gaps and log-distances are held
-    whole, and they go to ``np.polyfit`` as one array each, so no result
-    depends on SLICE_ROWS."""
+    The gaps, distances and secant slopes are taken ``ball.BLOCK_ROWS``
+    pairs at a time; only the usable pairs' log-gaps and log-distances are
+    held whole, and they go to ``np.polyfit`` as one array each, so no
+    result depends on the slice size."""
     if len(model) < 256:
         raise InsufficientSamples(f"{len(model)} samples < 256")
     params, points = model.params, model.points
     pairs = len(model) - 1
     lx, ly = np.empty(pairs), np.empty(pairs)
     used, secant = 0, 0.0
-    for lo in range(0, pairs, SLICE_ROWS):
-        hi = min(pairs, lo + SLICE_ROWS)
+    for lo in range(0, pairs, ball.BLOCK_ROWS):
+        hi = min(pairs, lo + ball.BLOCK_ROWS)
         gaps = params[lo + 1:hi + 1] - params[lo:hi]
         dots = np.abs(np.einsum("ij,ij->i", points[lo:hi], points[lo + 1:hi + 1]))
         dists = np.arccos(np.minimum(1.0, dots))

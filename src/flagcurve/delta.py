@@ -14,15 +14,14 @@ evaluated with linear interpolation; grid nodes are filled from the
 samples by 4-point Lagrange interpolation after thinning clusters, which
 keeps the fill error far below the grid-interpolation error.
 
-The fit reads the model's points SLICE_ROWS rows at a time: the support
-angles and values are filled slice by slice, and the cocycle residual and
-the pushforward deviation are maxima over slices, so beyond the model
-only the angles, their values, their sort order and their sorted copy
-are ever held whole, with one run of antipodes: about 33 B a sample at
-once.  Every
-per-row step rounds the same whatever the slice (``ball.rowwise_dot``
-for the one product whose rounding depends on the row count), so the
-results do not depend on SLICE_ROWS.
+The fit reads the model's points ``ball.BLOCK_ROWS`` rows at a time: the
+support angles and values are filled slice by slice, and the cocycle
+residual and the pushforward deviation are maxima over slices, so beyond
+the model only the angles, their values, their sort order and their
+sorted copy are ever held whole, with one run of antipodes: about 33 B a
+sample at once.  Every per-row step rounds the same whatever the slice
+(``ball.rowwise_dot`` for the one product whose rounding depends on the
+row count), so the results do not depend on the slice size.
 """
 
 from __future__ import annotations
@@ -33,8 +32,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .ball import rowwise_dot
-from .curve import SLICE_ROWS, CurveModel, greedy_thin
+from . import ball
+from .curve import CurveModel, greedy_thin
 from .errors import InsufficientSamples, NotRadial, PolarDegenerate
 from .reps import RepSpec
 
@@ -73,8 +72,9 @@ class DeltaFit:
 
 
 def _slices(n: int):
-    """Consecutive slices of SLICE_ROWS rows covering range(n)."""
-    return (slice(lo, min(n, lo + SLICE_ROWS)) for lo in range(0, n, SLICE_ROWS))
+    """Consecutive slices of ``ball.BLOCK_ROWS`` rows covering range(n)."""
+    rows = ball.BLOCK_ROWS
+    return (slice(lo, min(n, lo + rows)) for lo in range(0, n, rows))
 
 
 def _plane_coords(pts: np.ndarray) -> tuple:
@@ -92,7 +92,7 @@ def _lagrange_fill(pts: np.ndarray) -> np.ndarray:
     """Fill grid nodes by cubic Lagrange through the 4 nearest support nodes.
 
     The support is the samples' plane directions in [0, 2*pi) with their
-    values -z / hypot(x, y), filled SLICE_ROWS rows at a time, and their
+    values -z / hypot(x, y), filled a slice at a time, and their
     antipodes with the negated values, since the profile is odd.  Support
     is cyclic over [0, 2*pi); clusters are thinned first so node spacing
     is bounded below and the Lagrange weights stay well conditioned.
@@ -199,7 +199,7 @@ def _cocycle_defects(pts: np.ndarray, terms) -> np.ndarray:
     out = np.zeros(len(pts))
     for e23, tau1, tau2, gt in terms:
         # delta at the mapped direction, homogeneous
-        lhs = -e23 * rowwise_dot(unit, gt)[:, 1]
+        lhs = -e23 * ball.rowwise_dot(unit, gt)[:, 1]
         rhs = -zs + tau1 * xs + tau2 * ys
         np.maximum(out, np.abs(lhs - rhs), out=out)
     return out
@@ -207,8 +207,8 @@ def _cocycle_defects(pts: np.ndarray, terms) -> np.ndarray:
 
 def pushforward_deviation(model: CurveModel, fit: DeltaFit) -> float:
     """Max angular distance to the canonical line z = 0 after applying the
-    shear (x, y, z) -> (x, y, z + delta(x, y)) to the samples, SLICE_ROWS
-    rows at a time."""
+    shear (x, y, z) -> (x, y, z + delta(x, y)) to the samples, a slice at
+    a time."""
     deviation = 0.0
     for rows in _slices(len(model)):
         pts = model.points[rows]

@@ -9,14 +9,15 @@ classification against sampled curves is honest about resolution: flags
 within the tolerance band of a sampled curve are "on-boundary", not
 "outside", unless an exact test puts them on the bad set.
 
-``recurrence_experiment`` maps the base flag by every ball word, block by
-block from ``BallTable.blocks``: the images of the level below the one
-being read are held whole, while the last level's images and the mapped
-flags exist one block at a time.  A word's displacement is the larger of
-its point's and its line's, so the point alone rules out most words: only
-a word whose point moves by at most 2*nbhd can return, and only one whose
-point moves less than the least displacement so far can lower it.  Only
-those words pay for an inverse and a mapped line.
+``recurrence_experiment`` tests the base flag against the curve model its
+caller samples, then maps it by every ball word, block by block from
+``BallTable.blocks``: the images of the level below the one being read
+are held whole, while the last level's images and the mapped flags exist
+one block at a time.  A word's displacement is the larger of its point's
+and its line's, so the point alone rules out most words: only a word
+whose point moves by at most 2*nbhd can return, and only one whose point
+moves less than the least displacement so far can lower it.  Only those
+words pay for an inverse and a mapped line.
 """
 
 from __future__ import annotations
@@ -28,7 +29,7 @@ from functools import partial
 import numpy as np
 
 from .ball import BallTable, rowwise_dot
-from .curve import CurveModel, sample_limit_curve
+from .curve import CurveModel
 from .errors import BaseNotInterior
 from .projective import Flag
 from .reps import RepSpec
@@ -84,15 +85,14 @@ def _angles(rows: np.ndarray, base: np.ndarray) -> np.ndarray:
 
 
 def recurrence_experiment(spec: RepSpec, base: Flag, nbhd: float, radius: int,
-                          model: CurveModel | None = None) -> RecurrenceReport:
+                          model: CurveModel) -> RecurrenceReport:
     """List the ball words that move the base flag by at most 2*nbhd.
 
     Properness proxy: the returning set stabilizes as the radius grows.
     Freeness proxy: no nonempty word fixes the base within 1e-8.  The base
-    is tested against ``model``, sampled at radius min(radius, 5) when None.
+    is tested against the caller's ``model``, which needs its points and
+    lines.
     """
-    if model is None:
-        model = sample_limit_curve(spec, min(radius, 5), columns=("points", "lines"))
     q = in_omega(base, model)
     if q.verdict != "inside" or min(q.margin_point, q.margin_line) <= 2.0 * nbhd:
         raise BaseNotInterior(

@@ -10,10 +10,12 @@ block and its data (u, mu, nu):
   diagonal flow ``phi`` of exponent u;
 - canonical: zero data, the block embedding ``rho0`` fixing [e2] and the
   plane {second coordinate = 0};
-- explicit: arbitrary per-generator SL(3,R) images, relator = +-identity.
+- explicit: arbitrary per-generator SL(3,R) images.
 
 Determinant-1 representatives are unique in odd dimension (no PGL sign
-ambiguity), so evaluation is sign-deterministic by construction.
+ambiguity), so evaluation is sign-deterministic by construction, and the
+relator's image, checked by ``surface.relator_residual``, can be near the
+identity but never near -I.
 """
 
 from __future__ import annotations
@@ -30,8 +32,8 @@ from .surface import (
     gen_name,
     json_number,
     json_object,
+    relator_residual,
     standard_fuchsian,
-    standard_relator,
 )
 
 VARIANTS = ("canonical", "linear_u", "radial", "explicit")
@@ -105,7 +107,7 @@ class RepSpec:
         if self.variant == "explicit":
             if self.matrices is None or len(self.matrices) != 2 * self.seed.genus:
                 raise ValueError("explicit spec requires one 3x3 matrix per generator")
-        res = self.relator_residual()
+        res = relator_residual(self.letter_images())
         if not res <= 1e-8:  # a NaN residual fails too
             raise ValueError(f"3x3 relator residual {res:.3e} > 1e-8")
 
@@ -129,19 +131,6 @@ class RepSpec:
             inv = np.linalg.inv(gens[k])
             out[2 * k + 1] = inv / np.cbrt(np.linalg.det(inv))
         return out
-
-    def relator_residual(self) -> float:
-        letters = self.letter_images()
-        m = np.eye(3)
-        for l in standard_relator(self.genus):
-            m = m @ letters[l]
-        if self.variant == "explicit":
-            # identity in PGL: +-I for matrices
-            return min(
-                float(np.linalg.norm(m - np.eye(3))),
-                float(np.linalg.norm(m + np.eye(3))),
-            )
-        return float(np.linalg.norm(m - np.eye(3)))
 
 
 def _cohomology(d: dict, key: str, genus: int) -> CohomologyClass:

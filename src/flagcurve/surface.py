@@ -13,6 +13,11 @@ translations are built in the disk model and conjugated to SL(2,R); the
 pairing scheme is chosen so the product of commutators [a1,b1]...[ag,bg]
 is the identity matrix (verified at build time).
 
+A seed checks its relator with ``relator_residual``, the one product
+along ``standard_relator``, which a representation's check shares, and
+its short words by streaming their images through ``ball.BallTable``,
+whose module imports this one.
+
 ``json_number`` and ``json_object`` are the type rules for JSON input: the
 seed parsed here, and the rep_spec and run config parsed above it.
 """
@@ -66,6 +71,15 @@ def standard_relator(genus: int) -> tuple:
     return tuple(letters)
 
 
+def relator_residual(letters: np.ndarray) -> float:
+    """Distance to +-I of the relator's image, given the (4g, k, k) stack
+    of letter images: the seed's check, and a representation's."""
+    eye = m = np.eye(letters.shape[-1])
+    for l in standard_relator(len(letters) // 4):
+        m = m @ letters[l]
+    return min(float(np.linalg.norm(m - eye)), float(np.linalg.norm(m + eye)))
+
+
 @dataclass(frozen=True)
 class CohomologyClass:
     """Morphism to the reals, given by its value on each generator."""
@@ -111,18 +125,6 @@ def batch_attractive_directions(mats: np.ndarray) -> np.ndarray:
     use1 = (v1 * v1).sum(axis=1) >= (v2 * v2).sum(axis=1)
     v = np.where(use1[:, None], v1, v2)
     return np.arctan2(v[:, 1], v[:, 0]) % math.pi
-
-
-def next_level(last: np.ndarray, n_letters: int) -> np.ndarray:
-    """Last letters of every freely reduced one-letter extension of a
-    level of words ending in ``last``.
-
-    Letters are appended in order to each word in turn, so word i of the
-    result extends word i // (n_letters - 1), and the result is in
-    shortlex order whenever the level is.
-    """
-    letts = np.tile(np.arange(n_letters, dtype=np.int8), len(last))
-    return letts[letts != np.repeat(last ^ 1, n_letters)]
 
 
 # ---------------------------------------------------------------------------
@@ -180,7 +182,7 @@ class FuchsianSeed:
             d = float(np.linalg.det(m))
             if abs(d - 1.0) > 1e-10:
                 raise NotUnimodular(f"generator determinant {d}")
-        res = self.relator_residual()
+        res = relator_residual(self.letter_matrices())
         if res > 1e-8:
             raise ValueError(f"relator residual {res:.3e} > 1e-8")
         mintr = self.short_word_min_trace()
@@ -190,27 +192,13 @@ class FuchsianSeed:
             )
 
     def short_word_min_trace(self, max_length: int = 4) -> float:
-        """Min |trace| over nonempty freely reduced words up to max_length."""
-        letters = self.letter_matrices()
-        last, mats = np.arange(len(letters), dtype=np.int8), letters
-        best = math.inf
-        for length in range(1, max_length + 1):
-            best = min(best, float(np.abs(np.trace(mats, axis1=1, axis2=2)).min()))
-            if length == max_length:
-                break
-            last = next_level(last, len(letters))
-            parent = np.arange(len(last)) // (len(letters) - 1)
-            mats = np.einsum("nij,njk->nik", mats[parent], letters[last])
-        return best
+        """Min |trace| over nonempty freely reduced words up to max_length,
+        read from the ball, which holds their images one block at a time."""
+        from .ball import BallTable  # ball imports this module
 
-    def relator_residual(self) -> float:
-        m = np.eye(2)
-        for j in range(self.genus):
-            a, b = self.generators[2 * j], self.generators[2 * j + 1]
-            m = m @ a @ b @ np.linalg.inv(a) @ np.linalg.inv(b)
-        return min(
-            float(np.linalg.norm(m - np.eye(2))), float(np.linalg.norm(m + np.eye(2)))
-        )
+        table = BallTable.build(self, max_length)
+        return min(float(np.abs(np.trace(mats, axis1=1, axis2=2)).min())
+                   for *_, mats in table.blocks(table.seed_images))
 
     def letter_matrices(self) -> np.ndarray:
         """(4g, 2, 2) stack: generator at index 2k, its inverse at 2k+1."""

@@ -12,8 +12,7 @@ import jsonschema
 import numpy as np
 import pytest
 
-from flagcurve import (RecurrenceReport, RepSpec, ball, cli, curve, delta, spec_from_json_dict,
-                       standard_fuchsian)
+from flagcurve import RecurrenceReport, RepSpec, ball, cli, spec_from_json_dict, standard_fuchsian
 from flagcurve.ball import BallTable
 
 from oracles import spec_to_json_dict
@@ -107,6 +106,9 @@ def _conjugated_radial_g2() -> dict:
     ("limit-curve", RADIAL_G2, {"min_translation_length": 50}, 3, None),
     ("delta", CANONICAL_G2, {}, 6, None),
     ("orbit", RADIAL_G2, {}, 0, {"free_at_scale": True}),
+    # orbit's membership model keeps the config's sampling tolerances.
+    ("orbit", RADIAL_G2, {"tolerances": {"dedup": 0.2}}, 3, None),
+    ("orbit", RADIAL_G2, {"min_translation_length": 100}, 3, None),
     ("regularity", RADIAL_G2, {}, 0, {}),
     # Images near the float range: numpy's overflow warnings stay silent.
     pytest.param("limit-curve", LINEAR_U_700, {}, 6, None, marks=NO_FLOAT_WARNINGS),
@@ -115,7 +117,8 @@ def _conjugated_radial_g2() -> dict:
     pytest.param("certify", LINEAR_U_700, {}, 4, {"verdict": "refuted"},
                  marks=NO_FLOAT_WARNINGS),
 ], ids=["certify_certified", "certify_refuted", "certify_explicit", "certify_not_loxodromic",
-        "limit_curve_insufficient", "delta_not_radial", "orbit", "regularity",
+        "limit_curve_insufficient", "delta_not_radial", "orbit", "orbit_dedup_insufficient",
+        "orbit_length_insufficient", "regularity",
         "limit_curve_not_finite", "delta_not_finite", "regularity_not_finite",
         "certify_near_float_range"])
 def test_exit_code_and_report(tmp_path, report_schema, command, rep_spec, fields, code,
@@ -291,6 +294,25 @@ def test_malformed_config_exits_2(tmp_path, capsys, monkeypatch, fields):
         assert not (tmp_path / "out").exists()
 
 
+# A rotation by 2*pi/5: rotations commute, so they satisfy the relator.
+ROTATION = np.array([[np.cos(0.4 * np.pi), -np.sin(0.4 * np.pi)],
+                     [np.sin(0.4 * np.pi), np.cos(0.4 * np.pi)]])
+
+
+@pytest.mark.parametrize("command", sorted(REPORTS))
+@pytest.mark.parametrize("generator", [np.eye(2), ROTATION], ids=["identity", "rotations"])
+def test_non_fuchsian_seed_exits_2_before_output(tmp_path, capsys, command, generator):
+    # Every nontrivial element of a Fuchsian group is hyperbolic; these
+    # seeds satisfy the relator, but their words have |trace| <= 2.
+    seed = {"genus": 2, "generators": [[float(x) for x in generator.ravel()]] * 4}
+    config = {"rep_spec": {**CANONICAL_G2, "seed": seed}, "ball_radius": 3}
+    assert _run(tmp_path, command, config) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error: bad field 'rep_spec': non-hyperbolic short word: ")
+    assert err.count("\n") == 1
+    assert not (tmp_path / "out").exists()
+
+
 @pytest.mark.parametrize("out, output_dir", [
     ("blocker", None),
     ("blocker/sub", None),
@@ -421,8 +443,6 @@ def test_model_outputs_do_not_depend_on_slice_rows(tmp_path, monkeypatch, case, 
     # time, a block's least words, so most 1-row blocks hold none; orbit's
     # inverses skip the rows ruled out by the minimum of earlier blocks.
     monkeypatch.setattr(ball, "BLOCK_ROWS", rows)
-    monkeypatch.setattr(curve, "SLICE_ROWS", rows)
-    monkeypatch.setattr(delta, "SLICE_ROWS", rows)
     command, rep_spec, fields, digests = PINNED[case]
     code = 0
     if rep_spec == "conjugated":

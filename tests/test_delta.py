@@ -15,7 +15,7 @@ from flagcurve import (
     pushforward_deviation,
     sample_limit_curve,
 )
-from flagcurve import delta
+from flagcurve import ball, delta
 from flagcurve.curve import CurveModel
 from flagcurve.errors import NotRadial, PolarDegenerate
 from flagcurve.spectral import canonicalize_rows
@@ -118,10 +118,10 @@ def test_fit_does_not_depend_on_slice_rows(monkeypatch, radial_fit, rows):
     model = dataclasses.replace(
         model, params=model.params[:m], points=model.points[:m],
         lines=model.lines[:m], words=model.words[:m], tlens=model.tlens[:m])
-    assert m < delta.SLICE_ROWS  # the reference fit reads one slice
+    assert m < ball.BLOCK_ROWS  # the reference fit reads one slice
     want = fit_delta(rad, model)
     want_push = pushforward_deviation(model, want)
-    monkeypatch.setattr(delta, "SLICE_ROWS", rows)
+    monkeypatch.setattr(ball, "BLOCK_ROWS", rows)
     got = fit_delta(rad, model)
     assert got.model.grid.tobytes() == want.model.grid.tobytes()
     assert got.cocycle_residual == want.cocycle_residual
@@ -191,6 +191,6 @@ def test_fill_matches_sorting_the_whole_support(rows, pts):
         with pytest.raises(PolarDegenerate):
             delta._lagrange_fill(pts)
         return
-    with mock.patch.object(delta, "SLICE_ROWS", rows):
+    with mock.patch.object(ball, "BLOCK_ROWS", rows):
         got = delta._lagrange_fill(pts)
     assert got.tobytes() == want.tobytes()
