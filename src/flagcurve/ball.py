@@ -57,6 +57,9 @@ TRIVIAL_TOL = 1e-6
 # temporaries.  Readers read it through this module, at call time.
 BLOCK_ROWS = 1 << 12
 
+# Default seed translation-length floor of curve samples and gap rates.
+DEFAULT_MIN_LENGTH = 0.5
+
 
 def rowwise_dot(rows: np.ndarray, vec: np.ndarray) -> np.ndarray:
     """``rows @ vec``, ``vec`` a vector or a matrix, with each row rounded

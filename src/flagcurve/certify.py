@@ -38,7 +38,7 @@ from functools import partial
 
 import numpy as np
 
-from .ball import BallTable, rowwise_dot
+from .ball import DEFAULT_MIN_LENGTH, BallTable, rowwise_dot
 from .errors import (FlagCurveError, InsufficientSamples, NonLoxodromicEncountered,
                      UnsupportedSpec)
 from .reps import RepSpec
@@ -66,11 +66,11 @@ class RatesResult:
 @dataclass(frozen=True)
 class CertifyResult:
     verdict: str  # "certified-at-scale" | "refuted" | "inconclusive"
-    estimate: StableNormEstimate
-    margin: float  # required margin epsilon
+    stable_norm_estimate: StableNormEstimate
+    margin_required: float  # required margin epsilon
     margin_found: float  # 1/2 minus the ball estimate
     refuting_witness: str | None
-    tests_agree: bool
+    saddle_ratio_tests_agree: bool
     n_scored: int
     rates: RatesResult | None  # None when refuted
 
@@ -137,7 +137,7 @@ def certify_anosov(
     spec: RepSpec,
     radius: int,
     margin: float = DEFAULT_MARGIN,
-    min_length: float = 0.5,
+    min_length: float = DEFAULT_MIN_LENGTH,
 ) -> CertifyResult:
     """Three-way verdict on the Anosov criterion at ball scale.
 
@@ -163,17 +163,18 @@ def certify_anosov(
         verdict = "inconclusive"
     return CertifyResult(
         verdict=verdict,
-        estimate=estimate,
-        margin=margin,
+        stable_norm_estimate=estimate,
+        margin_required=margin,
         margin_found=0.5 - estimate.value,
         refuting_witness=refut_word,
-        tests_agree=agree,
+        saddle_ratio_tests_agree=agree,
         n_scored=scored,
         rates=None if refut_word is not None else _rates(extrema),
     )
 
 
-def anosov_rates(spec: RepSpec, radius: int, min_length: float = 0.5) -> RatesResult:
+def anosov_rates(spec: RepSpec, radius: int,
+                 min_length: float = DEFAULT_MIN_LENGTH) -> RatesResult:
     """Infima of the per-element eigenvalue-gap rates over the seed
     translation length, over the scored words with t >= min_length.
 
@@ -203,7 +204,7 @@ class ProbeResult:
 def probe_explicit(
     spec: RepSpec,
     radius: int,
-    min_length: float = 0.5,
+    min_length: float = DEFAULT_MIN_LENGTH,
 ) -> ProbeResult:
     """Verdict-free spectral probe for explicit specs: loxodromy rate and
     eigenvalue-gap infima over the scored ball.  Raises InsufficientSamples

@@ -2,19 +2,20 @@
 
 One JSON config file drives everything; flags only select the command,
 the config path, and the output directory.  ``RunConfig`` validates the
-whole config before any output exists.  Each ``cmd_*`` returns its exit
-code and report payload; ``main`` creates the output directory and writes
-``<command>.json`` with the common header, while a command writes only
-its other files (CSV, SVG).  All file outputs are byte-deterministic for
-a fixed config (collections are sorted before emission, wall-clock timing
-goes to stderr only).  Every float in a CSV file reads exactly as Python's
-``repr`` writes it, the shortest string that round-trips: ``textfmt``
-formats a chunk of columns at once in numpy, and hands the few floats
-``repr`` writes in exponent form (or as nan/inf) to ``repr`` itself.
+whole config before any output exists; a render key it omits takes
+``svg.render_model``'s default.  Each ``cmd_*`` returns its exit code and
+report payload, ``dataclasses.asdict`` of its library result, so a report
+key is its result field's name; ``main`` writes ``<command>.json`` with
+the common header, and a command writes only its other files.  All file
+outputs are byte-deterministic for a fixed config (collections are
+sorted before emission, wall-clock timing goes to stderr only).  One
+writer, ``_write_csv``, streams both CSV files CSV_ROWS rows at a time,
+each float as Python's ``repr`` writes it: ``textfmt`` formats a chunk of
+columns at once in numpy, and hands the few floats ``repr`` writes in
+exponent form (or as nan/inf) to ``repr`` itself.
 
 ``limit-curve`` checks incidence, which needs 64 samples, before it
-writes any file, and then streams ``curve.csv`` to the open file in
-chunks of CSV_ROWS rows, each chunk's words named as bytes by
+writes any file; ``curve.csv`` names each chunk's words as bytes with
 ``BallTable.word_strings``.  ``delta`` and ``regularity`` sample only
 the points beside the params, and ``orbit`` only the points and lines,
 at radius min(R, 5): none names a word of its curve model.  Every
@@ -39,14 +40,10 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
+from .ball import DEFAULT_MIN_LENGTH
 from .certify import DEFAULT_MARGIN, certify_anosov, probe_explicit
-from .curve import (
-    COLUMNS,
-    check_incidence,
-    injectivity_report,
-    regularity_diagnostics,
-    sample_limit_curve,
-)
+from .curve import (COLUMNS, DEFAULT_DEDUP, check_incidence, injectivity_report,
+                    regularity_diagnostics, sample_limit_curve)
 from .delta import fit_delta, pushforward_deviation
 from .domain import recurrence_experiment
 from .errors import ConfigError, FlagCurveError, InsufficientSamples
@@ -56,10 +53,11 @@ from .surface import json_number, json_object
 
 DEFAULT_TOLERANCES = {
     "certify_margin": DEFAULT_MARGIN,
-    "dedup": 1e-7,
+    "dedup": DEFAULT_DEDUP,
     "incidence_zero": 1e-9,
 }
-RENDER_KEYS = ("chart", "width_px", "stroke", "window")
+# The render block's numeric keys, by type; ``chart`` is its other key.
+RENDER_NUMBERS = {"width_px": int, "stroke": float, "window": float}
 CSV_HEADER = b"param,point_x,point_y,point_z,line_a,line_b,line_c,word,translation_length"
 # Rows of a CSV file formatted per write: for 1,024 rows of curve.csv
 # (8,192 floats, words named) the formatter's arrays peak at about 1.3 MB.
@@ -141,19 +139,19 @@ class RunConfig:
         if not 2 <= self.ball_radius <= 12:
             raise ConfigError("field 'ball_radius' must be in [2, 12]")
         self.min_translation_length = json_number(
-            float, raw.get("min_translation_length", 0.5), "min_translation_length")
+            float, raw.get("min_translation_length", DEFAULT_MIN_LENGTH),
+            "min_translation_length")
         if self.min_translation_length < 0:
             raise ConfigError("field 'min_translation_length' must be >= 0")
         self.tolerances = dict(DEFAULT_TOLERANCES)
         for k, v in _object(raw, "tolerances", DEFAULT_TOLERANCES).items():
             self.tolerances[k] = _positive(float, v, f"tolerances.{k}")
-        render = _object(raw, "render", RENDER_KEYS)
-        self.render_chart = render.get("chart", "both")
-        if self.render_chart not in ("affine", "dual", "both"):
+        self.render = dict(_object(raw, "render", ("chart", *RENDER_NUMBERS)))
+        if "chart" in self.render and self.render["chart"] not in ("affine", "dual", "both"):
             raise ConfigError("field 'render.chart' must be affine|dual|both")
-        self.render_width = _positive(int, render.get("width_px", 640), "render.width_px")
-        self.render_stroke = _positive(float, render.get("stroke", 1.2), "render.stroke")
-        self.render_window = _positive(float, render.get("window", 3.0), "render.window")
+        for k, kind in RENDER_NUMBERS.items():
+            if k in self.render:
+                self.render[k] = _positive(kind, self.render[k], f"render.{k}")
         self.incidence_max_lines = raw.get("incidence_max_lines", 4096)
         if self.incidence_max_lines is not None:
             self.incidence_max_lines = json_number(
@@ -205,107 +203,74 @@ class RunConfig:
 def _model(config: RunConfig, *columns: str, radius: int | None = None):
     """The config's curve model, with the columns its reader names, at the
     config's ball radius unless ``radius`` is given."""
-    return sample_limit_curve(
-        config.spec,
-        config.ball_radius if radius is None else radius,
-        min_length=config.min_translation_length,
-        dedup_res=config.tolerances["dedup"],
-        columns=columns,
-    )
+    return sample_limit_curve(config.spec, config.ball_radius if radius is None else radius,
+                              min_length=config.min_translation_length,
+                              dedup_res=config.tolerances["dedup"], columns=columns)
+
+
+def _write_csv(path: Path, header: bytes, n: int, columns) -> None:
+    """Write ``header`` and ``n`` rows to ``path``, CSV_ROWS per ``csv_bytes``
+    call; ``columns(rows)`` gives the columns of the rows in slice ``rows``."""
+    from .textfmt import csv_bytes
+
+    with open(path, "wb") as f:
+        f.write(header + b"\n")
+        for lo in range(0, n, CSV_ROWS):
+            f.write(csv_bytes(columns(slice(lo, lo + CSV_ROWS))))
 
 
 def cmd_limit_curve(config: RunConfig) -> tuple:
     from .svg import render_model
-    from .textfmt import csv_bytes
 
     model = _model(config, *COLUMNS)
     # Raises InsufficientSamples below 64 samples, before any file exists.
-    inc = check_incidence(
-        model,
-        ztol=config.tolerances["incidence_zero"],
-        max_lines=config.incidence_max_lines,
-    )
-    out, ids = config.out_dir, model.words
-    with open(out / "curve.csv", "wb") as f:
-        f.write(CSV_HEADER + b"\n")
-        for lo in range(0, len(model), CSV_ROWS):
-            rows = slice(lo, lo + CSV_ROWS)
-            f.write(csv_bytes([model.params[rows], *model.points[rows].T,
-                               *model.lines[rows].T,
-                               ids.table.word_strings(ids.levels[rows], ids.index[rows]),
-                               model.tlens[rows]]))
+    inc = check_incidence(model, ztol=config.tolerances["incidence_zero"],
+                          max_lines=config.incidence_max_lines)
+    ids = model.words
+    _write_csv(config.out_dir / "curve.csv", CSV_HEADER, len(model), lambda rows: [
+        model.params[rows], *model.points[rows].T, *model.lines[rows].T,
+        ids.table.word_strings(ids.levels[rows], ids.index[rows]), model.tlens[rows]])
     payload = {
         "samples": len(model),
         "injectivity": dataclasses.asdict(injectivity_report(model)),
-        "incidence": {
-            "lines_checked": sum(inc.histogram.values()) + inc.nontransversal,
-            "histogram": {str(k): v for k, v in inc.histogram.items()},
-            "worst_count": inc.worst_count,
-            "worst_word": inc.worst_word,
-            "nontransversal": inc.nontransversal,
-            "passed": inc.passed,
-        },
+        "incidence": dataclasses.asdict(inc),
     }
-    svg = render_model(
-        model,
-        chart=config.render_chart,
-        width_px=config.render_width,
-        stroke=config.render_stroke,
-        window=config.render_window,
-    )
-    (out / "curve.svg").write_text(svg, encoding="utf-8")
+    # String keys: sort_keys orders int keys as numbers, 1, 3, 11, and the
+    # report lists them as strings, "1", "11", "3".
+    payload["incidence"]["histogram"] = {str(k): v for k, v in inc.histogram.items()}
+    (config.out_dir / "curve.svg").write_text(render_model(model, **config.render),
+                                              encoding="utf-8")
     return 0, payload
 
 
 def cmd_certify(config: RunConfig) -> tuple:
     if config.spec.variant == "explicit":
-        probe = probe_explicit(
-            config.spec, config.ball_radius,
-            min_length=config.min_translation_length,
-        )
+        probe = probe_explicit(config.spec, config.ball_radius,
+                               min_length=config.min_translation_length)
         return 5, {"verdict": "probe-only", "probe": dataclasses.asdict(probe)}
-    res = certify_anosov(
-        config.spec,
-        config.ball_radius,
-        margin=config.tolerances["certify_margin"],
-        min_length=config.min_translation_length,
-    )
-    payload = {
-        "verdict": res.verdict,
-        "stable_norm_estimate": dataclasses.asdict(res.estimate),
-        "margin_required": res.margin,
-        "margin_found": res.margin_found,
-        "refuting_witness": res.refuting_witness,
-        "saddle_ratio_tests_agree": res.tests_agree,
-        "n_scored": res.n_scored,
-    }
-    if res.rates is not None:
-        payload["rates"] = {
-            "inf_top_gap": res.rates.inf_top_gap,
-            "inf_bottom_gap": res.rates.inf_bottom_gap,
-            "n_elements": res.rates.n_elements,
-        }
+    res = certify_anosov(config.spec, config.ball_radius,
+                         margin=config.tolerances["certify_margin"],
+                         min_length=config.min_translation_length)
+    payload = dataclasses.asdict(res)
+    if res.rates is None:  # a refuted report has no rates key
+        del payload["rates"]
     return {"certified-at-scale": 0, "refuted": 4, "inconclusive": 5}[res.verdict], payload
 
 
 def cmd_delta(config: RunConfig) -> tuple:
-    from .textfmt import csv_bytes
-
     model = _model(config, "points")
     fit = fit_delta(config.spec, model)
     push = pushforward_deviation(model, fit)
     grid = fit.model.grid
     theta = np.arange(len(grid)) * (2.0 * math.pi / len(grid))
-    with open(config.out_dir / "delta_profile.csv", "wb") as f:
-        f.write(b"theta,delta\n")
-        for lo in range(0, len(grid), CSV_ROWS):
-            f.write(csv_bytes([theta[lo:lo + CSV_ROWS], grid[lo:lo + CSV_ROWS]]))
+    _write_csv(config.out_dir / "delta_profile.csv", b"theta,delta", len(grid),
+               lambda rows: [theta[rows], grid[rows]])
     return 0, {
         "samples": len(model),
         "grid_size": len(grid),
         "cocycle_residual": fit.cocycle_residual,
         "pushforward_to_canonical_line": push,
-        "taus": [[t1, t2] for t1, t2 in fit.taus],
+        "taus": fit.taus,
     }
 
 
@@ -313,17 +278,12 @@ def cmd_orbit(config: RunConfig) -> tuple:
     model = _model(config, "points", "lines", radius=min(config.ball_radius, 5))
     rep = recurrence_experiment(config.spec, config.orbit_base, config.orbit_neighborhood,
                                 config.ball_radius, model)
-    return 0, {
-        "neighborhood": rep.neighborhood,
-        # Shorter words first: string length stops tracking word length
-        # once letter names differ in width (genus >= 10).
-        "returning_words": sorted(rep.returning_words,
-                                  key=lambda w: (w.count(".") + 1 if w else 0, w)),
-        "count_history": [[r, c] for r, c in rep.count_history],
-        "stabilized": rep.stabilized,
-        "min_nonempty_displacement": rep.min_nonempty_displacement,
-        "free_at_scale": rep.free_at_scale,
-    }
+    payload = dataclasses.asdict(rep)
+    # Shorter words first: string length stops tracking word length once
+    # letter names differ in width (genus >= 10).
+    payload["returning_words"] = sorted(rep.returning_words,
+                                        key=lambda w: (w.count(".") + 1 if w else 0, w))
+    return 0, payload
 
 
 def cmd_regularity(config: RunConfig) -> tuple:

@@ -45,13 +45,16 @@ from typing import Sequence
 import numpy as np
 
 from . import ball
-from .ball import BallTable, WordIds
+from .ball import DEFAULT_MIN_LENGTH, BallTable, WordIds
 from .errors import FlagCurveError, InsufficientSamples
 from .reps import RepSpec
 from .spectral import batch_attracting_flags
 from .surface import batch_attractive_directions
 
 E2 = np.array([0.0, 1.0, 0.0])
+
+# Param resolution below which two samples are one (``greedy_thin``).
+DEFAULT_DEDUP = 1e-7
 
 
 @dataclass
@@ -145,8 +148,8 @@ COLUMNS = tuple(_COLUMN_ARRAYS)
 def sample_limit_curve(
     spec: RepSpec,
     radius: int,
-    min_length: float = 0.5,
-    dedup_res: float = 1e-7,
+    min_length: float = DEFAULT_MIN_LENGTH,
+    dedup_res: float = DEFAULT_DEDUP,
     columns: Sequence[str] = COLUMNS,
 ) -> CurveModel:
     """One sample per cyclically reduced loxodromic ball word with
@@ -244,6 +247,7 @@ _COARSE_BYTES = 1 << 20
 
 @dataclass(frozen=True)
 class IncidenceReport:
+    lines_checked: int
     histogram: dict
     worst_word: str
     worst_count: int
@@ -434,6 +438,7 @@ def check_incidence(model: CurveModel, ztol: float = 1e-9, chunk: int = 1024,
     else:
         j = None
     return IncidenceReport(
+        lines_checked=len(sel),
         histogram=histogram,
         worst_word="" if j is None else model.words[sel[j]],
         worst_count=1 if j is None else int(cross[j]),

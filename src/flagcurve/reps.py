@@ -43,7 +43,7 @@ def rho0(m: np.ndarray) -> np.ndarray:
     """Block embedding [[a,b],[c,d]] -> [[a,0,b],[0,1,0],[c,0,d]], read-only."""
     m = np.asarray(m, dtype=float)
     d = float(np.linalg.det(m))
-    if abs(d - 1.0) > 1e-10:
+    if not abs(d - 1.0) <= 1e-10:  # a NaN determinant fails too
         raise NotUnimodular(f"2x2 determinant {d}")
     out = np.array(
         [

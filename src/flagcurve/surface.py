@@ -166,6 +166,10 @@ def _to_sl2r(m: np.ndarray) -> np.ndarray:
     return out / math.sqrt(float(np.linalg.det(out)))
 
 
+# Words up to this length must have hyperbolic seed images, |trace| > 2.
+SHORT_WORD_LENGTH = 4
+
+
 @dataclass(frozen=True)
 class FuchsianSeed:
     """Per-generator SL(2,R) matrices satisfying the surface relator."""
@@ -178,25 +182,25 @@ class FuchsianSeed:
             raise UnsupportedGenus(f"genus {self.genus} < 2")
         if len(self.generators) != 2 * self.genus:
             raise ValueError("wrong number of generator matrices")
+        # Each check is written so that a NaN fails it.
         for m in self.generators:
             d = float(np.linalg.det(m))
-            if abs(d - 1.0) > 1e-10:
+            if not abs(d - 1.0) <= 1e-10:
                 raise NotUnimodular(f"generator determinant {d}")
         res = relator_residual(self.letter_matrices())
-        if res > 1e-8:
+        if not res <= 1e-8:
             raise ValueError(f"relator residual {res:.3e} > 1e-8")
         mintr = self.short_word_min_trace()
-        if mintr <= 2.0 + 1e-10:
-            raise ValueError(
-                f"non-hyperbolic short word: min |trace| = {mintr} over length <= 4"
-            )
+        if not mintr > 2.0 + 1e-10:
+            raise ValueError(f"non-hyperbolic short word: min |trace| = {mintr}"
+                             f" over length <= {SHORT_WORD_LENGTH}")
 
-    def short_word_min_trace(self, max_length: int = 4) -> float:
-        """Min |trace| over nonempty freely reduced words up to max_length,
-        read from the ball, which holds their images one block at a time."""
+    def short_word_min_trace(self) -> float:
+        """Min |trace| over nonempty freely reduced words of length at most
+        SHORT_WORD_LENGTH, their images read from the ball a block at a time."""
         from .ball import BallTable  # ball imports this module
 
-        table = BallTable.build(self, max_length)
+        table = BallTable.build(self, SHORT_WORD_LENGTH)
         return min(float(np.abs(np.trace(mats, axis1=1, axis2=2)).min())
                    for *_, mats in table.blocks(table.seed_images))
 

@@ -253,13 +253,13 @@ def test_class_pass_matches_per_word_pass(monkeypatch, seed2, radial, refuted, e
         _per_word(m)
         words = [certify_anosov(s, radius) for s in specs], probe_explicit(explicit, radius)
     for got, want in zip(classed[0], words[0]):
-        assert (got.verdict, got.n_scored, got.tests_agree) == \
-            (want.verdict, want.n_scored, want.tests_agree)
-        assert got.estimate.value == pytest.approx(want.estimate.value, rel=1e-12)
-        assert witness(got.estimate.witness, want.estimate.witness)
-        assert [lv for lv, _ in got.estimate.history] == [lv for lv, _ in want.estimate.history]
-        assert [v for _, v in got.estimate.history] == \
-            pytest.approx([v for _, v in want.estimate.history], rel=1e-12)
+        assert (got.verdict, got.n_scored, got.saddle_ratio_tests_agree) == \
+            (want.verdict, want.n_scored, want.saddle_ratio_tests_agree)
+        g, w = got.stable_norm_estimate, want.stable_norm_estimate
+        assert g.value == pytest.approx(w.value, rel=1e-12)
+        assert witness(g.witness, w.witness)
+        assert [lv for lv, _ in g.history] == [lv for lv, _ in w.history]
+        assert [v for _, v in g.history] == pytest.approx([v for _, v in w.history], rel=1e-12)
         assert witness(got.refuting_witness, want.refuting_witness)
         assert (got.rates is None) == (want.rates is None)
         if got.rates is not None:
@@ -272,7 +272,8 @@ def test_class_pass_matches_per_word_pass(monkeypatch, seed2, radial, refuted, e
     assert got.inf_top_gap == pytest.approx(want.inf_top_gap, rel=1e-12)
     assert got.inf_bottom_gap == pytest.approx(want.inf_bottom_gap, rel=1e-12)
     linear = RepSpec("linear_u", seed2, u=radial.u)
-    assert certify_anosov(linear, radius).estimate == classed[0][0].estimate
+    assert (certify_anosov(linear, radius).stable_norm_estimate
+            == classed[0][0].stable_norm_estimate)
     assert anosov_rates(radial, radius) == classed[0][0].rates
 
 

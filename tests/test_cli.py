@@ -14,6 +14,8 @@ import pytest
 
 from flagcurve import RecurrenceReport, RepSpec, ball, cli, spec_from_json_dict, standard_fuchsian
 from flagcurve.ball import BallTable
+from flagcurve.curve import COLUMNS, IncidenceReport
+from flagcurve.svg import render_model
 
 from oracles import spec_to_json_dict
 
@@ -160,6 +162,53 @@ def test_limit_curve(tmp_path, report_schema, max_lines):
     assert incidence["histogram"] == {"1": SAMPLES}
     assert (incidence["worst_count"], incidence["worst_word"]) == (1, "")
     assert incidence["nontransversal"] == 0
+
+
+def test_limit_curve_histogram_keys_sort_as_strings(tmp_path, monkeypatch):
+    # sort_keys would order int keys as numbers; the report's keys are the
+    # counts as strings, in string order.
+    report = IncidenceReport(8, {1: 5, 3: 2, 11: 1}, "a1", 11, 0, False)
+    monkeypatch.setattr(cli, "check_incidence", lambda *args, **kwargs: report)
+    assert _run(tmp_path, "limit-curve", {"rep_spec": RADIAL_G2, "ball_radius": 3}) == 0
+    text = (tmp_path / "out" / "limit_curve.json").read_text(encoding="utf-8")
+    assert list(json.loads(text)["incidence"]["histogram"]) == ["1", "11", "3"]
+
+
+def test_render_block_reaches_the_svg(tmp_path):
+    # Each render key given is passed to render_model as validated (an
+    # integer stroke as a float), while the report echoes the config as
+    # given; an absent key takes render_model's default.
+    render = {"chart": "dual", "width_px": 300, "stroke": 2, "window": 2.5}
+    config = {"rep_spec": RADIAL_G2, "ball_radius": 3, "render": render}
+    assert _run(tmp_path, "limit-curve", config) == 0
+    report = json.loads((tmp_path / "out" / "limit_curve.json").read_text(encoding="utf-8"))
+    assert report["config"]["render"] == render
+    assert type(report["config"]["render"]["stroke"]) is int
+    svg = (tmp_path / "out" / "curve.svg").read_text(encoding="utf-8")
+    model = cli._model(cli.RunConfig(config, b"", None), *COLUMNS)
+    assert svg == render_model(model, chart="dual", width_px=300, stroke=2.0, window=2.5)
+    assert 'stroke-width="2.0"' in svg
+
+
+@pytest.mark.parametrize("command, rep_spec, objects", [
+    ("limit-curve", RADIAL_G2, ["injectivity", "incidence"]),
+    ("certify", RADIAL_G2, ["stable_norm_estimate", "rates"]),
+    ("certify", "explicit", ["probe"]),
+], ids=["limit_curve", "certify", "probe"])
+def test_schema_rejects_a_key_it_does_not_name(tmp_path, report_schema, command, rep_spec,
+                                               objects):
+    # A report is its result's fields: one that leaks into a report, at
+    # the root or in a nested object, fails the schema.
+    if rep_spec == "explicit":
+        rep_spec = _explicit_g2()
+    _run(tmp_path, command, {"rep_spec": rep_spec, "ball_radius": 3})
+    report = json.loads((tmp_path / "out" / REPORTS[command]).read_text(encoding="utf-8"))
+    validator = jsonschema.Draft202012Validator(report_schema)
+    assert validator.is_valid(report)
+    for name in [None, *objects]:
+        bad = json.loads(json.dumps(report))
+        (bad if name is None else bad[name])["extra"] = 0
+        assert not validator.is_valid(bad), name
 
 
 def test_too_few_samples_leave_no_file(tmp_path):

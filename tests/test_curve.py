@@ -31,7 +31,7 @@ from oracles import Word, equivariance_report, evaluate, proj_dist, seed_image
 def _stable_norm(u, seed, radius):
     """The stable-norm estimate of ``certify_anosov`` on the linear_u spec
     of ``u``."""
-    return certify_anosov(RepSpec("linear_u", seed, u=u), radius).estimate
+    return certify_anosov(RepSpec("linear_u", seed, u=u), radius).stable_norm_estimate
 
 
 def _t_a1(seed) -> float:
@@ -355,8 +355,9 @@ def test_trivial_seed_image_is_skipped(monkeypatch, seed2, u_a1, canonical2, sig
                     assert np.array_equal(got[level][0], want[level][0][keep])
                     assert np.array_equal(got[level][1], want[level][1][keep])
             res = certify_anosov(spec, 3)
-            assert res.estimate == ref.estimate
-            assert (res.verdict, res.tests_agree) == (ref.verdict, ref.tests_agree)
+            assert res.stable_norm_estimate == ref.stable_norm_estimate
+            assert (res.verdict, res.saddle_ratio_tests_agree) == \
+                (ref.verdict, ref.saddle_ratio_tests_agree)
             assert res.n_scored == ref.n_scored - len(ks)
             assert res.rates.n_elements == ref.rates.n_elements - len(ks)
             model = sample_limit_curve(canonical2, 3)
@@ -385,7 +386,7 @@ def test_certify_is_one_pass(monkeypatch, seed2, u_a1, variant):
     monkeypatch.setattr(BallTable, "scored", counted("scored", BallTable.scored))
     res = certify_anosov(spec, 4)
     assert calls == ["build", "scored"]
-    assert res.estimate == norm
+    assert res.stable_norm_estimate == norm
     assert res.rates == rates
 
 
@@ -393,7 +394,7 @@ def test_certify_canonical(canonical2):
     res = certify_anosov(canonical2, 4)
     assert res.verdict == "certified-at-scale"
     assert res.margin_found == pytest.approx(0.5, abs=1e-12)
-    assert res.tests_agree
+    assert res.saddle_ratio_tests_agree
 
 
 def test_certify_three_regimes(seed2):
@@ -403,12 +404,12 @@ def test_certify_three_regimes(seed2):
         u = CohomologyClass.from_dict({"a1": r * t_a1}, 2)
         res = certify_anosov(RepSpec("linear_u", seed2, u=u), 4)
         assert res.verdict == verdict, (r, res.verdict)
-        assert res.tests_agree
+        assert res.saddle_ratio_tests_agree
         if verdict == "refuted":
             assert res.refuting_witness == "a1"
             assert res.rates is None
         else:
-            assert res.estimate.value == pytest.approx(r, abs=1e-12)
+            assert res.stable_norm_estimate.value == pytest.approx(r, abs=1e-12)
 
 
 def test_certify_monotone_refutation(seed2):
@@ -425,7 +426,8 @@ def test_certify_radial_matches_linear(seed2, u_a1):
     a = certify_anosov(lin, 4)
     b = certify_anosov(rad, 4)
     assert a.verdict == b.verdict == "certified-at-scale"
-    assert a.estimate.value == pytest.approx(b.estimate.value, abs=1e-12)
+    assert a.stable_norm_estimate.value == \
+        pytest.approx(b.stable_norm_estimate.value, abs=1e-12)
 
 
 def test_certify_rejects_explicit(seed2, canonical2):

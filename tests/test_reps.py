@@ -46,8 +46,9 @@ def test_rho0_layout():
     )
     assert np.allclose(rho0(np.eye(2)), np.eye(3))
     assert g.shape == (3, 3) and not g.flags.writeable
-    with pytest.raises(NotUnimodular):
-        rho0(2.0 * np.eye(2))
+    for m in (2.0 * np.eye(2), np.full((2, 2), np.nan)):
+        with pytest.raises(NotUnimodular), np.errstate(invalid="ignore"):
+            rho0(m)
 
 
 def test_rho0_morphism(rng):

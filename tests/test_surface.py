@@ -7,9 +7,9 @@ import numpy as np
 import pytest
 
 from flagcurve import CohomologyClass, FuchsianSeed, standard_fuchsian
-from flagcurve import ball
+from flagcurve import ball, surface
 from flagcurve.ball import BallTable, WordIds
-from flagcurve.errors import UnsupportedGenus
+from flagcurve.errors import NotUnimodular, UnsupportedGenus
 from flagcurve.surface import (batch_attractive_directions, batch_translation_lengths,
                                gen_name, relator_residual, standard_relator)
 
@@ -162,6 +162,20 @@ def test_seed_rejects_bad_relator():
     gens = (np.eye(2) * 1.0,) * 3 + (rot,)
     with pytest.raises(ValueError):
         FuchsianSeed(2, gens)
+
+
+def test_seed_checks_fail_on_nan(monkeypatch, seed2):
+    # NaN compares false both ways, so each check is written to fail it.
+    with pytest.raises(NotUnimodular), np.errstate(invalid="ignore"):
+        FuchsianSeed(2, (np.full((2, 2), np.nan),) * 4)
+    with monkeypatch.context() as m:
+        m.setattr(surface, "relator_residual", lambda letters: math.nan)
+        with pytest.raises(ValueError, match="relator residual"):
+            FuchsianSeed(2, seed2.generators)
+    with monkeypatch.context() as m:
+        m.setattr(FuchsianSeed, "short_word_min_trace", lambda self: math.nan)
+        with pytest.raises(ValueError, match="non-hyperbolic short word"):
+            FuchsianSeed(2, seed2.generators)
 
 
 def _whole_levels(table) -> dict:
