@@ -7,8 +7,8 @@ of ``ball.BallTable`` through one batched kernel per task."""
 __version__ = "0.1.0"
 
 from .projective import Flag, canonicalize
-from .surface import CohomologyClass, FuchsianSeed, standard_fuchsian
-from .reps import RepSpec, coboundary_radial, phi, rho0, spec_from_json_dict
+from .surface import FuchsianSeed, standard_fuchsian
+from .reps import RepSpec, coboundary_radial, generator_values, phi, rho0, spec_from_json_dict
 from .curve import (
     CurveModel,
     check_incidence,

@@ -43,7 +43,6 @@ from .errors import (FlagCurveError, InsufficientSamples, NonLoxodromicEncounter
                      UnsupportedSpec)
 from .reps import RepSpec
 from .spectral import GAP_TOL, batch_loxodromic, batch_saddle_at_e2
-from .surface import CohomologyClass
 
 DEFAULT_MARGIN = 0.02
 
@@ -75,7 +74,7 @@ class CertifyResult:
     rates: RatesResult | None  # None when refuted
 
 
-def _scan(table: BallTable, u: CohomologyClass, min_length: float, *images) -> tuple:
+def _scan(table: BallTable, u: tuple, min_length: float, *images) -> tuple:
     """One pass over ``table.scored`` with the signed ratio r = u(w)/t(w).
 
     Returns the stable-norm estimate, the first refuting word (or None),
@@ -86,7 +85,7 @@ def _scan(table: BallTable, u: CohomologyClass, min_length: float, *images) -> t
     Top-level words are read one per rotation class and counted with
     their class sizes.
     """
-    uvec = u.as_vector()
+    uvec = np.array(u, dtype=float)
     tops = {}  # level -> (max |r|, first word index at it)
     refut_word, agree, scored = None, True, 0
     lo, hi, n_kept, degenerate_word = math.inf, -math.inf, 0, None

@@ -2,8 +2,9 @@
 
 One JSON config file drives everything; flags only select the command,
 the config path, and the output directory.  ``RunConfig`` validates the
-whole config before any output exists; a render key it omits takes
-``svg.render_model``'s default.  Each ``cmd_*`` returns its exit code and
+whole config with the JSON type rules of ``reps`` before any output
+exists, so a key it does not know is an error; a render key it omits
+takes ``svg.render_model``'s default.  Each ``cmd_*`` returns its exit code and
 report payload, ``dataclasses.asdict`` of its library result, so a report
 key is its result field's name; ``main`` writes ``<command>.json`` with
 the common header, and a command writes only its other files.  All file
@@ -42,19 +43,18 @@ import numpy as np
 from . import __version__
 from .ball import DEFAULT_MIN_LENGTH
 from .certify import DEFAULT_MARGIN, certify_anosov, probe_explicit
-from .curve import (COLUMNS, DEFAULT_DEDUP, check_incidence, injectivity_report,
-                    regularity_diagnostics, sample_limit_curve)
+from .curve import (COLUMNS, DEFAULT_DEDUP, DEFAULT_INCIDENCE_ZERO, check_incidence,
+                    injectivity_report, regularity_diagnostics, sample_limit_curve)
 from .delta import fit_delta, pushforward_deviation
 from .domain import recurrence_experiment
 from .errors import ConfigError, FlagCurveError, InsufficientSamples
 from .projective import Flag
-from .reps import RepSpec, spec_from_json_dict
-from .surface import json_number, json_object
+from .reps import RepSpec, json_field, json_floats, json_number, json_object, spec_from_json_dict
 
 DEFAULT_TOLERANCES = {
     "certify_margin": DEFAULT_MARGIN,
     "dedup": DEFAULT_DEDUP,
-    "incidence_zero": 1e-9,
+    "incidence_zero": DEFAULT_INCIDENCE_ZERO,
 }
 # The render block's numeric keys, by type; ``chart`` is its other key.
 RENDER_NUMBERS = {"width_px": int, "stroke": float, "window": float}
@@ -63,6 +63,8 @@ CSV_HEADER = b"param,point_x,point_y,point_z,line_a,line_b,line_c,word,translati
 # (8,192 floats, words named) the formatter's arrays peak at about 1.3 MB.
 CSV_ROWS = 1 << 10
 ORBIT_KEYS = ("base_point", "base_line", "neighborhood")
+ROOT_KEYS = ("rep_spec", "output_dir", "ball_radius", "min_translation_length", "tolerances",
+             "render", "incidence_max_lines", "orbit")
 
 
 def _positive(kind: type, value, name: str):
@@ -70,16 +72,6 @@ def _positive(kind: type, value, name: str):
     value = json_number(kind, value, name)
     if value <= 0:
         raise ConfigError(f"field {name!r} must be positive")
-    return value
-
-
-def _object(raw: dict, name: str, keys) -> dict:
-    """The optional JSON-object field ``name`` of the config, or {}; a key
-    outside ``keys`` is a ConfigError."""
-    value = json_object(raw.get(name, {}), name)
-    for k in value:
-        if k not in keys:
-            raise ConfigError(f"unknown field '{name}.{k}'")
     return value
 
 
@@ -97,22 +89,14 @@ def _finite_float(text: str) -> float:
     return value
 
 
-def _orbit_vector(orbit: dict, key: str) -> np.ndarray:
-    """The array field ``key`` of the ``orbit`` block, every entry a JSON
-    number."""
-    value = orbit[key]
-    if not isinstance(value, list):
-        raise ConfigError(f"field 'orbit.{key}' must be a JSON array")
-    return np.array([json_number(float, v, f"orbit.{key}") for v in value])
-
-
 def _base_flag(orbit: dict) -> Flag:
     """The base flag of the ``orbit`` config block."""
     if "base_point" in orbit or "base_line" in orbit:
+        point, line = (json_floats(json_field(orbit, "orbit", k), f"orbit.{k}", (3,))
+                       for k in ("base_point", "base_line"))
         try:
-            return Flag.of(_orbit_vector(orbit, "base_point"),
-                           _orbit_vector(orbit, "base_line"))
-        except (KeyError, ValueError, TypeError) as e:
+            return Flag.of(point, line)
+        except ValueError as e:
             raise ConfigError(f"bad field 'orbit.base_point'/'orbit.base_line': {e}") from e
     # Documented default: inside the canonical domain with wide margins.
     s = 1.0 / math.sqrt(2.0)
@@ -123,16 +107,13 @@ class RunConfig:
     """Validated run configuration."""
 
     def __init__(self, raw: dict, source_bytes: bytes, out_dir: str | None):
-        if not isinstance(raw, dict):
-            raise ConfigError("config root must be a JSON object")
-        output_dir = raw.get("output_dir", "out")
+        output_dir = json_object(raw, "", ROOT_KEYS).get("output_dir", "out")
         if not isinstance(output_dir, str):
             raise ConfigError("field 'output_dir' must be a string")
-        if "rep_spec" not in raw:
-            raise ConfigError("missing field 'rep_spec'")
+        rep_spec = json_field(raw, "", "rep_spec")
         try:
-            self.spec: RepSpec = spec_from_json_dict(raw["rep_spec"])
-        except (KeyError, ValueError, TypeError, OverflowError, FlagCurveError) as e:
+            self.spec: RepSpec = spec_from_json_dict(rep_spec)
+        except (ValueError, OverflowError, FlagCurveError) as e:
             # OverflowError: math.exp of a large |u| in a generator image.
             raise ConfigError(f"bad field 'rep_spec': {e}") from e
         self.ball_radius = json_number(int, raw.get("ball_radius", 6), "ball_radius")
@@ -144,9 +125,11 @@ class RunConfig:
         if self.min_translation_length < 0:
             raise ConfigError("field 'min_translation_length' must be >= 0")
         self.tolerances = dict(DEFAULT_TOLERANCES)
-        for k, v in _object(raw, "tolerances", DEFAULT_TOLERANCES).items():
+        for k, v in json_object(raw.get("tolerances", {}), "tolerances",
+                                DEFAULT_TOLERANCES).items():
             self.tolerances[k] = _positive(float, v, f"tolerances.{k}")
-        self.render = dict(_object(raw, "render", ("chart", *RENDER_NUMBERS)))
+        self.render = dict(json_object(raw.get("render", {}), "render",
+                                       ("chart", *RENDER_NUMBERS)))
         if "chart" in self.render and self.render["chart"] not in ("affine", "dual", "both"):
             raise ConfigError("field 'render.chart' must be affine|dual|both")
         for k, kind in RENDER_NUMBERS.items():
@@ -158,7 +141,7 @@ class RunConfig:
                 int, self.incidence_max_lines, "incidence_max_lines")
             if self.incidence_max_lines < 1:
                 raise ConfigError("field 'incidence_max_lines' must be >= 1 or null")
-        orbit = _object(raw, "orbit", ORBIT_KEYS)
+        orbit = json_object(raw.get("orbit", {}), "orbit", ORBIT_KEYS)
         self.orbit_base = _base_flag(orbit)
         self.orbit_neighborhood = _positive(
             float, orbit.get("neighborhood", 0.05), "orbit.neighborhood")

@@ -55,6 +55,9 @@ E2 = np.array([0.0, 1.0, 0.0])
 
 # Param resolution below which two samples are one (``greedy_thin``).
 DEFAULT_DEDUP = 1e-7
+# Pairing magnitude at or below which a point lies on a line
+# (``check_incidence``).
+DEFAULT_INCIDENCE_ZERO = 1e-9
 
 
 @dataclass
@@ -212,8 +215,10 @@ def sample_limit_curve(
     words = None
     if "words" in columns:
         words = WordIds(table, cols.pop("levels"), cols.pop("index"))
+    # Every structured spec is radial: its images fix [e2], so its line
+    # curve is the pencil through [e2].
     exact_pl = E2.copy() if spec.variant == "canonical" else None
-    exact_lp = E2.copy() if spec.variant in ("canonical", "radial") else None
+    exact_lp = E2.copy() if spec.variant != "explicit" else None
     return CurveModel(
         params=params,
         points=cols.get("points"),
@@ -407,8 +412,8 @@ def _group_bounds(new: np.ndarray):
     return np.nonzero(new)[0], np.nonzero(last)[0]
 
 
-def check_incidence(model: CurveModel, ztol: float = 1e-9, chunk: int = 1024,
-                    max_lines: int | None = None) -> IncidenceReport:
+def check_incidence(model: CurveModel, ztol: float = DEFAULT_INCIDENCE_ZERO,
+                    chunk: int = 1024, max_lines: int | None = None) -> IncidenceReport:
     """Count, for each sampled line, its transversal crossings with the
     sampled point curve (``crossing_counts``, ``chunk`` lines at a time).
     Passes when every line is transversal and crosses exactly once.

@@ -182,7 +182,7 @@ def fit_delta(spec: RepSpec, model: CurveModel) -> DeltaFit:
 
     terms = []
     for k, g in enumerate(spec.generator_images()):
-        e23 = math.exp(2.0 * spec.u.values[k] / 3.0)
+        e23 = math.exp(2.0 * spec.u[k] / 3.0)
         terms.append((e23, -e23 * spec.mu[k], -e23 * spec.nu[k], g.T))
     residual = 0.0
     for rows in _slices(len(model)):

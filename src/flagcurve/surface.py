@@ -17,9 +17,6 @@ A seed checks its relator with ``relator_residual``, the one product
 along ``standard_relator``, which a representation's check shares, and
 its short words by streaming their images through ``ball.BallTable``,
 whose module imports this one.
-
-``json_number`` and ``json_object`` are the type rules for JSON input: the
-seed parsed here, and the rep_spec and run config parsed above it.
 """
 
 from __future__ import annotations
@@ -29,28 +26,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigError, NotUnimodular, UnsupportedGenus
-
-
-def json_number(kind: type, value, name: str):
-    """``value`` as ``kind``: int takes only a JSON integer, float any JSON
-    number; a boolean, a string or anything else is a ConfigError naming
-    the field."""
-    allowed = (int,) if kind is int else (int, float)
-    if isinstance(value, bool) or not isinstance(value, allowed):
-        expected = "an integer" if kind is int else "a number"
-        raise ConfigError(f"field {name!r} must be {expected}, not {value!r}")
-    try:
-        return kind(value)
-    except OverflowError as e:
-        raise ConfigError(f"field {name!r} must be a number: {e}") from e
-
-
-def json_object(value, name: str) -> dict:
-    """``value`` if it is a JSON object, else a ConfigError naming the field."""
-    if not isinstance(value, dict):
-        raise ConfigError(f"field {name!r} must be a JSON object")
-    return value
+from .errors import NotUnimodular, UnsupportedGenus
 
 
 def gen_name(k: int) -> str:
@@ -78,31 +54,6 @@ def relator_residual(letters: np.ndarray) -> float:
     for l in standard_relator(len(letters) // 4):
         m = m @ letters[l]
     return min(float(np.linalg.norm(m - eye)), float(np.linalg.norm(m + eye)))
-
-
-@dataclass(frozen=True)
-class CohomologyClass:
-    """Morphism to the reals, given by its value on each generator."""
-
-    values: tuple
-    genus: int
-
-    @staticmethod
-    def zero(genus: int) -> "CohomologyClass":
-        return CohomologyClass((0.0,) * (2 * genus), genus)
-
-    @staticmethod
-    def from_dict(d: dict, genus: int) -> "CohomologyClass":
-        names = {gen_name(k): k for k in range(2 * genus)}
-        vals = [0.0] * (2 * genus)
-        for key, val in d.items():
-            if key not in names:
-                raise ValueError(f"unknown generator {key!r} for genus {genus}")
-            vals[names[key]] = float(val)
-        return CohomologyClass(tuple(vals), genus)
-
-    def as_vector(self) -> np.ndarray:
-        return np.array(self.values, dtype=float)
 
 
 def batch_translation_lengths(mats: np.ndarray):
@@ -211,17 +162,6 @@ class FuchsianSeed:
             out[2 * k] = m
             out[2 * k + 1] = np.linalg.inv(m)
         return out
-
-    @staticmethod
-    def from_json_dict(d: dict) -> "FuchsianSeed":
-        genus = json_number(int, d["genus"], "seed.genus")
-        gens = []
-        for row in d["generators"]:
-            m = np.array([json_number(float, x, "seed.generators") for x in row])
-            m = m.reshape(2, 2)
-            m.flags.writeable = False
-            gens.append(m)
-        return FuchsianSeed(genus, tuple(gens))
 
 
 def standard_fuchsian(genus: int) -> FuchsianSeed:

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from flagcurve import CohomologyClass, RepSpec, standard_fuchsian
+from flagcurve import RepSpec, generator_values, standard_fuchsian
 
 
 def pytest_report_header(config):
@@ -28,7 +28,7 @@ def canonical2(seed2):
 
 @pytest.fixture(scope="session")
 def u_a1(seed2):
-    return CohomologyClass.from_dict({"a1": 0.3}, 2)
+    return generator_values({"a1": 0.3}, "u", 2)
 
 
 @pytest.fixture()

@@ -103,7 +103,7 @@ def seed_image(seed, w: Word) -> np.ndarray:
 
 def eval_u(u, w: Word) -> float:
     """Signed sum of generator values along the word."""
-    return float(w.exponent_sums() @ u.as_vector())
+    return float(w.exponent_sums() @ np.array(u, dtype=float))
 
 
 def ball_count(genus: int, radius: int) -> int:
@@ -132,7 +132,7 @@ def enumerate_ball(seed, radius: int) -> Iterator[tuple]:
 
 
 def seed_to_json_dict(seed) -> dict:
-    """The JSON form of a seed, as ``FuchsianSeed.from_json_dict`` reads it."""
+    """The JSON form of a seed, as ``spec_from_json_dict`` reads it."""
     return {
         "genus": seed.genus,
         "generators": [list(np.asarray(m).ravel()) for m in seed.generators],
@@ -144,7 +144,7 @@ def spec_to_json_dict(spec) -> dict:
     names = [gen_name(k) for k in range(2 * spec.genus)]
     d = {"variant": spec.variant, "seed": seed_to_json_dict(spec.seed)}
     if spec.variant in ("linear_u", "radial"):
-        d["u"] = {names[k]: spec.u.values[k] for k in range(2 * spec.genus)}
+        d["u"] = {names[k]: spec.u[k] for k in range(2 * spec.genus)}
     if spec.variant == "radial":
         d["mu"] = {names[k]: spec.mu[k] for k in range(2 * spec.genus)}
         d["nu"] = {names[k]: spec.nu[k] for k in range(2 * spec.genus)}

@@ -13,13 +13,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from flagcurve import (
-    CohomologyClass,
     Flag,
     RepSpec,
     anosov_rates,
     certify_anosov,
     coboundary_radial,
     fit_delta,
+    generator_values,
     probe_explicit,
     pushforward_deviation,
     recurrence_experiment,
@@ -46,14 +46,14 @@ CONJ_INV = np.array([[3, -2, 1], [-2, 2, -1], [1, -1, 1]], dtype=float)
 # rounding depends on how it is evaluated.
 @pytest.fixture(scope="module")
 def radial(seed2):
-    u = CohomologyClass.from_dict({"a1": 0.3, "b2": -0.2}, 2)
+    u = generator_values({"a1": 0.3, "b2": -0.2}, "u", 2)
     return coboundary_radial(RepSpec("linear_u", seed2, u=u), 0.4, -0.2)
 
 
 @pytest.fixture(scope="module")
 def refuted(seed2):
     t_b2 = float(batch_translation_lengths(seed2.generators[3][None])[1][0])
-    u = CohomologyClass.from_dict({"a1": 0.1, "b1": -0.15, "b2": 0.6 * t_b2}, 2)
+    u = generator_values({"a1": 0.1, "b1": -0.15, "b2": 0.6 * t_b2}, "u", 2)
     return RepSpec("linear_u", seed2, u=u)
 
 
@@ -246,8 +246,8 @@ def test_class_pass_matches_per_word_pass(monkeypatch, seed2, radial, refuted, e
     # u = c(a1* - b1* + a2* - b2*) puts the stable-norm witness, and at
     # c = 0.77 the refutation, on a1.B1.a2.B2, a top-level word at R=4.
     specs = (radial, refuted) + tuple(
-        RepSpec("linear_u", seed2, u=CohomologyClass.from_dict(
-            {"a1": c, "b1": -c, "a2": c, "b2": -c}, 2)) for c in (0.1, 0.77))
+        RepSpec("linear_u", seed2, u=generator_values(
+            {"a1": c, "b1": -c, "a2": c, "b2": -c}, "u", 2)) for c in (0.1, 0.77))
     classed = [certify_anosov(s, radius) for s in specs], probe_explicit(explicit, radius)
     with monkeypatch.context() as m:
         _per_word(m)
@@ -285,7 +285,7 @@ def test_a_level_maximum_lies_past_its_first_block(monkeypatch, refuted):
     table = BallTable.build(refuted.seed, RADIUS)
     maxima = {}
     for level, _idx, _weight, t, _mats, exps in table.scored(0.0, table.exponent_sums):
-        r = np.abs(exps @ refuted.u.as_vector()) / t
+        r = np.abs(exps @ np.array(refuted.u)) / t
         maxima.setdefault(level, []).append(r.max())
     assert any(np.argmax(m) > 0 for m in maxima.values())
 
@@ -297,7 +297,7 @@ def test_degenerate_and_empty_rates(monkeypatch, seed2, rows):
     # the block size; a length filter that keeps no word has no rates.
     monkeypatch.setattr(ball, "BLOCK_ROWS", rows)
     t_b2 = float(batch_translation_lengths(seed2.generators[3][None])[1][0])
-    spec = RepSpec("linear_u", seed2, u=CohomologyClass.from_dict({"b2": 0.5 * t_b2}, 2))
+    spec = RepSpec("linear_u", seed2, u=generator_values({"b2": 0.5 * t_b2}, "u", 2))
     with pytest.raises(NonLoxodromicEncountered, match="'b2'"):
         anosov_rates(spec, 3)
     res = certify_anosov(spec, 3)
@@ -429,7 +429,7 @@ def test_matmul3_matches_einsum(rng):
 
 def test_images3_matches_einsum_on_a_genus3_level():
     seed3 = standard_fuchsian(3)
-    u = CohomologyClass.from_dict({"a1": 0.3, "b3": -0.1}, 3)
+    u = generator_values({"a1": 0.3, "b3": -0.1}, "u", 3)
     spec = coboundary_radial(RepSpec("linear_u", seed3, u=u), 0.4, -0.2)
     letter_images = spec.letter_images()
     table = BallTable.build(seed3, 5)

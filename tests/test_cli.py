@@ -84,6 +84,15 @@ def _explicit_g2_as_string(field: str) -> dict:
     return spec
 
 
+def _explicit_g2_cut(field: str, size: int) -> dict:
+    """``_explicit_g2`` with the first seed generator (``field`` "seed") or
+    the a1 matrix (``field`` "matrices") cut to its first ``size`` numbers."""
+    spec = _explicit_g2()
+    rows, key = (spec["seed"]["generators"], 0) if field == "seed" else (spec["matrices"], "a1")
+    rows[key] = rows[key][:size]
+    return spec
+
+
 # An integer SL(3) matrix and its inverse: conjugating by it moves [e2]
 # off the coordinate axes, so the conjugated spec runs the generic
 # eigenvector path.
@@ -280,10 +289,10 @@ def test_model_commands_name_no_word(tmp_path, monkeypatch, command):
     {"rep_spec": {**RADIAL_G2, "seed": {"genus": 1}}},
     {"tolerances": {"dedupe": 1e-7}},
     {"render": "wide"},
-    {"note": float("nan")},
+    {"min_translation_length": float("nan")},
     {"tolerances": {"dedup": float("inf")}},
     {"orbit": {"base_point": {"x": 1}, "base_line": [0, 1, 0]}},
-    '"note": 1e999',
+    '"min_translation_length": 1e999',
     '"tolerances": {"dedup": -1e999}',
     '"tolerances": {"dedup": 1' + "0" * 400 + "}",
     {"render": {"window": 0}},
@@ -341,6 +350,32 @@ def test_malformed_config_exits_2(tmp_path, capsys, monkeypatch, fields):
         assert _run(tmp_path, "orbit", config, raw, out) == 2
         assert capsys.readouterr().err.startswith("config error:")
         assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("fields, field", [
+    ({"rep_spec": {**CANONICAL_G2, "seed": {}}}, "seed.genus"),
+    ({"rep_spec": {**RADIAL_G2, "coboundary": {"m1": 0.4}}}, "coboundary.m2"),
+    ({"rep_spec": _explicit_g2_cut("matrices", 2)}, "matrices.a1"),
+    ({"rep_spec": _explicit_g2_cut("seed", 3)}, "seed.generators"),
+    ({"ball_radus": 9}, "ball_radus"),
+    ({"rep_spec": {**CANONICAL_G2, "seed": {"genus": 2, "genera": 3}}}, "seed.genera"),
+    ({"rep_spec": {**RADIAL_G2, "coboundary": {"m1": 0.4, "m2": -0.2, "m3": 0}}},
+     "coboundary.m3"),
+    ({"rep_spec": {**RADIAL_G2, "nu_": {}}}, "rep_spec.nu_"),
+    ({"rep_spec": {**RADIAL_G2, "u": {"a3": 0.1}}}, "u.a3"),
+    ({"tolerance": {"dedup": 1e-7}}, "tolerance"),
+], ids=["missing_seed_genus", "missing_coboundary_m2", "matrix_of_2", "seed_row_of_3",
+        "root_key", "seed_key", "coboundary_key", "rep_spec_key", "u_generator",
+        "tolerance_root_key"])
+def test_malformed_field_exits_2_naming_it(tmp_path, capsys, fields, field):
+    # A missing, unknown or misshapen field is one config error line that
+    # names the field, with no output and no traceback.
+    config = {"rep_spec": RADIAL_G2, "ball_radius": 3, **fields}
+    assert _run(tmp_path, "certify", config) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error: ") and err.count("\n") == 1
+    assert f"'{field}'" in err
+    assert not (tmp_path / "out").exists()
 
 
 # A rotation by 2*pi/5: rotations commute, so they satisfy the relator.

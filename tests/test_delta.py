@@ -8,10 +8,10 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from flagcurve import (
-    CohomologyClass,
     RepSpec,
     coboundary_radial,
     fit_delta,
+    generator_values,
     pushforward_deviation,
     sample_limit_curve,
 )
@@ -25,14 +25,14 @@ from oracles import lagrange_fill_sorting_support
 
 @pytest.fixture(scope="module")
 def radial_fit(seed2):
-    u = CohomologyClass.from_dict({"a1": 0.3}, 2)
+    u = generator_values({"a1": 0.3}, "u", 2)
     rad = coboundary_radial(RepSpec("linear_u", seed2, u=u), 0.2, -0.1)
     model = sample_limit_curve(rad, 4)
     return rad, model, fit_delta(rad, model)
 
 
 def test_linear_u_profile_is_zero(seed2):
-    u = CohomologyClass.from_dict({"a1": 0.25}, 2)
+    u = generator_values({"a1": 0.25}, "u", 2)
     spec = RepSpec("linear_u", seed2, u=u)
     model = sample_limit_curve(spec, 4)
     fit = fit_delta(spec, model)
@@ -56,7 +56,7 @@ def test_cocycle_residual(radial_fit):
 def test_taus_closed_form(radial_fit):
     rad, _, fit = radial_fit
     for k, (t1, t2) in enumerate(fit.taus):
-        f = math.exp(2.0 * rad.u.values[k] / 3.0)
+        f = math.exp(2.0 * rad.u[k] / 3.0)
         assert t1 == pytest.approx(-f * rad.mu[k], abs=1e-12)
         assert t2 == pytest.approx(-f * rad.nu[k], abs=1e-12)
 

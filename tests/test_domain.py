@@ -5,11 +5,11 @@ import numpy as np
 import pytest
 
 from flagcurve import (
-    CohomologyClass,
     Flag,
     canonicalize,
     RepSpec,
     coboundary_radial,
+    generator_values,
     in_omega,
     recurrence_experiment,
     sample_limit_curve,
@@ -52,12 +52,23 @@ def test_in_omega_sampled_flag(model4):
 
 def test_in_omega_sampled_curve_band(seed2):
     # without exact curve knowledge the verdict inside the band is honest
-    u = CohomologyClass.from_dict({"a1": 0.2}, 2)
+    u = generator_values({"a1": 0.2}, "u", 2)
     model = sample_limit_curve(RepSpec("linear_u", seed2, u=u), 4)
     assert model.exact_point_line is None
     near = Flag.of((1.0, 5e-8, 0.0), (0.0, 0.0, 1.0))
     q = in_omega(near, model, tol=1e-6)
     assert q.verdict in ("on-boundary", "outside")
+
+
+def test_in_omega_linear_u_line_margin_is_exact(seed2):
+    # linear_u is radial with zero shear: its images fix [e2], so its line
+    # curve is the pencil through [e2] and a line's margin is exact.
+    u = generator_values({"a1": 0.3, "b2": -0.2}, "u", 2)
+    model = sample_limit_curve(RepSpec("linear_u", seed2, u=u), 4)
+    assert np.abs(model.lines @ E2).max() == 0.0
+    assert np.array_equal(model.exact_line_point, E2)
+    flag = Flag.of(E1, (0.0, 0.6, 0.8))
+    assert in_omega(flag, model).margin_line == math.asin(float(flag.line @ E2))
 
 
 def _fiber(curve: np.ndarray, target) -> tuple:
@@ -201,7 +212,7 @@ def test_recurrence_matches_full_inverse(monkeypatch, canonical2, seed2, model4,
     # the block size, so the words and the minimum's bits are those of
     # inverting every word.
     monkeypatch.setattr(ball, "BLOCK_ROWS", rows)
-    u = CohomologyClass.from_dict({"a1": 0.25}, 2)
+    u = generator_values({"a1": 0.25}, "u", 2)
     radial = coboundary_radial(RepSpec("linear_u", seed2, u=u), 0.15, 0.1)
     cases = [(canonical2, BASE, 0.05, model4),
              (canonical2, _near_a1_base(canonical2), 0.1, model4),
@@ -223,7 +234,7 @@ def test_recurrence_rejects_boundary_base(canonical2, model4):
 
 
 def test_freeness_multiple_specs_and_bases(seed2, canonical2, model4, rng):
-    u = CohomologyClass.from_dict({"a1": 0.25}, 2)
+    u = generator_values({"a1": 0.25}, "u", 2)
     specs = [
         canonical2,
         RepSpec("linear_u", seed2, u=u),

@@ -14,7 +14,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from flagcurve import CohomologyClass, RepSpec, coboundary_radial, curve
+from flagcurve import RepSpec, coboundary_radial, curve, generator_values
 from flagcurve.curve import crossing_counts, sample_limit_curve
 
 BLOCKS = (1, 2, 3, curve._BLOCK)
@@ -194,7 +194,7 @@ def test_all_zero_and_tangent_lines(block):
 
 @pytest.fixture(scope="module")
 def models(canonical2, seed2):
-    u = CohomologyClass.from_dict({"a1": 0.3}, 2)
+    u = generator_values({"a1": 0.3}, "u", 2)
     radial = coboundary_radial(RepSpec("linear_u", seed2, u=u), 0.4, -0.2)
     return [sample_limit_curve(canonical2, 4), sample_limit_curve(radial, 4)]
 

@@ -4,7 +4,7 @@ from functools import partial
 import numpy as np
 import pytest
 
-from flagcurve import CohomologyClass, RepSpec
+from flagcurve import RepSpec, generator_values
 from flagcurve import ball
 from flagcurve.ball import BallTable
 from flagcurve.spectral import (batch_attracting_flags, batch_eigvals3, batch_eigvec,
@@ -45,7 +45,7 @@ def test_eigen3_identity_triple_root():
 
 
 def test_eigen3_linear_u_block_structure(seed2):
-    u = CohomologyClass.from_dict({"a1": 0.4, "b1": -0.2}, 2)
+    u = generator_values({"a1": 0.4, "b1": -0.2}, "u", 2)
     spec = RepSpec("linear_u", seed2, u=u)
     words, m2s = zip(*list(enumerate_ball(seed2, 3))[1:][::17])
     _, tlens = batch_translation_lengths(np.array(m2s))
@@ -244,7 +244,7 @@ def test_saddle_examples():
 
 
 def test_saddle_iff_ratio(seed2):
-    u = CohomologyClass.from_dict({"a1": 0.9, "b2": -0.5}, 2)
+    u = generator_values({"a1": 0.9, "b2": -0.5}, "u", 2)
     spec = RepSpec("linear_u", seed2, u=u)
     words, m2s = zip(*list(enumerate_ball(seed2, 3))[1:][::11])
     _, tlens = batch_translation_lengths(np.array(m2s))
@@ -262,7 +262,7 @@ def test_canonical_ball_loxodromic(seed2, canonical2):
 
 def test_batch_saddle_matches_ratio_on_ball(monkeypatch, seed2):
     # Every word of the ball, conjugates included; the class refutes some.
-    u = CohomologyClass.from_dict({"a1": 1.6, "b2": -0.9}, 2)
+    u = generator_values({"a1": 1.6, "b2": -0.9}, "u", 2)
     spec = RepSpec("linear_u", seed2, u=u)
     for block_rows in (1, 5, 10 ** 6):
         monkeypatch.setattr(ball, "BLOCK_ROWS", block_rows)
@@ -273,7 +273,7 @@ def test_batch_saddle_matches_ratio_on_ball(monkeypatch, seed2):
         for _level, _rows, _weight, mats, exps, imgs in table.blocks(*fields):
             hyp, t = batch_translation_lengths(mats)
             assert hyp.all()
-            ratio_ok = np.abs(exps @ u.as_vector()) < t / 2.0
+            ratio_ok = np.abs(exps @ np.array(u)) < t / 2.0
             assert np.array_equal(batch_saddle_at_e2(imgs), ratio_ok)
             refuted += int((~ratio_ok).sum())
         assert refuted > 0
