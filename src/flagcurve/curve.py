@@ -10,17 +10,18 @@ seed and 3x3 images only the level below the one being read is held
 whole and the last level is streamed.  As ``scored`` takes its reader's
 fields, the sampler takes its reader's columns: beside the params it
 keeps only the columns named, of points, lines, translation lengths and
-words, and a column not named is None on the model.  Each block's
-loxodromic rows are written straight into those columns, allocated at
-the ball's word count, which bounds the sample count; rows never written
-never touch their pages.  Dedup sorts the params written, marks the
-ones it keeps in a mask and gathers each column once, dropping each
-unsorted column once it is read, so beyond one model's bytes the
-sampler holds only the sort's index arrays or one gathered column.  A
-sample's word is kept as a (level, index) id (``ball.WordIds``): one
-int8 and one int64 a sample, plus the sampled ``BallTable`` itself, only
-each level's last letters (1 B a ball word).  A word is named, by
-``BallTable.word_strings``, only when it is read.
+words, and a column not named is None on the model; the second
+eigenvector and the line covector are computed only when lines are
+named.  Each block's loxodromic rows are written straight into those
+columns, allocated at the ball's word count, which bounds the sample
+count; rows never written never touch their pages.  Dedup sorts the
+params written, marks the ones it keeps in a mask and gathers each
+column once, dropping each unsorted column once it is read, so beyond
+one model's bytes the sampler holds only the sort's index arrays or one
+gathered column.  A sample's word is kept as a (level, index) id
+(``ball.WordIds``): one int8 and one int64 a sample, plus the sampled
+``BallTable`` itself, only each level's last letters (1 B a ball word).
+A word is named, by ``BallTable.word_strings``, only when it is read.
 
 Crossing counts use sign changes of the pairing along the param-ordered
 point samples.  Representatives are sign-canonicalized, so consecutive
@@ -30,9 +31,11 @@ twists the wrap-around comparison.  ``crossing_counts`` never forms the
 (points x lines) pairing matrix: the lifted path length of each block of
 consecutive samples bounds how far the pairing can move inside the block
 (Cauchy-Schwarz), so a block whose first value clears that bound, the
-zero tolerance and a rounding slack holds one sign and is skipped; only
-the few blocks near a line's crossings, tangencies and its own sample are
-evaluated row by row.
+zero tolerance and a rounding slack holds one sign and is skipped.  The
+rule prunes at two levels: each line is tested at the starts of
+superblocks of 32 blocks (1,024 rows), and only inside the superblocks it
+does not skip at their block starts; only the few blocks near a line's
+crossings, tangencies and its own sample are evaluated row by row.
 """
 
 from __future__ import annotations
@@ -181,11 +184,12 @@ def sample_limit_curve(
     n = 0
     for level, idx, _weight, t, mats, imgs in table.scored(
             min_length, partial(table.images3, spec.letter_images())):
-        lox, pts, lns = batch_attracting_flags(imgs)
-        # Rows are unit vectors, so the block's sum is finite unless a row
-        # is not; the sum allocates nothing.
-        if not math.isfinite(pts.sum() + lns.sum()):
-            bad = ~(np.isfinite(pts).all(axis=1) & np.isfinite(lns).all(axis=1))
+        lox, pts, lns = batch_attracting_flags(imgs, "lines" in columns)
+        flags = [f for f in (pts, lns) if f is not None]
+        # Rows are unit vectors, so a block's sum is finite unless a row is
+        # not; the sums allocate nothing.
+        if not all(math.isfinite(f.sum()) for f in flags):
+            bad = ~np.isfinite(np.hstack(flags)).all(axis=1)
             word = table.word(level, int(idx[lox][np.argmax(bad)]))
             raise FlagCurveError(f"flag of {word!r} is not finite")
         rows = slice(n, n + len(pts))
@@ -235,18 +239,20 @@ def sample_limit_curve(
 # Transversal crossing counts
 # ---------------------------------------------------------------------------
 
-# Row pairs per block of the pruned kernel, and the rounding slack of its
-# skip bound in units of max|p_i| * |l| (see crossing_counts).
+# Row pairs per block of the pruned kernel, blocks per superblock of its
+# first level, and the rounding slack of its skip bound in units of
+# max|p_i| * |l| (see crossing_counts).
 _BLOCK = 32
+_SUPER = 32
 _SLACK = 1e-9
 
 # Flagged (block, line) pairs evaluated at once by the exact pass of
-# crossing_counts: about 1.1 MB of block rows, values and masks.
-_PAIRS = 1024
+# crossing_counts: about 0.7 MB of block rows, values and masks.
+_PAIRS = 512
 
-# Bytes of the coarse pass's ``coarse`` and ``bound`` arrays, 16 B per
-# (line, block), that size the line chunks of crossing_counts, and of its
-# slices of step differences, 24 B a row, that give the blocks' reach.
+# Bytes of the first level's ``coarse`` and ``bound`` arrays, 16 B per
+# (line, superblock), that size the line chunks of crossing_counts, and of
+# its slices of step differences, 24 B a row, that give the blocks' reach.
 _COARSE_BYTES = 1 << 20
 
 
@@ -276,31 +282,40 @@ def crossing_counts(points: np.ndarray, lines: np.ndarray, ztol: float,
     agreeing ones a tangency.  A line vanishing on every point has all_zero
     set and no crossings.
 
-    The n pairs are cut into blocks of _BLOCK; D_b is the lifted path length
-    of block b, the sum of |P_{i+1} - P_i| over its pairs.  By
-    Cauchy-Schwarz |f(i) - f(s)| <= D_b |l| for every row i of the block
-    starting at row s, so a block with
+    The n pairs are cut into blocks of _BLOCK, and the blocks into
+    superblocks of _SUPER.  The reach D of a block or a superblock is its
+    lifted path length, the sum of |P_{i+1} - P_i| over its pairs.  By
+    Cauchy-Schwarz |f(i) - f(s)| <= D |l| for every row i of a block or
+    superblock starting at row s, so one with
 
-        |f(s)| > |l| (D_b + _SLACK M) + ztol,     M = max |p_i|,
+        |f(s)| > |l| (D + _SLACK M) + ztol,     M = max |p_i|,
 
     holds only nonzero values of one sign: no crossing, no snapped zero.
-    Only the other (block, line) pairs are evaluated row by row, a chunk
-    of lines and then _PAIRS pairs at a time, so the working set does not
-    grow with the number of lines or of flagged pairs: a chunk holds as
-    many lines as fit the coarse pass's two float64 (lines, blocks) arrays
-    in _COARSE_BYTES, at least one and at most ``chunk``.  The line chunks
-    and pair slices change no result.  The skip is exact in float64: every
-    computed dot product is within 3.4e-16 M |l| of the true one,
-    whatever the summation order, and the computed D_b |l| has a relative
-    error below (_BLOCK + 12) 2^-53, under 3.2e-13 M |l| for steps of
-    length <= 2M; so _SLACK M |l| covers both with a margin of three
-    orders, and a skipped block reads as it would in any evaluation of its
-    dot products.
-    Flagged blocks and the two flanks of each zero run use dot products of
-    their own, which may differ from another evaluation order only for
-    values within rounding of +-ztol.
+    Each line is tested at the superblock starts; inside each superblock
+    that the rule does not skip, the lines flagged there are tested at its
+    block starts, one (lines, blocks) product a superblock.  Only the
+    blocks flagged at both levels are evaluated row by row, _PAIRS
+    (line, block) pairs at a time, so the working set does not grow with
+    the number of lines or of flagged pairs: a chunk holds as many lines
+    as fit the first level's two float64 (lines, superblocks) arrays in
+    _COARSE_BYTES, at least one and at most ``chunk``.  The line chunks
+    and pair slices change no result.
 
-    The lifted points are the one sample-sized array; the D_b are summed
+    The skip is exact in float64 at both levels: every computed dot
+    product is within 3.4e-16 M |l| of the true one, whatever the
+    summation order, and the computed D |l| of a superblock, a sum of up
+    to _BLOCK _SUPER = 1,024 step lengths, has a relative error below
+    (1024 + 12) 2^-53, under 2.4e-10 M |l| for steps of length <= 2M (a
+    block's, of 32 steps, under 3.2e-13 M |l|); so _SLACK M |l| covers
+    both, the superblock's with a margin of four, and a skipped block or
+    superblock reads as it would in any evaluation of its dot products.
+    A block inside a skipped superblock would scan to no flip and no
+    snapped zero, so which level skips it changes no result.  Flagged
+    blocks and the two flanks of each zero run use dot products of their
+    own, which may differ from another evaluation order only for values
+    within rounding of +-ztol.
+
+    The lifted points are the one sample-sized array; the D are summed
     from step differences taken a slice of whole blocks at a time, so they
     are the same bits whatever the slice.
 
@@ -330,52 +345,88 @@ def crossing_counts(points: np.ndarray, lines: np.ndarray, ztol: float,
         steps *= steps
         reach[lo:hi] = np.sqrt(np.add.reduce(steps, axis=1)).reshape(hi - lo, B).sum(axis=1)
     # Freed before the line chunks, not on return, so the last slice of
-    # step differences and the coarse pass's buffer, each up to about
+    # step differences and the first level's buffer, each up to about
     # _COARSE_BYTES, are never alive together.
     del part, steps
+    # A superblock's path length is the sum of its blocks'; the last
+    # superblock may hold fewer than _SUPER blocks.
+    super_reach = np.add.reduceat(reach, np.arange(0, nb, _SUPER))
+    super_reach += _SLACK * float(top)
     reach += _SLACK * float(top)
+    # Block b's B + 1 rows, b * B to (b + 1) * B, as one read-only view.
+    row, col = lifted.strides
+    windows = np.lib.stride_tricks.as_strided(
+        lifted, (nb, B + 1, 3), (B * row, row, col), writeable=False)
     out = (np.empty(len(lines), dtype=np.int64), np.empty(len(lines), dtype=np.int64),
            np.empty(len(lines), dtype=bool))
-    step = max(1, min(chunk, _COARSE_BYTES // (16 * nb)))
-    # The coarse pass's two (lines, blocks) arrays, allocated once for
+    step = max(1, min(chunk, _COARSE_BYTES // (16 * len(super_reach))))
+    # The first level's two (lines, superblocks) arrays, allocated once for
     # every chunk, so no chunk asks the allocator for fresh pages.
-    buf = np.empty((2, min(step, len(lines)), nb))
+    buf = np.empty((2, min(step, len(lines)), len(super_reach)))
     for lo in range(0, len(lines), step):
-        part = _chunk_counts(lifted, n, reach, bool(flip[n]), lines[lo:lo + step], ztol, buf)
+        part = _chunk_counts(lifted, windows, n, reach, super_reach, bool(flip[n]),
+                             lines[lo:lo + step], ztol, buf)
         for o, r in zip(out, part):
             o[lo:lo + step] = r
     return out
 
 
-def _chunk_counts(lifted, n, reach, monodromy_neg, lines, ztol, buf):
+def _chunk_counts(lifted, windows, n, reach, super_reach, monodromy_neg, lines, ztol, buf):
     """``crossing_counts`` for one chunk of lines, given the n lifted
-    points padded to n_blocks * B + 1 rows, the blocks' skip reach and a
-    (2, >= len(lines), n_blocks) buffer for the coarse pass."""
-    k, B = len(lines), _BLOCK
-    # Coarse pass: the pairing at block starts decides which blocks to scan.
+    points padded to n_blocks * B + 1 rows and their block windows, the
+    skip reach of the blocks and of the superblocks, and a
+    (2, >= len(lines), n_superblocks) buffer for the first level."""
+    k, B, S = len(lines), _BLOCK, _SUPER
+    nb = len(reach)
+    norms = np.linalg.norm(lines, axis=1)
+    # First level: the pairing at superblock starts decides which
+    # superblocks to test block by block.
+    block_starts = lifted[:-1:B]
     coarse, bound = buf[:, :k]
-    np.matmul(lines, lifted[:-1:B].T, out=coarse)
+    np.matmul(lines, block_starts[::S].T, out=coarse)
     np.abs(coarse, out=coarse)
-    np.multiply.outer(np.linalg.norm(lines, axis=1), reach, out=bound)
+    np.multiply(norms[:, None], super_reach, out=bound)
     bound += ztol
-    cols, blks = np.nonzero(~(coarse > bound))  # by line, then block
+    supers, cols = np.nonzero(~(coarse > bound).T)  # by superblock, then line
+    # Second level: each flagged superblock's block starts against the
+    # lines flagged there, as keys line * nb + block.
+    edges = np.searchsorted(supers, np.arange(len(super_reach) + 1))
+    keys = [cols[:0]]
+    for s in np.flatnonzero(np.diff(edges)).tolist():
+        c = cols[edges[s]:edges[s + 1]]
+        blk = slice(s * S, (s + 1) * S)
+        vals = lines[c] @ block_starts[blk].T
+        np.abs(vals, out=vals)
+        lim = norms[c, None] * reach[blk]
+        lim += ztol
+        li, bj = np.divmod(np.flatnonzero(~(vals > lim)), vals.shape[1])
+        keys.append(c[li] * nb + (s * S + bj))
+    # The zero runs below need the pairs by line, then block.
+    cols, blks = np.divmod(np.sort(np.concatenate(keys)), nb)
 
     # Exact pass over the flagged blocks' B + 1 rows, _PAIRS pairs at a
-    # time.  Snapped zeros are kept as (line, row), sorted; a block's last
-    # row is the next block's first, so each block contributes its first B.
-    inner = np.empty(len(cols), dtype=np.int64)
-    zcols, zrows = [cols[:0]], [blks[:0]]
+    # time, each slice's values read as one flat run of windows: position
+    # j is row j % (B + 1) of its window, and pairs with position j + 1
+    # unless it is the window's last row.  Crossings are kept as lines and
+    # snapped zeros as (line, row), sorted; a block's last row is the next
+    # block's first, so each block contributes its first B.
+    W = B + 1
+    fcols, zcols, zrows = [cols[:0]], [cols[:0]], [blks[:0]]
     for lo in range(0, len(cols), _PAIRS):
         c, b = cols[lo:lo + _PAIRS], blks[lo:lo + _PAIRS]
-        vals = (lifted[b[:, None] * B + np.arange(B + 1)] @ lines[c, :, None])[..., 0]
+        vals = (windows[b] @ lines[c, :, None]).ravel()
         neg = vals < 0
         nz = np.abs(vals) > ztol
-        flips = (neg[:, 1:] ^ neg[:, :-1]) & nz[:, 1:] & nz[:, :-1]
-        inner[lo:lo + _PAIRS] = flips.sum(axis=1)
-        zk, zi = np.nonzero(~nz[:, :B])
+        flips = neg[1:] ^ neg[:-1]
+        flips &= nz[1:]
+        flips &= nz[:-1]
+        j = np.flatnonzero(flips)
+        fcols.append(c[j[j % W != B] // W])
+        j = np.flatnonzero(~nz)
+        zk, zi = np.divmod(j[j % W != B], W)
         zcols.append(c[zk])
         zrows.append(b[zk] * B + zi)
-    crossings = np.bincount(cols, weights=inner, minlength=k).astype(np.int64)
+    crossings = np.bincount(np.concatenate(fcols), minlength=k)
     zcol, zrow = np.concatenate(zcols), np.concatenate(zrows)
     real = zrow < n
     zcol, zrow = zcol[real], zrow[real]

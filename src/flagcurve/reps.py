@@ -38,6 +38,10 @@ from .errors import ConfigError, NotUnimodular, UnsupportedSpec
 from .surface import FuchsianSeed, gen_name, relator_residual, standard_fuchsian
 
 VARIANTS = ("canonical", "linear_u", "radial", "explicit")
+# Largest genus a config may give: the standard seed of genus 15 misses
+# its relator check (residual 2.1e-8 > 1e-8), and from genus 41 on its
+# construction leaves the reals.
+MAX_GENUS = 14
 REP_SPEC_KEYS = ("variant", "seed", "u", "mu", "nu", "coboundary", "matrices")
 
 
@@ -200,8 +204,9 @@ def spec_from_json_dict(d: dict) -> RepSpec:
 
     The seed may be given explicitly ({"genus", "generators"}, each
     generator a row of 4 numbers) or as {"genus": g} alone, which selects
-    the standard 4g-gon seed.  A radial spec may give {"coboundary":
-    {"m1":..., "m2":...}} instead of mu/nu.
+    the standard 4g-gon seed; either way the genus is in [2, MAX_GENUS].
+    A radial spec may give {"coboundary": {"m1":..., "m2":...}} instead of
+    mu/nu.
     """
     variant = json_object(d, "rep_spec", REP_SPEC_KEYS).get("variant")
     if variant not in VARIANTS:
@@ -210,6 +215,8 @@ def spec_from_json_dict(d: dict) -> RepSpec:
         raise ValueError("missing field 'seed'")
     seed_d = json_object(d["seed"], "seed", ("genus", "generators"))
     genus = json_number(int, json_field(seed_d, "seed", "genus"), "seed.genus")
+    if not 2 <= genus <= MAX_GENUS:
+        raise ConfigError(f"field 'seed.genus' must be in [2, {MAX_GENUS}], not {genus}")
     if "generators" in seed_d:
         rows = seed_d["generators"]
         if not isinstance(rows, list):

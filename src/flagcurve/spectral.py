@@ -78,8 +78,9 @@ def batch_eigvec(mats: np.ndarray, lams: np.ndarray) -> np.ndarray:
     product of two rows of g - lam*I, or, where g - lam*I has rank <= 1
     (a repeated eigenvalue), its smallest right singular vector."""
     shifted = mats - lams[:, None, None] * np.eye(3)
-    stack = np.stack([np.cross(shifted[:, i], shifted[:, j])
-                      for i, j in ((0, 1), (0, 2), (1, 2))], axis=1)
+    stack = np.empty((len(mats), 3, 3))
+    for k, (i, j) in enumerate(((0, 1), (0, 2), (1, 2))):
+        _cross(shifted[:, i], shifted[:, j], out=stack[:, k])
     best = np.argmax(np.linalg.norm(stack, axis=2), axis=1)
     v = stack[np.arange(len(mats)), best]
     nv = np.linalg.norm(v, axis=1)
@@ -95,15 +96,30 @@ def batch_eigvec(mats: np.ndarray, lams: np.ndarray) -> np.ndarray:
     return v / nv[:, None]
 
 
-def batch_attracting_flags(mats: np.ndarray):
+def _cross(a: np.ndarray, b: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """Row-wise cross products of two (n,3) arrays into ``out``: the
+    component products a1 b2 - a2 b1, ... that ``np.cross`` evaluates,
+    in its order, without its temporaries."""
+    a0, a1, a2 = a[:, 0], a[:, 1], a[:, 2]
+    b0, b1, b2 = b[:, 0], b[:, 1], b[:, 2]
+    np.subtract(a1 * b2, a2 * b1, out=out[:, 0])
+    np.subtract(a2 * b0, a0 * b2, out=out[:, 1])
+    np.subtract(a0 * b1, a1 * b0, out=out[:, 2])
+    return out
+
+
+def batch_attracting_flags(mats: np.ndarray, lines: bool = True):
     """(lox, points, lines) for a (n,3,3) stack: the ``batch_loxodromic``
     mask, and for the loxodromic rows in stack order the canonical top
-    eigenline and the covector of the plane of the top two eigenlines."""
+    eigenline and the covector of the plane of the top two eigenlines.
+    With ``lines`` false the covectors are not computed and lines is None."""
     lox, vals = batch_loxodromic(mats)
     mats, vals = mats[lox], vals[lox]
     v1 = batch_eigvec(mats, vals[:, 0])
+    if not lines:
+        return lox, canonicalize_rows(v1), None
     v2 = batch_eigvec(mats, vals[:, 1])
-    return lox, canonicalize_rows(v1), canonicalize_rows(np.cross(v1, v2))
+    return lox, canonicalize_rows(v1), canonicalize_rows(_cross(v1, v2, np.empty_like(v1)))
 
 
 def batch_loxodromic(mats: np.ndarray):

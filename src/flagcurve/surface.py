@@ -26,7 +26,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import NotUnimodular, UnsupportedGenus
+from .errors import FlagCurveError, NotUnimodular, UnsupportedGenus
 
 
 def gen_name(k: int) -> str:
@@ -112,7 +112,7 @@ def _to_sl2r(m: np.ndarray) -> np.ndarray:
     out = _CAYLEY_INV @ m @ _CAYLEY
     out = out / np.sqrt(np.linalg.det(out))
     if np.max(np.abs(out.imag)) > 1e-9:
-        raise ArithmeticError("conjugated matrix is not real")
+        raise FlagCurveError("conjugated matrix is not real")
     out = out.real
     return out / math.sqrt(float(np.linalg.det(out)))
 

@@ -364,9 +364,13 @@ def test_malformed_config_exits_2(tmp_path, capsys, monkeypatch, fields):
     ({"rep_spec": {**RADIAL_G2, "nu_": {}}}, "rep_spec.nu_"),
     ({"rep_spec": {**RADIAL_G2, "u": {"a3": 0.1}}}, "u.a3"),
     ({"tolerance": {"dedup": 1e-7}}, "tolerance"),
+    ({"rep_spec": {**CANONICAL_G2, "seed": {"genus": 15}}}, "seed.genus"),
+    ({"rep_spec": {**CANONICAL_G2, "seed": {"genus": 200}}}, "seed.genus"),
+    ({"rep_spec": {**_explicit_g2(), "seed": {**_explicit_g2()["seed"], "genus": 15}}},
+     "seed.genus"),
 ], ids=["missing_seed_genus", "missing_coboundary_m2", "matrix_of_2", "seed_row_of_3",
         "root_key", "seed_key", "coboundary_key", "rep_spec_key", "u_generator",
-        "tolerance_root_key"])
+        "tolerance_root_key", "genus_15", "genus_200", "explicit_seed_genus_15"])
 def test_malformed_field_exits_2_naming_it(tmp_path, capsys, fields, field):
     # A missing, unknown or misshapen field is one config error line that
     # names the field, with no output and no traceback.

@@ -3,10 +3,13 @@
 The reference builds the full (n_points, n_lines) pairing matrix and scans
 it.  Integer and dyadic data make every dot product exact, so both kernels
 see the same values whatever their summation order.  The block size is
-patched down to 1, 2 and 3 so that block edges fall everywhere.
+patched down to 1, 2 and 3, and the superblock size to 1, 2 and 3 blocks,
+so that block and superblock edges, the padding and the seam fall
+everywhere.
 """
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -14,10 +17,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from flagcurve import RepSpec, coboundary_radial, curve, generator_values
+from flagcurve import RepSpec, coboundary_radial, curve, generator_values, standard_fuchsian
 from flagcurve.curve import crossing_counts, sample_limit_curve
 
 BLOCKS = (1, 2, 3, curve._BLOCK)
+SUPERS = (1, 2, 3, curve._SUPER)
 
 
 def crossings_from_pairings(pair: np.ndarray, sigma: np.ndarray, ztol: float):
@@ -80,19 +84,23 @@ def negative_monodromy(points):
 
 
 def assert_matches_dense(points, lines, ztol, block, pairs=None):
-    """Check the pruned kernel against the dense one, with its line chunks
-    sized by the default coarse byte budget and again at one line each."""
+    """Check the pruned kernel against the dense one at every superblock
+    size of SUPERS, with its line chunks sized by the default coarse byte
+    budget, and at the default superblock again with one line a chunk."""
     want = crossings_from_pairings(points @ lines.T, segment_signs(points), ztol)
-    for coarse_bytes in (curve._COARSE_BYTES, 1):
+    runs = [(sup, curve._COARSE_BYTES) for sup in SUPERS] + [(curve._SUPER, 1)]
+    for sup, coarse_bytes in runs:
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(curve, "_BLOCK", block)
+            mp.setattr(curve, "_SUPER", sup)
             mp.setattr(curve, "_COARSE_BYTES", coarse_bytes)
             if pairs is not None:
                 mp.setattr(curve, "_PAIRS", pairs)
             got = crossing_counts(points, lines, ztol)
         for name, g, w in zip(("crossings", "tangencies", "all_zero"), got, want):
             np.testing.assert_array_equal(
-                g, w, err_msg=f"{name}, block {block}, pairs {pairs}, bytes {coarse_bytes}")
+                g, w, err_msg=f"{name}, block {block}, super {sup}, pairs {pairs}, "
+                              f"bytes {coarse_bytes}")
     return got
 
 
@@ -227,3 +235,23 @@ def test_pair_slices_match_dense(models, pairs, rng):
         lines = np.vstack([model.lines[::7], extra])
         cross, _, _ = assert_matches_dense(model.points, lines, 1e-9, curve._BLOCK, pairs)
         assert (cross[:-16] == 1).all()
+
+
+def test_peak_memory_on_a_15948_sample_curve():
+    # The first level's (lines, superblocks) arrays and the exact pass's
+    # _PAIRS slices bound the working set.  On the genus-3 radial curve at
+    # R=4 (15,948 samples, every line checked) the traced peak is 2.09 MiB;
+    # the flat pass over every block start took it to 2.40 MiB.
+    seed3 = standard_fuchsian(3)
+    radial = coboundary_radial(RepSpec("linear_u", seed3, u=generator_values({"a1": 0.3}, "u", 3)),
+                               0.4, -0.2)
+    model = sample_limit_curve(radial, 4, columns=("points", "lines"))
+    assert len(model) == 15948
+    tracemalloc.start()
+    try:
+        cross, tang, all_zero = crossing_counts(model.points, model.lines, 1e-9)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert (cross == 1).all() and not tang.any() and not all_zero.any()
+    assert peak < 2.2 * 2 ** 20

@@ -9,7 +9,7 @@ import pytest
 from flagcurve import FuchsianSeed, generator_values, spec_from_json_dict, standard_fuchsian
 from flagcurve import ball, surface
 from flagcurve.ball import BallTable, WordIds
-from flagcurve.errors import NotUnimodular, UnsupportedGenus
+from flagcurve.errors import FlagCurveError, NotUnimodular, UnsupportedGenus
 from flagcurve.surface import (batch_attractive_directions, batch_translation_lengths,
                                gen_name, relator_residual, standard_relator)
 
@@ -58,6 +58,15 @@ def test_rejects_low_genus():
         standard_fuchsian(1)
     with pytest.raises(UnsupportedGenus):
         FuchsianSeed(0, ())
+
+
+def test_large_genus_seed_fails_as_a_library_error():
+    # From genus 41 on the regular 4g-gon's side pairings leave the reals
+    # in float64; genus 15 already misses the relator check.
+    with pytest.raises(FlagCurveError, match="not real"):
+        standard_fuchsian(41)
+    with pytest.raises(ValueError, match="relator residual"):
+        standard_fuchsian(15)
 
 
 def test_presentation_relator():
