@@ -1,5 +1,5 @@
 """Flag representations of surface groups in SL(3,R): projective flags,
-Fuchsian seeds, representation families (group elements are plain (3,3)
+Fuchsian seeds, representation specs (group elements are plain (3,3)
 arrays), limit-curve sampling, spectral certificates, and
 invariant-domain experiments.  Every stage reads the shortlex word ball
 of ``ball.BallTable`` through one batched kernel per task."""

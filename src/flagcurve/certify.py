@@ -144,16 +144,16 @@ def certify_anosov(
     element as witness); certified-at-scale when every element passes with
     margin and the stable-norm estimate is at most 1/2 - margin;
     inconclusive otherwise.  Unless refuted, the result carries the gap
-    rates of ``anosov_rates`` over t >= min_length.  Explicit specs are not
-    certifiable this way; see probe_explicit.
+    rates of ``anosov_rates`` over t >= min_length.  A spec with no u is
+    not certifiable this way; see probe_explicit.
     """
-    if spec.variant == "explicit":
-        raise UnsupportedSpec("explicit specs are probe-only; use probe_explicit")
+    if spec.u is None:
+        raise UnsupportedSpec("a spec with no u is probe-only; use probe_explicit")
     if radius < 2:
         raise ValueError("radius must be >= 2")
     table = BallTable.build(spec.seed, radius)
     estimate, refut_word, agree, scored, extrema = _scan(
-        table, spec.u, min_length, partial(table.images3, spec.letter_images()))
+        table, spec.u, min_length, partial(table.images3, spec.letters))
     if refut_word is not None:
         verdict = "refuted"
     elif estimate.value <= 0.5 - margin:
@@ -177,9 +177,9 @@ def anosov_rates(spec: RepSpec, radius: int,
     """Infima of the per-element eigenvalue-gap rates over the seed
     translation length, over the scored words with t >= min_length.
 
-    Structured images have log eigenvalue moduli u/3 + t/2, -2u/3, and
-    u/3 - t/2 (the shear data moves no eigenvalue), so the two gaps around
-    the [e2] eigenvalue are 1/2 +- u(w)/t(w) per unit length.  These
+    Images of a spec with u have log eigenvalue moduli u/3 + t/2, -2u/3
+    and u/3 - t/2 (the shear data moves no eigenvalue), so the two gaps
+    around the [e2] eigenvalue are 1/2 +- u(w)/t(w) per unit length.  These
     closed forms avoid the e^t determinant drift of accumulated matrix
     products, which is far above the 1e-12 scale the canonical family is
     checked at; the generic cubic path is cross-checked against them in
@@ -187,8 +187,8 @@ def anosov_rates(spec: RepSpec, radius: int,
     [e2] eigenvalue is no longer the middle one, which is exactly the
     refutation condition.
     """
-    if spec.variant == "explicit":
-        raise UnsupportedSpec("rates require a seed-aligned spec; use probe_explicit")
+    if spec.u is None:
+        raise UnsupportedSpec("rates require a spec with u; use probe_explicit")
     return _rates(_scan(BallTable.build(spec.seed, radius), spec.u, min_length)[4])
 
 
@@ -205,7 +205,7 @@ def probe_explicit(
     radius: int,
     min_length: float = DEFAULT_MIN_LENGTH,
 ) -> ProbeResult:
-    """Verdict-free spectral probe for explicit specs: loxodromy rate and
+    """Verdict-free spectral probe for any spec: loxodromy rate and
     eigenvalue-gap infima over the scored ball.  Raises InsufficientSamples
     when no scored word is loxodromic, since the infima are then empty."""
     table = BallTable.build(spec.seed, radius)
@@ -213,7 +213,7 @@ def probe_explicit(
     n_lox = 0
     inf_top, inf_bot = math.inf, math.inf
     for _level, _idx, weight, t, _mats, imgs in table.scored(
-            min_length, partial(table.images3, spec.letter_images()), classes=True):
+            min_length, partial(table.images3, spec.letters), classes=True):
         lox, vals = batch_loxodromic(imgs)
         n_scored += int(weight.sum())
         n_lox += int(weight[lox].sum())

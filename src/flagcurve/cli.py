@@ -24,8 +24,8 @@ command samples its model through ``_model``, with the config's
 translation-length floor and dedup tolerance.
 
 Exit codes: 0 success (certify: certified-at-scale), 2 config error,
-3 insufficient samples, 4 certify refuted, 5 certify inconclusive or
-probe-only spec, 6 other module errors.
+3 insufficient samples, 4 certify refuted, 5 certify inconclusive or a
+spec with no u (probe only), 6 other module errors.
 """
 
 from __future__ import annotations
@@ -227,7 +227,7 @@ def cmd_limit_curve(config: RunConfig) -> tuple:
 
 
 def cmd_certify(config: RunConfig) -> tuple:
-    if config.spec.variant == "explicit":
+    if config.spec.u is None:
         probe = probe_explicit(config.spec, config.ball_radius,
                                min_length=config.min_translation_length)
         return 5, {"verdict": "probe-only", "probe": dataclasses.asdict(probe)}

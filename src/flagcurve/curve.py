@@ -54,7 +54,6 @@ from .reps import RepSpec
 from .spectral import batch_attracting_flags
 from .surface import batch_attractive_directions
 
-E2 = np.array([0.0, 1.0, 0.0])
 
 # Param resolution below which two samples are one (``greedy_thin``).
 DEFAULT_DEDUP = 1e-7
@@ -183,7 +182,7 @@ def sample_limit_curve(
             for column in columns for name, shape, dtype in _COLUMN_ARRAYS[column]}
     n = 0
     for level, idx, _weight, t, mats, imgs in table.scored(
-            min_length, partial(table.images3, spec.letter_images())):
+            min_length, partial(table.images3, spec.letters)):
         lox, pts, lns = batch_attracting_flags(imgs, "lines" in columns)
         flags = [f for f in (pts, lns) if f is not None]
         # Rows are unit vectors, so a block's sum is finite unless a row is
@@ -219,10 +218,7 @@ def sample_limit_curve(
     words = None
     if "words" in columns:
         words = WordIds(table, cols.pop("levels"), cols.pop("index"))
-    # Every structured spec is radial: its images fix [e2], so its line
-    # curve is the pencil through [e2].
-    exact_pl = E2.copy() if spec.variant == "canonical" else None
-    exact_lp = E2.copy() if spec.variant != "explicit" else None
+    # Images that fix a point make the line curve the pencil through it.
     return CurveModel(
         params=params,
         points=cols.get("points"),
@@ -230,8 +226,8 @@ def sample_limit_curve(
         words=words,
         tlens=cols.get("tlens"),
         dedup_res=dedup_res,
-        exact_point_line=exact_pl,
-        exact_line_point=exact_lp,
+        exact_point_line=spec.fixed_line,
+        exact_line_point=spec.fixed_point,
     )
 
 

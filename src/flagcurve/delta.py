@@ -1,4 +1,4 @@
-"""Height-profile fit of the invariant point curve of a radial spec.
+"""Height-profile fit of the invariant point curve of a spec with a shear.
 
 For a radial representation the invariant point curve is a graph
 z = h(x, y) over the plane directions, with h homogeneous of degree one
@@ -164,8 +164,8 @@ def _lagrange_fill(pts: np.ndarray) -> np.ndarray:
 def fit_delta(spec: RepSpec, model: CurveModel) -> DeltaFit:
     """Fit the profile from curve samples and verify the shear cocycle.
 
-    A linear_u spec is accepted as the zero-shear radial case.  The
-    cocycle identity checked is, per generator g with data (u, mu, nu):
+    The spec must state its shear (mu, nu), zero included.  The cocycle
+    identity checked is, per generator g with data (u, mu, nu):
 
         delta(lambda_g (x, y)) = delta(x, y) + tau1 x + tau2 y,
         lambda_g = e^u * (seed block),  tau_i = -e^{2u/3} * (mu, nu),
@@ -174,16 +174,16 @@ def fit_delta(spec: RepSpec, model: CurveModel) -> DeltaFit:
     exactly mapped sample (the mapped point lies on the invariant curve),
     so the residual is free of interpolation error.
     """
-    if spec.variant not in ("radial", "linear_u"):
-        raise NotRadial(f"variant {spec.variant!r} has no shear profile")
+    if spec.shear is None:
+        raise NotRadial("the spec states no shear profile")
     if len(model) < 64:
         raise InsufficientSamples(f"{len(model)} samples < 64")
     dm = DeltaModel(_lagrange_fill(model.points))
 
     terms = []
-    for k, g in enumerate(spec.generator_images()):
-        e23 = math.exp(2.0 * spec.u[k] / 3.0)
-        terms.append((e23, -e23 * spec.mu[k], -e23 * spec.nu[k], g.T))
+    for g, u, mu, nu in zip(spec.generator_images(), spec.u, *spec.shear):
+        e23 = math.exp(2.0 * u / 3.0)
+        terms.append((e23, -e23 * mu, -e23 * nu, g.T))
     residual = 0.0
     for rows in _slices(len(model)):
         residual = max(residual, float(_cocycle_defects(model.points[rows], terms).max()))

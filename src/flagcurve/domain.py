@@ -104,7 +104,7 @@ def recurrence_experiment(spec: RepSpec, base: Flag, nbhd: float, radius: int,
     returning = [""]
     counts = {0: 1}  # level -> cumulative count of returning words
     min_disp = math.inf
-    for level, rows, _weight, imgs in table.blocks(partial(table.images3, spec.letter_images())):
+    for level, rows, _weight, imgs in table.blocks(partial(table.images3, spec.letters)):
         pts = np.einsum("nij,j->ni", imgs, bp)
         pts /= np.linalg.norm(pts, axis=1)[:, None]
         dp = _angles(pts, bp)

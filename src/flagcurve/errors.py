@@ -26,7 +26,7 @@ class InsufficientSamples(FlagCurveError):
 
 
 class NotRadial(FlagCurveError):
-    """Operation requires a radial representation spec."""
+    """Operation requires a spec that states its shear (mu, nu)."""
 
 
 class PolarDegenerate(FlagCurveError):
@@ -42,7 +42,7 @@ class NonLoxodromicEncountered(FlagCurveError):
 
 
 class UnsupportedSpec(FlagCurveError):
-    """Representation variant not supported by this operation."""
+    """The spec lacks a fact this operation needs, such as its u."""
 
 
 class BaseNotInterior(FlagCurveError):

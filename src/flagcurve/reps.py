@@ -1,48 +1,41 @@
-"""Representation constructors, their JSON form and the config's JSON
-type rules.
+"""Representation specs, their constructors and JSON form, and the
+config's JSON type rules.
 
-Four families, all sharing a Fuchsian seed.  The three structured ones
-build each generator image with ``radial_generator`` from its 2x2 seed
-block and its data (u, mu, nu):
-
-- radial: a middle-row shear (mu, nu) per generator, validated against
-  the surface relator;
-- linear_u: zero shear, the canonical images composed with the commuting
-  diagonal flow ``phi`` of exponent u;
-- canonical: zero data, the block embedding ``rho0`` fixing [e2] and the
-  plane {second coordinate = 0};
-- explicit: arbitrary per-generator SL(3,R) images.
+A ``RepSpec`` is a Fuchsian seed, its letter stack, built once, and four
+facts its readers ask for in place of a family name; the constructors
+below build one.  ``SPEC_READERS`` is the one map from a config's
+``variant`` to a reader and the keys it reads.
 
 Determinant-1 representatives are unique in odd dimension (no PGL sign
 ambiguity), so evaluation is sign-deterministic by construction, and the
 relator's image, checked by ``surface.relator_residual``, can be near the
 identity but never near -I.
 
-A spec's data u, mu and nu is a tuple of one float per generator.  The
-JSON type rules of the run config live here beside the spec reader that
-uses them most: ``json_number``, ``json_object`` (which rejects a key it
-is not given), ``json_field`` (which names a missing one), ``json_floats``
-(the one reader of a fixed-shape array) and ``generator_values`` (an
-object keyed by generator name).  Each failure is a ConfigError naming
-its field.
+The JSON type rules of the run config live here beside the spec reader
+that uses them most: ``json_number``, ``json_object`` (which rejects a
+key it is not given), ``json_field`` (which names a missing one),
+``json_floats`` (the one reader of a fixed-shape array) and
+``generator_values`` (an object keyed by generator name).  Each failure
+is a ConfigError naming its field.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
 from .errors import ConfigError, NotUnimodular, UnsupportedSpec
 from .surface import FuchsianSeed, gen_name, relator_residual, standard_fuchsian
 
-VARIANTS = ("canonical", "linear_u", "radial", "explicit")
 # Largest genus a config may give: the standard seed of genus 15 misses
 # its relator check (residual 2.1e-8 > 1e-8), and from genus 41 on its
 # construction leaves the reals.
 MAX_GENUS = 14
-REP_SPEC_KEYS = ("variant", "seed", "u", "mu", "nu", "coboundary", "matrices")
+# [e2], which radial images fix; as a covector, the canonical line.
+E2 = np.array([0.0, 1.0, 0.0])
+E2.flags.writeable = False
 
 
 def json_number(kind: type, value, name: str):
@@ -128,75 +121,135 @@ def phi(t: float) -> np.ndarray:
     return out
 
 
-def radial_generator(m2: np.ndarray, u_val: float, mu: float, nu: float) -> np.ndarray:
-    """One radial generator image from its 2x2 seed block and shear data."""
-    a3 = math.exp(u_val / 3.0)
-    q = math.exp(-2.0 * u_val / 3.0)
-    return np.array(
-        [
-            [a3 * m2[0, 0], 0.0, a3 * m2[0, 1]],
-            [mu, q, nu],
-            [a3 * m2[1, 0], 0.0, a3 * m2[1, 1]],
-        ]
-    )
-
-
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class RepSpec:
-    """Representation descriptor.  Immutable after validation."""
+    """A representation: its seed, its letter stack and four facts, each
+    None where the spec does not state it, checked against the relator."""
 
-    variant: str
     seed: FuchsianSeed
-    # Structured data, one float per generator: zero where the variant
-    # fixes it, u zero by default.
+    letters: np.ndarray  # read-only (4g, 3, 3): generator k at 2k, its inverse at 2k+1
+    # Per generator: u where each image fixes [e2] with eigenvalue
+    # e^{-2u/3}, for certify's closed-form ratio, and the middle-row shear
+    # (mu, nu) whose profile delta fits.
     u: tuple | None = None
-    mu: tuple | None = None  # given for radial
-    nu: tuple | None = None
-    matrices: tuple | None = None  # per generator 3x3, explicit only
+    shear: tuple | None = None
+    # A point every image fixes, and a line (a covector) every image
+    # preserves that holds every attracting point.
+    fixed_point: np.ndarray | None = None
+    fixed_line: np.ndarray | None = None
 
     def __post_init__(self):
-        if self.variant not in VARIANTS:
-            raise ValueError(f"unknown variant {self.variant!r}")
-        if self.variant != "explicit":
-            zero = (0.0,) * (2 * self.seed.genus)
-            if self.variant == "canonical" or self.u is None:
-                object.__setattr__(self, "u", zero)
-            if self.variant != "radial":
-                object.__setattr__(self, "mu", zero)
-                object.__setattr__(self, "nu", zero)
-            if self.mu is None or self.nu is None:
-                raise ValueError("radial spec requires mu and nu per generator")
-            for field in ("u", "mu", "nu"):
-                values = tuple(map(float, getattr(self, field)))
-                if len(values) != len(zero):
-                    raise ValueError(f"{field} length must match generator count")
-                object.__setattr__(self, field, values)
-        elif self.matrices is None or len(self.matrices) != 2 * self.seed.genus:
-            raise ValueError("explicit spec requires one 3x3 matrix per generator")
-        res = relator_residual(self.letter_images())
+        res = relator_residual(self.letters)
         if not res <= 1e-8:  # a NaN residual fails too
             raise ValueError(f"3x3 relator residual {res:.3e} > 1e-8")
 
-    @property
-    def genus(self) -> int:
-        return self.seed.genus
-
     def generator_images(self) -> np.ndarray:
-        """(2g, 3, 3) stack of generator images."""
-        if self.variant == "explicit":
-            return np.array(self.matrices, dtype=float)
-        return np.array([radial_generator(*data) for data in zip(
-            self.seed.generators, self.u, self.mu, self.nu)])
+        """Read-only (2g, 3, 3) stack of generator images: the even letters."""
+        return self.letters[::2]
 
-    def letter_images(self) -> np.ndarray:
-        """(4g, 3, 3) stack: generator at 2k, inverse at 2k+1."""
-        gens = self.generator_images()
-        out = np.empty((4 * self.genus, 3, 3))
-        for k in range(2 * self.genus):
-            out[2 * k] = gens[k]
-            inv = np.linalg.inv(gens[k])
-            out[2 * k + 1] = inv / np.cbrt(np.linalg.det(inv))
-        return out
+
+def explicit(seed: FuchsianSeed, matrices, **facts) -> RepSpec:
+    """The spec of SL(3,R) generator images ``matrices`` and of ``facts``,
+    none by default: generator k at letter 2k, its inverse scaled to
+    determinant 1 at 2k+1."""
+    if len(matrices) != 2 * seed.genus:
+        raise ValueError("a spec needs one 3x3 matrix per generator")
+    letters = np.empty((4 * seed.genus, 3, 3))
+    letters[::2] = matrices
+    for k in range(2 * seed.genus):
+        inv = np.linalg.inv(letters[2 * k])
+        letters[2 * k + 1] = inv / np.cbrt(np.linalg.det(inv))
+    letters.flags.writeable = False
+    return RepSpec(seed, letters, **facts)
+
+
+def radial(seed: FuchsianSeed, u, mu, nu) -> RepSpec:
+    """Generator k fixes [e2]: seed block k scaled by e^{u[k]/3} in the
+    corners, and the middle row (mu[k], e^{-2u[k]/3}, nu[k])."""
+    u, mu, nu = data = tuple(tuple(map(float, v)) for v in (u, mu, nu))
+    gens = []
+    for m2, u_k, mu_k, nu_k in zip(seed.generators, *data, strict=True):
+        a3, q = math.exp(u_k / 3.0), math.exp(-2.0 * u_k / 3.0)
+        gens.append([[a3 * m2[0, 0], 0.0, a3 * m2[0, 1]], [mu_k, q, nu_k],
+                     [a3 * m2[1, 0], 0.0, a3 * m2[1, 1]]])
+    return explicit(seed, gens, u=u, shear=(mu, nu), fixed_point=E2)
+
+
+def linear_u(seed: FuchsianSeed, u) -> RepSpec:
+    """Radial with zero shear: the canonical images composed with the
+    commuting diagonal flow ``phi`` of exponent u[k]."""
+    zero = (0.0,) * (2 * seed.genus)
+    return radial(seed, u, zero, zero)
+
+
+def canonical(seed: FuchsianSeed) -> RepSpec:
+    """The block embedding ``rho0``: u zero, no shear profile, and images
+    that preserve the line {second coordinate = 0}, which holds every
+    attracting point (the [e2] eigenvalue 1 is always the middle one)."""
+    return replace(linear_u(seed, (0.0,) * (2 * seed.genus)), shear=None, fixed_line=E2)
+
+
+def coboundary_radial(spec: RepSpec, m1: float, m2: float) -> RepSpec:
+    """Radial spec obtained by conjugating a zero-shear spec with the
+    unipotent whose middle row is (m1, 1, m2).
+
+    The conjugated generators preserve [e2]; their invariant point curve is
+    the shear image {z = m1*x + m2*y} of the canonical line z = 0.
+    """
+    if spec.shear is None or any(map(any, spec.shear)):
+        raise UnsupportedSpec("coboundary construction starts from a zero-shear spec")
+    U = np.eye(3)
+    U[1, 0], U[1, 2] = m1, m2
+    Uinv = np.eye(3)
+    Uinv[1, 0], Uinv[1, 2] = -m1, -m2
+    mu, nu = [], []
+    for k in range(2 * spec.seed.genus):
+        img = U @ phi(spec.u[k]) @ rho0(spec.seed.generators[k]) @ Uinv
+        mu.append(float(img[1, 0]))
+        nu.append(float(img[1, 2]))
+    return radial(spec.seed, spec.u, tuple(mu), tuple(nu))
+
+
+def _radial_from_json(d: dict, seed: FuchsianSeed) -> RepSpec:
+    """A radial spec from its mu and nu, or from its coboundary."""
+    u = generator_values(d.get("u", {}), "u", seed.genus)
+    if "coboundary" in d:
+        if "mu" in d or "nu" in d:
+            raise ValueError("give either 'coboundary' or 'mu'/'nu', not both")
+        cb = json_object(d["coboundary"], "coboundary", ("m1", "m2"))
+        m1, m2 = (json_number(float, json_field(cb, "coboundary", k), f"coboundary.{k}")
+                  for k in ("m1", "m2"))
+        return coboundary_radial(linear_u(seed, u), m1, m2)
+    if d.get("mu") is None or d.get("nu") is None:
+        raise ValueError("radial spec requires 'mu' and 'nu' (or 'coboundary')")
+    return radial(seed, u, *(generator_values(d[k], k, seed.genus) for k in ("mu", "nu")))
+
+
+def _explicit_from_json(d: dict, seed: FuchsianSeed) -> RepSpec:
+    """An explicit spec from its matrices, each scaled to determinant 1."""
+    if "matrices" not in d:
+        raise ValueError("explicit spec requires 'matrices'")
+    names = [gen_name(k) for k in range(2 * seed.genus)]
+    mats_d = json_object(d["matrices"], "matrices", set(names))
+    mats = []
+    for name in names:
+        m = json_floats(json_field(mats_d, "matrices", name), f"matrices.{name}", (3, 3))
+        det = np.linalg.det(m)
+        if det == 0.0:
+            raise ValueError(f"matrix for generator {name} is singular")
+        mats.append(m / np.cbrt(det))
+    return explicit(seed, mats)
+
+
+# Each config variant's rep_spec keys beside "variant" and "seed", and its
+# reader: the one place a variant name appears.
+SPEC_READERS = {
+    "canonical": ((), lambda d, seed: canonical(seed)),
+    "linear_u": (("u",), lambda d, seed: linear_u(
+        seed, generator_values(d.get("u", {}), "u", seed.genus))),
+    "radial": (("u", "mu", "nu", "coboundary"), _radial_from_json),
+    "explicit": (("matrices",), _explicit_from_json),
+}
 
 
 def spec_from_json_dict(d: dict) -> RepSpec:
@@ -205,12 +258,15 @@ def spec_from_json_dict(d: dict) -> RepSpec:
     The seed may be given explicitly ({"genus", "generators"}, each
     generator a row of 4 numbers) or as {"genus": g} alone, which selects
     the standard 4g-gon seed; either way the genus is in [2, MAX_GENUS].
-    A radial spec may give {"coboundary": {"m1":..., "m2":...}} instead of
-    mu/nu.
+    A key the variant's reader does not read is a ConfigError naming it.
     """
-    variant = json_object(d, "rep_spec", REP_SPEC_KEYS).get("variant")
-    if variant not in VARIANTS:
-        raise ValueError(f"variant must be one of {VARIANTS}, got {variant!r}")
+    if not isinstance(d, dict):
+        raise ConfigError("field 'rep_spec' must be a JSON object")
+    variant = d.get("variant")
+    if variant not in SPEC_READERS:
+        raise ValueError(f"variant must be one of {tuple(SPEC_READERS)}, got {variant!r}")
+    keys, read = SPEC_READERS[variant]
+    json_object(d, "rep_spec", ("variant", "seed", *keys))
     if "seed" not in d:
         raise ValueError("missing field 'seed'")
     seed_d = json_object(d["seed"], "seed", ("genus", "generators"))
@@ -225,56 +281,4 @@ def spec_from_json_dict(d: dict) -> RepSpec:
                                          for row in rows))
     else:
         seed = standard_fuchsian(genus)
-    u = generator_values(d.get("u", {}), "u", genus)
-    if variant == "canonical":
-        return RepSpec("canonical", seed)
-    if variant == "linear_u":
-        return RepSpec("linear_u", seed, u=u)
-    if variant == "radial":
-        if "coboundary" in d:
-            if "mu" in d or "nu" in d:
-                raise ValueError("give either 'coboundary' or 'mu'/'nu', not both")
-            cb = json_object(d["coboundary"], "coboundary", ("m1", "m2"))
-            m1, m2 = (json_number(float, json_field(cb, "coboundary", k), f"coboundary.{k}")
-                      for k in ("m1", "m2"))
-            return coboundary_radial(RepSpec("linear_u", seed, u=u), m1, m2)
-        if d.get("mu") is None or d.get("nu") is None:
-            raise ValueError("radial spec requires 'mu' and 'nu' (or 'coboundary')")
-        return RepSpec("radial", seed, u=u, mu=generator_values(d["mu"], "mu", genus),
-                       nu=generator_values(d["nu"], "nu", genus))
-    if "matrices" not in d:
-        raise ValueError("explicit spec requires 'matrices'")
-    names = [gen_name(k) for k in range(2 * genus)]
-    mats_d = json_object(d["matrices"], "matrices", set(names))
-    mats = []
-    for name in names:
-        m = json_floats(json_field(mats_d, "matrices", name), f"matrices.{name}", (3, 3))
-        det = np.linalg.det(m)
-        if det == 0.0:
-            raise ValueError(f"matrix for generator {name} is singular")
-        m = m / np.cbrt(det)
-        m.flags.writeable = False
-        mats.append(m)
-    return RepSpec("explicit", seed, matrices=tuple(mats))
-
-
-def coboundary_radial(spec: RepSpec, m1: float, m2: float) -> RepSpec:
-    """Radial spec obtained by conjugating a linear_u spec with the unipotent
-    whose middle row is (m1, 1, m2).
-
-    The conjugated generators preserve [e2]; their invariant point curve is
-    the shear image {z = m1*x + m2*y} of the canonical line z = 0.
-    """
-    if spec.variant != "linear_u":
-        raise UnsupportedSpec("coboundary construction starts from a linear_u spec")
-    g = spec.genus
-    U = np.eye(3)
-    U[1, 0], U[1, 2] = m1, m2
-    Uinv = np.eye(3)
-    Uinv[1, 0], Uinv[1, 2] = -m1, -m2
-    mu, nu = [], []
-    for k in range(2 * g):
-        img = U @ phi(spec.u[k]) @ rho0(spec.seed.generators[k]) @ Uinv
-        mu.append(float(img[1, 0]))
-        nu.append(float(img[1, 2]))
-    return RepSpec("radial", spec.seed, u=spec.u, mu=tuple(mu), nu=tuple(nu))
+    return read(d, seed)

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from flagcurve import RepSpec, generator_values, standard_fuchsian
+from flagcurve import generator_values, reps, standard_fuchsian
 
 
 def pytest_report_header(config):
@@ -23,7 +23,7 @@ def seed2():
 
 @pytest.fixture(scope="session")
 def canonical2(seed2):
-    return RepSpec("canonical", seed2)
+    return reps.canonical(seed2)
 
 
 @pytest.fixture(scope="session")

@@ -81,7 +81,7 @@ class Word:
 def evaluate(spec, w: Word) -> np.ndarray:
     """Image of a word, read-only: product of letter images, determinant
     renormalized every 16 multiplications to bound drift."""
-    letters = spec.letter_images()
+    letters = spec.letters
     m = np.eye(3)
     for i, l in enumerate(w.letters):
         m = m @ letters[l]
@@ -140,19 +140,23 @@ def seed_to_json_dict(seed) -> dict:
 
 
 def spec_to_json_dict(spec) -> dict:
-    """The JSON form of a spec, as ``spec_from_json_dict`` reads it."""
-    names = [gen_name(k) for k in range(2 * spec.genus)]
-    d = {"variant": spec.variant, "seed": seed_to_json_dict(spec.seed)}
-    if spec.variant in ("linear_u", "radial"):
-        d["u"] = {names[k]: spec.u[k] for k in range(2 * spec.genus)}
-    if spec.variant == "radial":
-        d["mu"] = {names[k]: spec.mu[k] for k in range(2 * spec.genus)}
-        d["nu"] = {names[k]: spec.nu[k] for k in range(2 * spec.genus)}
-    if spec.variant == "explicit":
-        d["matrices"] = {
-            names[k]: list(np.asarray(spec.matrices[k]).ravel())
-            for k in range(2 * spec.genus)
-        }
+    """The JSON form of a spec, as ``spec_from_json_dict`` reads it; a
+    zero shear reads back as linear_u."""
+    names = [gen_name(k) for k in range(2 * spec.seed.genus)]
+    if spec.u is None:
+        variant = "explicit"
+    elif spec.shear is None:
+        variant = "canonical"
+    else:
+        variant = "radial" if any(map(any, spec.shear)) else "linear_u"
+    d = {"variant": variant, "seed": seed_to_json_dict(spec.seed)}
+    if variant in ("linear_u", "radial"):
+        d["u"] = dict(zip(names, spec.u))
+    if variant == "radial":
+        d["mu"], d["nu"] = (dict(zip(names, values)) for values in spec.shear)
+    if variant == "explicit":
+        d["matrices"] = {name: list(m.ravel())
+                         for name, m in zip(names, spec.generator_images())}
     return d
 
 
@@ -177,7 +181,7 @@ def equivariance_report(model, spec) -> dict:
     gen_imgs = spec.generator_images()
     n = len(model)
     exact_p, exact_l, rel = 0.0, 0.0, 0.0
-    for k in range(2 * spec.genus):
+    for k in range(2 * spec.seed.genus):
         g = gen_imgs[k]
         gd = np.linalg.inv(g).T
         mp = canonicalize_rows((g @ model.points.T).T)

@@ -14,7 +14,6 @@ from hypothesis import strategies as st
 
 from flagcurve import (
     Flag,
-    RepSpec,
     anosov_rates,
     certify_anosov,
     coboundary_radial,
@@ -27,7 +26,7 @@ from flagcurve import (
     sample_limit_curve,
     standard_fuchsian,
 )
-from flagcurve import ball
+from flagcurve import ball, reps
 from flagcurve.ball import BallTable
 from flagcurve.errors import FlagCurveError, NonLoxodromicEncountered
 from flagcurve.surface import batch_translation_lengths, letter_name
@@ -47,20 +46,20 @@ CONJ_INV = np.array([[3, -2, 1], [-2, 2, -1], [1, -1, 1]], dtype=float)
 @pytest.fixture(scope="module")
 def radial(seed2):
     u = generator_values({"a1": 0.3, "b2": -0.2}, "u", 2)
-    return coboundary_radial(RepSpec("linear_u", seed2, u=u), 0.4, -0.2)
+    return coboundary_radial(reps.linear_u(seed2, u=u), 0.4, -0.2)
 
 
 @pytest.fixture(scope="module")
 def refuted(seed2):
     t_b2 = float(batch_translation_lengths(seed2.generators[3][None])[1][0])
     u = generator_values({"a1": 0.1, "b1": -0.15, "b2": 0.6 * t_b2}, "u", 2)
-    return RepSpec("linear_u", seed2, u=u)
+    return reps.linear_u(seed2, u=u)
 
 
 @pytest.fixture(scope="module")
 def explicit(seed2, radial):
     mats = tuple(CONJ @ g @ CONJ_INV for g in radial.generator_images())
-    return RepSpec("explicit", seed2, matrices=mats)
+    return reps.explicit(seed2, matrices=mats)
 
 
 def _same(a, b) -> bool:
@@ -246,7 +245,7 @@ def test_class_pass_matches_per_word_pass(monkeypatch, seed2, radial, refuted, e
     # u = c(a1* - b1* + a2* - b2*) puts the stable-norm witness, and at
     # c = 0.77 the refutation, on a1.B1.a2.B2, a top-level word at R=4.
     specs = (radial, refuted) + tuple(
-        RepSpec("linear_u", seed2, u=generator_values(
+        reps.linear_u(seed2, u=generator_values(
             {"a1": c, "b1": -c, "a2": c, "b2": -c}, "u", 2)) for c in (0.1, 0.77))
     classed = [certify_anosov(s, radius) for s in specs], probe_explicit(explicit, radius)
     with monkeypatch.context() as m:
@@ -271,7 +270,7 @@ def test_class_pass_matches_per_word_pass(monkeypatch, seed2, radial, refuted, e
     assert (got.n_scored, got.loxodromy_rate) == (want.n_scored, want.loxodromy_rate)
     assert got.inf_top_gap == pytest.approx(want.inf_top_gap, rel=1e-12)
     assert got.inf_bottom_gap == pytest.approx(want.inf_bottom_gap, rel=1e-12)
-    linear = RepSpec("linear_u", seed2, u=radial.u)
+    linear = reps.linear_u(seed2, u=radial.u)
     assert (certify_anosov(linear, radius).stable_norm_estimate
             == classed[0][0].stable_norm_estimate)
     assert anosov_rates(radial, radius) == classed[0][0].rates
@@ -297,7 +296,7 @@ def test_degenerate_and_empty_rates(monkeypatch, seed2, rows):
     # the block size; a length filter that keeps no word has no rates.
     monkeypatch.setattr(ball, "BLOCK_ROWS", rows)
     t_b2 = float(batch_translation_lengths(seed2.generators[3][None])[1][0])
-    spec = RepSpec("linear_u", seed2, u=generator_values({"b2": 0.5 * t_b2}, "u", 2))
+    spec = reps.linear_u(seed2, u=generator_values({"b2": 0.5 * t_b2}, "u", 2))
     with pytest.raises(NonLoxodromicEncountered, match="'b2'"):
         anosov_rates(spec, 3)
     res = certify_anosov(spec, 3)
@@ -430,8 +429,8 @@ def test_matmul3_matches_einsum(rng):
 def test_images3_matches_einsum_on_a_genus3_level():
     seed3 = standard_fuchsian(3)
     u = generator_values({"a1": 0.3, "b3": -0.1}, "u", 3)
-    spec = coboundary_radial(RepSpec("linear_u", seed3, u=u), 0.4, -0.2)
-    letter_images = spec.letter_images()
+    spec = coboundary_radial(reps.linear_u(seed3, u=u), 0.4, -0.2)
+    letter_images = spec.letters
     table = BallTable.build(seed3, 5)
     stacks = {}
     for level, _rows, _weight, imgs in table.blocks(partial(table.images3, letter_images)):

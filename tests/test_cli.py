@@ -12,7 +12,7 @@ import jsonschema
 import numpy as np
 import pytest
 
-from flagcurve import RecurrenceReport, RepSpec, ball, cli, spec_from_json_dict, standard_fuchsian
+from flagcurve import RecurrenceReport, ball, cli, reps, spec_from_json_dict, standard_fuchsian
 from flagcurve.ball import BallTable
 from flagcurve.curve import COLUMNS, IncidenceReport
 from flagcurve.svg import render_model
@@ -26,6 +26,7 @@ RADIAL_G2 = {
     "coboundary": {"m1": 0.4, "m2": -0.2},
 }
 CANONICAL_G2 = {"variant": "canonical", "seed": {"genus": 2}}
+LINEAR_U_G2 = {"variant": "linear_u", "seed": {"genus": 2}, "u": {"a1": 0.3}}
 # exp(700/3) in the image of a1 sends its eigen computations past the
 # float range: its flag is not finite.
 LINEAR_U_700 = {"variant": "linear_u", "seed": {"genus": 2}, "u": {"a1": 700}}
@@ -63,8 +64,8 @@ def _run(tmp_path, command: str, config: dict, raw_member: str = "",
 def _explicit_g2() -> dict:
     """The canonical genus-2 representation given by its matrices."""
     seed = standard_fuchsian(2)
-    mats = tuple(RepSpec("canonical", seed).generator_images())
-    return spec_to_json_dict(RepSpec("explicit", seed, matrices=mats))
+    mats = tuple(reps.canonical(seed).generator_images())
+    return spec_to_json_dict(reps.explicit(seed, matrices=mats))
 
 
 def _explicit_g2_with(matrix: np.ndarray) -> dict:
@@ -104,7 +105,7 @@ def _conjugated_radial_g2() -> dict:
     """RADIAL_G2 conjugated by CONJ, as an explicit spec."""
     spec = spec_from_json_dict(RADIAL_G2)
     mats = tuple(CONJ @ g @ CONJ_INV for g in spec.generator_images())
-    return spec_to_json_dict(RepSpec("explicit", spec.seed, matrices=mats))
+    return spec_to_json_dict(reps.explicit(spec.seed, matrices=mats))
 
 
 @pytest.mark.parametrize("command, rep_spec, fields, code, expect", [
@@ -368,9 +369,20 @@ def test_malformed_config_exits_2(tmp_path, capsys, monkeypatch, fields):
     ({"rep_spec": {**CANONICAL_G2, "seed": {"genus": 200}}}, "seed.genus"),
     ({"rep_spec": {**_explicit_g2(), "seed": {**_explicit_g2()["seed"], "genus": 15}}},
      "seed.genus"),
+    # A key the variant's constructor does not read.
+    ({"rep_spec": {**CANONICAL_G2, "u": {"a1": 0.3}}}, "rep_spec.u"),
+    ({"rep_spec": {**CANONICAL_G2, "matrices": _explicit_g2()["matrices"]}},
+     "rep_spec.matrices"),
+    ({"rep_spec": {**LINEAR_U_G2, "mu": {"a1": 0.1}}}, "rep_spec.mu"),
+    ({"rep_spec": {**LINEAR_U_G2, "coboundary": {"m1": 0.4, "m2": -0.2}}},
+     "rep_spec.coboundary"),
+    ({"rep_spec": {**RADIAL_G2, "matrices": _explicit_g2()["matrices"]}}, "rep_spec.matrices"),
+    ({"rep_spec": {**_explicit_g2(), "u": {"a1": 0.3}}}, "rep_spec.u"),
 ], ids=["missing_seed_genus", "missing_coboundary_m2", "matrix_of_2", "seed_row_of_3",
         "root_key", "seed_key", "coboundary_key", "rep_spec_key", "u_generator",
-        "tolerance_root_key", "genus_15", "genus_200", "explicit_seed_genus_15"])
+        "tolerance_root_key", "genus_15", "genus_200", "explicit_seed_genus_15",
+        "canonical_u", "canonical_matrices", "linear_u_mu", "linear_u_coboundary",
+        "radial_matrices", "explicit_u"])
 def test_malformed_field_exits_2_naming_it(tmp_path, capsys, fields, field):
     # A missing, unknown or misshapen field is one config error line that
     # names the field, with no output and no traceback.

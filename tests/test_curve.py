@@ -8,7 +8,6 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from flagcurve import (
-    RepSpec,
     anosov_rates,
     certify_anosov,
     check_incidence,
@@ -17,6 +16,7 @@ from flagcurve import (
     injectivity_report,
     probe_explicit,
     regularity_diagnostics,
+    reps,
     sample_limit_curve,
 )
 from flagcurve.ball import BallTable
@@ -31,7 +31,7 @@ from oracles import Word, equivariance_report, evaluate, proj_dist, seed_image
 def _stable_norm(u, seed, radius):
     """The stable-norm estimate of ``certify_anosov`` on the linear_u spec
     of ``u``."""
-    return certify_anosov(RepSpec("linear_u", seed, u=u), radius).stable_norm_estimate
+    return certify_anosov(reps.linear_u(seed, u=u), radius).stable_norm_estimate
 
 
 def _t_a1(seed) -> float:
@@ -141,14 +141,14 @@ def test_sample_invariants(seed2, canonical2, model4):
 
 def test_small_linear_deformation_keeps_curve(seed2):
     u = generator_values({"a1": 0.2, "b1": -0.1}, "u", 2)
-    spec = RepSpec("linear_u", seed2, u=u)
+    spec = reps.linear_u(seed2, u=u)
     model = sample_limit_curve(spec, 4)
     assert np.abs(model.points[:, 1]).max() <= 1e-9
     assert np.abs(model.lines[:, 1]).max() <= 1e-9
 
 
 def test_radial_model_line_curve_exact(seed2, u_a1):
-    rad = coboundary_radial(RepSpec("linear_u", seed2, u=u_a1), 0.2, -0.1)
+    rad = coboundary_radial(reps.linear_u(seed2, u=u_a1), 0.2, -0.1)
     model = sample_limit_curve(rad, 4)
     assert np.abs(model.lines[:, 1]).max() <= 1e-9
     # points lie on the sheared plane z = m1 x + m2 y, not on z = 0
@@ -229,7 +229,7 @@ def test_equivariance_canonical(model4, canonical2):
 
 def test_equivariance_sampled_branch(seed2):
     u = generator_values({"a1": 0.2}, "u", 2)
-    spec = RepSpec("linear_u", seed2, u=u)
+    spec = reps.linear_u(seed2, u=u)
     model = sample_limit_curve(spec, 4)
     rep = equivariance_report(model, spec)
     # mapped samples sit within a few local gaps of the nearest sample
@@ -313,7 +313,7 @@ def test_non_hyperbolic_seed_image_is_named(monkeypatch, seed2, u_a1):
     ks = next(r for r in (_rotations(table, 3, int(k)) for k in top[100:]) if len(r) == 3)
     c, s = math.cos(0.3), math.sin(0.3)
     named = re.escape(repr(table.word(3, ks[0])))
-    spec = RepSpec("linear_u", seed2, u=u_a1)
+    spec = reps.linear_u(seed2, u=u_a1)
     for patched in (ks, ks[:1]):
         with monkeypatch.context() as m:
             _patch_seed_images(m, 3, patched, [[c, -s], [s, c]])
@@ -341,7 +341,7 @@ def test_trivial_seed_image_is_skipped(monkeypatch, seed2, u_a1, canonical2, sig
     assert len(ks) == 3
     want_words, want_classes = _level_scores(table, False), _level_scores(table, True)
     assert ks[0] in want_classes[3][0]
-    spec = RepSpec("linear_u", seed2, u=u_a1)
+    spec = reps.linear_u(seed2, u=u_a1)
     ref = certify_anosov(spec, 3)
     for patched in (ks, ks[:1]):
         with monkeypatch.context() as m:
@@ -370,7 +370,7 @@ def test_certify_is_one_pass(monkeypatch, seed2, u_a1, variant):
     # certify_anosov derives the stable norm, the saddle check, the witness
     # and the rates from one scored pass of one ball; the rates agree with
     # anosov_rates, and the estimate depends on u alone.
-    spec = RepSpec("linear_u", seed2, u=u_a1)
+    spec = reps.linear_u(seed2, u=u_a1)
     if variant == "radial":
         spec = coboundary_radial(spec, 0.2, -0.1)
     rates, norm = anosov_rates(spec, 4), _stable_norm(spec.u, seed2, 4)
@@ -402,7 +402,7 @@ def test_certify_three_regimes(seed2):
     expected = {0.3: "certified-at-scale", 0.49: "inconclusive", 0.6: "refuted"}
     for r, verdict in expected.items():
         u = generator_values({"a1": r * t_a1}, "u", 2)
-        res = certify_anosov(RepSpec("linear_u", seed2, u=u), 4)
+        res = certify_anosov(reps.linear_u(seed2, u=u), 4)
         assert res.verdict == verdict, (r, res.verdict)
         assert res.saddle_ratio_tests_agree
         if verdict == "refuted":
@@ -415,13 +415,13 @@ def test_certify_three_regimes(seed2):
 def test_certify_monotone_refutation(seed2):
     t_a1 = _t_a1(seed2)
     u = generator_values({"a1": 0.6 * t_a1}, "u", 2)
-    spec = RepSpec("linear_u", seed2, u=u)
+    spec = reps.linear_u(seed2, u=u)
     for radius in (3, 4, 5):
         assert certify_anosov(spec, radius).verdict == "refuted"
 
 
 def test_certify_radial_matches_linear(seed2, u_a1):
-    lin = RepSpec("linear_u", seed2, u=u_a1)
+    lin = reps.linear_u(seed2, u=u_a1)
     rad = coboundary_radial(lin, 0.2, -0.1)
     a = certify_anosov(lin, 4)
     b = certify_anosov(rad, 4)
@@ -431,8 +431,7 @@ def test_certify_radial_matches_linear(seed2, u_a1):
 
 
 def test_certify_rejects_explicit(seed2, canonical2):
-    spec = RepSpec("explicit", seed2,
-                   matrices=tuple(canonical2.generator_images()))
+    spec = reps.explicit(seed2, matrices=tuple(canonical2.generator_images()))
     with pytest.raises(UnsupportedSpec):
         certify_anosov(spec, 3)
     probe = probe_explicit(spec, 3)
@@ -449,7 +448,7 @@ def test_rates_canonical_exact(canonical2):
 
 def test_rates_linear_u(seed2):
     u = generator_values({"a1": 0.4, "a2": -0.25}, "u", 2)
-    spec = RepSpec("linear_u", seed2, u=u)
+    spec = reps.linear_u(seed2, u=u)
     rates = anosov_rates(spec, 4)
     est = _stable_norm(u, seed2, 4)
     assert rates.inf_top_gap >= 0.5 - est.value - 1e-6
@@ -458,7 +457,7 @@ def test_rates_linear_u(seed2):
 
 def test_rates_match_generic_eigensolver(monkeypatch, seed2):
     u = generator_values({"a1": 0.4}, "u", 2)
-    spec = RepSpec("linear_u", seed2, u=u)
+    spec = reps.linear_u(seed2, u=u)
     radius = 3
     table = BallTable.build(seed2, radius)
     monkeypatch.setattr(BallTable, "build", staticmethod(lambda seed, radius: table))
@@ -471,7 +470,7 @@ def test_rates_match_generic_eigensolver(monkeypatch, seed2):
     # class's least word standing for its class.
     pos, inf_top = 0, np.inf
     for _level, _idx, weight, t, _mats, exps, imgs in table.scored(
-            0.5, table.exponent_sums, partial(table.images3, spec.letter_images()),
+            0.5, table.exponent_sums, partial(table.images3, spec.letters),
             classes=True):
         vals, real = batch_eigvals3(imgs)
         assert real.all()
@@ -490,7 +489,7 @@ def test_rates_match_generic_eigensolver(monkeypatch, seed2):
 def test_rates_negative_iff_refuted(seed2):
     t_a1 = _t_a1(seed2)
     u = generator_values({"a1": 0.6 * t_a1}, "u", 2)
-    spec = RepSpec("linear_u", seed2, u=u)
+    spec = reps.linear_u(seed2, u=u)
     rates = anosov_rates(spec, 4)
     assert rates.inf_bottom_gap < 0
     assert certify_anosov(spec, 4).verdict == "refuted"
@@ -504,7 +503,7 @@ def test_regularity_canonical(canonical2):
 
 
 def test_regularity_radial(seed2, u_a1):
-    rad = coboundary_radial(RepSpec("linear_u", seed2, u=u_a1), 0.2, -0.1)
+    rad = coboundary_radial(reps.linear_u(seed2, u=u_a1), 0.2, -0.1)
     rep = regularity_diagnostics(sample_limit_curve(rad, 4))
     assert abs(rep.holder_exponent_estimate - 1.0) <= 0.05
 

@@ -8,14 +8,13 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from flagcurve import (
-    RepSpec,
     coboundary_radial,
     fit_delta,
     generator_values,
     pushforward_deviation,
     sample_limit_curve,
 )
-from flagcurve import ball, delta
+from flagcurve import ball, delta, reps
 from flagcurve.curve import CurveModel
 from flagcurve.errors import NotRadial, PolarDegenerate
 from flagcurve.spectral import canonicalize_rows
@@ -26,14 +25,14 @@ from oracles import lagrange_fill_sorting_support
 @pytest.fixture(scope="module")
 def radial_fit(seed2):
     u = generator_values({"a1": 0.3}, "u", 2)
-    rad = coboundary_radial(RepSpec("linear_u", seed2, u=u), 0.2, -0.1)
+    rad = coboundary_radial(reps.linear_u(seed2, u=u), 0.2, -0.1)
     model = sample_limit_curve(rad, 4)
     return rad, model, fit_delta(rad, model)
 
 
 def test_linear_u_profile_is_zero(seed2):
     u = generator_values({"a1": 0.25}, "u", 2)
-    spec = RepSpec("linear_u", seed2, u=u)
+    spec = reps.linear_u(seed2, u=u)
     model = sample_limit_curve(spec, 4)
     fit = fit_delta(spec, model)
     assert np.abs(fit.model.grid).max() <= 1e-9
@@ -57,8 +56,8 @@ def test_taus_closed_form(radial_fit):
     rad, _, fit = radial_fit
     for k, (t1, t2) in enumerate(fit.taus):
         f = math.exp(2.0 * rad.u[k] / 3.0)
-        assert t1 == pytest.approx(-f * rad.mu[k], abs=1e-12)
-        assert t2 == pytest.approx(-f * rad.nu[k], abs=1e-12)
+        assert t1 == pytest.approx(-f * rad.shear[0][k], abs=1e-12)
+        assert t2 == pytest.approx(-f * rad.shear[1][k], abs=1e-12)
 
 
 def test_pushforward_lands_on_canonical_line(radial_fit):
@@ -84,7 +83,7 @@ def test_fit_delta_rejects_canonical(canonical2):
 
 
 def test_fit_delta_polar_degenerate(seed2, u_a1):
-    rad = coboundary_radial(RepSpec("linear_u", seed2, u=u_a1), 0.2, -0.1)
+    rad = coboundary_radial(reps.linear_u(seed2, u=u_a1), 0.2, -0.1)
     model = sample_limit_curve(rad, 3)
     pts = model.points.copy()
     pts[0] = np.array([1e-9, 1.0, 1e-9])

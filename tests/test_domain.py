@@ -7,14 +7,13 @@ import pytest
 from flagcurve import (
     Flag,
     canonicalize,
-    RepSpec,
     coboundary_radial,
     generator_values,
     in_omega,
     recurrence_experiment,
     sample_limit_curve,
 )
-from flagcurve import ball
+from flagcurve import ball, reps
 from flagcurve.ball import BallTable, rowwise_dot
 from flagcurve.curve import CurveModel, crossing_counts
 from flagcurve.errors import BaseNotInterior
@@ -53,7 +52,7 @@ def test_in_omega_sampled_flag(model4):
 def test_in_omega_sampled_curve_band(seed2):
     # without exact curve knowledge the verdict inside the band is honest
     u = generator_values({"a1": 0.2}, "u", 2)
-    model = sample_limit_curve(RepSpec("linear_u", seed2, u=u), 4)
+    model = sample_limit_curve(reps.linear_u(seed2, u=u), 4)
     assert model.exact_point_line is None
     near = Flag.of((1.0, 5e-8, 0.0), (0.0, 0.0, 1.0))
     q = in_omega(near, model, tol=1e-6)
@@ -64,7 +63,7 @@ def test_in_omega_linear_u_line_margin_is_exact(seed2):
     # linear_u is radial with zero shear: its images fix [e2], so its line
     # curve is the pencil through [e2] and a line's margin is exact.
     u = generator_values({"a1": 0.3, "b2": -0.2}, "u", 2)
-    model = sample_limit_curve(RepSpec("linear_u", seed2, u=u), 4)
+    model = sample_limit_curve(reps.linear_u(seed2, u=u), 4)
     assert np.abs(model.lines @ E2).max() == 0.0
     assert np.array_equal(model.exact_line_point, E2)
     flag = Flag.of(E1, (0.0, 0.6, 0.8))
@@ -135,7 +134,7 @@ def test_recurrence_brute_force_oracle(canonical2, seed2, model4):
     rep = recurrence_experiment(canonical2, BASE, 0.05, 3, model=model4)
     # independent recomputation: recursive enumeration, fresh matrices,
     # chordal distances via explicit representative comparison
-    letters = canonical2.letter_images()
+    letters = canonical2.letters
     duals = np.array([np.linalg.inv(m).T for m in letters])
     bp, bl = BASE.point, BASE.line
 
@@ -192,7 +191,7 @@ def _recurrence_full_inverse(spec, base, nbhd, radius) -> tuple:
     table = BallTable.build(spec.seed, radius)
     bp, bl = base.point, base.line
     returning, least = [""], math.inf
-    for level, rows, _weight, imgs in table.blocks(partial(table.images3, spec.letter_images())):
+    for level, rows, _weight, imgs in table.blocks(partial(table.images3, spec.letters)):
         pts = np.einsum("nij,j->ni", imgs, bp)
         pts /= np.linalg.norm(pts, axis=1)[:, None]
         lns = np.einsum("nij,j->ni", np.linalg.inv(imgs).transpose(0, 2, 1), bl)
@@ -213,7 +212,7 @@ def test_recurrence_matches_full_inverse(monkeypatch, canonical2, seed2, model4,
     # inverting every word.
     monkeypatch.setattr(ball, "BLOCK_ROWS", rows)
     u = generator_values({"a1": 0.25}, "u", 2)
-    radial = coboundary_radial(RepSpec("linear_u", seed2, u=u), 0.15, 0.1)
+    radial = coboundary_radial(reps.linear_u(seed2, u=u), 0.15, 0.1)
     cases = [(canonical2, BASE, 0.05, model4),
              (canonical2, _near_a1_base(canonical2), 0.1, model4),
              (radial, BASE, 0.05, sample_limit_curve(radial, 4))]
@@ -237,10 +236,10 @@ def test_freeness_multiple_specs_and_bases(seed2, canonical2, model4, rng):
     u = generator_values({"a1": 0.25}, "u", 2)
     specs = [
         canonical2,
-        RepSpec("linear_u", seed2, u=u),
-        coboundary_radial(RepSpec("linear_u", seed2, u=u), 0.15, 0.1),
+        reps.linear_u(seed2, u=u),
+        coboundary_radial(reps.linear_u(seed2, u=u), 0.15, 0.1),
     ]
-    models = {s.variant: sample_limit_curve(s, 4) for s in specs}
+    models = {id(s): sample_limit_curve(s, 4) for s in specs}
     found = 0
     while found < 4:
         v = rng.normal(size=3)
@@ -251,7 +250,7 @@ def test_freeness_multiple_specs_and_bases(seed2, canonical2, model4, rng):
         flag = Flag.of(v, w)
         ok = True
         for s in specs:
-            m = models[s.variant]
+            m = models[id(s)]
             if in_omega(flag, m).verdict != "inside":
                 ok = False
                 break
@@ -259,7 +258,7 @@ def test_freeness_multiple_specs_and_bases(seed2, canonical2, model4, rng):
             continue
         found += 1
         for s in specs:
-            m = models[s.variant]
+            m = models[id(s)]
             rep = recurrence_experiment(s, flag, 1e-4, 3, model=m)
             assert rep.free_at_scale
 

@@ -17,7 +17,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from flagcurve import RepSpec, coboundary_radial, curve, generator_values, standard_fuchsian
+from flagcurve import coboundary_radial, curve, generator_values, reps, standard_fuchsian
 from flagcurve.curve import crossing_counts, sample_limit_curve
 
 BLOCKS = (1, 2, 3, curve._BLOCK)
@@ -203,7 +203,7 @@ def test_all_zero_and_tangent_lines(block):
 @pytest.fixture(scope="module")
 def models(canonical2, seed2):
     u = generator_values({"a1": 0.3}, "u", 2)
-    radial = coboundary_radial(RepSpec("linear_u", seed2, u=u), 0.4, -0.2)
+    radial = coboundary_radial(reps.linear_u(seed2, u=u), 0.4, -0.2)
     return [sample_limit_curve(canonical2, 4), sample_limit_curve(radial, 4)]
 
 
@@ -243,7 +243,7 @@ def test_peak_memory_on_a_15948_sample_curve():
     # R=4 (15,948 samples, every line checked) the traced peak is 2.09 MiB;
     # the flat pass over every block start took it to 2.40 MiB.
     seed3 = standard_fuchsian(3)
-    radial = coboundary_radial(RepSpec("linear_u", seed3, u=generator_values({"a1": 0.3}, "u", 3)),
+    radial = coboundary_radial(reps.linear_u(seed3, u=generator_values({"a1": 0.3}, "u", 3)),
                                0.4, -0.2)
     model = sample_limit_curve(radial, 4, columns=("points", "lines"))
     assert len(model) == 15948

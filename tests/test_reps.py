@@ -4,10 +4,10 @@ import numpy as np
 import pytest
 
 from flagcurve import (
-    RepSpec,
     coboundary_radial,
     generator_values,
     phi,
+    reps,
     rho0,
     spec_from_json_dict,
     standard_fuchsian,
@@ -84,7 +84,7 @@ def test_evaluate_canonical(seed2, canonical2):
 
 
 def test_linear_u_zero_is_canonical(seed2, canonical2):
-    lin = RepSpec("linear_u", seed2, u=(0.0,) * 4)
+    lin = reps.linear_u(seed2, u=(0.0,) * 4)
     for w, _ in list(enumerate_ball(seed2, 2)):
         assert np.allclose(
             evaluate(lin, w), evaluate(canonical2, w), atol=1e-12
@@ -93,15 +93,15 @@ def test_linear_u_zero_is_canonical(seed2, canonical2):
 
 def test_radial_zero_shear_is_linear_u(seed2):
     u = generator_values({"a1": 0.2, "b1": -0.1}, "u", 2)
-    lin = RepSpec("linear_u", seed2, u=u)
-    rad = RepSpec("radial", seed2, u=u, mu=(0.0,) * 4, nu=(0.0,) * 4)
+    lin = reps.linear_u(seed2, u=u)
+    rad = reps.radial(seed2, u=u, mu=(0.0,) * 4, nu=(0.0,) * 4)
     for w, _ in list(enumerate_ball(seed2, 4))[::37]:
         assert np.abs(evaluate(rad, w) - evaluate(lin, w)).max() <= 1e-10
 
 
 def test_evaluate_homomorphism(rng, seed2):
     u = generator_values({"a1": 0.15, "b2": 0.3}, "u", 2)
-    spec = RepSpec("linear_u", seed2, u=u)
+    spec = reps.linear_u(seed2, u=u)
     words = [w for w, _ in enumerate_ball(seed2, 3)]
     for _ in range(100):
         w1 = words[rng.integers(len(words))]
@@ -114,7 +114,7 @@ def test_evaluate_homomorphism(rng, seed2):
 
 def test_evaluate_det_one(rng, seed2):
     u = generator_values({"a1": 0.15}, "u", 2)
-    spec = RepSpec("linear_u", seed2, u=u)
+    spec = reps.linear_u(seed2, u=u)
     words = [w for w, _ in enumerate_ball(seed2, 5)]
     for _ in range(50):
         w = words[rng.integers(len(words))]
@@ -123,7 +123,7 @@ def test_evaluate_det_one(rng, seed2):
 
 def test_linear_u_fixes_middle(seed2):
     u = generator_values({"a1": 0.2, "a2": -0.3}, "u", 2)
-    spec = RepSpec("linear_u", seed2, u=u)
+    spec = reps.linear_u(seed2, u=u)
     for w, _ in list(enumerate_ball(seed2, 3))[1:]:
         g = evaluate(spec, w)
         q = math.exp(-2.0 * sum(
@@ -134,8 +134,8 @@ def test_linear_u_fixes_middle(seed2):
 
 
 def test_dual_of_product_is_product_of_duals(rng, seed2):
-    spec = RepSpec("canonical", seed2)
-    letters = spec.letter_images()
+    spec = reps.canonical(seed2)
+    letters = spec.letters
     duals = np.array([np.linalg.inv(l).T for l in letters])
     words = [w for w, _ in enumerate_ball(seed2, 4)]
     for _ in range(50):
@@ -154,10 +154,10 @@ def test_structured_images_are_radial_with_zero_data(rng, genus):
     # canonical and linear_u images are radial generators with zero data,
     # bit for bit the block embedding and its composition with the flow.
     seed = standard_fuchsian(genus)
-    can = RepSpec("canonical", seed)
+    can = reps.canonical(seed)
     for _ in range(5):
         u = tuple(rng.normal(scale=0.3, size=2 * genus))
-        lin = RepSpec("linear_u", seed, u=u)
+        lin = reps.linear_u(seed, u=u)
         for k, (c, l) in enumerate(zip(can.generator_images(), lin.generator_images())):
             m = seed.generators[k]
             assert c.tobytes() == rho0(m).tobytes()
@@ -165,22 +165,22 @@ def test_structured_images_are_radial_with_zero_data(rng, genus):
 
 
 def test_coboundary_trivial_is_identity_shear(seed2, u_a1):
-    lin = RepSpec("linear_u", seed2, u=u_a1)
+    lin = reps.linear_u(seed2, u=u_a1)
     rad = coboundary_radial(lin, 0.0, 0.0)
-    assert max(abs(x) for x in rad.mu + rad.nu) <= 1e-14
+    assert max(abs(x) for x in rad.shear[0] + rad.shear[1]) <= 1e-14
 
 
 def test_coboundary_preserves_middle_column(seed2, u_a1):
-    lin = RepSpec("linear_u", seed2, u=u_a1)
+    lin = reps.linear_u(seed2, u=u_a1)
     rad = coboundary_radial(lin, 0.2, -0.1)
-    assert relator_residual(rad.letter_images()) <= 1e-8
+    assert relator_residual(rad.letters) <= 1e-8
     for k, img in enumerate(rad.generator_images()):
         q = math.exp(-2.0 * u_a1[k] / 3.0)
         assert np.abs(img[:, 1] - np.array([0.0, q, 0.0])).max() <= 1e-12
 
 
 def test_coboundary_preserves_spectra(seed2, u_a1):
-    lin = RepSpec("linear_u", seed2, u=u_a1)
+    lin = reps.linear_u(seed2, u=u_a1)
     rad = coboundary_radial(lin, 0.2, -0.1)
     for a, b in zip(lin.generator_images(), rad.generator_images()):
         ea = np.sort(np.abs(np.linalg.eigvals(a)))
@@ -189,15 +189,15 @@ def test_coboundary_preserves_spectra(seed2, u_a1):
 
 
 def test_spec_json_round_trips(seed2, u_a1):
-    lin = RepSpec("linear_u", seed2, u=u_a1)
+    lin = reps.linear_u(seed2, u=u_a1)
     rad = coboundary_radial(lin, 0.2, -0.1)
-    explicit = RepSpec(
-        "explicit", seed2,
-        matrices=tuple(RepSpec("canonical", seed2).generator_images()),
-    )
-    for spec in (RepSpec("canonical", seed2), lin, rad, explicit):
+    explicit = reps.explicit(seed2, matrices=tuple(reps.canonical(seed2).generator_images()))
+    for spec in (reps.canonical(seed2), lin, rad, explicit):
         back = spec_from_json_dict(spec_to_json_dict(spec))
-        assert back.variant == spec.variant
+        assert np.array_equal(back.letters, spec.letters)
+        for fact in ("u", "shear", "fixed_point", "fixed_line"):
+            a, b = getattr(spec, fact), getattr(back, fact)
+            assert (a is None) == (b is None) and (a is None or np.array_equal(a, b))
         for a, b in zip(spec.generator_images(), back.generator_images()):
             assert np.abs(a - b).max() <= 1e-12
 
@@ -210,8 +210,8 @@ def test_spec_json_coboundary_and_standard_seed(seed2, u_a1):
         "coboundary": {"m1": 0.2, "m2": -0.1},
     }
     spec = spec_from_json_dict(d)
-    ref = coboundary_radial(RepSpec("linear_u", seed2, u=u_a1), 0.2, -0.1)
-    assert np.allclose(spec.mu, ref.mu, atol=1e-12)
+    ref = coboundary_radial(reps.linear_u(seed2, u=u_a1), 0.2, -0.1)
+    assert np.allclose(spec.shear[0], ref.shear[0], atol=1e-12)
 
 
 def test_spec_json_errors(seed2):
@@ -229,17 +229,17 @@ def test_spec_json_errors(seed2):
 
 
 def test_explicit_requires_projective_relator(seed2, rng):
-    mats = list(RepSpec("canonical", seed2).generator_images())
+    mats = list(reps.canonical(seed2).generator_images())
     mats[0] = random_unimodular(rng)
     with pytest.raises(ValueError):
-        RepSpec("explicit", seed2, matrices=tuple(mats))
+        reps.explicit(seed2, matrices=tuple(mats))
 
 
 def test_nan_relator_residual_is_rejected(seed2):
     with np.errstate(invalid="ignore"), pytest.raises(ValueError, match="residual nan"):
-        RepSpec("explicit", seed2, matrices=(np.full((3, 3), np.nan),) * 4)
+        reps.explicit(seed2, matrices=(np.full((3, 3), np.nan),) * 4)
 
 
 def test_phi_conjugate_rejects_non_radial(seed2):
     with pytest.raises(UnsupportedSpec):
-        coboundary_radial(RepSpec("canonical", seed2), 0.1, 0.1)
+        coboundary_radial(reps.canonical(seed2), 0.1, 0.1)

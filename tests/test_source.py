@@ -150,3 +150,45 @@ def test_runtime_imports_are_numpy_or_stdlib():
              for name in sorted(imported_modules(path.read_text(encoding="utf-8")))
              if name not in allowed]
     assert found == []
+
+
+VARIANT_NAMES = {"canonical", "linear_u", "radial", "explicit"}
+
+
+def variant_tests(source: str, exempt: str = "") -> list:
+    """Lines of each ``.variant`` read and of each ==, !=, in or not in
+    against a variant name, outside the function named ``exempt``."""
+    found = set()
+    todo = [ast.parse(source)]
+    while todo:
+        n = todo.pop()
+        if isinstance(n, ast.FunctionDef) and n.name == exempt:
+            continue
+        if isinstance(n, ast.Attribute) and n.attr == "variant" and isinstance(n.ctx, ast.Load):
+            found.add(n.lineno)
+        elif isinstance(n, ast.Compare) and any(
+                isinstance(op, (ast.Eq, ast.NotEq, ast.In, ast.NotIn)) for op in n.ops):
+            # An operand is a constant or a tuple, list or set of them.
+            consts = [c for o in (n.left, *n.comparators)
+                      for c in ([o] if isinstance(o, ast.Constant) else getattr(o, "elts", []))]
+            if any(isinstance(c, ast.Constant) and c.value in VARIANT_NAMES for c in consts):
+                found.add(n.lineno)
+        todo.extend(ast.iter_child_nodes(n))
+    return sorted(found)
+
+
+def test_variant_tests_are_found():
+    source = ('def f(spec, d):\n    if spec.variant == "explicit":\n        return 1\n'
+              '    return d in ("radial", "linear_u") or d != "spline"\n\n'
+              'def spec_from_json_dict(d):\n    return d["variant"] != "radial"\n')
+    assert variant_tests(source, "spec_from_json_dict") == [2, 4]
+    assert variant_tests(source) == [2, 4, 7]
+
+
+def test_no_variant_tests_outside_the_json_reader():
+    # A reader asks a spec for a fact; only the JSON reader maps a
+    # variant name to its constructor.
+    found = [f"{path.name}:{line}" for path in sorted(PACKAGE.glob("*.py"))
+             for line in variant_tests(path.read_text(encoding="utf-8"),
+                                       "spec_from_json_dict" if path.name == "reps.py" else "")]
+    assert found == []

@@ -4,8 +4,8 @@ from functools import partial
 import numpy as np
 import pytest
 
-from flagcurve import RepSpec, generator_values
-from flagcurve import ball
+from flagcurve import generator_values
+from flagcurve import ball, reps
 from flagcurve.ball import BallTable
 from flagcurve.spectral import (batch_attracting_flags, batch_eigvals3, batch_eigvec,
                                 batch_loxodromic, batch_saddle_at_e2)
@@ -46,7 +46,7 @@ def test_eigen3_identity_triple_root():
 
 def test_eigen3_linear_u_block_structure(seed2):
     u = generator_values({"a1": 0.4, "b1": -0.2}, "u", 2)
-    spec = RepSpec("linear_u", seed2, u=u)
+    spec = reps.linear_u(seed2, u=u)
     words, m2s = zip(*list(enumerate_ball(seed2, 3))[1:][::17])
     _, tlens = batch_translation_lengths(np.array(m2s))
     vals, real = batch_eigvals3(np.array([evaluate(spec, w) for w in words]))
@@ -245,7 +245,7 @@ def test_saddle_examples():
 
 def test_saddle_iff_ratio(seed2):
     u = generator_values({"a1": 0.9, "b2": -0.5}, "u", 2)
-    spec = RepSpec("linear_u", seed2, u=u)
+    spec = reps.linear_u(seed2, u=u)
     words, m2s = zip(*list(enumerate_ball(seed2, 3))[1:][::11])
     _, tlens = batch_translation_lengths(np.array(m2s))
     ratio_ok = [abs(eval_u(u, w)) < t_w / 2.0 for w, t_w in zip(words, tlens)]
@@ -263,13 +263,13 @@ def test_canonical_ball_loxodromic(seed2, canonical2):
 def test_batch_saddle_matches_ratio_on_ball(monkeypatch, seed2):
     # Every word of the ball, conjugates included; the class refutes some.
     u = generator_values({"a1": 1.6, "b2": -0.9}, "u", 2)
-    spec = RepSpec("linear_u", seed2, u=u)
+    spec = reps.linear_u(seed2, u=u)
     for block_rows in (1, 5, 10 ** 6):
         monkeypatch.setattr(ball, "BLOCK_ROWS", block_rows)
         table = BallTable.build(seed2, 3)
         refuted = 0
         fields = (table.seed_images, table.exponent_sums,
-                  partial(table.images3, spec.letter_images()))
+                  partial(table.images3, spec.letters))
         for _level, _rows, _weight, mats, exps, imgs in table.blocks(*fields):
             hyp, t = batch_translation_lengths(mats)
             assert hyp.all()
