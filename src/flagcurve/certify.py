@@ -209,8 +209,7 @@ def probe_explicit(
     eigenvalue-gap infima over the scored ball.  Raises InsufficientSamples
     when no scored word is loxodromic, since the infima are then empty."""
     table = BallTable.build(spec.seed, radius)
-    n_scored = 0
-    n_lox = 0
+    n_scored = n_lox = 0
     inf_top, inf_bot = math.inf, math.inf
     for _level, _idx, weight, t, _mats, imgs in table.scored(
             min_length, partial(table.images3, spec.letters), classes=True):

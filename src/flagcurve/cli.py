@@ -274,21 +274,14 @@ def cmd_regularity(config: RunConfig) -> tuple:
     return 0, {"samples": len(model), **dataclasses.asdict(regularity_diagnostics(model))}
 
 
-_DISPATCH = {
-    "limit-curve": cmd_limit_curve,
-    "certify": cmd_certify,
-    "delta": cmd_delta,
-    "orbit": cmd_orbit,
-    "regularity": cmd_regularity,
-}
+_DISPATCH = {"limit-curve": cmd_limit_curve, "certify": cmd_certify, "delta": cmd_delta,
+             "orbit": cmd_orbit, "regularity": cmd_regularity}
 
 
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(
-        prog="flagcurve",
-        description="Flag representations of surface groups: limit curves, "
-        "certificates, invariant-domain experiments.",
-    )
+        prog="flagcurve", description="Flag representations of surface groups: limit "
+        "curves, certificates, invariant-domain experiments.")
     parser.add_argument("command", choices=_DISPATCH)
     parser.add_argument("--config", required=True, help="path to the JSON run config")
     parser.add_argument("--out", default=None, help="output directory")

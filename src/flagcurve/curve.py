@@ -50,7 +50,7 @@ import numpy as np
 from . import ball
 from .ball import DEFAULT_MIN_LENGTH, BallTable, WordIds
 from .errors import FlagCurveError, InsufficientSamples
-from .reps import RepSpec
+from .reps import E2, RepSpec
 from .spectral import batch_attracting_flags
 from .surface import batch_attractive_directions
 
@@ -218,7 +218,7 @@ def sample_limit_curve(
     words = None
     if "words" in columns:
         words = WordIds(table, cols.pop("levels"), cols.pop("index"))
-    # Images that fix a point make the line curve the pencil through it.
+    # Images with u fix [e2], which makes the line curve the pencil through it.
     return CurveModel(
         params=params,
         points=cols.get("points"),
@@ -227,7 +227,7 @@ def sample_limit_curve(
         tlens=cols.get("tlens"),
         dedup_res=dedup_res,
         exact_point_line=spec.fixed_line,
-        exact_line_point=spec.fixed_point,
+        exact_line_point=E2 if spec.u is not None else None,
     )
 
 

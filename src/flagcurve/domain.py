@@ -3,11 +3,12 @@ experiments.
 
 A flag is inside the domain when its point avoids the sampled point curve
 and its line avoids the sampled line curve.  Where a curve is exactly
-known (canonical point/line curves, radial line curve), the exact
-linear-algebra margin replaces the nearest-sample margin.  Boundary
-classification against sampled curves is honest about resolution: flags
-within the tolerance band of a sampled curve are "on-boundary", not
-"outside", unless an exact test puts them on the bad set.
+known (a spec's fixed line, the pencil through [e2] of a spec with u),
+the exact linear-algebra margin replaces the nearest-sample margin.
+Boundary classification against sampled curves is honest about
+resolution: flags within the tolerance band of a sampled curve are
+"on-boundary", not "outside", unless an exact test puts them on the bad
+set.
 
 ``recurrence_experiment`` tests the base flag against the curve model its
 caller samples, then maps it by every ball word, block by block from
@@ -53,16 +54,14 @@ def in_omega(flag: Flag, model: CurveModel, tol: float | None = None) -> OmegaQu
     """
     if tol is None:
         tol = 2.0 * model.dedup_res
-    mp = model.point_margin(flag.point)
-    ml = model.line_margin(flag.line)
+    mp, ml = model.point_margin(flag.point), model.line_margin(flag.line)
     m = min(mp, ml)
-    point_exact = model.exact_point_line is not None
-    line_exact = model.exact_line_point is not None
     if m <= HARD_EPS:
         verdict = "outside"
     elif m <= tol:
         # Inside the sampling band; an exact test can still settle it.
-        on_exact = (point_exact and mp <= HARD_EPS) or (line_exact and ml <= HARD_EPS)
+        on_exact = ((model.exact_point_line is not None and mp <= HARD_EPS)
+                    or (model.exact_line_point is not None and ml <= HARD_EPS))
         verdict = "outside" if on_exact else "on-boundary"
     else:
         verdict = "inside"

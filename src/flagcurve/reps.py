@@ -1,9 +1,9 @@
 """Representation specs, their constructors and JSON form, and the
 config's JSON type rules.
 
-A ``RepSpec`` is a Fuchsian seed, its letter stack, built once, and four
-facts its readers ask for in place of a family name; the constructors
-below build one.  ``SPEC_READERS`` is the one map from a config's
+A ``RepSpec`` is a Fuchsian seed, its letter stack, built once, and three
+facts its readers ask for in place of a family name, each checked
+against the letters; the constructors below build one.  ``SPEC_READERS`` is the one map from a config's
 ``variant`` to a reader and the keys it reads.
 
 Determinant-1 representatives are unique in odd dimension (no PGL sign
@@ -123,25 +123,42 @@ def phi(t: float) -> np.ndarray:
 
 @dataclass(frozen=True, eq=False)
 class RepSpec:
-    """A representation: its seed, its letter stack and four facts, each
-    None where the spec does not state it, checked against the relator."""
+    """A representation: its seed, its letter stack, checked against the
+    relator, and three facts, each checked against it or None if unstated."""
 
     seed: FuchsianSeed
     letters: np.ndarray  # read-only (4g, 3, 3): generator k at 2k, its inverse at 2k+1
     # Per generator: u where each image fixes [e2] with eigenvalue
-    # e^{-2u/3}, for certify's closed-form ratio, and the middle-row shear
-    # (mu, nu) whose profile delta fits.
+    # e^{-2u/3}, for certify's closed-form ratio and the curve model's
+    # exact line test (the line curve is the pencil through [e2]); and
+    # the middle-row shear (mu, nu) whose profile delta fits.
     u: tuple | None = None
     shear: tuple | None = None
-    # A point every image fixes, and a line (a covector) every image
-    # preserves that holds every attracting point.
-    fixed_point: np.ndarray | None = None
+    # A line (a covector) every image preserves that holds every
+    # attracting point: the curve model's exact point test.
     fixed_line: np.ndarray | None = None
 
     def __post_init__(self):
+        if self.letters.flags.writeable:
+            raise ValueError("a spec's letter stack must be read-only")
         res = relator_residual(self.letters)
         if not res <= 1e-8:  # a NaN residual fails too
             raise ValueError(f"3x3 relator residual {res:.3e} > 1e-8")
+        # Each stated fact as (got, want) rows, one per generator image.
+        gens, line, checks = self.letters[::2], self.fixed_line, []
+        if self.u is not None:
+            checks.append(("u", gens @ E2, np.exp(-2.0 * np.array(self.u) / 3.0)[:, None] * E2))
+        if self.shear is not None:
+            if self.u is None:
+                raise ValueError("a spec that states its shear must state its u")
+            checks.append(("shear", gens[:, 1, ::2], np.array(self.shear).T))
+        if line is not None:
+            rows = line @ gens
+            checks.append(("fixed_line", rows, (rows @ line / (line @ line))[:, None] * line))
+        for name, got, want in checks:
+            scale = np.maximum(1.0, np.abs(want).max(axis=1, keepdims=True))
+            if not np.all(np.abs(got - want) <= 1e-12 * scale):  # NaN fails too
+                raise ValueError(f"the spec's {name} disagrees with its generator images")
 
     def generator_images(self) -> np.ndarray:
         """Read-only (2g, 3, 3) stack of generator images: the even letters."""
@@ -156,9 +173,8 @@ def explicit(seed: FuchsianSeed, matrices, **facts) -> RepSpec:
         raise ValueError("a spec needs one 3x3 matrix per generator")
     letters = np.empty((4 * seed.genus, 3, 3))
     letters[::2] = matrices
-    for k in range(2 * seed.genus):
-        inv = np.linalg.inv(letters[2 * k])
-        letters[2 * k + 1] = inv / np.cbrt(np.linalg.det(inv))
+    inv = np.linalg.inv(letters[::2])
+    letters[1::2] = inv / np.cbrt(np.linalg.det(inv))[:, None, None]
     letters.flags.writeable = False
     return RepSpec(seed, letters, **facts)
 
@@ -172,14 +188,13 @@ def radial(seed: FuchsianSeed, u, mu, nu) -> RepSpec:
         a3, q = math.exp(u_k / 3.0), math.exp(-2.0 * u_k / 3.0)
         gens.append([[a3 * m2[0, 0], 0.0, a3 * m2[0, 1]], [mu_k, q, nu_k],
                      [a3 * m2[1, 0], 0.0, a3 * m2[1, 1]]])
-    return explicit(seed, gens, u=u, shear=(mu, nu), fixed_point=E2)
+    return explicit(seed, gens, u=u, shear=(mu, nu))
 
 
 def linear_u(seed: FuchsianSeed, u) -> RepSpec:
     """Radial with zero shear: the canonical images composed with the
     commuting diagonal flow ``phi`` of exponent u[k]."""
-    zero = (0.0,) * (2 * seed.genus)
-    return radial(seed, u, zero, zero)
+    return radial(seed, u, *[(0.0,) * (2 * seed.genus)] * 2)
 
 
 def canonical(seed: FuchsianSeed) -> RepSpec:
@@ -198,16 +213,10 @@ def coboundary_radial(spec: RepSpec, m1: float, m2: float) -> RepSpec:
     """
     if spec.shear is None or any(map(any, spec.shear)):
         raise UnsupportedSpec("coboundary construction starts from a zero-shear spec")
-    U = np.eye(3)
-    U[1, 0], U[1, 2] = m1, m2
-    Uinv = np.eye(3)
-    Uinv[1, 0], Uinv[1, 2] = -m1, -m2
-    mu, nu = [], []
-    for k in range(2 * spec.seed.genus):
-        img = U @ phi(spec.u[k]) @ rho0(spec.seed.generators[k]) @ Uinv
-        mu.append(float(img[1, 0]))
-        nu.append(float(img[1, 2]))
-    return radial(spec.seed, spec.u, tuple(mu), tuple(nu))
+    U, Uinv = np.eye(3), np.eye(3)
+    U[1, ::2], Uinv[1, ::2] = (m1, m2), (-m1, -m2)
+    imgs = [U @ phi(u_k) @ rho0(g2) @ Uinv for u_k, g2 in zip(spec.u, spec.seed.generators)]
+    return radial(spec.seed, spec.u, *(tuple(float(g[1, j]) for g in imgs) for j in (0, 2)))
 
 
 def _radial_from_json(d: dict, seed: FuchsianSeed) -> RepSpec:
@@ -260,9 +269,8 @@ def spec_from_json_dict(d: dict) -> RepSpec:
     the standard 4g-gon seed; either way the genus is in [2, MAX_GENUS].
     A key the variant's reader does not read is a ConfigError naming it.
     """
-    if not isinstance(d, dict):
-        raise ConfigError("field 'rep_spec' must be a JSON object")
-    variant = d.get("variant")
+    # Every key passes here; the variant's own keys are checked below.
+    variant = json_object(d, "rep_spec", d).get("variant")
     if variant not in SPEC_READERS:
         raise ValueError(f"variant must be one of {tuple(SPEC_READERS)}, got {variant!r}")
     keys, read = SPEC_READERS[variant]

@@ -138,7 +138,7 @@ def batch_saddle_at_e2(mats: np.ndarray) -> np.ndarray:
     loxodromic, with the eigenvalue closest to the (1,1) entry in the middle.
 
     Assumes the stack fixes [e2] (middle column proportional to e2), which
-    holds for canonical, linear_u, and radial images.
+    holds for the images of every spec with u.
     """
     lox, vals = batch_loxodromic(mats)
     closest = np.argmin(np.abs(vals - mats[:, 1, 1, None]), axis=1)

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -195,7 +196,7 @@ def test_spec_json_round_trips(seed2, u_a1):
     for spec in (reps.canonical(seed2), lin, rad, explicit):
         back = spec_from_json_dict(spec_to_json_dict(spec))
         assert np.array_equal(back.letters, spec.letters)
-        for fact in ("u", "shear", "fixed_point", "fixed_line"):
+        for fact in ("u", "shear", "fixed_line"):
             a, b = getattr(spec, fact), getattr(back, fact)
             assert (a is None) == (b is None) and (a is None or np.array_equal(a, b))
         for a, b in zip(spec.generator_images(), back.generator_images()):
@@ -243,3 +244,23 @@ def test_nan_relator_residual_is_rejected(seed2):
 def test_phi_conjugate_rejects_non_radial(seed2):
     with pytest.raises(UnsupportedSpec):
         coboundary_radial(reps.canonical(seed2), 0.1, 0.1)
+
+
+def test_spec_facts_must_agree_with_letters(seed2, u_a1):
+    canon, lin = reps.canonical(seed2), reps.linear_u(seed2, u=u_a1)
+    gens = tuple(lin.generator_images())
+    # Each fact a constructor states holds, so an explicit spec may state it.
+    assert reps.explicit(seed2, gens, u=lin.u, shear=lin.shear).u == lin.u
+    wrong = [
+        (canon, {"u": u_a1}),
+        (lin, {"shear": ((0.1, 0.0, 0.0, 0.0), (0.0,) * 4)}),
+        (coboundary_radial(lin, 0.2, -0.1), {"fixed_line": reps.E2}),
+        (canon, {"fixed_line": np.array([1.0, 0.0, 0.0])}),
+    ]
+    for spec, facts in wrong:
+        with pytest.raises(ValueError, match="disagrees with its generator images"):
+            dataclasses.replace(spec, **facts)
+    with pytest.raises(ValueError, match="must state its u"):
+        reps.explicit(seed2, gens, shear=lin.shear)
+    with pytest.raises(ValueError, match="read-only"):
+        reps.RepSpec(seed2, np.array(canon.letters))
