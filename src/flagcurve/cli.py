@@ -113,6 +113,8 @@ class RunConfig:
         rep_spec = json_field(raw, "", "rep_spec")
         try:
             self.spec: RepSpec = spec_from_json_dict(rep_spec)
+        except ConfigError:
+            raise  # it names its own field
         except (ValueError, OverflowError, FlagCurveError) as e:
             # OverflowError: math.exp of a large |u| in a generator image.
             raise ConfigError(f"bad field 'rep_spec': {e}") from e
@@ -288,15 +290,16 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     t0 = time.monotonic()
     try:
-        config = RunConfig.load(args.config, args.out)
-        try:
-            config.out_dir.mkdir(parents=True, exist_ok=True)
-        except OSError as e:
-            raise ConfigError(f"cannot create output directory: {e}") from e
         # A spec whose images near the float range trips numpy's overflow
         # and invalid-value warnings on the way to the one error it
-        # reports; only that error reaches stderr.
+        # reports, in the config reader or in the command; only that error
+        # reaches stderr.
         with np.errstate(all="ignore"):
+            config = RunConfig.load(args.config, args.out)
+            try:
+                config.out_dir.mkdir(parents=True, exist_ok=True)
+            except OSError as e:
+                raise ConfigError(f"cannot create output directory: {e}") from e
             code, payload = _DISPATCH[args.command](config)
     except ConfigError as e:
         print(f"config error: {e}", file=sys.stderr)

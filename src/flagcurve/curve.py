@@ -50,7 +50,7 @@ import numpy as np
 from . import ball
 from .ball import DEFAULT_MIN_LENGTH, BallTable, WordIds
 from .errors import FlagCurveError, InsufficientSamples
-from .reps import E2, RepSpec
+from .reps import RepSpec
 from .spectral import batch_attracting_flags
 from .surface import batch_attractive_directions
 
@@ -70,10 +70,8 @@ class CurveModel:
     is a ``WordIds``, which names a word only when it is read.  A column
     the sampler's reader did not name (see ``COLUMNS``) is None.
 
-    ``exact_point_line`` (a covector) is set when the point curve is known
-    to be exactly a projective line; ``exact_line_point`` (a point) when
-    the line curve is exactly the pencil through that point.  Membership
-    tests then use the exact formula instead of nearest-sample distance.
+    A model is its samples only: what a spec knows exactly about either
+    curve is its own facts, which ``domain.in_omega`` reads.
     """
 
     params: np.ndarray
@@ -82,23 +80,9 @@ class CurveModel:
     words: Sequence | None
     tlens: np.ndarray | None
     dedup_res: float
-    exact_point_line: np.ndarray | None = None
-    exact_line_point: np.ndarray | None = None
 
     def __len__(self):
         return len(self.params)
-
-    def point_margin(self, rep: np.ndarray) -> float:
-        """Angular distance of a projective point to the sampled point curve."""
-        if self.exact_point_line is not None:
-            return math.asin(min(1.0, abs(float(rep @ self.exact_point_line))))
-        return float(np.arccos(np.minimum(1.0, np.abs(self.points @ rep)).max()))
-
-    def line_margin(self, rep: np.ndarray) -> float:
-        """Angular distance of a projective line to the sampled line curve."""
-        if self.exact_line_point is not None:
-            return math.asin(min(1.0, abs(float(rep @ self.exact_line_point))))
-        return float(np.arccos(np.minimum(1.0, np.abs(self.lines @ rep)).max()))
 
 
 def greedy_thin(x: np.ndarray, spacing: float) -> np.ndarray:
@@ -218,7 +202,6 @@ def sample_limit_curve(
     words = None
     if "words" in columns:
         words = WordIds(table, cols.pop("levels"), cols.pop("index"))
-    # Images with u fix [e2], which makes the line curve the pencil through it.
     return CurveModel(
         params=params,
         points=cols.get("points"),
@@ -226,8 +209,6 @@ def sample_limit_curve(
         words=words,
         tlens=cols.get("tlens"),
         dedup_res=dedup_res,
-        exact_point_line=spec.fixed_line,
-        exact_line_point=E2 if spec.u is not None else None,
     )
 
 

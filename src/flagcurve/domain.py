@@ -1,14 +1,16 @@
 """The invariant domain of flags, membership tests and recurrence
 experiments.
 
-A flag is inside the domain when its point avoids the sampled point curve
-and its line avoids the sampled line curve.  Where a curve is exactly
-known (a spec's fixed line, the pencil through [e2] of a spec with u),
-the exact linear-algebra margin replaces the nearest-sample margin.
-Boundary classification against sampled curves is honest about
-resolution: flags within the tolerance band of a sampled curve are
-"on-boundary", not "outside", unless an exact test puts them on the bad
-set.
+A flag is inside the domain when its point avoids the point curve and its
+line avoids the line curve.  ``in_omega`` is the one reader of what a
+spec knows exactly about them: a spec's ``fixed_line`` is a line that
+holds the point curve, so a point's margin is asin|p . fixed_line|, and a
+spec's ``u`` fixes [e2], so the line curve is the pencil through it and a
+line's margin is asin|l . e2|.  A curve the spec does not state is read
+from the model's samples, by the nearest one.  An exact margin is the
+distance itself and is never banded; only a sampled margin within twice
+the dedup resolution makes a flag "on-boundary" rather than "inside",
+and either margin at or below ``HARD_EPS`` makes it "outside".
 
 ``recurrence_experiment`` tests the base flag against the curve model its
 caller samples, then maps it by every ball word, block by block from
@@ -33,7 +35,7 @@ from .ball import BallTable, rowwise_dot
 from .curve import CurveModel
 from .errors import BaseNotInterior
 from .projective import Flag
-from .reps import RepSpec
+from .reps import E2, RepSpec
 
 HARD_EPS = 1e-9
 
@@ -47,22 +49,26 @@ class OmegaQuery:
     margin_line: float
 
 
-def in_omega(flag: Flag, model: CurveModel, tol: float | None = None) -> OmegaQuery:
-    """Classify a flag against the invariant domain: its point against the
-    model's point curve, its line against the model's line curve.  Default
-    tolerance band is twice the dedup resolution.
-    """
-    if tol is None:
-        tol = 2.0 * model.dedup_res
-    mp, ml = model.point_margin(flag.point), model.line_margin(flag.line)
-    m = min(mp, ml)
-    if m <= HARD_EPS:
+def _margin(rep: np.ndarray, exact: np.ndarray | None, samples: np.ndarray) -> float:
+    """Angular distance of ``rep`` to a curve: to the exact line or pencil
+    point ``exact`` when it is given, else to the nearest of ``samples``."""
+    if exact is not None:
+        return math.asin(min(1.0, abs(float(rep @ exact))))
+    return float(np.arccos(np.minimum(1.0, np.abs(samples @ rep)).max()))
+
+
+def in_omega(flag: Flag, spec: RepSpec, model: CurveModel) -> OmegaQuery:
+    """Classify a flag against the invariant domain of ``spec``: its point
+    against the point curve, its line against the line curve, each exact
+    where the spec states it and else from ``model``'s samples."""
+    exact_p, exact_l = spec.fixed_line, E2 if spec.u is not None else None
+    mp = _margin(flag.point, exact_p, model.points)
+    ml = _margin(flag.line, exact_l, model.lines)
+    band = 2.0 * model.dedup_res
+    if min(mp, ml) <= HARD_EPS:
         verdict = "outside"
-    elif m <= tol:
-        # Inside the sampling band; an exact test can still settle it.
-        on_exact = ((model.exact_point_line is not None and mp <= HARD_EPS)
-                    or (model.exact_line_point is not None and ml <= HARD_EPS))
-        verdict = "outside" if on_exact else "on-boundary"
+    elif (exact_p is None and mp <= band) or (exact_l is None and ml <= band):
+        verdict = "on-boundary"
     else:
         verdict = "inside"
     return OmegaQuery(verdict, mp, ml)
@@ -89,10 +95,10 @@ def recurrence_experiment(spec: RepSpec, base: Flag, nbhd: float, radius: int,
 
     Properness proxy: the returning set stabilizes as the radius grows.
     Freeness proxy: no nonempty word fixes the base within 1e-8.  The base
-    is tested against the caller's ``model``, which needs its points and
-    lines.
+    is tested by ``in_omega`` against the caller's ``model``, which needs
+    its points and lines.
     """
-    q = in_omega(base, model)
+    q = in_omega(base, spec, model)
     if q.verdict != "inside" or min(q.margin_point, q.margin_line) <= 2.0 * nbhd:
         raise BaseNotInterior(
             f"verdict {q.verdict}, margins ({q.margin_point:.4f}, {q.margin_line:.4f})"

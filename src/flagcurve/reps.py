@@ -3,8 +3,9 @@ config's JSON type rules.
 
 A ``RepSpec`` is a Fuchsian seed, its letter stack, built once, and three
 facts its readers ask for in place of a family name, each checked
-against the letters; the constructors below build one.  ``SPEC_READERS`` is the one map from a config's
-``variant`` to a reader and the keys it reads.
+against the letters; the constructors below build one.
+``SPEC_READERS`` is the one map from a config's ``variant`` to a reader
+and the keys it reads.
 
 Determinant-1 representatives are unique in odd dimension (no PGL sign
 ambiguity), so evaluation is sign-deterministic by construction, and the
@@ -129,13 +130,13 @@ class RepSpec:
     seed: FuchsianSeed
     letters: np.ndarray  # read-only (4g, 3, 3): generator k at 2k, its inverse at 2k+1
     # Per generator: u where each image fixes [e2] with eigenvalue
-    # e^{-2u/3}, for certify's closed-form ratio and the curve model's
-    # exact line test (the line curve is the pencil through [e2]); and
+    # e^{-2u/3}, for certify's closed-form ratio and in_omega's exact
+    # line margin (the line curve is the pencil through [e2]); and
     # the middle-row shear (mu, nu) whose profile delta fits.
     u: tuple | None = None
     shear: tuple | None = None
     # A line (a covector) every image preserves that holds every
-    # attracting point: the curve model's exact point test.
+    # attracting point: in_omega's exact point margin.
     fixed_line: np.ndarray | None = None
 
     def __post_init__(self):
@@ -221,28 +222,27 @@ def coboundary_radial(spec: RepSpec, m1: float, m2: float) -> RepSpec:
 
 def _radial_from_json(d: dict, seed: FuchsianSeed) -> RepSpec:
     """A radial spec from its mu and nu, or from its coboundary."""
-    u = generator_values(d.get("u", {}), "u", seed.genus)
+    u = generator_values(d.get("u", {}), "rep_spec.u", seed.genus)
     if "coboundary" in d:
         if "mu" in d or "nu" in d:
-            raise ValueError("give either 'coboundary' or 'mu'/'nu', not both")
-        cb = json_object(d["coboundary"], "coboundary", ("m1", "m2"))
-        m1, m2 = (json_number(float, json_field(cb, "coboundary", k), f"coboundary.{k}")
-                  for k in ("m1", "m2"))
+            raise ConfigError("give 'rep_spec.coboundary' or 'rep_spec.mu'/'rep_spec.nu',"
+                              " not both")
+        cb = json_object(d["coboundary"], "rep_spec.coboundary", ("m1", "m2"))
+        m1, m2 = (json_number(float, json_field(cb, "rep_spec.coboundary", k),
+                              f"rep_spec.coboundary.{k}") for k in ("m1", "m2"))
         return coboundary_radial(linear_u(seed, u), m1, m2)
-    if d.get("mu") is None or d.get("nu") is None:
-        raise ValueError("radial spec requires 'mu' and 'nu' (or 'coboundary')")
-    return radial(seed, u, *(generator_values(d[k], k, seed.genus) for k in ("mu", "nu")))
+    return radial(seed, u, *(generator_values(json_field(d, "rep_spec", k), f"rep_spec.{k}",
+                                              seed.genus) for k in ("mu", "nu")))
 
 
 def _explicit_from_json(d: dict, seed: FuchsianSeed) -> RepSpec:
     """An explicit spec from its matrices, each scaled to determinant 1."""
-    if "matrices" not in d:
-        raise ValueError("explicit spec requires 'matrices'")
     names = [gen_name(k) for k in range(2 * seed.genus)]
-    mats_d = json_object(d["matrices"], "matrices", set(names))
+    mats_d = json_object(json_field(d, "rep_spec", "matrices"), "rep_spec.matrices", set(names))
     mats = []
     for name in names:
-        m = json_floats(json_field(mats_d, "matrices", name), f"matrices.{name}", (3, 3))
+        m = json_floats(json_field(mats_d, "rep_spec.matrices", name),
+                        f"rep_spec.matrices.{name}", (3, 3))
         det = np.linalg.det(m)
         if det == 0.0:
             raise ValueError(f"matrix for generator {name} is singular")
@@ -255,7 +255,7 @@ def _explicit_from_json(d: dict, seed: FuchsianSeed) -> RepSpec:
 SPEC_READERS = {
     "canonical": ((), lambda d, seed: canonical(seed)),
     "linear_u": (("u",), lambda d, seed: linear_u(
-        seed, generator_values(d.get("u", {}), "u", seed.genus))),
+        seed, generator_values(d.get("u", {}), "rep_spec.u", seed.genus))),
     "radial": (("u", "mu", "nu", "coboundary"), _radial_from_json),
     "explicit": (("matrices",), _explicit_from_json),
 }
@@ -267,25 +267,26 @@ def spec_from_json_dict(d: dict) -> RepSpec:
     The seed may be given explicitly ({"genus", "generators"}, each
     generator a row of 4 numbers) or as {"genus": g} alone, which selects
     the standard 4g-gon seed; either way the genus is in [2, MAX_GENUS].
-    A key the variant's reader does not read is a ConfigError naming it.
+    A malformed field, or a key the variant's reader does not read, is a
+    ConfigError naming its full ``rep_spec.`` path.
     """
     # Every key passes here; the variant's own keys are checked below.
-    variant = json_object(d, "rep_spec", d).get("variant")
-    if variant not in SPEC_READERS:
-        raise ValueError(f"variant must be one of {tuple(SPEC_READERS)}, got {variant!r}")
+    variant = json_field(json_object(d, "rep_spec", d), "rep_spec", "variant")
+    if not isinstance(variant, str) or variant not in SPEC_READERS:
+        raise ConfigError(f"field 'rep_spec.variant' must be one of {tuple(SPEC_READERS)},"
+                          f" not {variant!r}")
     keys, read = SPEC_READERS[variant]
     json_object(d, "rep_spec", ("variant", "seed", *keys))
-    if "seed" not in d:
-        raise ValueError("missing field 'seed'")
-    seed_d = json_object(d["seed"], "seed", ("genus", "generators"))
-    genus = json_number(int, json_field(seed_d, "seed", "genus"), "seed.genus")
+    seed_d = json_object(json_field(d, "rep_spec", "seed"), "rep_spec.seed",
+                         ("genus", "generators"))
+    genus = json_number(int, json_field(seed_d, "rep_spec.seed", "genus"), "rep_spec.seed.genus")
     if not 2 <= genus <= MAX_GENUS:
-        raise ConfigError(f"field 'seed.genus' must be in [2, {MAX_GENUS}], not {genus}")
+        raise ConfigError(f"field 'rep_spec.seed.genus' must be in [2, {MAX_GENUS}], not {genus}")
     if "generators" in seed_d:
         rows = seed_d["generators"]
         if not isinstance(rows, list):
-            raise ConfigError("field 'seed.generators' must be a JSON array")
-        seed = FuchsianSeed(genus, tuple(json_floats(row, "seed.generators", (2, 2))
+            raise ConfigError("field 'rep_spec.seed.generators' must be a JSON array")
+        seed = FuchsianSeed(genus, tuple(json_floats(row, "rep_spec.seed.generators", (2, 2))
                                          for row in rows))
     else:
         seed = standard_fuchsian(genus)

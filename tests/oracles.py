@@ -21,6 +21,7 @@ from flagcurve.ball import BallTable
 from flagcurve.curve import greedy_thin
 from flagcurve.delta import _THIN_SPACING, GRID_SIZE, _plane_coords
 from flagcurve.errors import PolarDegenerate
+from flagcurve.reps import E2
 from flagcurve.spectral import canonicalize_rows
 from flagcurve.surface import gen_name, letter_name
 
@@ -172,13 +173,16 @@ def proj_dist(u: np.ndarray, v: np.ndarray) -> float:
 def equivariance_report(model, spec) -> dict:
     """Residuals of curve invariance under the generators.
 
-    When the curve (or its dual) is exactly known, reports the max exact
-    residual of the mapped samples.  Otherwise reports the max angular
-    deviation of each mapped point from the sample nearest to its mapped
-    param, divided by the local param gap (a scale-free heuristic: the
-    curve map is at least Lipschitz on the families handled here).
+    When the spec states a curve exactly (its fixed line holds the point
+    curve; its u makes the line curve the pencil through [e2]), reports
+    the max exact residual of the mapped samples.  Otherwise reports the
+    max angular deviation of each mapped point from the sample nearest to
+    its mapped param, divided by the local param gap (a scale-free
+    heuristic: the curve map is at least Lipschitz on the families handled
+    here).
     """
     gen_imgs = spec.generator_images()
+    line, pencil = spec.fixed_line, E2 if spec.u is not None else None
     n = len(model)
     exact_p, exact_l, rel = 0.0, 0.0, 0.0
     for k in range(2 * spec.seed.genus):
@@ -186,8 +190,8 @@ def equivariance_report(model, spec) -> dict:
         gd = np.linalg.inv(g).T
         mp = canonicalize_rows((g @ model.points.T).T)
         ml = canonicalize_rows((gd @ model.lines.T).T)
-        if model.exact_point_line is not None:
-            exact_p = max(exact_p, float(np.abs(mp @ model.exact_point_line).max()))
+        if line is not None:
+            exact_p = max(exact_p, float(np.abs(mp @ line).max()))
         else:
             m2 = spec.seed.generators[k]
             dirs = np.stack([np.cos(model.params), np.sin(model.params)], axis=1)
@@ -204,12 +208,12 @@ def equivariance_report(model, spec) -> dict:
             ref = model.points[use]
             dev = np.arccos(np.minimum(1.0, np.abs(np.einsum("ij,ij->i", mp, ref))))
             rel = max(rel, float((dev / gaps).max()))
-        if model.exact_line_point is not None:
-            exact_l = max(exact_l, float(np.abs(ml @ model.exact_line_point).max()))
+        if pencil is not None:
+            exact_l = max(exact_l, float(np.abs(ml @ pencil).max()))
     return {
-        "exact_point_residual": exact_p if model.exact_point_line is not None else None,
-        "exact_line_residual": exact_l if model.exact_line_point is not None else None,
-        "relative_point_deviation": rel if model.exact_point_line is None else None,
+        "exact_point_residual": exact_p if line is not None else None,
+        "exact_line_residual": exact_l if pencil is not None else None,
+        "relative_point_deviation": rel if line is None else None,
     }
 
 

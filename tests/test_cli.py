@@ -354,21 +354,21 @@ def test_malformed_config_exits_2(tmp_path, capsys, monkeypatch, fields):
 
 
 @pytest.mark.parametrize("fields, field", [
-    ({"rep_spec": {**CANONICAL_G2, "seed": {}}}, "seed.genus"),
-    ({"rep_spec": {**RADIAL_G2, "coboundary": {"m1": 0.4}}}, "coboundary.m2"),
-    ({"rep_spec": _explicit_g2_cut("matrices", 2)}, "matrices.a1"),
-    ({"rep_spec": _explicit_g2_cut("seed", 3)}, "seed.generators"),
+    ({"rep_spec": {**CANONICAL_G2, "seed": {}}}, "rep_spec.seed.genus"),
+    ({"rep_spec": {**RADIAL_G2, "coboundary": {"m1": 0.4}}}, "rep_spec.coboundary.m2"),
+    ({"rep_spec": _explicit_g2_cut("matrices", 2)}, "rep_spec.matrices.a1"),
+    ({"rep_spec": _explicit_g2_cut("seed", 3)}, "rep_spec.seed.generators"),
     ({"ball_radus": 9}, "ball_radus"),
-    ({"rep_spec": {**CANONICAL_G2, "seed": {"genus": 2, "genera": 3}}}, "seed.genera"),
+    ({"rep_spec": {**CANONICAL_G2, "seed": {"genus": 2, "genera": 3}}}, "rep_spec.seed.genera"),
     ({"rep_spec": {**RADIAL_G2, "coboundary": {"m1": 0.4, "m2": -0.2, "m3": 0}}},
-     "coboundary.m3"),
+     "rep_spec.coboundary.m3"),
     ({"rep_spec": {**RADIAL_G2, "nu_": {}}}, "rep_spec.nu_"),
-    ({"rep_spec": {**RADIAL_G2, "u": {"a3": 0.1}}}, "u.a3"),
+    ({"rep_spec": {**RADIAL_G2, "u": {"a3": 0.1}}}, "rep_spec.u.a3"),
     ({"tolerance": {"dedup": 1e-7}}, "tolerance"),
-    ({"rep_spec": {**CANONICAL_G2, "seed": {"genus": 15}}}, "seed.genus"),
-    ({"rep_spec": {**CANONICAL_G2, "seed": {"genus": 200}}}, "seed.genus"),
+    ({"rep_spec": {**CANONICAL_G2, "seed": {"genus": 15}}}, "rep_spec.seed.genus"),
+    ({"rep_spec": {**CANONICAL_G2, "seed": {"genus": 200}}}, "rep_spec.seed.genus"),
     ({"rep_spec": {**_explicit_g2(), "seed": {**_explicit_g2()["seed"], "genus": 15}}},
-     "seed.genus"),
+     "rep_spec.seed.genus"),
     # A key the variant's constructor does not read.
     ({"rep_spec": {**CANONICAL_G2, "u": {"a1": 0.3}}}, "rep_spec.u"),
     ({"rep_spec": {**CANONICAL_G2, "matrices": _explicit_g2()["matrices"]}},
@@ -378,11 +378,26 @@ def test_malformed_config_exits_2(tmp_path, capsys, monkeypatch, fields):
      "rep_spec.coboundary"),
     ({"rep_spec": {**RADIAL_G2, "matrices": _explicit_g2()["matrices"]}}, "rep_spec.matrices"),
     ({"rep_spec": {**_explicit_g2(), "u": {"a1": 0.3}}}, "rep_spec.u"),
+    # A variant that is missing, not a string or not a known name.
+    ({"rep_spec": {"variant": ["radial"], "seed": {"genus": 2}}}, "rep_spec.variant"),
+    ({"rep_spec": {"variant": {}, "seed": {"genus": 2}}}, "rep_spec.variant"),
+    ({"rep_spec": {"variant": "nope", "seed": {"genus": 2}}}, "rep_spec.variant"),
+    ({"rep_spec": {"seed": {"genus": 2}}}, "rep_spec.variant"),
+    # A field the variant's reader needs.
+    ({"rep_spec": {"variant": "canonical"}}, "rep_spec.seed"),
+    ({"rep_spec": {"variant": "radial", "seed": {"genus": 2}, "mu": {}}}, "rep_spec.nu"),
+    ({"rep_spec": {"variant": "explicit", "seed": {"genus": 2}}}, "rep_spec.matrices"),
+    # Generator images past the float range: numpy's overflow warnings on
+    # the way to the relator check stay silent.
+    pytest.param({"rep_spec": {**RADIAL_G2, "coboundary": {"m1": 1e300, "m2": 0.0}}},
+                 "rep_spec", marks=NO_FLOAT_WARNINGS),
 ], ids=["missing_seed_genus", "missing_coboundary_m2", "matrix_of_2", "seed_row_of_3",
         "root_key", "seed_key", "coboundary_key", "rep_spec_key", "u_generator",
         "tolerance_root_key", "genus_15", "genus_200", "explicit_seed_genus_15",
         "canonical_u", "canonical_matrices", "linear_u_mu", "linear_u_coboundary",
-        "radial_matrices", "explicit_u"])
+        "radial_matrices", "explicit_u", "variant_list", "variant_object", "variant_unknown",
+        "missing_variant", "missing_seed", "radial_missing_nu", "explicit_missing_matrices",
+        "coboundary_overflow"])
 def test_malformed_field_exits_2_naming_it(tmp_path, capsys, fields, field):
     # A missing, unknown or misshapen field is one config error line that
     # names the field, with no output and no traceback.

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import re
 from functools import partial
@@ -234,6 +235,20 @@ def test_equivariance_sampled_branch(seed2):
     rep = equivariance_report(model, spec)
     # mapped samples sit within a few local gaps of the nearest sample
     assert rep["relative_point_deviation"] <= 16.0
+
+
+def test_sampler_reads_no_spec_fact(seed2, u_a1):
+    # A model is its samples: a spec and its fact-free twin, whose letters
+    # are bit-identical, sample equal models field by field.
+    spec = coboundary_radial(reps.linear_u(seed2, u=u_a1), 0.2, -0.1)
+    twin = reps.explicit(spec.seed, spec.generator_images())
+    assert twin.u is twin.shear is twin.fixed_line is None
+    assert np.array_equal(spec.letters, twin.letters)
+    a, b = sample_limit_curve(spec, 4), sample_limit_curve(twin, 4)
+    for field in dataclasses.fields(CurveModel):
+        x, y = getattr(a, field.name), getattr(b, field.name)
+        same = list(x) == list(y) if field.name == "words" else np.array_equal(x, y)
+        assert same, field.name
 
 
 def test_insufficient_samples(canonical2):

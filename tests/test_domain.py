@@ -6,6 +6,7 @@ import pytest
 
 from flagcurve import (
     Flag,
+    OmegaQuery,
     canonicalize,
     coboundary_radial,
     generator_values,
@@ -31,31 +32,45 @@ def model4(canonical2):
     return sample_limit_curve(canonical2, 4)
 
 
-def test_in_omega_inside(model4):
-    q = in_omega(BASE, model4)
+def test_in_omega_inside(canonical2, model4):
+    q = in_omega(BASE, canonical2, model4)
     assert q.verdict == "inside"
     assert q.margin_point == pytest.approx(math.pi / 4.0, abs=1e-9)
     assert q.margin_line == pytest.approx(math.pi / 4.0, abs=1e-9)
 
 
-def test_in_omega_outside_on_curve(model4):
-    q = in_omega(Flag.of(E1, E3), model4)
+def test_in_omega_outside_on_curve(canonical2, model4):
+    q = in_omega(Flag.of(E1, E3), canonical2, model4)
     assert q.verdict == "outside"
+    # The canonical spec's fixed line holds the point curve: a point on it
+    # is outside at an exact margin of 0, whatever the samples.
+    q = in_omega(Flag.of((0.6, 0.0, 0.8), E2), canonical2, model4)
+    assert q == OmegaQuery("outside", 0.0, math.pi / 2.0)
 
 
-def test_in_omega_sampled_flag(model4):
+def test_in_omega_exact_margin_is_never_banded(canonical2, model4):
+    # 1e-8 off the fixed line is inside the sampling band (2e-7), but the
+    # exact margin proves the point is off the curve.
+    q = in_omega(Flag.of((1.0, 1e-8, 0.0), (-1e-8, 1.0, 0.0)), canonical2, model4)
+    assert q.verdict == "inside"
+    assert q.margin_point == pytest.approx(1e-8, rel=1e-12)
+    assert q.margin_point <= 2.0 * model4.dedup_res
+
+
+def test_in_omega_sampled_flag(canonical2, model4):
     flag = Flag.of(model4.points[7], model4.lines[7])
-    q = in_omega(flag, model4)
+    q = in_omega(flag, canonical2, model4)
     assert q.verdict in ("outside", "on-boundary")
 
 
 def test_in_omega_sampled_curve_band(seed2):
     # without exact curve knowledge the verdict inside the band is honest
     u = generator_values({"a1": 0.2}, "u", 2)
-    model = sample_limit_curve(reps.linear_u(seed2, u=u), 4)
-    assert model.exact_point_line is None
+    spec = reps.linear_u(seed2, u=u)
+    assert spec.fixed_line is None
+    model = sample_limit_curve(spec, 4)
     near = Flag.of((1.0, 5e-8, 0.0), (0.0, 0.0, 1.0))
-    q = in_omega(near, model, tol=1e-6)
+    q = in_omega(near, spec, model)
     assert q.verdict in ("on-boundary", "outside")
 
 
@@ -63,11 +78,11 @@ def test_in_omega_linear_u_line_margin_is_exact(seed2):
     # linear_u is radial with zero shear: its images fix [e2], so its line
     # curve is the pencil through [e2] and a line's margin is exact.
     u = generator_values({"a1": 0.3, "b2": -0.2}, "u", 2)
-    model = sample_limit_curve(reps.linear_u(seed2, u=u), 4)
+    spec = reps.linear_u(seed2, u=u)
+    model = sample_limit_curve(spec, 4)
     assert np.abs(model.lines @ E2).max() == 0.0
-    assert np.array_equal(model.exact_line_point, E2)
     flag = Flag.of(E1, (0.0, 0.6, 0.8))
-    assert in_omega(flag, model).margin_line == math.asin(float(flag.line @ E2))
+    assert in_omega(flag, spec, model).margin_line == math.asin(float(flag.line @ E2))
 
 
 def _fiber(curve: np.ndarray, target) -> tuple:
@@ -251,7 +266,7 @@ def test_freeness_multiple_specs_and_bases(seed2, canonical2, model4, rng):
         ok = True
         for s in specs:
             m = models[id(s)]
-            if in_omega(flag, m).verdict != "inside":
+            if in_omega(flag, s, m).verdict != "inside":
                 ok = False
                 break
         if not ok:

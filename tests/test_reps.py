@@ -13,7 +13,7 @@ from flagcurve import (
     spec_from_json_dict,
     standard_fuchsian,
 )
-from flagcurve.errors import NotUnimodular, UnsupportedSpec
+from flagcurve.errors import ConfigError, NotUnimodular, UnsupportedSpec
 from flagcurve.surface import relator_residual
 
 from conftest import random_unimodular
@@ -216,13 +216,13 @@ def test_spec_json_coboundary_and_standard_seed(seed2, u_a1):
 
 
 def test_spec_json_errors(seed2):
-    with pytest.raises(ValueError):
+    with pytest.raises(ConfigError, match="'rep_spec.variant'"):
         spec_from_json_dict({"variant": "nope", "seed": {"genus": 2}})
-    with pytest.raises(ValueError):
+    with pytest.raises(ConfigError, match="'rep_spec.seed'"):
         spec_from_json_dict({"variant": "canonical"})
-    with pytest.raises(ValueError):
+    with pytest.raises(ConfigError, match="'rep_spec.mu'"):
         spec_from_json_dict({"variant": "radial", "seed": {"genus": 2}})
-    with pytest.raises(ValueError):
+    with pytest.raises(ConfigError, match="'rep_spec.matrices'"):
         spec_from_json_dict({"variant": "explicit", "seed": {"genus": 2}})
     zeros = {name: [0.0] * 9 for name in ("a1", "b1", "a2", "b2")}
     with pytest.raises(ValueError, match="generator a1 is singular"):
